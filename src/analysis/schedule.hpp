@@ -34,20 +34,22 @@ namespace strassen::analysis {
 
 // ---- operands -------------------------------------------------------------
 
-// Slot identifiers of one recursion level.  Two temporaries per shape are
-// reserved so alternative schedules (and the verifier's negative tests) can
-// express higher temporary counts; the shipped schedules use one of each.
+// Slot identifiers of one recursion level.  The serial schedules use one
+// temporary of each shape; the spawn table (kWinogradSpawn) keeps all eight
+// operand sums and three products live across its concurrent product group,
+// which is what the higher slot counts are for.
 enum class Operand : std::uint8_t {
   kA11 = 0, kA12, kA21, kA22,   // A quadrants (read-only inputs)
   kB11, kB12, kB21, kB22,       // B quadrants (read-only inputs)
   kC11, kC12, kC21, kC22,       // C quadrants (outputs, usable as scratch)
-  kTS0, kTS1,                   // A-shaped temporaries
-  kTT0, kTT1,                   // B-shaped temporaries
-  kTP0, kTP1,                   // C-shaped temporaries
+  kTS0, kTS1, kTS2, kTS3,       // A-shaped temporaries
+  kTT0, kTT1, kTT2, kTT3,       // B-shaped temporaries
+  kTP0, kTP1, kTP2,             // C-shaped temporaries
   kNone,
 };
 
-inline constexpr int kOperandCount = 18;
+inline constexpr int kOperandCount = 23;
+inline constexpr int kTempSlotCount = 11;  // kTS0..kTP2
 
 enum class Shape : std::uint8_t { kA, kB, kC, kNone };
 
@@ -56,9 +58,9 @@ constexpr Shape shape_of(Operand op) {
   if (v <= static_cast<std::uint8_t>(Operand::kA22)) return Shape::kA;
   if (v <= static_cast<std::uint8_t>(Operand::kB22)) return Shape::kB;
   if (v <= static_cast<std::uint8_t>(Operand::kC22)) return Shape::kC;
-  if (op == Operand::kTS0 || op == Operand::kTS1) return Shape::kA;
-  if (op == Operand::kTT0 || op == Operand::kTT1) return Shape::kB;
-  if (op == Operand::kTP0 || op == Operand::kTP1) return Shape::kC;
+  if (op >= Operand::kTS0 && op <= Operand::kTS3) return Shape::kA;
+  if (op >= Operand::kTT0 && op <= Operand::kTT3) return Shape::kB;
+  if (op >= Operand::kTP0 && op <= Operand::kTP2) return Shape::kC;
   return Shape::kNone;
 }
 
@@ -72,7 +74,7 @@ constexpr bool is_c_quadrant(Operand op) {
 }
 
 constexpr bool is_temp(Operand op) {
-  return op >= Operand::kTS0 && op <= Operand::kTP1;
+  return op >= Operand::kTS0 && op <= Operand::kTP2;
 }
 
 constexpr const char* operand_name(Operand op) {
@@ -91,10 +93,15 @@ constexpr const char* operand_name(Operand op) {
     case Operand::kC22: return "C22";
     case Operand::kTS0: return "tS";
     case Operand::kTS1: return "tS'";
+    case Operand::kTS2: return "tS2";
+    case Operand::kTS3: return "tS3";
     case Operand::kTT0: return "tT";
     case Operand::kTT1: return "tT'";
+    case Operand::kTT2: return "tT2";
+    case Operand::kTT3: return "tT3";
     case Operand::kTP0: return "tP";
     case Operand::kTP1: return "tP'";
+    case Operand::kTP2: return "tP2";
     case Operand::kNone: break;
   }
   return "<none>";
@@ -148,6 +155,10 @@ struct Step {
   Sign asign = Sign::kPlus;     // sign applied to a1 in kMulFusedA/AB
   Sign bsign = Sign::kPlus;     // sign applied to b1 in kMulFusedB/AB
   const char* note = "";        // paper name of the step (S3, P5, U2, ...)
+  // Member of a concurrent product group: a maximal run of consecutive
+  // flagged steps whose products an executor may run in any order or at
+  // once (pmodgemm forks them).  The verifier proves the run hazard-free.
+  bool concurrent = false;
 };
 
 // Step factories -- keep the tables readable.
@@ -170,6 +181,10 @@ constexpr Step sub_ip(Operand dst, Operand x, const char* note) {
 constexpr Step mul(Operand dst, Operand a, Operand b, const char* note) {
   return Step{StepKind::kMul, dst, a, Operand::kNone, b, Operand::kNone,
               Sign::kPlus, Sign::kPlus, note};
+}
+constexpr Step forked(Step s) {
+  s.concurrent = true;
+  return s;
 }
 constexpr Step mul_fused_a(Operand dst, Operand a0, Sign s, Operand a1,
                            Operand b, const char* note) {
@@ -385,7 +400,7 @@ inline constexpr std::int8_t kWinogradLowMemBuffers[] = {0, 1, 0};
 // overwritten (they are read last).  Per level this needs qc temporary
 // elements -- but only at the TOP of a recursion: a child running this
 // table would destroy parent operands that are still live, so children run
-// kWinogradLowMem (core/winograd.hpp enforces this).
+// kWinogradLowMem (analysis::child_family).
 inline constexpr Step kWinogradInPlaceSteps[] = {
     mul(tP, A11, B11, "P1"),        // tP  = A11 . B11
     mul(C11, A12, B21, "P2"),       // C11 = A12 . B21
@@ -452,77 +467,121 @@ inline constexpr Step kWinogradAccumSteps[] = {
     add_ip(C11, tP, "C11+=P2"),     //                      [final C11]
 };
 
+// The spawn level of the parallel driver (parallel/pmodgemm.cpp): the
+// element-wise steps of kWinogradSteps, but each of the 8 operand sums keeps
+// its own temporary so the 7 products can form ONE concurrent group, listed
+// in the order pmodgemm submits them.  P2, P3, P4 and P5 land directly in
+// their C quadrants (Boyer et al.'s placement), so only P1, P6 and -P7 need
+// C-shaped temporaries: 4 + 4 + 3 buffers.  The U-chain is kWinogradSteps'
+// (+ is commutative, so every element matches the serial schedule's bits).
+inline constexpr Op S1 = Op::kTS0, S2 = Op::kTS1, S3 = Op::kTS2,
+                    S4 = Op::kTS3;
+inline constexpr Op T1 = Op::kTT0, T2 = Op::kTT1, T3 = Op::kTT2,
+                    T4 = Op::kTT3;
+inline constexpr Op P1 = Op::kTP0, P6 = Op::kTP1, P7 = Op::kTP2;
+inline constexpr Step kWinogradSpawnSteps[] = {
+    sub(S3, A11, A21, "S3"),
+    sub(T3, B22, B12, "T3"),
+    add(S1, A21, A22, "S1"),
+    sub(T1, B12, B11, "T1"),
+    sub(S2, S1, A11, "S2"),
+    sub(T2, B22, T1, "T2"),
+    sub(S4, A12, S2, "S4"),
+    sub(T4, T2, B21, "-T4"),            // T4 = T2 - B21
+    forked(mul(P1, A11, B11, "P1")),
+    forked(mul(C11, A12, B21, "P2")),
+    forked(mul(P6, S4, B22, "P6")),
+    forked(mul(P7, A22, T4, "-P7")),    // A22 . (T2 - B21)
+    forked(mul(C22, S1, T1, "P3")),
+    forked(mul(C12, S2, T2, "P4")),
+    forked(mul(C21, S3, T3, "P5")),
+    add_ip(C12, P1, "U2"),              // C12 = P4 + P1
+    add_ip(C21, C12, "U3"),             // C21 = P5 + U2
+    add_ip(C12, C22, "U6"),             // C12 = U2 + P3
+    add_ip(C22, C21, "U5"),             // C22 = P3 + U3       [final C22]
+    sub_ip(C21, P7, "U4"),              // C21 = U3 + P7       [final C21]
+    add_ip(C12, P6, "U7"),              // C12 = U6 + P6       [final C12]
+    add_ip(C11, P1, "U1"),              // C11 = P2 + P1       [final C11]
+};
+
+inline constexpr Operand kWinogradSpawnTemps[] = {S1, S2, S3, S4, T1, T2,
+                                                  T3, T4, P1, P6, P7};
+
 }  // namespace detail
+
+// A Schedule over static step/temporary arrays, counts deduced.
+template <int N, int M>
+constexpr Schedule make_schedule(const char* name, const Step (&steps)[N],
+                                 const Operand (&temps)[M], int temp_peak,
+                                 bool fused = false, bool overwrites = false,
+                                 bool accumulates = false,
+                                 const std::int8_t* buffers = nullptr) {
+  return Schedule{name,      steps, N,          temps,       M,
+                  temp_peak, fused, overwrites, accumulates, buffers};
+}
 
 // The production Winograd schedule (every level; sole schedule for the
 // scalar pin and all traced/counted models).
-inline constexpr Schedule kWinograd{
-    "winograd",
-    detail::kWinogradSteps,
-    static_cast<int>(sizeof(detail::kWinogradSteps) / sizeof(Step)),
-    detail::kWinogradTemps,
-    static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
-    /*declared_temp_peak=*/3,
-    /*uses_fused_kernels=*/false,
-};
+inline constexpr Schedule kWinograd = make_schedule(
+    "winograd", detail::kWinogradSteps, detail::kWinogradTemps, 3);
 
 // The fused level-1 variant, executed when d == 1 and the active kernel
 // table publishes gemm_fused_{a,b,ab}.
-inline constexpr Schedule kWinogradFusedL1{
-    "winograd-fused-l1",
-    detail::kWinogradFusedL1Steps,
-    static_cast<int>(sizeof(detail::kWinogradFusedL1Steps) / sizeof(Step)),
-    detail::kWinogradTemps,
-    static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
-    /*declared_temp_peak=*/3,
-    /*uses_fused_kernels=*/true,
-};
+inline constexpr Schedule kWinogradFusedL1 =
+    make_schedule("winograd-fused-l1", detail::kWinogradFusedL1Steps,
+                  detail::kWinogradTemps, 3, /*fused=*/true);
 
 // The 2-buffer low-memory schedule (ScheduleFamily::kLowMem): tS and tP
 // share one arena buffer, proved disjoint-liveness by the verifier.
-inline constexpr Schedule kWinogradLowMem{
-    "winograd-lowmem",
-    detail::kWinogradLowMemSteps,
-    static_cast<int>(sizeof(detail::kWinogradLowMemSteps) / sizeof(Step)),
-    detail::kWinogradTemps,
-    static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
-    /*declared_temp_peak=*/2,
-    /*uses_fused_kernels=*/false,
-    /*overwrites_inputs=*/false,
-    /*accumulates_c=*/false,
-    detail::kWinogradLowMemBuffers,
-};
+inline constexpr Schedule kWinogradLowMem = make_schedule(
+    "winograd-lowmem", detail::kWinogradLowMemSteps, detail::kWinogradTemps,
+    2, false, false, false, detail::kWinogradLowMemBuffers);
 
 // The in-place schedule (ScheduleFamily::kInPlace, top level only):
 // overwrites the Morton A/B copies, one C-shaped temporary.
-inline constexpr Schedule kWinogradInPlace{
-    "winograd-inplace",
-    detail::kWinogradInPlaceSteps,
-    static_cast<int>(sizeof(detail::kWinogradInPlaceSteps) / sizeof(Step)),
-    detail::kWinogradInPlaceTemps,
-    static_cast<int>(sizeof(detail::kWinogradInPlaceTemps) / sizeof(Operand)),
-    /*declared_temp_peak=*/1,
-    /*uses_fused_kernels=*/false,
-    /*overwrites_inputs=*/true,
-};
+inline constexpr Schedule kWinogradInPlace = make_schedule(
+    "winograd-inplace", detail::kWinogradInPlaceSteps,
+    detail::kWinogradInPlaceTemps, 1, false, /*overwrites=*/true);
 
 // The accumulating schedule (C += A.B; split-path k-chunk fusion).
-inline constexpr Schedule kWinogradAccum{
-    "winograd-accum",
-    detail::kWinogradAccumSteps,
-    static_cast<int>(sizeof(detail::kWinogradAccumSteps) / sizeof(Step)),
-    detail::kWinogradTemps,
-    static_cast<int>(sizeof(detail::kWinogradTemps) / sizeof(Operand)),
-    /*declared_temp_peak=*/3,
-    /*uses_fused_kernels=*/false,
-    /*overwrites_inputs=*/false,
-    /*accumulates_c=*/true,
-};
+inline constexpr Schedule kWinogradAccum =
+    make_schedule("winograd-accum", detail::kWinogradAccumSteps,
+                  detail::kWinogradTemps, 3, false, false,
+                  /*accumulates=*/true);
+
+// The parallel spawn level: one concurrent group of 7 products over 11
+// dedicated temporaries (parallel/pmodgemm.cpp).
+inline constexpr Schedule kWinogradSpawn =
+    make_schedule("winograd-spawn", detail::kWinogradSpawnSteps,
+                  detail::kWinogradSpawnTemps, 11);
 
 // All shipped schedules, for the verifier CLI and tests.
 inline constexpr const Schedule* kShippedSchedules[] = {
-    &kWinograd, &kWinogradFusedL1, &kWinogradLowMem, &kWinogradInPlace,
-    &kWinogradAccum};
-inline constexpr int kShippedScheduleCount = 5;
+    &kWinograd,       &kWinogradFusedL1, &kWinogradLowMem,
+    &kWinogradInPlace, &kWinogradAccum,  &kWinogradSpawn};
+inline constexpr int kShippedScheduleCount = 6;
+
+// ---- table selection ------------------------------------------------------
+
+// The one rule mapping a family to the table a serial level runs, shared by
+// both execution strategies and by the workspace sizing: the low-memory
+// family runs the 2-buffer table, the in-place family its in-place table
+// (its sub-products then recurse with child_family), and the default family
+// the materialized table -- or the fused level-1 table at the last level
+// before the leaves when `fused_kernels` (the active kernel publishes the
+// fused entries).  kAuto runs as kWinograd.
+constexpr const Schedule& level_schedule(ScheduleFamily f, int d1,
+                                         bool fused_kernels) {
+  if (f == ScheduleFamily::kLowMem) return kWinogradLowMem;
+  if (f == ScheduleFamily::kInPlace) return kWinogradInPlace;
+  return d1 == 0 && fused_kernels ? kWinogradFusedL1 : kWinograd;
+}
+
+// The family a level's seven sub-products recurse with: the in-place table
+// runs only at the top, because a child would clobber parent operands that
+// are still live.
+constexpr ScheduleFamily child_family(ScheduleFamily f) {
+  return f == ScheduleFamily::kInPlace ? ScheduleFamily::kLowMem : f;
+}
 
 }  // namespace strassen::analysis

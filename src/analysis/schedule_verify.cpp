@@ -11,48 +11,35 @@ namespace strassen::analysis {
 // A bad edit to analysis/schedule.hpp stops the library from building; the
 // CLI (tools/verify_schedules) and tests re-prove at runtime with readable
 // diagnostics.
-static_assert(verify_core(kWinograd).violation == Violation::kNone,
-              "shipped Winograd schedule failed symbolic verification");
-static_assert(verify_core(kWinograd).temp_peak == 3,
-              "shipped Winograd schedule must run with exactly 3 live "
-              "temporaries (paper section 3.3)");
-static_assert(verify_core(kWinograd).products == 7 &&
-                  verify_core(kWinograd).linear_ops == 15,
-              "shipped Winograd schedule must be 7 products + 15 additions");
-static_assert(verify_core(kWinogradFusedL1).violation == Violation::kNone,
-              "shipped fused level-1 schedule failed symbolic verification");
-static_assert(verify_core(kWinogradFusedL1).temp_peak == 3 &&
-                  verify_core(kWinogradFusedL1).products == 7 &&
-                  verify_core(kWinogradFusedL1).fused_products == 3 &&
-                  verify_core(kWinogradFusedL1).linear_ops == 11,
-              "shipped fused level-1 schedule must be 7 products (3 fused) "
-              "+ 11 additions with a 3-temporary peak");
-static_assert(verify_core(kWinogradLowMem).violation == Violation::kNone,
-              "shipped low-memory schedule failed symbolic verification");
-static_assert(verify_core(kWinogradLowMem).temp_peak == 2 &&
-                  verify_core(kWinogradLowMem).products == 7 &&
-                  verify_core(kWinogradLowMem).linear_ops == 15,
-              "shipped low-memory schedule must be 7 products + 15 additions "
-              "with a 2-temporary peak (Boyer-Dumas-Pernet-Zhou bound)");
-static_assert(temp_buffer_count(kWinogradLowMem) == 2,
-              "shipped low-memory schedule must occupy exactly 2 arena "
-              "buffers (tS/tP share one)");
-static_assert(verify_core(kWinogradInPlace).violation == Violation::kNone,
-              "shipped in-place schedule failed symbolic verification");
-static_assert(verify_core(kWinogradInPlace).temp_peak == 1 &&
-                  verify_core(kWinogradInPlace).products == 7 &&
-                  verify_core(kWinogradInPlace).linear_ops == 15,
-              "shipped in-place schedule must be 7 products + 15 additions "
-              "with a single C-shaped temporary");
-static_assert(verify_core(kWinogradAccum).violation == Violation::kNone,
-              "shipped accumulating schedule failed symbolic verification");
-static_assert(verify_core(kWinogradAccum).temp_peak == 3 &&
-                  verify_core(kWinogradAccum).products == 7 &&
-                  verify_core(kWinogradAccum).linear_ops == 22,
-              "shipped accumulating schedule must be 7 products + 22 "
-              "additions with a 3-temporary peak");
-
 namespace {
+// True when `s` verifies with exactly these proven statistics.
+constexpr bool proves(const Schedule& s, int temp_peak, int products,
+                      int fused_products, int linear_ops) {
+  const CoreResult r = verify_core(s);
+  return r.violation == Violation::kNone && r.temp_peak == temp_peak &&
+         r.products == products && r.fused_products == fused_products &&
+         r.linear_ops == linear_ops;
+}
+
+static_assert(proves(kWinograd, 3, 7, 0, 15),
+              "shipped Winograd schedule must verify as 7 products + 15 "
+              "additions with exactly 3 live temporaries (paper S3.3)");
+static_assert(proves(kWinogradFusedL1, 3, 7, 3, 11),
+              "shipped fused level-1 schedule must verify as 7 products "
+              "(3 fused) + 11 additions with a 3-temporary peak");
+static_assert(proves(kWinogradLowMem, 2, 7, 0, 15) &&
+                  temp_buffer_count(kWinogradLowMem) == 2,
+              "shipped low-memory schedule must verify as 7 products + 15 "
+              "additions in 2 arena buffers (Boyer-Dumas-Pernet-Zhou bound)");
+static_assert(proves(kWinogradInPlace, 1, 7, 0, 15),
+              "shipped in-place schedule must verify as 7 products + 15 "
+              "additions with a single C-shaped temporary");
+static_assert(proves(kWinogradAccum, 3, 7, 0, 22),
+              "shipped accumulating schedule must verify as 7 products + 22 "
+              "additions with a 3-temporary peak");
+static_assert(proves(kWinogradSpawn, 11, 7, 0, 15),
+              "shipped spawn schedule must verify as one concurrent group of "
+              "7 products + 15 additions over 4 + 4 + 3 live temporaries");
 
 std::string step_label(const Schedule& sched, int i) {
   std::ostringstream os;
@@ -229,6 +216,20 @@ VerifyResult verify_schedule(const Schedule& sched) {
   if (sched.step_count <= 0 || sched.steps == nullptr) {
     out.errors.push_back("schedule has no steps");
     return out;
+  }
+  {
+    int gstep = -1;
+    Operand gop = Operand::kNone;
+    const Violation gv = detail::check_groups(sched, &gstep, &gop);
+    if (gv != Violation::kNone) {
+      std::ostringstream os;
+      os << step_label(sched, gstep) << ": " << violation_name(gv) << " on "
+         << operand_name(gop) << " in concurrent group member '"
+         << step_render(sched.steps[gstep])
+         << "'; group members must be plain products with distinct "
+            "destinations that read nothing a sibling writes";
+      out.errors.push_back(os.str());
+    }
   }
   int last_writer[kOperandCount];
   const SymState st = forward_diagnose(sched, out.errors, last_writer);

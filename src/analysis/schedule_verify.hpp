@@ -22,7 +22,14 @@
 //                         form equals its Sum_k A_ik.B_kj target;
 //   6. temporary peak     the maximum number of simultaneously live
 //                         temporaries (backward liveness) equals the
-//                         schedule's declared bound.
+//                         schedule's declared bound;
+//   7. group safety       a concurrent product group (Step::concurrent) runs
+//                         in any order or at once: its members are plain
+//                         products with distinct destination storage, none
+//                         reads storage a sibling writes, and all of their
+//                         operands count as live at once in check 6.
+//                         Storage means the arena buffer for temporaries
+//                         (temp_buffer ids), the slot itself otherwise.
 //
 // The core (verify_core) is constexpr and reports the FIRST violation with
 // its step index; schedule_verify.cpp static_asserts it over the shipped
@@ -106,6 +113,9 @@ enum class Violation : std::uint8_t {
   kSharedTempOverlap,  // temps sharing one arena buffer simultaneously live
   kAccumClobber,       // accumulating table loses a C quadrant's initial
                        // value (or a plain table leaks one in)
+  kGroupNonProduct,    // a concurrent group member is not a plain product
+  kGroupWriteConflict,   // two group members write the same storage
+  kGroupReadConflict,    // a group member reads storage a sibling writes
 };
 
 constexpr const char* violation_name(Violation v) {
@@ -126,6 +136,9 @@ constexpr const char* violation_name(Violation v) {
     case Violation::kBadTempBuffer: return "bad-temp-buffer";
     case Violation::kSharedTempOverlap: return "shared-temp-overlap";
     case Violation::kAccumClobber: return "accum-clobber";
+    case Violation::kGroupNonProduct: return "group-non-product";
+    case Violation::kGroupWriteConflict: return "group-write-conflict";
+    case Violation::kGroupReadConflict: return "group-read-conflict";
   }
   return "unknown";
 }
@@ -444,32 +457,90 @@ constexpr int first_dead_store(const Schedule& sched, Operand* op) {
   return -1;
 }
 
+// First step of the concurrent group containing step i (i itself when the
+// step is not a group member).
+constexpr int group_begin(const Schedule& sched, int i) {
+  while (sched.steps[i].concurrent && i > 0 && sched.steps[i - 1].concurrent)
+    --i;
+  return i;
+}
+
 // Backward liveness over the declared temporaries: peak number of
 // simultaneously live temporaries across all program points.  A temporary is
 // live at a point when some later step reads it before it is overwritten.
-// `at_step` (optional) receives the FIRST step in program order whose entry
-// point carries the peak -- the step a diagnostic should name.
+// A concurrent group is ONE program point at which every member's sources,
+// every member's destination and everything live after the group are live
+// at once.  `at_step` (optional) receives the FIRST step in program order
+// whose entry point carries the peak -- the step a diagnostic should name.
 constexpr int live_temp_peak(const Schedule& sched, int* at_step = nullptr) {
   bool live[kOperandCount] = {};
   int peak = 0;
   int first = -1;
-  for (int i = sched.step_count - 1; i >= 0; --i) {
-    const Step& s = sched.steps[i];
-    // Program point is BEFORE step i: kill the definition, then add reads.
-    // In-place steps both read and write dst; the read below re-marks it.
-    live[static_cast<int>(s.dst)] = false;
-    const ReadSet reads = step_reads(s);
-    for (int k = 0; k < reads.count; ++k)
-      live[static_cast<int>(reads.ops[k])] = true;
+  for (int i = sched.step_count - 1; i >= 0;) {
+    const int b = group_begin(sched, i);
+    // Program point is BEFORE the step (group): kill the definitions, then
+    // add reads.  In-place steps both read and write dst; the read below
+    // re-marks it.  A group's destinations are written while its sources
+    // are still read, so they stay counted.
+    bool written[kOperandCount] = {};
+    for (int j = b; j <= i; ++j) {
+      live[static_cast<int>(sched.steps[j].dst)] = false;
+      written[static_cast<int>(sched.steps[j].dst)] = b < i;
+    }
+    for (int j = b; j <= i; ++j) {
+      const ReadSet reads = step_reads(sched.steps[j]);
+      for (int k = 0; k < reads.count; ++k)
+        live[static_cast<int>(reads.ops[k])] = true;
+    }
     int count = 0;
     for (int o = 0; o < kOperandCount; ++o)
-      if (live[o] && is_temp(static_cast<Operand>(o))) ++count;
+      if ((live[o] || written[o]) && is_temp(static_cast<Operand>(o)))
+        ++count;
     if (count > peak) peak = count;
-    if (count == peak && peak > 0) first = i;  // loop runs backward: the
+    if (count == peak && peak > 0) first = b;  // loop runs backward: the
                                                // last update is the earliest
+    i = b - 1;
   }
   if (at_step != nullptr) *at_step = first;
   return peak;
+}
+
+// Storage identity for the group hazard check: a declared temporary's arena
+// buffer (temps mapped onto one buffer alias), the slot itself otherwise.
+constexpr int storage_id(const Schedule& sched, Operand op) {
+  for (int i = 0; i < sched.temp_count; ++i)
+    if (sched.temps[i] == op) return kOperandCount + temp_buffer_id(sched, i);
+  return static_cast<int>(op);
+}
+
+// Group safety (check 7): returns kNone, or the violation with the offending
+// member (`*step`) and the operand involved (`*op`).
+constexpr Violation check_groups(const Schedule& sched, int* step,
+                                 Operand* op) {
+  for (int i = 0; i < sched.step_count; ++i) {
+    const Step& s = sched.steps[i];
+    if (!s.concurrent) continue;
+    *step = i;
+    *op = s.dst;
+    if (s.kind != StepKind::kMul) return Violation::kGroupNonProduct;
+    const ReadSet reads = step_reads(s);
+    for (int j = group_begin(sched, i);
+         j < sched.step_count && sched.steps[j].concurrent; ++j) {
+      if (j == i) continue;
+      const int w = storage_id(sched, sched.steps[j].dst);
+      if (j < i && w == storage_id(sched, s.dst))
+        return Violation::kGroupWriteConflict;
+      for (int k = 0; k < reads.count; ++k) {
+        if (storage_id(sched, reads.ops[k]) == w) {
+          *op = reads.ops[k];
+          return Violation::kGroupReadConflict;
+        }
+      }
+    }
+  }
+  *step = -1;
+  *op = Operand::kNone;
+  return Violation::kNone;
 }
 
 // True when `op` is live at the program point BEFORE step `point`: some step
@@ -530,6 +601,10 @@ constexpr CoreResult verify_core(const Schedule& sched) {
     r.violation = Violation::kEmptySchedule;
     return r;
   }
+  // Group hazards first: they are a property of the storage each member
+  // touches, independent of (and more specific than) shape errors.
+  r.violation = detail::check_groups(sched, &r.step, &r.operand);
+  if (r.violation != Violation::kNone) return r;
   SymState st{};
   if (!detail::sym_execute(sched, st, r)) return r;
   {

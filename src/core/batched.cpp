@@ -89,30 +89,6 @@ const char* tune_state_name(tune::TuneSource source) {
   return "off";
 }
 
-// Batch-flavored merge of a task-local report into the aggregate (the
-// pmodgemm merge idiom, extended with the strategy string, the pack-fused
-// savings and the batch counters the tasks tally).
-void merge_batch_report(obs::GemmReport* rep, const obs::GemmReport& sub) {
-  if (rep == nullptr) return;
-  rep->convert_in_seconds += sub.convert_in_seconds;
-  rep->compute_seconds += sub.compute_seconds;
-  rep->convert_out_seconds += sub.convert_out_seconds;
-  rep->products += sub.products;
-  rep->workspace_requested_bytes += sub.workspace_requested_bytes;
-  rep->workspace_allocations += sub.workspace_allocations;
-  rep->workspace_peak_bytes =
-      std::max(rep->workspace_peak_bytes, sub.workspace_peak_bytes);
-  rep->workspace_saved_bytes += sub.workspace_saved_bytes;
-  rep->conversion_saved_bytes += sub.conversion_saved_bytes;
-  if (sub.schedule[0] != '\0') rep->schedule = sub.schedule;
-  if (sub.strategy[0] != '\0') rep->strategy = sub.strategy;
-  if (sub.products > 0) rep->plan = sub.plan;
-  rep->split_used = rep->split_used || sub.split_used;
-  detail::record_fallback(rep, sub.fallback_reason);
-  rep->batch_workspace_acquisitions += sub.batch_workspace_acquisitions;
-  rep->batch_workspace_cold_allocs += sub.batch_workspace_cold_allocs;
-}
-
 }  // namespace
 
 void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
@@ -320,7 +296,10 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
                     it.B, it.ldb, it.beta, it.C, it.ldc, item_opt, local);
       return;
     }
-    if (local) local->plan = cls.plan;
+    if (local) {
+      local->plan = cls.plan;
+      local->algo = analysis::algo_name(cls.plan.algo);
+    }
     if (cls.plan.direct) {
       detail::modgemm_direct(mm, it.opa, it.opb, it.m, it.n, it.k, it.alpha,
                              it.A, it.lda, it.B, it.ldb, it.beta, it.C,
@@ -437,7 +416,8 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     done[i].store(true, std::memory_order_release);
   }
 
-  for (const obs::GemmReport& local : locals) merge_batch_report(rep, local);
+  for (const obs::GemmReport& local : locals)
+    obs::merge_sub_report(*rep, local);
 }
 
 void modgemm_strided_batched(parallel::ThreadPool* pool, Op opa, Op opb,

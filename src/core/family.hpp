@@ -46,6 +46,25 @@ constexpr int family_partition(int dim, int blocks) {
   return (dim + blocks - 1) / blocks;
 }
 
+// The plan a family call reports: one table level over ceil partitions.
+// Its tile/depth fields describe the partition grid, not a <2,2,2>
+// recursion (layout/plan.hpp documents this).
+inline layout::GemmPlan family_plan(const analysis::FamilyTable& t,
+                                    analysis::AlgoFamily algo, int m, int k,
+                                    int n) {
+  layout::GemmPlan fam;
+  fam.feasible = true;
+  fam.depth = 1;
+  fam.algo = algo;
+  const int pm = family_partition(m, t.bm);
+  const int pk = family_partition(k, t.bk);
+  const int pn = family_partition(n, t.bn);
+  fam.m = layout::DimPlan{m, pm, 1, pm * t.bm};
+  fam.k = layout::DimPlan{k, pk, 1, pk * t.bk};
+  fam.n = layout::DimPlan{n, pn, 1, pn * t.bn};
+  return fam;
+}
+
 // Peak temporary bytes the one-level interpreter needs for C <- op(A).op(B)
 // under this table: the three staging buffers plus the dense C accumulator,
 // with the arena's per-allocation 64-byte rounding.  The sub-products'

@@ -365,16 +365,11 @@ void modgemm_strassen_arena(MM& mm, Op opa, Op opb, int m, int n, int k,
   const double t_in = t.seconds();
 
   t.restart();
-  if (plan.schedule == analysis::ScheduleFamily::kInPlace) {
-    // The in-place table overwrites its operands -- safe here because Am/Bm
-    // are this call's own Morton staging copies, consumed by nothing after
-    // the recursion.
-    winograd_recurse_inplace(mm, Cm, Am, Bm, plan.m.tile, plan.k.tile,
-                             plan.n.tile, plan.depth, arena);
-  } else {
-    winograd_recurse(mm, Cm, Am, Bm, plan.m.tile, plan.k.tile, plan.n.tile,
-                     plan.depth, arena, plan.schedule);
-  }
+  // The in-place family overwrites its operands -- safe here because Am/Bm
+  // are this call's own Morton staging copies, consumed by nothing after the
+  // recursion.
+  winograd_recurse(mm, Cm, Am, Bm, plan.m.tile, plan.k.tile, plan.n.tile,
+                   plan.depth, arena, plan.schedule);
   const double t_mul = t.seconds();
 
   t.restart();
@@ -504,7 +499,7 @@ void modgemm_single(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
 
 // Fused evaluation of one C block of a split product using the accumulating
 // schedule: all k-chunks share a single Morton C buffer -- chunk 0 runs the
-// overwriting recursion, later chunks run winograd_recurse_acc on top of it,
+// overwriting recursion, later chunks run kWinogradAccum on top of it,
 // and ONE from_morton applies alpha/beta at the end.  Compared to the
 // per-chunk loop this removes n_k - 1 round trips of C through from_morton /
 // to-column-major accumulation.  Only attempted for the low-memory families
@@ -551,9 +546,7 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
   // Accumulating chunks recurse their sub-products with the low-mem table
   // (the in-place table runs only where the recursion owns the operands,
   // i.e. chunk 0's top level).
-  const ScheduleFamily acc_fam = resolved == ScheduleFamily::kInPlace
-                                     ? ScheduleFamily::kLowMem
-                                     : resolved;
+  const ScheduleFamily acc_fam = analysis::child_family(resolved);
   std::size_t total = r64(layout::buffer_bytes(lc, sizeof(T)));
   std::size_t chunk_peak = 0;
   std::size_t saved = 0;
@@ -565,8 +558,9 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
                                   sub.n.tile, depth};
     const std::size_t ov = winograd_workspace_bytes(
         sub.m.tile, sub.k.tile, sub.n.tile, depth, sizeof(T), resolved);
-    const std::size_t ac = winograd_accum_workspace_bytes(
-        sub.m.tile, sub.k.tile, sub.n.tile, depth, sizeof(T), acc_fam);
+    const std::size_t ac =
+        winograd_workspace_bytes(sub.m.tile, sub.k.tile, sub.n.tile, depth,
+                                 sizeof(T), acc_fam, &analysis::kWinogradAccum);
     const std::size_t w = checked_add(
         checked_add(r64(layout::buffer_bytes(la, sizeof(T))),
                     r64(layout::buffer_bytes(lb, sizeof(T)))),
@@ -610,17 +604,12 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
       layout::to_morton(mm, lb, Bm, opb, Bblk, ldb);
       t_in += t.seconds();
       t.restart();
-      if (i == 0) {
-        if (resolved == ScheduleFamily::kInPlace)
-          winograd_recurse_inplace(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile,
-                                   sub.n.tile, depth, arena);
-        else
-          winograd_recurse(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile, sub.n.tile,
-                           depth, arena, resolved);
-      } else {
-        winograd_recurse_acc(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile,
-                             sub.n.tile, depth, arena, acc_fam);
-      }
+      if (i == 0)
+        winograd_recurse(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile, sub.n.tile,
+                         depth, arena, resolved);
+      else
+        winograd_recurse(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile, sub.n.tile,
+                         depth, arena, acc_fam, &analysis::kWinogradAccum);
       t_mul += t.seconds();
     }
     t.restart();
@@ -669,9 +658,6 @@ bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
     record_fallback(report, FallbackReason::kAlgoFallback);
     return false;
   }
-  const int pm = family_partition(m, t.bm);
-  const int pk = family_partition(k, t.bk);
-  const int pn = family_partition(n, t.bn);
   ModgemmOptions sub_opt = opt;
   // One level only: sub-products run the plain <2,2,2> driver (the pin wins
   // over STRASSEN_ALGO, so a forced environment cannot recurse the family),
@@ -696,33 +682,19 @@ bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
         },
         report);
     if (report) {
-      record_fallback(report, subrep.fallback_reason);
-      report->workspace_requested_bytes +=
-          staging + subrep.workspace_requested_bytes;
-      report->workspace_allocations += 1 + subrep.workspace_allocations;
+      // modgemm_family_arena already booked the sub-products' time and count.
+      obs::merge_sub_report(*report, subrep, /*timed_by_parent=*/true);
+      report->workspace_requested_bytes += staging;
+      ++report->workspace_allocations;
       // True peak: the staging buffers stay live across every sub-product,
       // so the call's high-water mark is theirs plus the largest sub-peak.
       report->workspace_peak_bytes =
           std::max(report->workspace_peak_bytes,
                    arena.peak() + subrep.workspace_peak_bytes);
-      report->workspace_saved_bytes += subrep.workspace_saved_bytes;
-      report->conversion_saved_bytes += subrep.conversion_saved_bytes;
-      // The executed plan: one family level over ceil partitions.  The
-      // tile/depth fields of a family plan describe the partition grid, not
-      // a <2,2,2> recursion (layout/plan.hpp documents this).
-      layout::GemmPlan fam;
-      fam.feasible = true;
-      fam.depth = 1;
-      fam.algo = algo;
-      fam.schedule = subrep.plan.schedule;
-      fam.strategy = subrep.plan.strategy;
-      fam.m = layout::DimPlan{m, pm, 1, pm * t.bm};
-      fam.k = layout::DimPlan{k, pk, 1, pk * t.bk};
-      fam.n = layout::DimPlan{n, pn, 1, pn * t.bn};
-      report->plan = fam;
+      report->plan = family_plan(t, algo, m, k, n);
+      report->plan.schedule = subrep.plan.schedule;
+      report->plan.strategy = subrep.plan.strategy;
       report->planned_depth = 1;
-      if (subrep.schedule[0] != '\0') report->schedule = subrep.schedule;
-      if (subrep.strategy[0] != '\0') report->strategy = subrep.strategy;
       report->algo = analysis::algo_name(algo);
     }
     return true;

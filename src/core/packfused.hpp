@@ -23,8 +23,8 @@
 //
 // Bit-exactness contract (tested in tests/test_packfused.cpp): for every
 // alpha/beta and kernel, the pack-fused strategy produces BIT-IDENTICAL
-// results to the Morton strategy.  This holds because (1) the table
-// selection below mirrors winograd_recurse exactly, (2) every element-wise
+// results to the Morton strategy.  This holds because (1) both strategies
+// select tables by analysis::level_schedule, (2) every element-wise
 // step performs the same single +/- per element on the same values, (3)
 // every leaf invokes the same kernel entry on the same tile values (a packed
 // panel replicates the Morton tile bit-for-bit; a pass-through view feeds
@@ -62,6 +62,7 @@
 #include "common/matrix.hpp"
 #include "common/memmodel.hpp"
 #include "common/timer.hpp"
+#include "core/winograd.hpp"
 #include "core/workspace.hpp"
 #include "layout/morton.hpp"
 #include "layout/plan.hpp"
@@ -123,10 +124,7 @@ inline PackSrc<T> quad(const PackSrc<T>& v, int r0, int c0, int hr, int hc) {
 
 namespace detail {
 
-constexpr blas::kernels::FusedOp fused_op(analysis::Sign s) {
-  return s == analysis::Sign::kMinus ? blas::kernels::FusedOp::kSub
-                                     : blas::kernels::FusedOp::kAdd;
-}
+using core::detail::fused_op;
 
 // One side of a leaf product, presented the way the kernel entries expect:
 // source pointer(s) sharing one leading dimension.  Views the kernels can
@@ -253,25 +251,14 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
   const int hk = tk << d1;
   const int hn = tn << d1;
 
-  // Table selection: identical to winograd_recurse.  The low-mem family (and
-  // the sub-levels of in-place, already mapped to low-mem) runs the 2-buffer
-  // table everywhere; the default family fuses level 1 exactly when the
-  // active kernel publishes the fused entries.
-  const bool low_mem = family == analysis::ScheduleFamily::kLowMem ||
-                       family == analysis::ScheduleFamily::kInPlace;
+  // Table selection and temporary layout: the Morton recursion's own rules
+  // (analysis::level_schedule, core::push_temps), so both strategies run the
+  // same tables with the same arena peak.
+  const blas::kernels::LeafKernels* fused_tab =
+      core::detail::fused_kernels<RawMem, T>(d1);
   const analysis::Schedule* sched =
-      low_mem ? &analysis::kWinogradLowMem : &analysis::kWinograd;
-  const blas::kernels::LeafKernels* fused_tab = nullptr;
-  if constexpr (std::is_same_v<T, double>) {
-    if (d1 == 0 && !low_mem) {
-      const blas::kernels::LeafKernels& tab = blas::kernels::active();
-      if (tab.gemm_fused_a != nullptr && tab.gemm_fused_b != nullptr &&
-          tab.gemm_fused_ab != nullptr) {
-        sched = &analysis::kWinogradFusedL1;
-        fused_tab = &tab;
-      }
-    }
-  }
+      &analysis::level_schedule(family, d1, fused_tab != nullptr);
+  if (!sched->uses_fused_kernels) fused_tab = nullptr;
 
   // Operand slot tables: a read view per slot, a writable base for C
   // quadrants and temporaries.  Writable slots are never transposed and
@@ -299,42 +286,17 @@ void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
     wr[idx(cquads[q])] = const_cast<T*>(v.ptr);
   }
 
-  // Temporaries: one arena push per distinct buffer id, sized for the
-  // largest shape mapped onto it -- the same sizes and order as
-  // winograd_recurse's push_and_bind_temps, so the arena peak matches the
-  // Morton strategy's recursion exactly.
   Arena::Frame frame(arena);
-  {
-    auto shape_elems = [&](Operand t) -> std::size_t {
-      const analysis::Shape s = analysis::shape_of(t);
-      return s == analysis::Shape::kA
-                 ? static_cast<std::size_t>(hm) * hk
-                 : s == analysis::Shape::kB ? static_cast<std::size_t>(hk) * hn
-                                            : static_cast<std::size_t>(hm) * hn;
-    };
-    constexpr int kMaxTemps = 6;
-    std::size_t buf_elems[kMaxTemps] = {};
-    T* bufs[kMaxTemps] = {};
-    const int nbuf = analysis::temp_buffer_count(*sched);
-    for (int i = 0; i < sched->temp_count; ++i) {
-      const int b = analysis::temp_buffer_id(*sched, i);
-      buf_elems[b] = std::max(buf_elems[b], shape_elems(sched->temps[i]));
-    }
-    for (int b = 0; b < nbuf; ++b) bufs[b] = arena.push<T>(buf_elems[b]);
-    for (int i = 0; i < sched->temp_count; ++i) {
-      const Operand t = sched->temps[i];
-      const analysis::Shape s = analysis::shape_of(t);
-      const int rows = s == analysis::Shape::kA ? hm
-                       : s == analysis::Shape::kB ? hk
-                                                  : hm;
-      const int cols = s == analysis::Shape::kA ? hk
-                       : s == analysis::Shape::kB ? hn
-                                                  : hn;
-      T* base = bufs[analysis::temp_buffer_id(*sched, i)];
-      rd[idx(t)] = PackSrc<T>{base, rows, false, rows, cols};
-      wr[idx(t)] = base;
-    }
-  }
+  push_temps<T>(*sched, arena, static_cast<std::size_t>(hm) * hk,
+                static_cast<std::size_t>(hk) * hn,
+                static_cast<std::size_t>(hm) * hn,
+                [&](Operand t, T* base, std::size_t) {
+                  const analysis::Shape s = analysis::shape_of(t);
+                  const int rows = s == analysis::Shape::kB ? hk : hm;
+                  const int cols = s == analysis::Shape::kA ? hk : hn;
+                  rd[idx(t)] = PackSrc<T>{base, rows, false, rows, cols};
+                  wr[idx(t)] = base;
+                });
 
   // Element-wise step over the destination's extent; source reads clip to
   // exact zeros -- the values to_morton would have staged there -- and the

@@ -17,7 +17,10 @@
 // (analysis/schedule_verify.hpp) symbolically proves every shipped table
 // correct at compile time: product identity, no use of clobbered values,
 // and the 3-temporary liveness peak.  See docs/ANALYSIS.md for the table
-// format and the exact guarantees.
+// format and the exact guarantees.  The same interpreter runs the parallel
+// driver's spawn level (analysis::kWinogradSpawn): a table's concurrent
+// product group goes to a caller-supplied callback, so forking and its
+// allocations stay in parallel/pmodgemm.cpp.
 //
 // At the last level before the leaves, the production engine can fuse the
 // operand combinations that feed exactly one product into the product
@@ -40,6 +43,7 @@
 #include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/memmodel.hpp"
+#include "core/workspace.hpp"
 #include "obs/collector.hpp"
 
 namespace strassen::core {
@@ -48,7 +52,8 @@ template <class MM, class T>
 void winograd_recurse(
     MM& mm, T* C, const T* A, const T* B, int tm, int tk, int tn, int depth,
     Arena& arena,
-    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd);
+    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd,
+    const analysis::Schedule* top = nullptr);
 
 namespace detail {
 
@@ -57,6 +62,31 @@ constexpr blas::kernels::FusedOp fused_op(analysis::Sign s) {
                                      : blas::kernels::FusedOp::kAdd;
 }
 
+// The kernel table whose fused entries a last-before-leaves level may use:
+// only the production (RawMem, double) instantiation, and only when the
+// active kernel publishes all three entries (scalar does not, by design: the
+// materialized table is the seed-exact path).  Null otherwise.
+template <class MM, class T>
+const blas::kernels::LeafKernels* fused_kernels(int d1) {
+  if constexpr (std::is_same_v<MM, RawMem> && std::is_same_v<T, double>) {
+    if (d1 == 0) {
+      const blas::kernels::LeafKernels& tab = blas::kernels::active();
+      if (tab.gemm_fused_a != nullptr && tab.gemm_fused_b != nullptr &&
+          tab.gemm_fused_ab != nullptr)
+        return &tab;
+    }
+  }
+  return nullptr;
+}
+
+// One member of a concurrent product group: dst = a . b, one level down.
+template <class T>
+struct Product {
+  T* dst;
+  const T* a;
+  const T* b;
+};
+
 // Executes one schedule level over concrete quadrant/temporary storage.
 // Pointer tables are indexed by analysis::Operand; `wr` is null for the
 // read-only input quadrants, which the verified tables never write
@@ -64,48 +94,70 @@ constexpr blas::kernels::FusedOp fused_op(analysis::Sign s) {
 template <class MM, class T>
 class ScheduleInterpreter {
  public:
-  ScheduleInterpreter(MM& mm, int tm, int tk, int tn, int d1,
-                      const blas::kernels::LeafKernels* fused_tab,
-                      analysis::ScheduleFamily family =
-                          analysis::ScheduleFamily::kWinograd)
+  // Binds the quadrants of C, A and B (Morton blocks of depth d1 + 1) and
+  // pushes `sched`'s temporaries onto `arena` (the caller owns the frame).
+  // A table that overwrites_inputs writes A's and B's quadrants: the caller
+  // must pass operand copies it owns.  Sub-products recurse with `family`.
+  ScheduleInterpreter(MM& mm, const analysis::Schedule& sched, T* C,
+                      const T* A, const T* B, int tm, int tk, int tn, int d1,
+                      Arena& arena, analysis::ScheduleFamily family)
       : mm_(mm),
+        sched_(sched),
+        arena_(arena),
         tm_(tm),
         tk_(tk),
         tn_(tn),
         d1_(d1),
-        fused_tab_(fused_tab),
+        fused_tab_(sched.uses_fused_kernels ? fused_kernels<MM, T>(d1)
+                                            : nullptr),
         family_(family) {
-    for (int i = 0; i < analysis::kOperandCount; ++i) {
-      rd_[i] = nullptr;
-      wr_[i] = nullptr;
-      len_[i] = 0;
+    const std::size_t scale = std::size_t{1} << (2 * d1);
+    const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
+    const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
+    const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
+    // Quadrants in memory order NW, NE, SW, SE == 11, 12, 21, 22.
+    for (int q = 0; q < 4; ++q) {
+      bind(idx(analysis::Operand::kA11) + q, A + q * qa, qa,
+           sched.overwrites_inputs);
+      bind(idx(analysis::Operand::kB11) + q, B + q * qb, qb,
+           sched.overwrites_inputs);
+      bind(idx(analysis::Operand::kC11) + q, C + q * qc, qc, true);
     }
+    push_temps<T>(sched, arena, qa, qb, qc,
+                  [&](analysis::Operand t, T* p, std::size_t n) {
+                    bind(idx(t), p, n, true);
+                  });
   }
 
-  void bind_input(analysis::Operand op, const T* p, std::size_t n) {
-    rd_[idx(op)] = p;
-    len_[idx(op)] = n;
-  }
-  void bind_output(analysis::Operand op, T* p, std::size_t n) {
-    rd_[idx(op)] = p;
-    wr_[idx(op)] = p;
-    len_[idx(op)] = n;
-  }
-  // Writable A/B operand slot of an in-place table (overwrites_inputs): the
-  // interpreter may overwrite it with operand sums.  Identical binding to
-  // bind_output; the distinct name keeps call sites auditable.
-  void bind_inout(analysis::Operand op, T* p, std::size_t n) {
-    bind_output(op, p, n);
-  }
-
-  void run(const analysis::Schedule& sched, Arena& arena) {
+  // Runs the table.  Each concurrent product group is handed to
+  // run_group(const Product<T>* members, int count), which must complete
+  // every member before returning; run() without one executes the members
+  // in table order on this thread.
+  template <class RunGroup>
+  void run(RunGroup&& run_group) {
     using analysis::StepKind;
-    for (int i = 0; i < sched.step_count; ++i) {
-      const analysis::Step& s = sched.steps[i];
+    for (int i = 0; i < sched_.step_count; ++i) {
+      const analysis::Step& s = sched_.steps[i];
       T* dst = wr_[idx(s.dst)];
       STRASSEN_REQUIRE(dst != nullptr,
                        "schedule step writes read-only operand "
                            << analysis::operand_name(s.dst));
+      if (s.concurrent) {
+        constexpr int kMaxGroup = 7;
+        Product<T> group[kMaxGroup];
+        int n = 0;
+        for (; i < sched_.step_count && sched_.steps[i].concurrent; ++i) {
+          const analysis::Step& g = sched_.steps[i];
+          STRASSEN_REQUIRE(n < kMaxGroup && g.kind == StepKind::kMul &&
+                               wr_[idx(g.dst)] != nullptr,
+                           "malformed concurrent group at step " << i);
+          group[n++] = Product<T>{wr_[idx(g.dst)], rd_[idx(g.a0)],
+                                  rd_[idx(g.b0)]};
+        }
+        --i;
+        run_group(static_cast<const Product<T>*>(group), n);
+        continue;
+      }
       const std::size_t n = len_[idx(s.dst)];
       switch (s.kind) {
         case StepKind::kAdd:
@@ -121,8 +173,7 @@ class ScheduleInterpreter {
           blas::vsub_inplace(mm_, n, dst, rd_[idx(s.a0)]);
           break;
         case StepKind::kMul:
-          winograd_recurse(mm_, dst, rd_[idx(s.a0)], rd_[idx(s.b0)], tm_, tk_,
-                           tn_, d1_, arena, family_);
+          multiply(Product<T>{dst, rd_[idx(s.a0)], rd_[idx(s.b0)]});
           break;
         case StepKind::kMulFusedA:
         case StepKind::kMulFusedB:
@@ -132,10 +183,26 @@ class ScheduleInterpreter {
       }
     }
   }
+  void run() {
+    run([this](const Product<T>* group, int n) {
+      for (int k = 0; k < n; ++k) multiply(group[k]);
+    });
+  }
 
  private:
   static constexpr int idx(analysis::Operand op) {
     return static_cast<int>(op);
+  }
+
+  void bind(int slot, const T* p, std::size_t n, bool writable) {
+    rd_[slot] = p;
+    wr_[slot] = writable ? const_cast<T*>(p) : nullptr;
+    len_[slot] = n;
+  }
+
+  void multiply(const Product<T>& p) {
+    winograd_recurse(mm_, p.dst, p.a, p.b, tm_, tk_, tn_, d1_, arena_,
+                     family_);
   }
 
   // Fused products only exist for the production (RawMem, double)
@@ -177,208 +244,54 @@ class ScheduleInterpreter {
   }
 
   MM& mm_;
+  const analysis::Schedule& sched_;
+  Arena& arena_;
   int tm_, tk_, tn_, d1_;
   const blas::kernels::LeafKernels* fused_tab_;
   analysis::ScheduleFamily family_;
-  const T* rd_[analysis::kOperandCount];
-  T* wr_[analysis::kOperandCount];
-  std::size_t len_[analysis::kOperandCount];
+  const T* rd_[analysis::kOperandCount] = {};
+  T* wr_[analysis::kOperandCount] = {};
+  std::size_t len_[analysis::kOperandCount] = {};
 };
-
-// Pushes the schedule's temporaries onto the arena -- one allocation per
-// DISTINCT buffer id, sized for the largest shape mapped onto it -- and
-// binds each temporary.  For identity mappings (the default family) this is
-// byte-for-byte the seed's push order and sizes (tS, tT, tP = qa, qb, qc);
-// the low-mem table maps tS and tP onto one buffer sized max(qa, qc), which
-// the verifier proved safe (disjoint live ranges).
-template <class MM, class T>
-void push_and_bind_temps(ScheduleInterpreter<MM, T>& interp,
-                         const analysis::Schedule& sched, Arena& arena,
-                         std::size_t qa, std::size_t qb, std::size_t qc) {
-  using analysis::Operand;
-  auto elems = [&](Operand t) {
-    return analysis::shape_of(t) == analysis::Shape::kA   ? qa
-           : analysis::shape_of(t) == analysis::Shape::kB ? qb
-                                                          : qc;
-  };
-  constexpr int kMaxTemps = 6;  // kTS0..kTP1
-  STRASSEN_REQUIRE(sched.temp_count <= kMaxTemps,
-                   "schedule declares more temporaries than slots exist");
-  std::size_t buf_elems[kMaxTemps] = {};
-  T* bufs[kMaxTemps] = {};
-  const int nbuf = analysis::temp_buffer_count(sched);
-  for (int i = 0; i < sched.temp_count; ++i) {
-    const int b = analysis::temp_buffer_id(sched, i);
-    const std::size_t n = elems(sched.temps[i]);
-    if (n > buf_elems[b]) buf_elems[b] = n;
-  }
-  for (int b = 0; b < nbuf; ++b) bufs[b] = arena.push<T>(buf_elems[b]);
-  for (int i = 0; i < sched.temp_count; ++i) {
-    const Operand t = sched.temps[i];
-    interp.bind_output(t, bufs[analysis::temp_buffer_id(sched, i)], elems(t));
-  }
-}
 
 }  // namespace detail
 
-// C = A * B on Morton blocks.
+// C = A * B (or C += A * B) on Morton blocks.
 //   A: (tm<<depth) x (tk<<depth), leaf tiles tm x tk (column-major)
 //   B: (tk<<depth) x (tn<<depth), leaf tiles tk x tn
 //   C: (tm<<depth) x (tn<<depth), leaf tiles tm x tn
-// `arena` must have winograd_workspace_bytes(tm,tk,tn,depth,...,family)
-// available.  `family` selects the schedule family per level: kWinograd is
-// the seed-exact default (3 temporaries, fused level-1 when the kernel
-// table publishes the entries), kLowMem the 2-buffer BDPZ tables.  kInPlace
-// here runs its DEEPER levels (the in-place top level is
-// winograd_recurse_inplace, which needs writable operands).
+// `arena` must have winograd_workspace_bytes(tm, tk, tn, depth, ..., family,
+// top) available.  The top level runs `top` when given -- e.g. the
+// accumulating table (C += A * B, the split path's k-chunk chains) -- and
+// otherwise analysis::level_schedule(family); deeper levels always run
+// level_schedule(child_family(family)).  kWinograd is the seed-exact
+// default (3 temporaries, fused level-1 when the kernel table publishes the
+// entries), kLowMem the 2-buffer BDPZ table.  kInPlace runs its in-place
+// table at the top, which overwrites A and B: they must be operand copies
+// the caller owns (the Morton staging buffers of core/modgemm.hpp).
 template <class MM, class T>
 void winograd_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
                       int tn, int depth, Arena& arena,
-                      analysis::ScheduleFamily family) {
+                      analysis::ScheduleFamily family,
+                      const analysis::Schedule* top) {
   if (depth == 0) {
     blas::gemm_leaf(mm, tm, tn, tk, A, tm, B, tk, C, tm,
-                    blas::LeafMode::Overwrite);
+                    top != nullptr && top->accumulates_c
+                        ? blas::LeafMode::Accumulate
+                        : blas::LeafMode::Overwrite);
     return;
   }
   const int d1 = depth - 1;
-  const std::size_t scale = std::size_t{1} << (2 * d1);
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-
-  // Table selection.  Default family: the materialized schedule everywhere,
-  // except the last level before the leaves of the production instantiation
-  // when the active kernel table publishes the fused entries (scalar does
-  // not, by design: the materialized table is the seed-exact path).  The
-  // low-mem family (and the sub-levels of the in-place family) run the
-  // 2-buffer table at every level -- the fused-L1 table needs all three
-  // temporaries live at once, which the shared buffer forbids.
-  const bool low_mem = family == analysis::ScheduleFamily::kLowMem ||
-                       family == analysis::ScheduleFamily::kInPlace;
-  const analysis::Schedule* sched =
-      low_mem ? &analysis::kWinogradLowMem : &analysis::kWinograd;
-  const blas::kernels::LeafKernels* fused_tab = nullptr;
-  if constexpr (std::is_same_v<MM, RawMem> && std::is_same_v<T, double>) {
-    if (d1 == 0 && !low_mem) {
-      const blas::kernels::LeafKernels& tab = blas::kernels::active();
-      if (tab.gemm_fused_a != nullptr && tab.gemm_fused_b != nullptr &&
-          tab.gemm_fused_ab != nullptr) {
-        sched = &analysis::kWinogradFusedL1;
-        fused_tab = &tab;
-      }
-    }
-  }
-
-  detail::ScheduleInterpreter<MM, T> interp(mm, tm, tk, tn, d1, fused_tab,
-                                            family);
-
-  // Quadrants in memory order NW, NE, SW, SE == 11, 12, 21, 22.
-  using analysis::Operand;
-  interp.bind_input(Operand::kA11, A, qa);
-  interp.bind_input(Operand::kA12, A + qa, qa);
-  interp.bind_input(Operand::kA21, A + 2 * qa, qa);
-  interp.bind_input(Operand::kA22, A + 3 * qa, qa);
-  interp.bind_input(Operand::kB11, B, qb);
-  interp.bind_input(Operand::kB12, B + qb, qb);
-  interp.bind_input(Operand::kB21, B + 2 * qb, qb);
-  interp.bind_input(Operand::kB22, B + 3 * qb, qb);
-  interp.bind_output(Operand::kC11, C, qc);
-  interp.bind_output(Operand::kC12, C + qc, qc);
-  interp.bind_output(Operand::kC21, C + 2 * qc, qc);
-  interp.bind_output(Operand::kC22, C + 3 * qc, qc);
-
+  const analysis::Schedule& sched =
+      top != nullptr ? *top
+                     : analysis::level_schedule(
+                           family, d1, detail::fused_kernels<MM, T>(d1) !=
+                                           nullptr);
   Arena::Frame frame(arena);
-  detail::push_and_bind_temps(interp, *sched, arena, qa, qb, qc);
-
-  interp.run(*sched, arena);
-}
-
-// C = A * B with the TOP level running the in-place table: the Winograd
-// operand sums overwrite A's and B's quadrants, leaving a single C-shaped
-// temporary.  A and B must be operand COPIES the caller owns (the
-// Morton-staged workspace buffers of core/modgemm.hpp) -- their contents
-// are destroyed.  Deeper levels run the low-mem table: a child executing
-// in-place would clobber parent operands that are still live.
-template <class MM, class T>
-void winograd_recurse_inplace(MM& mm, T* C, T* A, T* B, int tm, int tk,
-                              int tn, int depth, Arena& arena) {
-  if (depth == 0) {
-    blas::gemm_leaf(mm, tm, tn, tk, A, tm, B, tk, C, tm,
-                    blas::LeafMode::Overwrite);
-    return;
-  }
-  const int d1 = depth - 1;
-  const std::size_t scale = std::size_t{1} << (2 * d1);
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-
-  const analysis::Schedule& sched = analysis::kWinogradInPlace;
-  detail::ScheduleInterpreter<MM, T> interp(
-      mm, tm, tk, tn, d1, nullptr, analysis::ScheduleFamily::kInPlace);
-
-  using analysis::Operand;
-  interp.bind_inout(Operand::kA11, A, qa);
-  interp.bind_inout(Operand::kA12, A + qa, qa);
-  interp.bind_inout(Operand::kA21, A + 2 * qa, qa);
-  interp.bind_inout(Operand::kA22, A + 3 * qa, qa);
-  interp.bind_inout(Operand::kB11, B, qb);
-  interp.bind_inout(Operand::kB12, B + qb, qb);
-  interp.bind_inout(Operand::kB21, B + 2 * qb, qb);
-  interp.bind_inout(Operand::kB22, B + 3 * qb, qb);
-  interp.bind_output(Operand::kC11, C, qc);
-  interp.bind_output(Operand::kC12, C + qc, qc);
-  interp.bind_output(Operand::kC21, C + 2 * qc, qc);
-  interp.bind_output(Operand::kC22, C + 3 * qc, qc);
-
-  Arena::Frame frame(arena);
-  detail::push_and_bind_temps(interp, sched, arena, qa, qb, qc);
-
-  interp.run(sched, arena);
-}
-
-// C += A * B: the top level runs the accumulating table (C's quadrants are
-// inputs whose values survive into the result -- the split path's k-chunk
-// chains use this to skip the per-chunk C buffer and beta pass), and the
-// seven sub-products recurse with `family` tables.  depth == 0 accumulates
-// directly at the leaf.
-template <class MM, class T>
-void winograd_recurse_acc(MM& mm, T* C, const T* A, const T* B, int tm,
-                          int tk, int tn, int depth, Arena& arena,
-                          analysis::ScheduleFamily family) {
-  if (depth == 0) {
-    blas::gemm_leaf(mm, tm, tn, tk, A, tm, B, tk, C, tm,
-                    blas::LeafMode::Accumulate);
-    return;
-  }
-  const int d1 = depth - 1;
-  const std::size_t scale = std::size_t{1} << (2 * d1);
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-
-  const analysis::Schedule& sched = analysis::kWinogradAccum;
-  detail::ScheduleInterpreter<MM, T> interp(mm, tm, tk, tn, d1, nullptr,
-                                            family);
-
-  using analysis::Operand;
-  interp.bind_input(Operand::kA11, A, qa);
-  interp.bind_input(Operand::kA12, A + qa, qa);
-  interp.bind_input(Operand::kA21, A + 2 * qa, qa);
-  interp.bind_input(Operand::kA22, A + 3 * qa, qa);
-  interp.bind_input(Operand::kB11, B, qb);
-  interp.bind_input(Operand::kB12, B + qb, qb);
-  interp.bind_input(Operand::kB21, B + 2 * qb, qb);
-  interp.bind_input(Operand::kB22, B + 3 * qb, qb);
-  interp.bind_output(Operand::kC11, C, qc);
-  interp.bind_output(Operand::kC12, C + qc, qc);
-  interp.bind_output(Operand::kC21, C + 2 * qc, qc);
-  interp.bind_output(Operand::kC22, C + 3 * qc, qc);
-
-  Arena::Frame frame(arena);
-  detail::push_and_bind_temps(interp, sched, arena, qa, qb, qc);
-
-  interp.run(sched, arena);
+  detail::ScheduleInterpreter<MM, T> level(mm, sched, C, A, B, tm, tk, tn, d1,
+                                           arena,
+                                           analysis::child_family(family));
+  level.run();
 }
 
 }  // namespace strassen::core

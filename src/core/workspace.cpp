@@ -1,84 +1,44 @@
 #include "core/workspace.hpp"
 
-#include <algorithm>
-
-#include "common/check.hpp"
-
 namespace strassen::core {
 
-namespace {
-std::size_t round_up64(std::size_t n) { return (n + 63) / 64 * 64; }
-}  // namespace
-
-std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
-                                     std::size_t elem_size) {
-  return winograd_workspace_bytes(tm, tk, tn, depth, elem_size,
-                                  analysis::ScheduleFamily::kWinograd);
+std::size_t level_temp_bytes(const analysis::Schedule& sched, int tm, int tk,
+                             int tn, int d1, std::size_t elem_size) {
+  const std::size_t scale = std::size_t{1} << (2 * d1);
+  auto quad = [&](int r, int c) {
+    return checked_mul(checked_mul(static_cast<std::size_t>(r),
+                                   static_cast<std::size_t>(c)),
+                       scale);
+  };
+  const TempLayout l = temp_layout(sched, quad(tm, tk), quad(tk, tn),
+                                   quad(tm, tn));
+  std::size_t total = 0;
+  for (int b = 0; b < l.buffers; ++b)
+    total = checked_add(
+        total, checked_add(checked_mul(l.elems[b], elem_size), 63) / 64 * 64);
+  return total;
 }
 
 std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
                                      std::size_t elem_size,
-                                     analysis::ScheduleFamily family) {
+                                     analysis::ScheduleFamily family,
+                                     const analysis::Schedule* top) {
   STRASSEN_REQUIRE(tm >= 1 && tk >= 1 && tn >= 1 && depth >= 0 && depth < 31,
                    "bad workspace request: tm=" << tm << " tk=" << tk
                                                 << " tn=" << tn
                                                 << " depth=" << depth);
-  using analysis::ScheduleFamily;
+  // fused_kernels = false: the fused level-1 table declares kWinograd's
+  // temporaries, so sizing does not depend on the active kernel.
   std::size_t total = 0;
-  // Level l (from the top, l = 1..depth) allocates temporaries over the
-  // quadrants of a block whose leaves are 2^(depth-l) tiles on a side.
-  auto quad = [&](int r, int c, std::size_t scale) {
-    return round_up64(checked_mul(
-        checked_mul(checked_mul(static_cast<std::size_t>(r),
-                                static_cast<std::size_t>(c)),
-                    scale),
-        elem_size));
-  };
-  for (int l = 1; l <= depth; ++l) {
-    const std::size_t scale = std::size_t{1} << (2 * (depth - l));
-    const std::size_t qa = quad(tm, tk, scale);
-    const std::size_t qb = quad(tk, tn, scale);
-    const std::size_t qc = quad(tm, tn, scale);
-    switch (family) {
-      case ScheduleFamily::kAuto:
-      case ScheduleFamily::kWinograd:
-        total = checked_add(total, checked_add(qa, checked_add(qb, qc)));
-        break;
-      case ScheduleFamily::kLowMem:
-        // tS and tP share one buffer sized for the larger shape.
-        total = checked_add(total, checked_add(std::max(qa, qc), qb));
-        break;
-      case ScheduleFamily::kInPlace:
-        // Only the TOP level runs the in-place table (a child would clobber
-        // parent operands); deeper levels run the low-mem table.
-        if (l == 1)
-          total = checked_add(total, qc);
-        else
-          total = checked_add(total, checked_add(std::max(qa, qc), qb));
-        break;
-    }
+  for (int d1 = depth - 1; d1 >= 0; --d1) {
+    const analysis::Schedule& sched =
+        top != nullptr ? *top : analysis::level_schedule(family, d1, false);
+    total = checked_add(total,
+                        level_temp_bytes(sched, tm, tk, tn, d1, elem_size));
+    family = analysis::child_family(family);
+    top = nullptr;
   }
   return total;
-}
-
-std::size_t winograd_accum_workspace_bytes(int tm, int tk, int tn, int depth,
-                                           std::size_t elem_size,
-                                           analysis::ScheduleFamily family) {
-  if (depth <= 0) return 0;
-  auto quad = [&](int r, int c) {
-    const std::size_t scale = std::size_t{1} << (2 * (depth - 1));
-    return round_up64(checked_mul(
-        checked_mul(checked_mul(static_cast<std::size_t>(r),
-                                static_cast<std::size_t>(c)),
-                    scale),
-        elem_size));
-  };
-  // Top level: the 3-temporary accumulating table; its sub-products recurse
-  // with `family` tables one level down.
-  const std::size_t top = checked_add(
-      quad(tm, tk), checked_add(quad(tk, tn), quad(tm, tn)));
-  return checked_add(
-      top, winograd_workspace_bytes(tm, tk, tn, depth - 1, elem_size, family));
 }
 
 }  // namespace strassen::core

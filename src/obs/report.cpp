@@ -1,5 +1,6 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <ostream>
 #include <sstream>
@@ -24,6 +25,30 @@ const char* fallback_reason_name(FallbackReason r) {
       return "alloc-strided";
   }
   return "unknown";
+}
+
+void merge_sub_report(GemmReport& into, const GemmReport& sub,
+                      bool timed_by_parent) {
+  if (!timed_by_parent) {
+    into.convert_in_seconds += sub.convert_in_seconds;
+    into.compute_seconds += sub.compute_seconds;
+    into.convert_out_seconds += sub.convert_out_seconds;
+    into.products += sub.products;
+  }
+  into.workspace_requested_bytes += sub.workspace_requested_bytes;
+  into.workspace_allocations += sub.workspace_allocations;
+  into.workspace_peak_bytes =
+      std::max(into.workspace_peak_bytes, sub.workspace_peak_bytes);
+  into.workspace_saved_bytes += sub.workspace_saved_bytes;
+  into.conversion_saved_bytes += sub.conversion_saved_bytes;
+  into.batch_workspace_acquisitions += sub.batch_workspace_acquisitions;
+  into.batch_workspace_cold_allocs += sub.batch_workspace_cold_allocs;
+  into.split_used = into.split_used || sub.split_used;
+  into.fallback_reason = std::max(into.fallback_reason, sub.fallback_reason);
+  if (sub.products > 0) into.plan = sub.plan;
+  if (sub.schedule[0] != '\0') into.schedule = sub.schedule;
+  if (sub.strategy[0] != '\0') into.strategy = sub.strategy;
+  if (sub.algo[0] != '\0') into.algo = sub.algo;
 }
 
 long long GemmReport::pad_elems() const {

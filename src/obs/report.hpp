@@ -200,6 +200,16 @@ class WallStamp {
   std::chrono::steady_clock::time_point t0_;
 };
 
+// Folds the report of a sub-call (a split block, a batch item, a family
+// sub-product) into its parent's report `into`: phase timers and products
+// are summed -- unless the parent already timed the sub-call itself
+// (`timed_by_parent`) -- workspace and batch counters are summed, the peak
+// and the fallback rung take the worse of the two, split_used is or-ed, and
+// the last executed plan, schedule, strategy and algo (when set) win.  The
+// one merge every multi-product path shares, so no field is dropped.
+void merge_sub_report(GemmReport& into, const GemmReport& sub,
+                      bool timed_by_parent = false);
+
 // Serializes `r` as one line of schema-stable JSON (schema id
 // "strassen.gemm_report.v6"; see docs/OBSERVABILITY.md for the contract).
 // Key set and nesting never change within a schema version -- consumers may

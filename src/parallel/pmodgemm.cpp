@@ -24,14 +24,15 @@ namespace strassen::parallel {
 
 namespace {
 
-std::size_t round_up64(std::size_t n) { return (n + 63) / 64 * 64; }
-
-// One spawn level's temporaries: S1..S4 over A-quadrants, T1..T4 over
-// B-quadrants, P1..P7 over C-quadrants.
-std::size_t spawn_level_bytes(std::size_t qa, std::size_t qb, std::size_t qc,
-                              std::size_t elem) {
-  return 4 * round_up64(qa * elem) + 4 * round_up64(qb * elem) +
-         7 * round_up64(qc * elem);
+// Options for the serial driver wherever pmodgemm hands work to it.  The
+// family decision was made (or declined) at this call's top level, so serial
+// products stay on the plain <2,2,2> driver.
+core::ModgemmOptions serial_options(const ParallelOptions& opt) {
+  core::ModgemmOptions serial;
+  serial.tiles = opt.tiles;
+  serial.schedule = opt.schedule;
+  serial.algo = analysis::AlgoFamily::k222;
+  return serial;
 }
 
 // Where the recursion stops forking.  Legacy mode (explicit spawn_levels
@@ -72,131 +73,44 @@ int effective_spawn_levels(const SpawnPolicy& policy, int explicit_levels,
 // The parallel recursion.  Below the spawn cutoff this is exactly
 // core::winograd_recurse, so results are bit-identical to the serial code
 // (when `family` is the default; the low-memory families trade that identity
-// for a smaller per-task arena within the numeric bounds).
+// for a smaller per-task arena within the numeric bounds).  A spawn level
+// runs the verified analysis::kWinogradSpawn table: its operand sums and
+// U-chain execute on this task, and its one concurrent group of seven
+// products is forked -- when this runs on a pool worker, the children land
+// on ITS deque bottom (depth-first, cache-hot), idle workers steal whole
+// subtrees from the top, and the U-chain is the continuation this task runs
+// once the join counter drains.
 void recurse(ThreadPool* pool, const SpawnPolicy& policy, int spawn, double* C,
              const double* A, const double* B, int tm, int tk, int tn,
              int depth, analysis::ScheduleFamily family) {
+  RawMem mm;
   if (!should_fork(policy, spawn, tm, tk, tn, depth)) {
     ScratchArena scratch(core::winograd_workspace_bytes(
         tm, tk, tn, depth, sizeof(double), family));
-    RawMem mm;
     core::winograd_recurse(mm, C, A, B, tm, tk, tn, depth, scratch.arena(),
                            family);
     return;
   }
   const int d1 = depth - 1;
-  const std::size_t scale = std::size_t{1} << (2 * d1);
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-
-  const double* A11 = A;
-  const double* A12 = A + qa;
-  const double* A21 = A + 2 * qa;
-  const double* A22 = A + 3 * qa;
-  const double* B11 = B;
-  const double* B12 = B + qb;
-  const double* B21 = B + 2 * qb;
-  const double* B22 = B + 3 * qb;
-  double* C11 = C;
-  double* C12 = C + qc;
-  double* C21 = C + 2 * qc;
-  double* C22 = C + 3 * qc;
-
-  // The level's 15 temporaries come from the per-thread arena cache.  Each
-  // ScratchArena is an independent buffer, so a task that help-runs other
-  // tasks while blocked in wait() below never interleaves frames with them.
-  ScratchArena scratch(spawn_level_bytes(qa, qb, qc, sizeof(double)));
-  Arena& level = scratch.arena();
-  double* S1 = level.push<double>(qa);
-  double* S2 = level.push<double>(qa);
-  double* S3 = level.push<double>(qa);
-  double* S4 = level.push<double>(qa);
-  double* T1 = level.push<double>(qb);
-  double* T2 = level.push<double>(qb);
-  double* T3 = level.push<double>(qb);
-  double* T4 = level.push<double>(qb);  // holds T2 - B21 (= -T4 of the paper)
-  double* M1 = level.push<double>(qc);
-  double* M2 = level.push<double>(qc);
-  double* M3 = level.push<double>(qc);
-  double* M4 = level.push<double>(qc);
-  double* M5 = level.push<double>(qc);
-  double* M6 = level.push<double>(qc);
-  double* M7 = level.push<double>(qc);
-  // Same alignment contract as the serial driver: spawn-level temporaries
-  // feed the SIMD element-wise kernels and the leaf gemm below, which assume
-  // cache-line-aligned quadrant storage.
-  STRASSEN_ASSERT(reinterpret_cast<std::uintptr_t>(S1) %
-                      Arena::kChunkAlignment == 0);
-  STRASSEN_ASSERT(reinterpret_cast<std::uintptr_t>(T1) %
-                      Arena::kChunkAlignment == 0);
-  STRASSEN_ASSERT(reinterpret_cast<std::uintptr_t>(M1) %
-                      Arena::kChunkAlignment == 0);
-
-  RawMem mm;
-  // Operand sums (same expressions as the serial schedule).
-  blas::vadd(mm, qa, S1, A21, A22);
-  blas::vsub(mm, qa, S2, S1, A11);
-  blas::vsub(mm, qa, S3, A11, A21);
-  blas::vsub(mm, qa, S4, A12, S2);
-  blas::vsub(mm, qb, T1, B12, B11);
-  blas::vsub(mm, qb, T2, B22, T1);
-  blas::vsub(mm, qb, T3, B22, B12);
-  blas::vsub(mm, qb, T4, T2, B21);
-
-  // The seven independent products, forked.  When this runs on a pool
-  // worker, the children land on ITS deque bottom (depth-first, cache-hot)
-  // and idle workers steal whole subtrees from the top; the U-chain below is
-  // the continuation this task runs once the join counter drains.
-  {
+  const analysis::Schedule& sched = analysis::kWinogradSpawn;
+  // Each ScratchArena is an independent buffer, so a task that help-runs
+  // other tasks while blocked in wait() below never interleaves frames with
+  // them.
+  ScratchArena scratch(
+      core::level_temp_bytes(sched, tm, tk, tn, d1, sizeof(double)));
+  core::detail::ScheduleInterpreter<RawMem, double> level(
+      mm, sched, C, A, B, tm, tk, tn, d1, scratch.arena(), family);
+  const int child_spawn = policy.auto_mode ? 0 : spawn - 1;
+  level.run([&](const core::detail::Product<double>* products, int count) {
     TaskGroup group(pool);
-    const int child_spawn = policy.auto_mode ? 0 : spawn - 1;
-    auto fork = [&](double* dst, const double* a, const double* b) {
-      group.run([=, &policy] {
-        recurse(pool, policy, child_spawn, dst, a, b, tm, tk, tn, d1, family);
+    for (int i = 0; i < count; ++i) {
+      group.run([=, &policy, p = products[i]] {
+        recurse(pool, policy, child_spawn, p.dst, p.a, p.b, tm, tk, tn, d1,
+                family);
       });
-    };
-    fork(M1, A11, B11);
-    fork(M2, A12, B21);
-    fork(M3, S4, B22);
-    fork(M4, A22, T4);  // A22 . (T2 - B21)
-    fork(M5, S1, T1);
-    fork(M6, S2, T2);
-    fork(M7, S3, T3);
+    }
     group.wait();
-  }
-
-  // U-chain combination (commutatively identical to the serial in-place
-  // order, so results match bit for bit).
-  blas::vadd(mm, qc, C11, M1, M2);           // C11 = M1 + M2
-  blas::vadd_inplace(mm, qc, M1, M6);        // M1 := U2 = M1 + M6
-  blas::vadd_inplace(mm, qc, M7, M1);        // M7 := U3 = U2 + M7
-  blas::vsub(mm, qc, C21, M7, M4);           // C21 = U3 - M4
-  blas::vadd(mm, qc, C22, M7, M5);           // C22 = U3 + M5
-  blas::vadd_inplace(mm, qc, M1, M5);        // M1 := U4 = U2 + M5
-  blas::vadd(mm, qc, C12, M1, M3);           // C12 = U4 + M3
-}
-
-// Accumulates one split sub-task's local report into the call report after
-// the join.  Kernel counters and task stats flow through the shared
-// collector and are NOT in the locals; everything the serial driver writes
-// into the report directly is.
-void merge_sub_report(obs::GemmReport* rep, const obs::GemmReport& sub) {
-  if (rep == nullptr) return;
-  rep->convert_in_seconds += sub.convert_in_seconds;
-  rep->compute_seconds += sub.compute_seconds;
-  rep->convert_out_seconds += sub.convert_out_seconds;
-  rep->products += sub.products;
-  rep->workspace_requested_bytes += sub.workspace_requested_bytes;
-  rep->workspace_allocations += sub.workspace_allocations;
-  rep->workspace_peak_bytes =
-      std::max(rep->workspace_peak_bytes, sub.workspace_peak_bytes);
-  rep->workspace_saved_bytes += sub.workspace_saved_bytes;
-  if (sub.schedule[0] != '\0') rep->schedule = sub.schedule;
-  core::detail::record_fallback(rep, sub.fallback_reason);
-  // Like the serial splitter, the call-level plan reflects the last
-  // sub-product executed.
-  rep->plan = sub.plan;
+  });
 }
 
 // The split decomposition (paper Fig. 4), parallel over C-blocks: each
@@ -226,12 +140,7 @@ void split_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
   const std::unique_ptr<std::atomic<bool>[]> done(
       new std::atomic<bool>[blocks]());
 
-  core::ModgemmOptions serial;
-  serial.tiles = opt.tiles;
-  serial.schedule = opt.schedule;
-  // The family decision was made (or declined) at this call's top level;
-  // serial sub-products stay on the plain <2,2,2> driver.
-  serial.algo = analysis::AlgoFamily::k222;
+  const core::ModgemmOptions serial = serial_options(opt);
   const auto run_block = [&](std::size_t index, const layout::Chunk& cm,
                              const layout::Chunk& cn) {
     obs::GemmReport* local = locals.empty() ? nullptr : &locals[index];
@@ -281,7 +190,9 @@ void split_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
         if (!done[i].load(std::memory_order_acquire)) run_block(i, cm, cn);
       }
   }
-  for (const obs::GemmReport& local : locals) merge_sub_report(rep, local);
+  if (rep)
+    for (const obs::GemmReport& local : locals)
+      obs::merge_sub_report(*rep, local);
 }
 
 // One level of a non-<2,2,2> coefficient table (core/family.hpp) on the
@@ -319,18 +230,8 @@ bool family_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
       rep->threads = pool != nullptr ? pool->thread_count() : 0;
       rep->workspace_requested_bytes += staging;
       ++rep->workspace_allocations;
-      const int pm = core::family_partition(m, t.bm);
-      const int pk = core::family_partition(k, t.bk);
-      const int pn = core::family_partition(n, t.bn);
-      layout::GemmPlan fam;
-      fam.feasible = true;
-      fam.depth = 1;
-      fam.algo = algo;
-      fam.schedule = family;
-      fam.m = layout::DimPlan{m, pm, 1, pm * t.bm};
-      fam.k = layout::DimPlan{k, pk, 1, pk * t.bk};
-      fam.n = layout::DimPlan{n, pn, 1, pn * t.bn};
-      rep->plan = fam;
+      rep->plan = core::family_plan(t, algo, m, k, n);
+      rep->plan.schedule = family;
       rep->planned_depth = 1;
       rep->schedule = analysis::family_name(family);
       rep->algo = analysis::algo_name(algo);
@@ -347,13 +248,6 @@ bool family_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
 }  // namespace
 
 std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
-                                     int spawn_levels,
-                                     std::size_t elem_size) {
-  return pmodgemm_workspace_bytes(tm, tk, tn, depth, spawn_levels, elem_size,
-                                  analysis::ScheduleFamily::kWinograd);
-}
-
-std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
                                      int spawn_levels, std::size_t elem_size,
                                      analysis::ScheduleFamily family) {
   STRASSEN_REQUIRE(tm >= 1 && tk >= 1 && tn >= 1 && depth >= 0 &&
@@ -361,20 +255,18 @@ std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
                    "bad workspace request");
   // The driver runs kInPlace subtrees as kLowMem (no owned operand copies to
   // overwrite below a spawn level); size what actually executes.
-  if (family == analysis::ScheduleFamily::kInPlace)
-    family = analysis::ScheduleFamily::kLowMem;
+  family = analysis::child_family(family);
   if (spawn_levels == 0 || depth == 0)
     return core::winograd_workspace_bytes(tm, tk, tn, depth, elem_size,
                                           family);
-  const std::size_t scale = std::size_t{1} << (2 * (depth - 1));
-  const std::size_t qa = static_cast<std::size_t>(tm) * tk * scale;
-  const std::size_t qb = static_cast<std::size_t>(tk) * tn * scale;
-  const std::size_t qc = static_cast<std::size_t>(tm) * tn * scale;
-  // All 7 child arenas can be live at once.  A spawn level's own 15
+  // All 7 child arenas can be live at once.  A spawn level's own
   // temporaries are family-independent.
-  return spawn_level_bytes(qa, qb, qc, elem_size) +
-         7 * pmodgemm_workspace_bytes(tm, tk, tn, depth - 1, spawn_levels - 1,
-                                      elem_size, family);
+  return checked_add(
+      core::level_temp_bytes(analysis::kWinogradSpawn, tm, tk, tn, depth - 1,
+                             elem_size),
+      checked_mul(7, pmodgemm_workspace_bytes(tm, tk, tn, depth - 1,
+                                              spawn_levels - 1, elem_size,
+                                              family)));
 }
 
 void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
@@ -414,8 +306,7 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
           : core::detail::env_schedule_family();
   if (family == analysis::ScheduleFamily::kAuto)
     family = analysis::ScheduleFamily::kWinograd;
-  if (family == analysis::ScheduleFamily::kInPlace)
-    family = analysis::ScheduleFamily::kLowMem;
+  family = analysis::child_family(family);
   // Resolve the <m,k,n> algorithm family (pin, then STRASSEN_ALGO, then the
   // planner heuristic -- same layering as the serial driver).  A non-<2,2,2>
   // family runs one table level with each block product as a full parallel
@@ -454,12 +345,8 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
     // Thin shapes: one conventional product; nothing to fan out.  The
     // report (if any) is handed down, so its phases/plan reflect the serial
     // execution while entry stays "pmodgemm".
-    core::ModgemmOptions serial;
-    serial.tiles = opt.tiles;
-    serial.schedule = opt.schedule;
-    serial.algo = analysis::AlgoFamily::k222;
     core::modgemm(opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-                  serial, rep);
+                  serial_options(opt), rep);
     return;
   }
   if (!plan.feasible) {
@@ -493,6 +380,8 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
       rep->spawn_levels = effective_spawn_levels(
           policy, spawn, plan.m.tile, plan.k.tile, plan.n.tile, plan.depth);
       rep->plan = plan;
+      rep->plan.strategy = layout::ExecStrategy::kMorton;
+      rep->strategy = layout::strategy_name(layout::ExecStrategy::kMorton);
       rep->schedule = analysis::family_name(family);
       ++rep->products;
       rep->workspace_requested_bytes += abytes + bbytes + cbytes;
@@ -578,12 +467,8 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
     // every reusable byte returned.
     core::detail::record_fallback(rep, core::FallbackReason::kAllocDirect);
     purge_thread_arena_cache();
-    core::ModgemmOptions serial;
-    serial.tiles = opt.tiles;
-    serial.schedule = opt.schedule;
-    serial.algo = analysis::AlgoFamily::k222;
     core::modgemm(opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-                  serial, rep);
+                  serial_options(opt), rep);
   }
 }
 

@@ -6,11 +6,12 @@
 // This module exploits exactly that structure:
 //
 //   * at every recursion level above a leaf cutoff (see spawn_levels below),
-//     the 8 operand sums are formed into dedicated temporaries (S1..S4,
-//     T1..T4), the 7 products are submitted to the work-stealing pool (each
-//     recursing independently, with its own scratch arena from the
-//     per-thread cache), and the quadrant combination runs as the spawning
-//     task's continuation after the join;
+//     the level runs the verified spawn table analysis::kWinogradSpawn: the
+//     8 operand sums are formed into dedicated temporaries (S1..S4,
+//     T1..T4), the table's one concurrent group of 7 products is submitted
+//     to the work-stealing pool (each recursing independently, with its own
+//     scratch arena from the per-thread cache), and the U-chain runs as the
+//     spawning task's continuation after the join;
 //   * below the cutoff each task runs the serial Morton recursion of
 //     core/winograd.hpp unchanged -- so the arithmetic performed (and hence
 //     the result, bit for bit) is IDENTICAL to the serial algorithm;
@@ -22,10 +23,11 @@
 //     blocks write disjoint parts of C, so the result is bit-identical to
 //     the serial splitter.
 //
-// Memory: a spawn level keeps all 15 temporaries live at once
-// (4 A-quadrants + 4 B-quadrants + 7 C-quadrants ~ 3.75x the quadrant set of
-// the serial schedule) -- the classic space-for-parallelism trade, bounded
-// per worker by the depth of its active path (Boyer et al.).  Scratch comes
+// Memory: a spawn level keeps 11 temporaries live at once (4 A-quadrants +
+// 4 B-quadrants + 3 C-quadrants, ~2.75x the quadrant set of the serial
+// schedule; P2..P5 land directly in C's quadrants) -- the classic
+// space-for-parallelism trade, bounded per worker by the depth of its active
+// path (Boyer et al.).  Scratch comes
 // from a per-thread arena cache (parallel/arena_pool.hpp), so a worker's
 // temporaries are first-touched locally; STRASSEN_NUMA=1 additionally pins
 // workers to CPUs (thread_pool.hpp) to keep that locality stable on
@@ -63,7 +65,7 @@ struct ParallelOptions {
   std::int64_t min_task_flops = std::int64_t{1} << 21;
   // Schedule family for the serial subtrees below the spawn cutoff
   // (analysis/schedule.hpp): kAuto defers to STRASSEN_SCHEDULE, then the
-  // default 3-temporary family.  Spawn levels always keep their 15 dedicated
+  // default 3-temporary family.  Spawn levels always keep their 11 dedicated
   // temporaries (the space-for-parallelism trade is the point of forking);
   // the low-memory families shrink each task's serial arena.  kInPlace runs
   // as kLowMem here -- the parallel recursion never owns throwaway operand
@@ -84,17 +86,16 @@ struct ParallelOptions {
 };
 
 // Bytes of spawn-level temporaries + per-task arenas pmodgemm needs beyond
-// the Morton buffers themselves (informational; allocation is internal).
-// Takes an explicit spawn_levels >= 0; for the auto policy, pass the
-// effective depth reported in GemmReport::spawn_levels.  The six-argument
-// form assumes the default serial family; the seven-argument form sizes the
-// below-cutoff serial arenas for `family` (spawn levels are family-
-// independent: always 15 temporaries).
-std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
-                                     int spawn_levels, std::size_t elem_size);
-std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
-                                     int spawn_levels, std::size_t elem_size,
-                                     analysis::ScheduleFamily family);
+// the Morton buffers themselves (informational; allocation is internal) --
+// the sum of every arena the call acquires, so the Morton buffers plus this
+// equal GemmReport::workspace_requested_bytes.  Takes an explicit
+// spawn_levels >= 0; for the auto policy, pass the effective depth reported
+// in GemmReport::spawn_levels.  `family` sizes the below-cutoff serial
+// arenas (spawn levels are family-independent: kWinogradSpawn's 11
+// temporaries).
+std::size_t pmodgemm_workspace_bytes(
+    int tm, int tk, int tn, int depth, int spawn_levels, std::size_t elem_size,
+    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd);
 
 // C <- alpha * op(A).op(B) + beta * C, using `pool` for parallelism.
 // pool == nullptr runs the whole pipeline inline (useful for tests).

@@ -28,6 +28,7 @@
 #include "blas/kernels/registry.hpp"
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "core/batched.hpp"
 #include "core/modgemm.hpp"
 #include "obs/collector.hpp"
 #include "obs/report.hpp"
@@ -359,6 +360,7 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
   EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
 
   EXPECT_STREQ(report.entry, "pmodgemm");
+  EXPECT_STREQ(report.strategy, "morton");
   EXPECT_TRUE(report.parallel);
   EXPECT_EQ(report.threads, 4);
   EXPECT_EQ(report.spawn_levels, 1);
@@ -408,6 +410,7 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
   // Auto mode reports the depth it resolved to -- with a 1-flop cutoff that
   // is the full plan depth -- and the task count covers the whole spawn
   // tree: sum_{l=1..d} 7^l product tasks.
+  EXPECT_STREQ(report.strategy, "morton");
   const int d = report.plan.depth;
   ASSERT_GE(d, 2);
   EXPECT_EQ(report.spawn_levels, d);
@@ -456,6 +459,25 @@ TEST(ObsParallel, AllocFailureDegradesIntoOneCoherentReport) {
   EXPECT_GT(report.leaf_calls + report.fused_calls, 0u);
 }
 
+TEST(ObsParallel, MortonPathStampsStrategy) {
+  const int m = 300, k = 500, n = 400;
+  Rng rng(5);
+  Matrix<double> A(m, k), B(k, n), C(m, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  parallel::ThreadPool pool(2);
+  parallel::ParallelOptions popt;
+  popt.algo = analysis::AlgoFamily::k222;
+  ModgemmReport report;
+  popt.report = &report;
+  parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(),
+                     A.ld(), B.data(), B.ld(), 0.0, C.data(), C.ld(), popt);
+  ASSERT_FALSE(report.split_used);
+  ASSERT_FALSE(report.plan.direct);
+  EXPECT_STREQ(report.strategy, "morton");
+  EXPECT_EQ(report.plan.strategy, layout::ExecStrategy::kMorton);
+}
+
 TEST(ObsParallel, InlinePoolStillCountsTasks) {
   const int n = 256;
   Problem p(n);
@@ -471,6 +493,141 @@ TEST(ObsParallel, InlinePoolStillCountsTasks) {
   EXPECT_GE(report.tasks_executed, 7u);
   ASSERT_FALSE(report.per_thread_tasks.empty());
   EXPECT_EQ(report.per_thread_tasks[0], report.tasks_executed);
+}
+
+// ---------------------------------------------------------------------------
+// Sub-report merging: split blocks, batch items and family sub-products all
+// fold into the call report through obs::merge_sub_report.
+// ---------------------------------------------------------------------------
+
+TEST(ObsMerge, EveryFieldFolds) {
+  ModgemmReport into;
+  into.compute_seconds = 1.0;
+  into.products = 1;
+  into.workspace_peak_bytes = 100;
+  into.fallback_reason = FallbackReason::kDepthReduced;
+  ModgemmReport sub;
+  sub.convert_in_seconds = 0.5;
+  sub.compute_seconds = 2.0;
+  sub.convert_out_seconds = 0.25;
+  sub.products = 2;
+  sub.workspace_requested_bytes = 64;
+  sub.workspace_allocations = 3;
+  sub.workspace_peak_bytes = 80;
+  sub.workspace_saved_bytes = 7;
+  sub.conversion_saved_bytes = 11;
+  sub.batch_workspace_acquisitions = 2;
+  sub.batch_workspace_cold_allocs = 1;
+  sub.split_used = true;
+  sub.fallback_reason = FallbackReason::kScheduleSwap;
+  sub.plan.depth = 3;
+  sub.schedule = "winograd";
+  sub.strategy = "packfused";
+  sub.algo = "333";
+  obs::merge_sub_report(into, sub);
+  EXPECT_EQ(into.convert_in_seconds, 0.5);
+  EXPECT_EQ(into.compute_seconds, 3.0);
+  EXPECT_EQ(into.convert_out_seconds, 0.25);
+  EXPECT_EQ(into.products, 3);
+  EXPECT_EQ(into.workspace_requested_bytes, 64u);
+  EXPECT_EQ(into.workspace_allocations, 3);
+  EXPECT_EQ(into.workspace_peak_bytes, 100u);
+  EXPECT_EQ(into.workspace_saved_bytes, 7u);
+  EXPECT_EQ(into.conversion_saved_bytes, 11u);
+  EXPECT_EQ(into.batch_workspace_acquisitions, 2u);
+  EXPECT_EQ(into.batch_workspace_cold_allocs, 1u);
+  EXPECT_TRUE(into.split_used);
+  EXPECT_EQ(into.fallback_reason, FallbackReason::kDepthReduced);
+  EXPECT_EQ(into.plan.depth, 3);
+  EXPECT_STREQ(into.schedule, "winograd");
+  EXPECT_STREQ(into.strategy, "packfused");
+  EXPECT_STREQ(into.algo, "333");
+
+  // A parent that timed the sub-call itself keeps its own phases and count.
+  obs::merge_sub_report(into, sub, /*timed_by_parent=*/true);
+  EXPECT_EQ(into.compute_seconds, 3.0);
+  EXPECT_EQ(into.products, 3);
+  EXPECT_EQ(into.workspace_requested_bytes, 128u);
+}
+
+// Rectangular product on the serial driver and on pmodgemm's split path,
+// both pinned to <2,2,2> and the default schedule family (a low-memory
+// family would send the serial splitter down its fused accumulating path).
+struct SplitShape {
+  int m = 100, k = 4000, n = 150;
+  Matrix<double> A{100, 4000}, B{4000, 150}, C{100, 150};
+  SplitShape() {
+    Rng rng(9);
+    rng.fill_uniform(A.storage());
+    rng.fill_uniform(B.storage());
+  }
+  ModgemmReport serial() {
+    ModgemmOptions opt;
+    opt.algo = analysis::AlgoFamily::k222;
+    opt.schedule = analysis::ScheduleFamily::kWinograd;
+    ModgemmReport r;
+    core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), A.ld(),
+                  B.data(), B.ld(), 0.0, C.data(), C.ld(), opt, &r);
+    return r;
+  }
+  ModgemmReport parallel() {
+    parallel::ThreadPool pool(2);
+    parallel::ParallelOptions popt;
+    popt.algo = analysis::AlgoFamily::k222;
+    popt.schedule = analysis::ScheduleFamily::kWinograd;
+    ModgemmReport r;
+    popt.report = &r;
+    parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, m, n, k, 1.0,
+                       A.data(), A.ld(), B.data(), B.ld(), 0.0, C.data(),
+                       C.ld(), popt);
+    return r;
+  }
+};
+
+TEST(ObsMerge, PmodgemmSplitKeepsStrategy) {
+  SplitShape s;
+  const ModgemmReport ser = s.serial();
+  const ModgemmReport par = s.parallel();
+  ASSERT_TRUE(par.split_used);
+  ASSERT_STRNE(ser.strategy, "");
+  EXPECT_STREQ(par.strategy, ser.strategy);
+}
+
+TEST(ObsMerge, PmodgemmSplitKeepsConversionSavings) {
+  SplitShape s;
+  const ModgemmReport ser = s.serial();
+  const ModgemmReport par = s.parallel();
+  EXPECT_EQ(par.conversion_saved_bytes, ser.conversion_saved_bytes);
+}
+
+TEST(ObsMerge, BatchedReportCarriesAlgo) {
+  const int m = 256, n = 361, k = 2304;
+  Rng rng(13);
+  Matrix<double> A(m, k), B(k, n), C0(m, n), C1(m, n), Cs(m, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  ModgemmReport serial;
+  core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), A.ld(),
+                B.data(), B.ld(), 0.0, Cs.data(), Cs.ld(), ModgemmOptions{},
+                &serial);
+  ASSERT_STRNE(serial.algo, "");
+
+  core::BatchItem items[2];
+  Matrix<double>* outs[2] = {&C0, &C1};
+  for (int i = 0; i < 2; ++i) {
+    items[i].m = m;
+    items[i].n = n;
+    items[i].k = k;
+    items[i].A = A.data();
+    items[i].lda = A.ld();
+    items[i].B = B.data();
+    items[i].ldb = B.ld();
+    items[i].C = outs[i]->data();
+    items[i].ldc = outs[i]->ld();
+  }
+  ModgemmReport batched;
+  core::modgemm_batched(nullptr, items, 2, core::BatchedOptions{}, &batched);
+  EXPECT_STREQ(batched.algo, serial.algo);
 }
 
 }  // namespace

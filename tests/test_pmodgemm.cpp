@@ -16,6 +16,7 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/modgemm.hpp"
+#include "layout/morton.hpp"
 #include "obs/report.hpp"
 #include "parallel/pmodgemm.hpp"
 
@@ -357,6 +358,53 @@ TEST(PmodgemmWorkspace, SpawnLevelsGrowTheFootprint) {
   EXPECT_LT(serial, one);
   EXPECT_LT(one, two);
 }
+
+// The public sizing is the arithmetic of what runs: the three Morton
+// buffers plus pmodgemm_workspace_bytes at the reported spawn depth equal
+// every byte the call requested, for auto and explicit spawn depths and for
+// both serial families below the cutoff.
+using SizingParam = std::tuple<int, int, analysis::ScheduleFamily>;
+class PmodgemmSizing : public ::testing::TestWithParam<SizingParam> {};
+
+TEST_P(PmodgemmSizing, WorkspaceBytesMatchExecution) {
+  const auto [n, spawn, family] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(n) + 3);
+  Matrix<double> A(n, n), B(n, n), C(n, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  ThreadPool pool(2);
+  ParallelOptions opt;
+  opt.spawn_levels = spawn;
+  opt.schedule = family;
+  opt.algo = analysis::AlgoFamily::k222;
+  obs::GemmReport report;
+  opt.report = &report;
+  pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+           B.data(), n, 0.0, C.data(), n, opt);
+  const layout::GemmPlan& plan = report.plan;
+  ASSERT_TRUE(plan.feasible && !plan.direct && !report.split_used);
+  ASSERT_EQ(report.fallback_reason, obs::FallbackReason::kNone);
+  if (spawn != kSpawnAuto) EXPECT_EQ(report.spawn_levels, spawn);
+  std::size_t morton = 0;
+  for (const layout::MortonLayout& l :
+       {layout::MortonLayout{n, n, plan.m.tile, plan.k.tile, plan.depth},
+        layout::MortonLayout{n, n, plan.k.tile, plan.n.tile, plan.depth},
+        layout::MortonLayout{n, n, plan.m.tile, plan.n.tile, plan.depth}})
+    morton += layout::buffer_bytes(l, sizeof(double));
+  EXPECT_EQ(morton + pmodgemm_workspace_bytes(plan.m.tile, plan.k.tile,
+                                              plan.n.tile, plan.depth,
+                                              report.spawn_levels, 8, family),
+            report.workspace_requested_bytes)
+      << "n=" << n << " spawn=" << spawn << " depth=" << plan.depth
+      << " spawn_levels=" << report.spawn_levels;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SpawnAndFamily, PmodgemmSizing,
+    ::testing::Combine(::testing::Values(256, 260, 1025),
+                       ::testing::Values(kSpawnAuto, 0, 1, 2),
+                       ::testing::Values(analysis::ScheduleFamily::kWinograd,
+                                         analysis::ScheduleFamily::kLowMem)));
 
 TEST(PmodgemmRepeatability, SameResultAcrossRuns) {
   // Scheduling nondeterminism must not leak into results.

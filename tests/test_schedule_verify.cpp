@@ -362,6 +362,87 @@ TEST(ScheduleVerifyNegative, BadTempBufferIdRejected) {
   EXPECT_EQ(verify_core(t.sched).violation, Violation::kBadTempBuffer);
 }
 
+// ---- the parallel spawn table: one concurrent product group ---------------
+
+TEST(ScheduleVerifyFamily, ShippedSpawnTableVerifies) {
+  const VerifyResult r = verify_schedule(kWinogradSpawn);
+  EXPECT_TRUE(r.ok) << joined(r.errors);
+  EXPECT_EQ(r.products, 7);
+  EXPECT_EQ(r.linear_ops, 15);
+  // 8 operand sums + 3 product temporaries, all live while the group runs.
+  EXPECT_EQ(r.temp_peak, 11);
+  EXPECT_EQ(temp_buffer_count(kWinogradSpawn), 11);
+  int grouped = 0;
+  for (int i = 0; i < kWinogradSpawn.step_count; ++i)
+    if (kWinogradSpawn.steps[i].concurrent) {
+      EXPECT_EQ(kWinogradSpawn.steps[i].kind, StepKind::kMul);
+      ++grouped;
+    }
+  EXPECT_EQ(grouped, 7);
+}
+
+TEST(ScheduleVerifyNegative, SpawnGroupCountsEveryOperandLive) {
+  // Sequentially the group would peak lower; run concurrently, all 8 sums
+  // and all 3 product temporaries coexist.  Declaring less is rejected.
+  TestSchedule t(kWinogradSpawn);
+  t.sched.declared_temp_peak = 10;
+  EXPECT_EQ(verify_core(t.sched).violation, Violation::kTempPeakMismatch);
+  EXPECT_TRUE(any_error_contains(verify_schedule(t.sched).errors,
+                                 "live-temporary peak is 11"));
+}
+
+TEST(ScheduleVerifyNegative, SpawnMemberReadingSiblingDestinationRejected) {
+  // P6 reading C12 -- which its sibling P4 writes in the same group -- is a
+  // race whatever the order the executor picks.
+  TestSchedule t(kWinogradSpawn);
+  ASSERT_STREQ(t.steps[10].note, "P6");
+  ASSERT_STREQ(t.steps[13].note, "P4");
+  t.steps[10].a0 = Op::kC12;
+  const CoreResult c = verify_core(t.sched);
+  EXPECT_EQ(c.violation, Violation::kGroupReadConflict);
+  EXPECT_EQ(c.step, 10);
+  EXPECT_EQ(c.operand, Op::kC12);
+  const VerifyResult r = verify_schedule(t.sched);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(any_error_contains(r.errors, "group-read-conflict on C12"))
+      << joined(r.errors);
+}
+
+TEST(ScheduleVerifyNegative, SpawnMembersWritingOneBufferRejected) {
+  // P6 redirected into P1's temporary: two concurrent writers.
+  TestSchedule t(kWinogradSpawn);
+  ASSERT_STREQ(t.steps[8].note, "P1");
+  t.steps[10].dst = t.steps[8].dst;
+  const CoreResult c = verify_core(t.sched);
+  EXPECT_EQ(c.violation, Violation::kGroupWriteConflict);
+  EXPECT_EQ(c.step, 10);
+  EXPECT_EQ(c.operand, tP);
+  EXPECT_TRUE(any_error_contains(verify_schedule(t.sched).errors,
+                                 "group-write-conflict on tP"));
+}
+
+TEST(ScheduleVerifyNegative, SpawnMemberReadingSharedBufferRejected) {
+  // S4 (temps[3], read by P6) mapped onto the arena buffer of P1's
+  // destination (temps[8]): distinct slots, one storage -- P1 would
+  // overwrite S4 while P6 still reads it.
+  TestSchedule t(kWinogradSpawn);
+  ASSERT_EQ(t.temps[3], Op::kTS3);
+  ASSERT_EQ(t.temps[8], Op::kTP0);
+  static constexpr std::int8_t kShared[] = {0, 1, 2, 8, 4, 5, 6, 7, 8, 9, 10};
+  t.sched.temp_buffer = kShared;
+  const CoreResult c = verify_core(t.sched);
+  EXPECT_EQ(c.violation, Violation::kGroupReadConflict);
+  EXPECT_EQ(c.step, 10);
+  EXPECT_EQ(c.operand, Op::kTS3);
+  EXPECT_FALSE(verify_schedule(t.sched).ok);
+}
+
+TEST(ScheduleVerifyNegative, ElementwiseStepInGroupRejected) {
+  TestSchedule t(kWinogradSpawn);
+  t.steps[7].concurrent = true;  // -T4 joins the product group
+  EXPECT_EQ(verify_core(t.sched).violation, Violation::kGroupNonProduct);
+}
+
 TEST(ScheduleVerifyNegative, AccumTempPeakUndercountRejected) {
   // The accumulating table really needs 3 temporaries; declaring the
   // low-mem bound instead must be rejected with the measured peak.
@@ -586,8 +667,8 @@ void expect_family_exact(int tm, int tk, int tn, int depth,
     std::vector<double> C(Cref.size(), -1.0), Ac = Am, Bc = Bm;
     Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
                                          ScheduleFamily::kInPlace));
-    winograd_recurse_inplace(mm, C.data(), Ac.data(), Bc.data(), tm, tk, tn,
-                             depth, arena);
+    winograd_recurse(mm, C.data(), Ac.data(), Bc.data(), tm, tk, tn, depth,
+                     arena, ScheduleFamily::kInPlace);
     for (std::size_t i = 0; i < C.size(); ++i)
       ASSERT_EQ(C[i], Cref[i]) << "inplace differs at " << i;
   }
@@ -597,10 +678,11 @@ void expect_family_exact(int tm, int tk, int tn, int depth,
     rng.fill_int(C, -3, 3);
     std::vector<double> want = Cref;
     for (std::size_t i = 0; i < want.size(); ++i) want[i] += C[i];
-    Arena arena(winograd_accum_workspace_bytes(
-        tm, tk, tn, depth, sizeof(double), ScheduleFamily::kLowMem));
-    winograd_recurse_acc(mm, C.data(), Am.data(), Bm.data(), tm, tk, tn,
-                         depth, arena, ScheduleFamily::kLowMem);
+    Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
+                                         ScheduleFamily::kLowMem,
+                                         &analysis::kWinogradAccum));
+    winograd_recurse(mm, C.data(), Am.data(), Bm.data(), tm, tk, tn, depth,
+                     arena, ScheduleFamily::kLowMem, &analysis::kWinogradAccum);
     for (std::size_t i = 0; i < C.size(); ++i)
       ASSERT_EQ(C[i], want[i]) << "accum differs at " << i;
   }

@@ -31,6 +31,10 @@ int main() {
       attrs += " shared-buffers=" + std::to_string(temp_buffer_count(sched));
     if (sched.overwrites_inputs) attrs += " overwrites-inputs";
     if (sched.accumulates_c) attrs += " accumulates-c";
+    int grouped = 0;
+    for (int k = 0; k < sched.step_count; ++k)
+      grouped += sched.steps[k].concurrent ? 1 : 0;
+    if (grouped > 0) attrs += " concurrent-group=" + std::to_string(grouped);
     std::printf("schedule %-20s steps=%2d products=%d (fused %d) "
                 "additions=%2d temp-peak=%d (declared %d)%s  %s\n",
                 sched.name, sched.step_count, r.products, r.fused_products,
