@@ -1,13 +1,15 @@
 // ablation_parallel -- scaling of the task-parallel MODGEMM (the library's
 // extension along the paper's "further improve performance" future-work
-// axis): serial vs legacy top-level forking (spawn 1/2) vs the deep
-// work-stealing schedule (spawn auto) across thread counts, with the
-// scheduler telemetry (tasks, steals, pool utilization) alongside the times.
+// axis): serial vs fixed top-level forking (spawn 1/2) vs the auto
+// work-stealing schedule (spawn auto: parallel::fork_levels, ~8 tasks per
+// thread) across thread counts, with the scheduler telemetry (tasks,
+// steals, pool utilization) alongside the times.
 //
-// Expected shape: on a multicore host the legacy spawn-1 rows plateau near
-// 7 tasks' worth of parallelism while the deep rows keep scaling (hundreds
-// of stealable tasks); on a single-core host all configurations tie (the
-// results are still bit-identical, see tests/test_pmodgemm.cpp).
+// Expected shape: on a multicore host the spawn-1 rows plateau near 7
+// tasks' worth of parallelism while the auto ("deep") rows keep scaling
+// (49 stealable tasks up to 5 workers, 343 up to 41); on a single-core
+// host all configurations tie (the results are still bit-identical, see
+// tests/test_pmodgemm.cpp).
 //
 // Extra flags on top of the common harness:
 //   --scale               the CI scale point: n=2048, 8 threads only

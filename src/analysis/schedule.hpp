@@ -204,6 +204,13 @@ constexpr Step mul_fused_ab(Operand dst, Operand a0, Sign sa, Operand a1,
 
 // ---- schedules ------------------------------------------------------------
 
+// The identity arena-buffer mapping (temps[i] in buffer i), the default for
+// Schedule::temp_buffer.  A real array rather than nullptr because gcc with
+// -fsanitize=undefined will not constant-fold a global array's address
+// against nullptr, and the compile-time proofs read the mapping.
+inline constexpr std::int8_t kOwnTempBuffers[kTempSlotCount] = {
+    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+
 struct Schedule {
   const char* name;
   const Step* steps;
@@ -226,16 +233,16 @@ struct Schedule {
   // quadrants' initial values are inputs the verifier must prove survive
   // into the result (and nowhere else).
   bool accumulates_c = false;
-  // Optional arena-buffer sharing: temp_buffer[i] is the dense buffer id
-  // backing temps[i].  Temps mapped to one id share a single allocation
-  // sized for the larger shape; the verifier proves their live ranges are
-  // disjoint.  nullptr = identity mapping (each temp gets its own buffer).
-  const std::int8_t* temp_buffer = nullptr;
+  // Arena-buffer sharing: temp_buffer[i] is the dense buffer id backing
+  // temps[i].  Temps mapped to one id share a single allocation sized for
+  // the larger shape; the verifier proves their live ranges are disjoint.
+  // Never null; the default gives each temp its own buffer.
+  const std::int8_t* temp_buffer = kOwnTempBuffers;
 };
 
-// Buffer id backing temps[i]: the declared mapping, or i itself.
+// Buffer id backing temps[i].
 constexpr int temp_buffer_id(const Schedule& s, int i) {
-  return s.temp_buffer != nullptr ? s.temp_buffer[i] : i;
+  return s.temp_buffer[i];
 }
 
 // Number of distinct arena buffers the schedule's temporaries occupy.
@@ -515,7 +522,7 @@ constexpr Schedule make_schedule(const char* name, const Step (&steps)[N],
                                  const Operand (&temps)[M], int temp_peak,
                                  bool fused = false, bool overwrites = false,
                                  bool accumulates = false,
-                                 const std::int8_t* buffers = nullptr) {
+                                 const std::int8_t* buffers = kOwnTempBuffers) {
   return Schedule{name,      steps, N,          temps,       M,
                   temp_peak, fused, overwrites, accumulates, buffers};
 }

@@ -217,6 +217,14 @@ VerifyResult verify_schedule(const Schedule& sched) {
     out.errors.push_back("schedule has no steps");
     return out;
   }
+  if (sched.temp_count > kTempSlotCount || sched.temp_buffer == nullptr) {
+    std::ostringstream os;
+    os << "schedule declares " << sched.temp_count
+       << " temporaries (at most " << kTempSlotCount
+       << ", each mapped by a non-null temp_buffer)";
+    out.errors.push_back(os.str());
+    return out;
+  }
   {
     int gstep = -1;
     Operand gop = Operand::kNone;

@@ -563,7 +563,6 @@ constexpr bool live_at(const Schedule& sched, Operand op, int point) {
 // the first offending step (`*step`) and one involved temp (`*op`).
 constexpr Violation check_temp_buffers(const Schedule& sched, int* step,
                                        Operand* op) {
-  if (sched.temp_buffer == nullptr) return Violation::kNone;
   for (int i = 0; i < sched.temp_count; ++i) {
     if (sched.temp_buffer[i] < 0 || sched.temp_buffer[i] >= sched.temp_count) {
       *step = -1;
@@ -593,10 +592,11 @@ constexpr Violation check_temp_buffers(const Schedule& sched, int* step,
 // shipped tables are provable at compile time (see schedule_verify.cpp).
 constexpr CoreResult verify_core(const Schedule& sched) {
   CoreResult r{};
-  // No `steps == nullptr` test here: gcc with -fsanitize=undefined refuses to
-  // constant-fold global-array-address vs nullptr comparisons, which would
-  // break the static_asserts over the shipped tables.  The runtime layer
-  // (verify_schedule) guards null steps before calling in.
+  // No pointer-vs-nullptr test here (steps, temp_buffer): gcc with
+  // -fsanitize=undefined refuses to constant-fold global-array-address vs
+  // nullptr comparisons, which would break the static_asserts over the
+  // shipped tables.  The runtime layer (verify_schedule) guards them before
+  // calling in.
   if (sched.step_count <= 0) {
     r.violation = Violation::kEmptySchedule;
     return r;

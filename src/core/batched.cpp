@@ -27,7 +27,6 @@ struct PlanClass {
   int planned_depth = 0;
   obs::FallbackReason fallback = obs::FallbackReason::kNone;
   std::size_t workspace_bytes = 0;
-  std::int64_t padded_volume = 0;
 };
 
 struct ClassKey {
@@ -241,11 +240,6 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
         }
         cls.workspace_bytes = modgemm_workspace_bytes(cls.plan,
                                                       sizeof(double));
-        cls.padded_volume =
-            cls.plan.feasible && !cls.plan.direct
-                ? static_cast<std::int64_t>(cls.plan.m.padded) *
-                      cls.plan.k.padded * cls.plan.n.padded
-                : static_cast<std::int64_t>(cls.m) * cls.k * cls.n;
         detail::record_fallback(rep, cls.fallback);
         classes.push_back(cls);
       }
@@ -362,15 +356,17 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     done[i].store(true, std::memory_order_release);
   };
 
-  // A product big enough to keep the whole pool busy by itself runs as a
-  // deep-spawning pmodgemm call instead of one task (after the small-item
-  // fan-out).  Pack-fused pins stay single-task: pmodgemm is Morton-only,
-  // and honoring the pin outweighs intra-product parallelism.
+  // A product whose top level pmodgemm would fork (parallel::fork_levels,
+  // the one definition of "deep") runs as its own pmodgemm call instead of
+  // one task (after the small-item fan-out).  Pack-fused pins stay
+  // single-task: pmodgemm is Morton-only, and honoring the pin outweighs
+  // intra-product parallelism.
   const auto is_deep = [&](const PlanClass& cls) {
-    return pool != nullptr &&
-           cls.plan.strategy != layout::ExecStrategy::kPackFused &&
+    return cls.plan.strategy != layout::ExecStrategy::kPackFused &&
            cls.plan.feasible && !cls.plan.direct &&
-           cls.padded_volume >= opt.min_task_flops;
+           parallel::fork_levels(pool, cls.plan.m.tile, cls.plan.k.tile,
+                                 cls.plan.n.tile, cls.plan.depth,
+                                 opt.min_task_flops) >= 1;
   };
 
   try {
@@ -396,8 +392,8 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     }
   }
 
-  // Deep products: whole-pool deep spawning, one at a time (each saturates
-  // the pool by itself; running them concurrently would oversubscribe).
+  // Deep products: one at a time, each forking across the whole pool
+  // (running them concurrently would oversubscribe it).
   for (int i = 0; i < count; ++i) {
     const PlanClass& cls =
         classes[static_cast<std::size_t>(cls_of[static_cast<std::size_t>(i)])];

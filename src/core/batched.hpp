@@ -17,9 +17,11 @@
 //     so a batch of B identical products costs at most (threads + 1) cold
 //     allocations, not B;
 //   * schedule the whole batch on the work-stealing pool: one task per
-//     product, with DEEP spawning (parallel::pmodgemm) only for products
-//     whose padded volume alone exceeds min_task_flops -- small products
-//     parallelize across each other, big ones within themselves;
+//     product, except DEEP products -- those whose top level
+//     parallel::pmodgemm would fork on this pool (parallel::fork_levels >= 1:
+//     sub-products of at least min_task_flops padded volume) -- which run as
+//     their own pmodgemm call; small products parallelize across each other,
+//     big ones within themselves;
 //   * one aggregated GemmReport per batch (schema v5's "batch" section:
 //     product count, class count, plan-cache hits, arena acquisition /
 //     cold-allocation counts, tune-cache state).
@@ -74,9 +76,11 @@ struct BatchedOptions {
   // STRASSEN_ALGO and then per class by the planner heuristic
   // (layout::choose_algo) -- same precedence as ModgemmOptions::algo.
   analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
-  // A product whose padded volume (m_pad * k_pad * n_pad) is at least this
-  // runs as a deep-spawning parallel::pmodgemm call of its own instead of a
-  // single task (same default as ParallelOptions::min_task_flops).
+  // Granularity floor shared with ParallelOptions::min_task_flops (same
+  // default): a product runs as a parallel::pmodgemm call of its own instead
+  // of a single task exactly when pmodgemm would fork its top level, i.e.
+  // when its sub-products' padded volume (m_pad * k_pad * n_pad / 8) is at
+  // least this (parallel::fork_levels >= 1).
   std::int64_t min_task_flops = std::int64_t{1} << 21;
   // Consult/populate the process-wide plan cache (tune/plan_cache.hpp).
   // Off, every batch plans its classes from scratch (still once per class).

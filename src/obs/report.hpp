@@ -120,8 +120,9 @@ struct GemmReport {
   bool parallel = false;  // went through parallel::pmodgemm
   int threads = 0;        // pool width (0 = inline/serial)
   // Spawn depth the call actually used: the value of
-  // ParallelOptions::spawn_levels when set explicitly (>= 0), or the
-  // effective depth the auto policy (kSpawnAuto) resolved to.
+  // ParallelOptions::spawn_levels when set explicitly (>= 0, capped at the
+  // plan depth), or the depth the auto policy (kSpawnAuto) resolved to:
+  // parallel::fork_levels for this plan and pool.
   int spawn_levels = 0;
   std::uint64_t tasks_executed = 0;
   // Tasks that migrated from the worker that spawned them to another thread

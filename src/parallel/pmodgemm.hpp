@@ -5,14 +5,14 @@
 // only the U-chain combination afterwards has cross-product dependencies.
 // This module exploits exactly that structure:
 //
-//   * at every recursion level above a leaf cutoff (see spawn_levels below),
-//     the level runs the verified spawn table analysis::kWinogradSpawn: the
-//     8 operand sums are formed into dedicated temporaries (S1..S4,
-//     T1..T4), the table's one concurrent group of 7 products is submitted
-//     to the work-stealing pool (each recursing independently, with its own
+//   * each of the top fork levels (see spawn_levels and fork_levels below)
+//     runs the verified spawn table analysis::kWinogradSpawn: the 8 operand
+//     sums are formed into dedicated temporaries (S1..S4, T1..T4), the
+//     table's one concurrent group of 7 products is submitted to the
+//     work-stealing pool (each recursing independently, with its own
 //     scratch arena from the per-thread cache), and the U-chain runs as the
 //     spawning task's continuation after the join;
-//   * below the cutoff each task runs the serial Morton recursion of
+//   * below the fork levels each task runs the serial Morton recursion of
 //     core/winograd.hpp unchanged -- so the arithmetic performed (and hence
 //     the result, bit for bit) is IDENTICAL to the serial algorithm;
 //   * the layout conversions fan out over Morton tile ranges (each tile is
@@ -27,7 +27,8 @@
 // 4 B-quadrants + 3 C-quadrants, ~2.75x the quadrant set of the serial
 // schedule; P2..P5 land directly in C's quadrants) -- the classic
 // space-for-parallelism trade, bounded per worker by the depth of its active
-// path (Boyer et al.).  Scratch comes
+// path (Boyer et al.).  That is why the auto policy forks only as many levels
+// as the pool needs to stay busy, never every level it could.  Scratch comes
 // from a per-thread arena cache (parallel/arena_pool.hpp), so a worker's
 // temporaries are first-touched locally; STRASSEN_NUMA=1 additionally pins
 // workers to CPUs (thread_pool.hpp) to keep that locality stable on
@@ -45,25 +46,26 @@
 
 namespace strassen::parallel {
 
-// spawn_levels value selecting the auto policy: fork the 7 sub-products at
-// every level whose children are at least min_task_flops big.
+// spawn_levels value selecting the auto policy: fork the top fork_levels()
+// levels (below).
 inline constexpr int kSpawnAuto = -1;
 
 struct ParallelOptions {
   layout::TileOptions tiles{};
-  // Recursion levels that fork.  kSpawnAuto (default) forks at every level
-  // above the min_task_flops cutoff -- deep spawning, which keeps wide pools
-  // busy on the lower levels where most of the flops live.  Explicit values
-  // keep the historical meaning: 0 = fully serial compute, N > 0 = fork the
-  // top N levels and serialize each task's subtree.
+  // Recursion levels that fork, counted from the top.  kSpawnAuto (default)
+  // resolves once per call to fork_levels(): just deep enough that the pool
+  // has ~8 tasks per thread, since every forked level adds its 11 spawn
+  // temporaries per active task.  Explicit values: 0 = fully serial compute,
+  // N > 0 = fork the top N levels (capped at the plan depth) and serialize
+  // each task's subtree.
   int spawn_levels = kSpawnAuto;
-  // Auto-policy leaf cutoff: a sub-product whose padded volume
-  // (m_pad * k_pad * n_pad, ~ half its flop count) falls below this runs
-  // serially inside its parent task instead of being forked.  The default
-  // (2^21 ~ 2M, a ~128^3 product, a few hundred microseconds of leaf work)
-  // keeps task overhead well under 1%.  Ignored when spawn_levels >= 0.
+  // Auto-policy granularity floor: a level whose sub-products' padded volume
+  // (m_pad * k_pad * n_pad, ~ half their flop count) falls below this never
+  // forks, however wide the pool.  The default (2^21 ~ 2M, a ~128^3
+  // product, a few hundred microseconds of leaf work) keeps task overhead
+  // well under 1%.  Ignored when spawn_levels >= 0.
   std::int64_t min_task_flops = std::int64_t{1} << 21;
-  // Schedule family for the serial subtrees below the spawn cutoff
+  // Schedule family for the serial subtrees below the fork levels
   // (analysis/schedule.hpp): kAuto defers to STRASSEN_SCHEDULE, then the
   // default 3-temporary family.  Spawn levels always keep their 11 dedicated
   // temporaries (the space-for-parallelism trade is the point of forking);
@@ -85,12 +87,22 @@ struct ParallelOptions {
   obs::GemmReport* report = nullptr;
 };
 
+// The auto fork depth for a tm x tk x tn tile plan of `depth` levels on
+// `pool`: the fewest top levels L with 7^L >= 8 * (pool workers + 1) tasks,
+// stopping early -- at the plan depth, or above the first level whose
+// sub-products fall below min_task_flops of padded volume.  A null or
+// worker-less pool forks nothing.  This is the single meaning of "deep"
+// shared by pmodgemm (kSpawnAuto) and the batched driver, which hands a
+// product to pmodgemm exactly when this is >= 1.
+int fork_levels(const ThreadPool* pool, int tm, int tk, int tn, int depth,
+                std::int64_t min_task_flops);
+
 // Bytes of spawn-level temporaries + per-task arenas pmodgemm needs beyond
 // the Morton buffers themselves (informational; allocation is internal) --
 // the sum of every arena the call acquires, so the Morton buffers plus this
 // equal GemmReport::workspace_requested_bytes.  Takes an explicit
-// spawn_levels >= 0; for the auto policy, pass the effective depth reported
-// in GemmReport::spawn_levels.  `family` sizes the below-cutoff serial
+// spawn_levels >= 0; for the auto policy, pass fork_levels() (also reported
+// in GemmReport::spawn_levels).  `family` sizes the serial
 // arenas (spawn levels are family-independent: kWinogradSpawn's 11
 // temporaries).
 std::size_t pmodgemm_workspace_bytes(

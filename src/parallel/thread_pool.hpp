@@ -3,9 +3,9 @@
 // The paper's future work asks for further performance on top of the
 // memory-friendly algorithm; the natural next step on a multicore host is to
 // run the seven independent Strassen-Winograd products concurrently (they
-// only synchronize at the U-chain combination).  With deep spawning
-// (parallel/pmodgemm.hpp) the recursion forks the 7 sub-products at EVERY
-// level above a flops cutoff, so the pool schedules hundreds-to-thousands of
+// only synchronize at the U-chain combination).  pmodgemm
+// (parallel/pmodgemm.hpp) forks the 7 sub-products at enough top levels to
+// give every thread ~8 tasks, so the pool schedules dozens to hundreds of
 // coarse tasks per multiply and keeping them balanced matters.
 //
 // Scheduling: each worker owns a WorkDeque (work_deque.hpp).  A worker that

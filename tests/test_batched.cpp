@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -287,9 +288,9 @@ TEST(Batched, PinnedStrategyAndScheduleStayExact) {
 }
 
 TEST(Batched, BigProductsDeepSpawnAndStayExact) {
-  // One product large enough to exceed min_task_flops runs as a
-  // deep-spawning pmodgemm call; the small ones fan out as tasks.  Both
-  // routes must match the serial reference exactly.
+  // One product whose sub-products reach min_task_flops runs as a forking
+  // pmodgemm call; the small ones fan out as tasks.  Both routes must match
+  // the serial reference exactly.
   std::vector<Product> products;
   products.emplace_back(Op::NoTrans, Op::NoTrans, 320, 320, 320, 1.0, 0.0,
                         600);
@@ -300,13 +301,48 @@ TEST(Batched, BigProductsDeepSpawnAndStayExact) {
   const std::vector<BatchItem> items = items_of(products);
   parallel::ThreadPool pool(4);
   BatchedOptions opt;
-  opt.min_task_flops = std::int64_t{1} << 23;  // only the 320 product is deep
+  // Only the 320 product is deep: its children (160^3 padded) reach 2^21,
+  // the 96 products' (48^3) do not.  Morton pinned: pack-fused products
+  // never take the pmodgemm route.
+  opt.min_task_flops = std::int64_t{1} << 21;
+  opt.strategy = layout::ExecStrategy::kMorton;
   obs::GemmReport report;
   modgemm_batched(&pool, items.data(), static_cast<int>(items.size()), opt,
                   &report);
   for (std::size_t i = 0; i < products.size(); ++i)
     EXPECT_EQ(products[i].diff(), 0.0) << "product " << i;
-  EXPECT_GT(report.tasks_executed, 0u);
+  // One task per small product, plus at least the 7 forked sub-products of
+  // the deep one (run as a single task it would add just 1).
+  EXPECT_GE(report.tasks_executed, 5u + 7u);
+}
+
+TEST(Batched, WinogradLayerRunsOneTaskPerProduct) {
+  // The Go-engine Winograd-domain batch: 36 x 256x200x256 with op(A) = T.
+  // Its sub-products (128x100x128 at most) fall below min_task_flops, so
+  // pmodgemm would not fork them: each product is one pool task, with no
+  // nested conversion fan-out, and stays bit-identical to serial modgemm.
+  const int m = 256, n = 256, k = 200, batch = 36;
+  Rng rng(37);
+  Matrix<double> A(k, m * batch), B(k, n * batch), C(m, n * batch),
+      Ref(m, n * batch);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  const std::int64_t sa = static_cast<std::int64_t>(A.ld()) * m;
+  const std::int64_t sb = static_cast<std::int64_t>(B.ld()) * n;
+  const std::int64_t sc = static_cast<std::int64_t>(C.ld()) * n;
+  for (int i = 0; i < batch; ++i)
+    modgemm(Op::Trans, Op::NoTrans, m, n, k, 1.0, A.data() + i * sa, A.ld(),
+            B.data() + i * sb, B.ld(), 0.0, Ref.data() + i * sc, Ref.ld());
+
+  parallel::ThreadPool pool(3);
+  obs::GemmReport report;
+  modgemm_strided_batched(&pool, Op::Trans, Op::NoTrans, m, n, k, 1.0,
+                          A.data(), A.ld(), sa, B.data(), B.ld(), sb, 0.0,
+                          C.data(), C.ld(), sc, batch, {}, &report);
+  EXPECT_EQ(report.tasks_executed, static_cast<std::uint64_t>(batch));
+  EXPECT_EQ(std::memcmp(C.data(), Ref.data(),
+                        C.storage().size() * sizeof(double)),
+            0);
 }
 
 TEST(Batched, WorkspaceBudgetDegradesPerClassAndStaysExact) {

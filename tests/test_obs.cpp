@@ -397,9 +397,10 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
                 sopt);
 
   parallel::ThreadPool pool(4);
-  parallel::ParallelOptions popt;  // spawn_levels = kSpawnAuto
+  parallel::ParallelOptions popt;
   popt.algo = analysis::AlgoFamily::k222;
-  popt.min_task_flops = 1;         // fork at EVERY level
+  // Fork at EVERY level: the pin is the plan depth.
+  popt.spawn_levels = layout::plan_gemm(n, n, n, popt.tiles).depth;
   ModgemmReport report;
   popt.report = &report;
   parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
@@ -407,9 +408,8 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
                      p.C.data(), p.C.ld(), popt);
   EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
 
-  // Auto mode reports the depth it resolved to -- with a 1-flop cutoff that
-  // is the full plan depth -- and the task count covers the whole spawn
-  // tree: sum_{l=1..d} 7^l product tasks.
+  // The report carries the full plan depth, and the task count covers the
+  // whole spawn tree: sum_{l=1..d} 7^l product tasks.
   EXPECT_STREQ(report.strategy, "morton");
   const int d = report.plan.depth;
   ASSERT_GE(d, 2);
@@ -421,6 +421,20 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
   std::uint64_t per_thread_total = 0;
   for (std::uint64_t t : report.per_thread_tasks) per_thread_total += t;
   EXPECT_EQ(per_thread_total, report.tasks_executed);
+
+  // Auto mode reports the depth the fork rule resolved to for this pool.
+  ModgemmReport auto_report;
+  popt.spawn_levels = parallel::kSpawnAuto;
+  popt.report = &auto_report;
+  parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
+                     p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
+                     p.C.data(), p.C.ld(), popt);
+  EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
+  const layout::GemmPlan& plan = auto_report.plan;
+  EXPECT_EQ(auto_report.spawn_levels,
+            parallel::fork_levels(&pool, plan.m.tile, plan.k.tile,
+                                  plan.n.tile, plan.depth,
+                                  popt.min_task_flops));
 }
 
 TEST(ObsParallel, AllocFailureDegradesIntoOneCoherentReport) {
@@ -482,6 +496,7 @@ TEST(ObsParallel, InlinePoolStillCountsTasks) {
   const int n = 256;
   Problem p(n);
   parallel::ParallelOptions popt;
+  popt.spawn_levels = 1;  // the auto rule forks nothing without a pool
   ModgemmReport report;
   popt.report = &report;
   parallel::pmodgemm(nullptr, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <tuple>
 
@@ -50,8 +51,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(kSpawnAuto, 0, 1, 2)));
 
 TEST(PmodgemmDeepSpawn, ForkingEveryLevelStaysBitIdentical) {
-  // min_task_flops = 1 forces the auto policy to fork the 7 sub-products at
-  // EVERY recursion level -- the deepest possible task tree, maximum
+  // spawn_levels = the plan depth forks the 7 sub-products at EVERY
+  // recursion level -- the deepest possible task tree, maximum
   // steal/continuation traffic -- and the result must still be bit-identical.
   const int n = 320;
   Rng rng(7);
@@ -62,7 +63,8 @@ TEST(PmodgemmDeepSpawn, ForkingEveryLevelStaysBitIdentical) {
                 n, 0.0, Cs.data(), n);
   ThreadPool pool(4);
   ParallelOptions opt;
-  opt.min_task_flops = 1;
+  opt.spawn_levels = layout::plan_gemm(n, n, n, opt.tiles).depth;
+  ASSERT_GE(opt.spawn_levels, 2);
   pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
            B.data(), n, 0.0, Cp.data(), n, opt);
   EXPECT_EQ(max_abs_diff<double>(Cs.view(), Cp.view()), 0.0);
@@ -212,7 +214,9 @@ TEST(PmodgemmDegradation, SquarePathSurvivesSubmissionFailures) {
                 n, 0.0, Cs.data(), n);
   ThreadPool pool(4);
   ParallelOptions opt;
-  opt.min_task_flops = 1;  // deepest spawn tree: maximum submissions to fail
+  // Deepest spawn tree (every level forks): maximum submissions to fail.
+  opt.spawn_levels = layout::plan_gemm(n, n, n, opt.tiles).depth;
+  ASSERT_GE(opt.spawn_levels, 2);
   ScopedFlakySubmits flaky;
   pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
            B.data(), n, 0.0, Cp.data(), n, opt);
@@ -405,6 +409,64 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(kSpawnAuto, 0, 1, 2),
                        ::testing::Values(analysis::ScheduleFamily::kWinograd,
                                          analysis::ScheduleFamily::kLowMem)));
+
+// The auto fork depth follows pool width: the fewest levels L with
+// 7^L >= 8 * (workers + 1), never past a level whose children fall below
+// min_task_flops.  On the n = 1025 plan (tile 33, depth 5) the children of
+// the top three levels reach 2^21 of padded volume and the fourth's do not.
+TEST(PmodgemmForkDepth, FollowsPoolWidth) {
+  const int n = 1025;
+  Rng rng(29);
+  Matrix<double> A(n, n), B(n, n), C(n, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  struct Width {
+    int workers;  // 0 = null pool
+    int levels;
+  };
+  for (const Width w : {Width{0, 0}, Width{1, 2}, Width{3, 2}, Width{8, 3}}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << w.workers);
+    std::unique_ptr<ThreadPool> pool;
+    if (w.workers > 0) pool = std::make_unique<ThreadPool>(w.workers);
+    ParallelOptions opt;
+    opt.algo = analysis::AlgoFamily::k222;
+    opt.schedule = analysis::ScheduleFamily::kWinograd;
+    obs::GemmReport report;
+    opt.report = &report;
+    pmodgemm(pool.get(), Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+             B.data(), n, 0.0, C.data(), n, opt);
+    const layout::GemmPlan& plan = report.plan;
+    ASSERT_EQ(report.fallback_reason, obs::FallbackReason::kNone);
+    ASSERT_EQ(plan.m.tile, 33);
+    ASSERT_EQ(plan.depth, 5);
+    EXPECT_EQ(fork_levels(pool.get(), 33, 33, 33, 5, opt.min_task_flops),
+              w.levels);
+    EXPECT_EQ(report.spawn_levels, w.levels);
+    std::size_t morton = 0;
+    for (const layout::MortonLayout& l :
+         {layout::MortonLayout{n, n, plan.m.tile, plan.k.tile, plan.depth},
+          layout::MortonLayout{n, n, plan.k.tile, plan.n.tile, plan.depth},
+          layout::MortonLayout{n, n, plan.m.tile, plan.n.tile, plan.depth}})
+      morton += layout::buffer_bytes(l, sizeof(double));
+    EXPECT_EQ(morton + pmodgemm_workspace_bytes(33, 33, 33, 5, w.levels, 8),
+              report.workspace_requested_bytes);
+  }
+}
+
+TEST(PmodgemmForkDepth, StopsAtTaskFloorAndPlanDepth) {
+  ThreadPool pool(8);  // width alone asks for 3 levels (7^3 >= 72)
+  const std::int64_t floor = std::int64_t{1} << 21;
+  EXPECT_EQ(fork_levels(&pool, 33, 33, 33, 5, floor), 3);
+  // A coarser floor stops above the first level whose children miss it:
+  // 33^3 * 8^2 ~ 2.3M < 2^24 <= 33^3 * 8^3.
+  EXPECT_EQ(fork_levels(&pool, 33, 33, 33, 5, std::int64_t{1} << 24), 2);
+  // No floor: the plan depth caps the count.
+  EXPECT_EQ(fork_levels(&pool, 33, 33, 33, 2, 1), 2);
+  // The Winograd-layer plan (256x200x256: tiles 32x25x32, depth 3): even
+  // the top level's children (1.6M) miss the floor, so nothing forks.
+  EXPECT_EQ(fork_levels(&pool, 32, 25, 32, 3, floor), 0);
+  EXPECT_EQ(fork_levels(nullptr, 33, 33, 33, 5, 1), 0);
+}
 
 TEST(PmodgemmRepeatability, SameResultAcrossRuns) {
   // Scheduling nondeterminism must not leak into results.
