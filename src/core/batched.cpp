@@ -18,15 +18,13 @@ namespace strassen::core {
 namespace {
 
 // One plan-equivalence class of the batch: every member item shares shape,
-// ops, and (by construction of the batch-level options) budget, knobs,
-// schedule and strategy resolution -- hence exactly one plan.
+// ops, and (by construction of the batch-level options) budget, knobs and
+// resolved config -- hence exactly one plan.
 struct PlanClass {
-  int m = 0, n = 0, k = 0;
-  Op opa = Op::NoTrans, opb = Op::NoTrans;
   layout::GemmPlan plan{};
   int planned_depth = 0;
   obs::FallbackReason fallback = obs::FallbackReason::kNone;
-  std::size_t workspace_bytes = 0;
+  bool deep = false;  // runs as a parallel product of its own
 };
 
 struct ClassKey {
@@ -52,9 +50,7 @@ struct ClassKeyHash {
 };
 
 tune::PlanKey make_plan_key(const ClassKey& c, const BatchedOptions& opt,
-                            analysis::ScheduleFamily schedule,
-                            layout::ExecStrategy strategy,
-                            analysis::AlgoFamily algo,
+                            const ExecConfig& cfg,
                             const layout::TileOptions& tiles) {
   tune::PlanKey key;
   key.m = c.m;
@@ -62,9 +58,9 @@ tune::PlanKey make_plan_key(const ClassKey& c, const BatchedOptions& opt,
   key.n = c.n;
   key.opa = c.opa;
   key.opb = c.opb;
-  key.schedule = static_cast<std::uint8_t>(schedule);
-  key.strategy = static_cast<std::uint8_t>(strategy);
-  key.algo = static_cast<std::uint8_t>(algo);
+  key.schedule = static_cast<std::uint8_t>(cfg.schedule);
+  key.strategy = static_cast<std::uint8_t>(cfg.strategy);
+  key.algo = static_cast<std::uint8_t>(cfg.algo);
   key.elem_size = sizeof(double);
   key.max_workspace_bytes = opt.max_workspace_bytes;
   key.min_tile = tiles.min_tile;
@@ -135,33 +131,16 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     rep->tune_cache = tune_state;
     rep->parallel = pool != nullptr && count > 0;
     rep->threads = pool != nullptr ? pool->thread_count() : 0;
-    if (count > 0) {
-      rep->m = items[0].m;
-      rep->n = items[0].n;
-      rep->k = items[0].k;
-    }
-    rep->kernel = blas::kernels::kind_name(blas::kernels::active_kernel());
-    rep->kernel_variant =
-        blas::kernels::variant_name(blas::kernels::avx2_variant());
   }
+  const BatchItem first = count > 0 ? items[0] : BatchItem{};
+  detail::stamp_call<RawMem, double>(rep, first.m, first.n, first.k);
   if (count == 0) return;
 
-  // Resolve the schedule family and execution strategy ONCE for the batch
-  // (pin, then environment, then auto) -- the per-product env reads are one
-  // of the loop costs this entry point exists to remove.  Malformed env
-  // values throw here, before any write to C.
-  ModgemmOptions resolve_probe;
-  resolve_probe.schedule = opt.schedule;
-  resolve_probe.strategy = opt.strategy;
-  resolve_probe.algo = opt.algo;
-  const analysis::ScheduleFamily resolved_schedule =
-      detail::resolve_schedule_family(resolve_probe);
-  const layout::ExecStrategy resolved_strategy =
-      detail::resolve_exec_strategy(resolve_probe);
-  // Pin, then STRASSEN_ALGO; kAuto survives to per-class resolution below
-  // (the choose_algo heuristic is shape-dependent, unlike schedule/strategy).
-  const analysis::AlgoFamily resolved_algo =
-      detail::resolve_algo_family(resolve_probe);
+  // Resolved ONCE for the batch -- the per-product env reads are one of the
+  // loop costs this entry point exists to remove.  Malformed env values
+  // throw here, before any write to C.
+  const ExecConfig cfg =
+      resolve_config({opt.schedule, opt.strategy, opt.algo});
 
   // ---- plan once per equivalence class -------------------------------------
   std::vector<PlanClass> classes;
@@ -178,31 +157,16 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
           index.emplace(ck, static_cast<int>(classes.size()));
       if (fresh) {
         PlanClass cls;
-        cls.m = it.m;
-        cls.n = it.n;
-        cls.k = it.k;
-        cls.opa = it.opa;
-        cls.opb = it.opb;
-        // Per-class algorithm family: the batch-level pin/env when decided,
-        // otherwise the planner heuristic on this class's shape.  Part of
-        // the plan key -- a <3,3,3> plan must never serve a <2,2,2> lookup.
-        const analysis::AlgoFamily cls_algo =
-            resolved_algo != analysis::AlgoFamily::kAuto
-                ? resolved_algo
-                : (ck.m >= 1 && ck.k >= 1 && ck.n >= 1
-                       ? layout::choose_algo(ck.m, ck.k, ck.n, tiles)
-                       : analysis::AlgoFamily::k222);
-        const tune::PlanKey pkey =
-            make_plan_key(ck, opt, resolved_schedule, resolved_strategy,
-                          cls_algo, tiles);
+        // The key carries the resolved config, kAuto algo included: the
+        // per-class family choice is a function of the keyed shape and
+        // tiles, so a <3,3,3> plan never serves a <2,2,2> lookup.
+        const tune::PlanKey pkey = make_plan_key(ck, opt, cfg, tiles);
         const tune::CachedPlan* cached =
             opt.use_plan_cache ? tune::global_plan_cache().lookup(pkey)
                                : nullptr;
         if (ck.m < 1 || ck.k < 1 || ck.n < 1) {
-          // Degenerate product (empty C or rank-0 update): nothing to plan
-          // (plan_gemm requires dims >= 1); an infeasible plan routes every
-          // item of the class to the serial driver's early-outs.  Not
-          // cached -- there is no plan to share.
+          // Degenerate product (empty C or rank-0 update): every item of the
+          // class is a trivial product, so there is nothing to plan or cache.
           cls.plan.feasible = false;
         } else if (cached != nullptr) {
           cls.plan = cached->plan;
@@ -210,36 +174,37 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
           cls.fallback = cached->fallback;
           ++cache_hits;
         } else {
-          const layout::GemmPlan planned =
-              layout::plan_gemm(cls.m, cls.k, cls.n, tiles);
-          cls.planned_depth = planned.depth;
-          if (planned.direct || planned.feasible) {
-            ModgemmOptions budget;
-            budget.tiles = tiles;
-            budget.max_workspace_bytes = opt.max_workspace_bytes;
-            // Scratch report: captures the budget rung so plan-cache hits
-            // replay the same fallback this planning pass records.
-            obs::GemmReport plan_rep;
-            cls.plan = detail::apply_workspace_budget(
-                planned, cls.m, cls.k, cls.n, budget, sizeof(double),
-                &plan_rep, resolved_schedule);
-            cls.plan.strategy = detail::plan_exec_strategy(
-                resolved_strategy, cls.plan, cls.m, cls.k, cls.n, tiles);
-            cls.fallback = plan_rep.fallback_reason;
-          } else {
-            cls.plan = planned;  // infeasible: the item runs the split path
-          }
-          // Stamped after budget/strategy resolution so it survives both
-          // branches; cache hits replay it from the stored plan.
-          cls.plan.algo = cls_algo;
+          // Scratch report: captures the planned depth and any budget rung so
+          // plan-cache hits replay what this planning pass records.
+          obs::GemmReport plan_rep;
+          cls.plan = detail::plan_product<double>(
+              ck.m, ck.k, ck.n, cfg, tiles, opt.max_workspace_bytes,
+              &plan_rep);
+          cls.planned_depth = plan_rep.planned_depth;
+          cls.fallback = plan_rep.fallback_reason;
           ++cache_misses;
           if (opt.use_plan_cache)
             tune::global_plan_cache().insert(
                 pkey, tune::CachedPlan{cls.plan, cls.planned_depth,
                                        cls.fallback});
         }
-        cls.workspace_bytes = modgemm_workspace_bytes(cls.plan,
-                                                      sizeof(double));
+        // A product whose <2,2,2> plan's top level pmodgemm would fork
+        // (parallel::fork_levels, the one definition of "deep") runs as a
+        // parallel product of its own instead of one task.  Pack-fused plans
+        // stay single-task: the parallel product is Morton-only, and
+        // honoring the strategy outweighs intra-product parallelism.
+        const layout::GemmPlan plain =
+            cls.plan.algo == analysis::AlgoFamily::k222
+                ? cls.plan
+                : detail::plan_product<double>(
+                      ck.m, ck.k, ck.n,
+                      {cfg.schedule, cfg.strategy, analysis::AlgoFamily::k222},
+                      tiles, opt.max_workspace_bytes, nullptr);
+        cls.deep = plain.strategy != layout::ExecStrategy::kPackFused &&
+                   plain.feasible && !plain.direct &&
+                   parallel::fork_levels(pool, plain.m.tile, plain.k.tile,
+                                         plain.n.tile, plain.depth,
+                                         opt.min_task_flops) >= 1;
         detail::record_fallback(rep, cls.fallback);
         classes.push_back(cls);
       }
@@ -254,16 +219,6 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     }
   }
 
-  // Serial options for the items that fall back to the full driver (split
-  // shapes and degenerate alpha/k cases).  Pins pass through unchanged so
-  // the ladder semantics (a pinned family never schedule-swaps) hold exactly
-  // as they would in a loop of serial calls.
-  ModgemmOptions serial;
-  serial.tiles = tiles;
-  serial.max_workspace_bytes = opt.max_workspace_bytes;
-  serial.schedule = opt.schedule;
-  serial.strategy = opt.strategy;
-
   // ---- execute: one task per product ---------------------------------------
   // Pre-allocated before the first submission (GemmReport is not
   // thread-safe; the done flags serve the submission-failure path).
@@ -273,72 +228,29 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
       new std::atomic<bool>[static_cast<std::size_t>(count)]());
 
   RawMem mm;
+  // Every product runs the serial pipeline on its class's plan: the ladder
+  // for a <2,2,2> plan, a family level or the split decomposition otherwise.
+  // Its Morton and pack-fused rungs draw their arenas from this thread's
+  // cache, so every product of a class after the first reuses warm memory;
+  // the acquisition notes itself on the batch collector (bytes + count) and
+  // the cache hit/cold telemetry is tallied from the per-thread stats delta.
   const auto run_item = [&](const BatchItem& it, const PlanClass& cls,
                             obs::GemmReport* local) {
-    if (it.m == 0 || it.n == 0 || it.alpha == 0.0 || it.k == 0 ||
-        !cls.plan.feasible ||
-        cls.plan.algo != analysis::AlgoFamily::k222) {
-      // Degenerate scaling cases, split shapes and non-<2,2,2> classes run
-      // the full serial driver: its CallScope nests under this call's
-      // collector, so kernel counters flow to the batch while phases land in
-      // `local`.  The class's resolved family rides along as a pin, so a
-      // family class stages its one table level (and recurses <2,2,2>
-      // below) without re-reading STRASSEN_ALGO per item.
-      ModgemmOptions item_opt = serial;
-      item_opt.algo = cls.plan.algo;
-      core::modgemm(it.opa, it.opb, it.m, it.n, it.k, it.alpha, it.A, it.lda,
-                    it.B, it.ldb, it.beta, it.C, it.ldc, item_opt, local);
+    if (detail::trivial_product(mm, it.m, it.n, it.k, it.alpha, it.beta, it.C,
+                                it.ldc))
       return;
-    }
-    if (local) {
-      local->plan = cls.plan;
-      local->algo = analysis::algo_name(cls.plan.algo);
-    }
-    if (cls.plan.direct) {
-      detail::modgemm_direct(mm, it.opa, it.opb, it.m, it.n, it.k, it.alpha,
-                             it.A, it.lda, it.B, it.ldb, it.beta, it.C,
-                             it.ldc, local);
-      return;
-    }
-    if (cls.plan.strategy == layout::ExecStrategy::kPackFused) {
-      try {
-        modgemm_packfused(it.opa, it.opb, it.m, it.n, it.k, it.alpha, it.A,
-                          it.lda, it.B, it.ldb, it.beta, it.C, it.ldc,
-                          cls.plan, local);
-        return;
-      } catch (const std::bad_alloc&) {
-        detail::record_fallback(local, FallbackReason::kAllocDirect);
-      }
-      detail::modgemm_direct(mm, it.opa, it.opb, it.m, it.n, it.k, it.alpha,
-                             it.A, it.lda, it.B, it.ldb, it.beta, it.C,
-                             it.ldc, local);
-      return;
-    }
-    try {
-      // The amortization point: the arena comes from this thread's cache, so
-      // every product of the class after the first reuses warm memory.  The
-      // acquisition notes itself on the batch collector (bytes + count);
-      // cache hit/cold telemetry is tallied by the caller via the per-thread
-      // stats delta.
-      parallel::ScratchArena scratch(cls.workspace_bytes);
-      detail::modgemm_strassen_arena(mm, it.opa, it.opb, it.m, it.n, it.k,
-                                     it.alpha, it.A, it.lda, it.B, it.ldb,
-                                     it.beta, it.C, it.ldc, cls.plan,
-                                     scratch.arena(), local);
-    } catch (const std::bad_alloc&) {
-      // Acquisition refused/failed: C untouched, degrade like the serial
-      // ladder.
-      detail::record_fallback(local, FallbackReason::kAllocDirect);
-      detail::modgemm_direct(mm, it.opa, it.opb, it.m, it.n, it.k, it.alpha,
-                             it.A, it.lda, it.B, it.ldb, it.beta, it.C,
-                             it.ldc, local);
-    }
+    detail::run_product(mm, it.opa, it.opb, it.m, it.n, it.k, it.alpha, it.A,
+                        it.lda, it.B, it.ldb, it.beta, it.C, it.ldc, cls.plan,
+                        cfg, tiles, opt.max_workspace_bytes, local);
   };
 
+  const auto class_of = [&](int i) -> const PlanClass& {
+    return classes[static_cast<std::size_t>(
+        cls_of[static_cast<std::size_t>(i)])];
+  };
   const auto run_indexed = [&](int i) {
     const BatchItem& it = items[i];
-    const PlanClass& cls = classes[static_cast<std::size_t>(
-        cls_of[static_cast<std::size_t>(i)])];
+    const PlanClass& cls = class_of(i);
     obs::GemmReport* local =
         locals.empty() ? nullptr : &locals[static_cast<std::size_t>(i)];
     if (local) {
@@ -356,25 +268,10 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     done[i].store(true, std::memory_order_release);
   };
 
-  // A product whose top level pmodgemm would fork (parallel::fork_levels,
-  // the one definition of "deep") runs as its own pmodgemm call instead of
-  // one task (after the small-item fan-out).  Pack-fused pins stay
-  // single-task: pmodgemm is Morton-only, and honoring the pin outweighs
-  // intra-product parallelism.
-  const auto is_deep = [&](const PlanClass& cls) {
-    return cls.plan.strategy != layout::ExecStrategy::kPackFused &&
-           cls.plan.feasible && !cls.plan.direct &&
-           parallel::fork_levels(pool, cls.plan.m.tile, cls.plan.k.tile,
-                                 cls.plan.n.tile, cls.plan.depth,
-                                 opt.min_task_flops) >= 1;
-  };
-
   try {
     parallel::TaskGroup group(pool);
     for (int i = 0; i < count; ++i) {
-      if (is_deep(classes[static_cast<std::size_t>(
-              cls_of[static_cast<std::size_t>(i)])]))
-        continue;
+      if (class_of(i).deep) continue;
       group.run([&run_indexed, i] { run_indexed(i); });
     }
     group.wait();
@@ -385,30 +282,25 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     detail::record_fallback(rep, FallbackReason::kAllocDirect);
     parallel::purge_thread_arena_cache();
     for (int i = 0; i < count; ++i) {
-      if (is_deep(classes[static_cast<std::size_t>(
-              cls_of[static_cast<std::size_t>(i)])]))
-        continue;
+      if (class_of(i).deep) continue;
       if (!done[i].load(std::memory_order_acquire)) run_indexed(i);
     }
   }
 
   // Deep products: one at a time, each forking across the whole pool
   // (running them concurrently would oversubscribe it).
+  parallel::ParallelOptions popt;
+  popt.tiles = tiles;
+  popt.min_task_flops = opt.min_task_flops;
   for (int i = 0; i < count; ++i) {
-    const PlanClass& cls =
-        classes[static_cast<std::size_t>(cls_of[static_cast<std::size_t>(i)])];
-    if (!is_deep(cls)) continue;
+    if (!class_of(i).deep) continue;
     const BatchItem& it = items[i];
-    parallel::ParallelOptions popt;
-    popt.tiles = tiles;
-    popt.min_task_flops = opt.min_task_flops;
-    popt.schedule = opt.schedule;
-    popt.algo = cls.plan.algo;  // class-resolved pin, like the serial path
-    popt.report = locals.empty() ? nullptr
-                                 : &locals[static_cast<std::size_t>(i)];
-    parallel::pmodgemm(pool, it.opa, it.opb, it.m, it.n, it.k, it.alpha,
-                       it.A, it.lda, it.B, it.ldb, it.beta, it.C, it.ldc,
-                       popt);
+    if (!detail::trivial_product(mm, it.m, it.n, it.k, it.alpha, it.beta,
+                                 it.C, it.ldc))
+      parallel::detail::run_product(
+          pool, it.opa, it.opb, it.m, it.n, it.k, it.alpha, it.A, it.lda,
+          it.B, it.ldb, it.beta, it.C, it.ldc, class_of(i).plan, cfg, popt,
+          locals.empty() ? nullptr : &locals[static_cast<std::size_t>(i)]);
     done[i].store(true, std::memory_order_release);
   }
 

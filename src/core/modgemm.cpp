@@ -25,16 +25,6 @@ analysis::ScheduleFamily parse_schedule_family(const char* value) {
   return ScheduleFamily::kAuto;  // unreachable
 }
 
-analysis::ScheduleFamily env_schedule_family() {
-  // Re-read on every call (getenv is cheap against the O(n^3) work that
-  // follows, and tests flip the variable mid-process).  A malformed value
-  // throws, so every modgemm under a bad environment fails loudly rather
-  // than silently running some default.
-  const char* env = std::getenv("STRASSEN_SCHEDULE");
-  if (env == nullptr || *env == '\0') return analysis::ScheduleFamily::kAuto;
-  return parse_schedule_family(env);
-}
-
 layout::ExecStrategy parse_exec_strategy(const char* value) {
   using layout::ExecStrategy;
   STRASSEN_REQUIRE(value != nullptr, "STRASSEN_STRATEGY: null value");
@@ -45,14 +35,6 @@ layout::ExecStrategy parse_exec_strategy(const char* value) {
                               << value
                               << "\" (expected auto, morton or packfused)");
   return ExecStrategy::kAuto;  // unreachable
-}
-
-layout::ExecStrategy env_exec_strategy() {
-  // Same discipline as STRASSEN_SCHEDULE: re-read per call, loud rejection
-  // of malformed values before any write to C.
-  const char* env = std::getenv("STRASSEN_STRATEGY");
-  if (env == nullptr || *env == '\0') return layout::ExecStrategy::kAuto;
-  return parse_exec_strategy(env);
 }
 
 analysis::AlgoFamily parse_algo_family(const char* value) {
@@ -69,15 +51,27 @@ analysis::AlgoFamily parse_algo_family(const char* value) {
   return AlgoFamily::kAuto;  // unreachable
 }
 
-analysis::AlgoFamily env_algo_family() {
-  // Same discipline as STRASSEN_SCHEDULE: re-read per call, loud rejection
-  // of malformed values before any write to C.
-  const char* env = std::getenv("STRASSEN_ALGO");
-  if (env == nullptr || *env == '\0') return analysis::AlgoFamily::kAuto;
-  return parse_algo_family(env);
-}
-
 }  // namespace detail
+
+ExecConfig resolve_config(ExecConfig pins) {
+  // Read once per top-level call: getenv is cheap against the O(n^3) work
+  // that follows, and tests flip the variables mid-process.  Unset or empty
+  // leaves the field kAuto.
+  const auto env = [](const char* name) -> const char* {
+    const char* v = std::getenv(name);
+    return v != nullptr && *v != '\0' ? v : nullptr;
+  };
+  if (pins.schedule == analysis::ScheduleFamily::kAuto)
+    if (const char* v = env("STRASSEN_SCHEDULE"))
+      pins.schedule = detail::parse_schedule_family(v);
+  if (pins.strategy == layout::ExecStrategy::kAuto)
+    if (const char* v = env("STRASSEN_STRATEGY"))
+      pins.strategy = detail::parse_exec_strategy(v);
+  if (pins.algo == analysis::AlgoFamily::kAuto)
+    if (const char* v = env("STRASSEN_ALGO"))
+      pins.algo = detail::parse_algo_family(v);
+  return pins;
+}
 
 // The production wrappers open an obs::CallScope: it resolves the report
 // target (explicit pointer, ModgemmOptions::report, or a scope-local report

@@ -21,6 +21,21 @@
 // decomposed by layout/split and reconstructed as sums of sub-products
 // (paper Fig. 4); thin problems (min dimension <= direct_threshold) skip
 // Strassen and run the conventional blocked algorithm.
+//
+// The three entry points (modgemm_mm, parallel::pmodgemm, modgemm_batched)
+// dispatch through one pipeline:
+//   resolve -- resolve_config turns the call's pins and the STRASSEN_*
+//              environment into one ExecConfig, once per top-level call.
+//              Every nested product (family sub-products, split chunks,
+//              pmodgemm's serial fallbacks, batched items) gets that config.
+//   plan    -- detail::plan_product picks the <m,k,n> family, plans the
+//              tiles, applies the workspace budget and picks the strategy.
+//   ladder  -- detail::run_ladder runs one planned product: pack-fused or
+//              Morton, then the conventional path if allocation fails.
+//              detail::run_family runs one family level over a sub-product
+//              callable; detail::run_split_block runs one C block of a split.
+//   report  -- detail::stamp_call fills a call's header, and
+//              detail::stamp_product the fields of each executed product.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +43,7 @@
 #include <new>
 #include <optional>
 #include <type_traits>
+#include <vector>
 
 #include "blas/gemm.hpp"
 #include "blas/kernels/registry.hpp"
@@ -45,6 +61,7 @@
 #include "layout/plan.hpp"
 #include "layout/split.hpp"
 #include "obs/report.hpp"
+#include "parallel/arena_pool.hpp"
 
 namespace strassen::core {
 
@@ -119,6 +136,21 @@ struct ModgemmOptions {
   obs::GemmReport* report = nullptr;
 };
 
+// The execution choices of one call after pins and environment: each field
+// kAuto leaves that choice to plan_product's per-product heuristics.
+struct ExecConfig {
+  analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
+  layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
+  analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
+};
+
+// Resolves one top-level call's config: a pinned (non-kAuto) field wins,
+// an unpinned one takes STRASSEN_SCHEDULE / STRASSEN_STRATEGY /
+// STRASSEN_ALGO, else stays kAuto.  The only place the library reads these
+// variables; nested products receive the caller's resolved config.  A
+// malformed value throws before any write to C.  Implemented in modgemm.cpp.
+ExecConfig resolve_config(ExecConfig pins);
+
 // dgemm-convention argument validation shared by every entry point (serial,
 // parallel, nothrow, Fortran compat), so they all reject identically.
 // Returns kOk or the Status naming the first bad argument.
@@ -163,71 +195,14 @@ inline std::size_t modgemm_workspace_bytes(const layout::GemmPlan& plan,
                                               elem_size, plan.schedule));
 }
 
-// Forward declaration (defined below): the family engine's sub-products
-// recurse through the full driver with the algorithm pinned to <2,2,2>.
-template <class MM, class T>
-void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
-                const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                int ldc, const ModgemmOptions& opt = {},
-                ModgemmReport* report = nullptr);
-
 namespace detail {
 
-// Parses a STRASSEN_SCHEDULE value ("auto", "winograd", "winograd-lowmem",
-// "winograd-inplace"); throws via STRASSEN_REQUIRE naming the offending
-// value on anything else.  Implemented in modgemm.cpp.
+// Parse STRASSEN_SCHEDULE / STRASSEN_STRATEGY / STRASSEN_ALGO values
+// ("auto" -> kAuto); anything else throws via STRASSEN_REQUIRE naming the
+// variable and the offending value.  Implemented in modgemm.cpp.
 analysis::ScheduleFamily parse_schedule_family(const char* value);
-
-// The STRASSEN_SCHEDULE environment override, re-read per call (value
-// grammar follows the STRASSEN_KERNEL idiom).  Unset or "auto" -> kAuto;
-// malformed values throw.
-analysis::ScheduleFamily env_schedule_family();
-
-// The schedule family this call runs: the per-call pin wins, then the
-// environment override, then kAuto (planner's choice).
-inline analysis::ScheduleFamily resolve_schedule_family(
-    const ModgemmOptions& opt) {
-  if (opt.schedule != analysis::ScheduleFamily::kAuto) return opt.schedule;
-  return env_schedule_family();
-}
-
-// Parses a STRASSEN_STRATEGY value ("auto", "morton", "packfused"); throws
-// via STRASSEN_REQUIRE naming the offending value on anything else.
-// Implemented in modgemm.cpp.
 layout::ExecStrategy parse_exec_strategy(const char* value);
-
-// The STRASSEN_STRATEGY environment override, re-read per call (same
-// grammar discipline as STRASSEN_SCHEDULE).  Unset or "auto" -> kAuto;
-// malformed values throw.
-layout::ExecStrategy env_exec_strategy();
-
-// The strategy this call resolved from its pin and environment (the per-call
-// pin wins, so tests pinning kMorton hold even under a forced
-// STRASSEN_STRATEGY).  kAuto defers the final choice to the per-plan
-// heuristic below.
-inline layout::ExecStrategy resolve_exec_strategy(const ModgemmOptions& opt) {
-  if (opt.strategy != layout::ExecStrategy::kAuto) return opt.strategy;
-  return env_exec_strategy();
-}
-
-// Parses a STRASSEN_ALGO value ("auto", "222", "323", "234", "333"); throws
-// via STRASSEN_REQUIRE naming the offending value on anything else.
-// Implemented in modgemm.cpp.
 analysis::AlgoFamily parse_algo_family(const char* value);
-
-// The STRASSEN_ALGO environment override, re-read per call (same grammar
-// discipline as STRASSEN_SCHEDULE).  Unset or "auto" -> kAuto; malformed
-// values throw.
-analysis::AlgoFamily env_algo_family();
-
-// The <m,k,n> family this call resolved from its pin and environment (the
-// per-call pin wins, so the family engine's own <2,2,2>-pinned sub-products
-// hold even under a forced STRASSEN_ALGO).  kAuto defers the final choice to
-// layout::choose_algo.
-inline analysis::AlgoFamily resolve_algo_family(const ModgemmOptions& opt) {
-  if (opt.algo != analysis::AlgoFamily::kAuto) return opt.algo;
-  return env_algo_family();
-}
 
 // The strategy one PLANNED product executes: non-Strassen plans always run
 // kMorton (there is nothing to fuse), an explicit pin/env choice sticks, and
@@ -249,8 +224,8 @@ inline void record_fallback(ModgemmReport* report, FallbackReason r) {
     report->fallback_reason = r;
 }
 
-// Degrades a feasible plan until its workspace fits opt.max_workspace_bytes.
-// The ladder, from least to most severe:
+// Degrades a feasible plan until its workspace fits `budget` bytes (0 =
+// unlimited).  The ladder, from least to most severe:
 //   1. schedule swap -- keep the planned depth but run a lower-footprint
 //      schedule family (kLowMem saves ~1/3 of each level's temporaries,
 //      kInPlace additionally drops the top level to a single C-shaped
@@ -264,15 +239,14 @@ inline void record_fallback(ModgemmReport* report, FallbackReason r) {
 //      path.  Recorded as kBudgetDirect.
 // `resolved` != kAuto pins plan.schedule to that family throughout.
 inline layout::GemmPlan apply_workspace_budget(
-    layout::GemmPlan plan, int m, int k, int n, const ModgemmOptions& opt,
+    layout::GemmPlan plan, int m, int k, int n,
+    const layout::TileOptions& tiles, std::size_t budget,
     std::size_t elem_size, ModgemmReport* report,
     analysis::ScheduleFamily resolved = analysis::ScheduleFamily::kAuto) {
   using analysis::ScheduleFamily;
   if (resolved != ScheduleFamily::kAuto) plan.schedule = resolved;
-  if (opt.max_workspace_bytes == 0 || plan.direct || !plan.feasible)
-    return plan;
-  if (modgemm_workspace_bytes(plan, elem_size) <= opt.max_workspace_bytes)
-    return plan;
+  if (budget == 0 || plan.direct || !plan.feasible) return plan;
+  if (modgemm_workspace_bytes(plan, elem_size) <= budget) return plan;
   // Family candidates in decreasing footprint order.  Pinned calls get only
   // the pinned family (already checked above at full depth -> only the depth
   // loop below can save them).
@@ -288,7 +262,7 @@ inline layout::GemmPlan apply_workspace_budget(
     if (fams[f] == plan.schedule) continue;  // priced already
     layout::GemmPlan cand = plan;
     cand.schedule = fams[f];
-    if (modgemm_workspace_bytes(cand, elem_size) <= opt.max_workspace_bytes) {
+    if (modgemm_workspace_bytes(cand, elem_size) <= budget) {
       record_fallback(report, FallbackReason::kScheduleSwap);
       return cand;
     }
@@ -296,9 +270,9 @@ inline layout::GemmPlan apply_workspace_budget(
   // Rung 2: shallower depths, cheapest-first over the family candidates so
   // each depth is exhausted before giving up another recursion level.
   for (int d = plan.depth - 1; d >= 1; --d) {
-    const layout::DimPlan dm = layout::choose_dim_at_depth(m, d, opt.tiles);
-    const layout::DimPlan dk = layout::choose_dim_at_depth(k, d, opt.tiles);
-    const layout::DimPlan dn = layout::choose_dim_at_depth(n, d, opt.tiles);
+    const layout::DimPlan dm = layout::choose_dim_at_depth(m, d, tiles);
+    const layout::DimPlan dk = layout::choose_dim_at_depth(k, d, tiles);
+    const layout::DimPlan dn = layout::choose_dim_at_depth(n, d, tiles);
     if (dm.tile == 0 || dk.tile == 0 || dn.tile == 0) continue;
     for (int f = 0; f < nfams; ++f) {
       layout::GemmPlan cand;
@@ -308,8 +282,7 @@ inline layout::GemmPlan apply_workspace_budget(
       cand.n = dn;
       cand.feasible = true;
       cand.schedule = fams[f];
-      if (modgemm_workspace_bytes(cand, elem_size) <=
-          opt.max_workspace_bytes) {
+      if (modgemm_workspace_bytes(cand, elem_size) <= budget) {
         record_fallback(report, FallbackReason::kDepthReduced);
         return cand;
       }
@@ -324,24 +297,130 @@ inline layout::GemmPlan apply_workspace_budget(
   return direct;
 }
 
-// The planned Strassen-Winograd path for one product, over a CALLER-OWNED
-// arena sized to at least modgemm_workspace_bytes(plan, sizeof(T)).  All
-// arena pushes (the Morton buffers and the recursion temporaries) happen
+// Plans one product (m, k, n >= 1) under a resolved config: the <m,k,n>
+// family (cfg.algo, or the choose_algo heuristic for kAuto), then for
+// <2,2,2> the tile plan, the workspace budget and the execution strategy.
+// A family plan (plan.algo != k222) describes its partition grid and is
+// executed by run_family.  A family that cannot pay off degrades to <2,2,2>
+// up front, recorded as kAlgoFallback: its ceil-partitioned sub-products
+// would sit at or below the direct threshold (they would all run
+// conventional, so the level only multiplies staging traffic by its rank --
+// the rule choose_algo prices in), or its staging alone would reach the
+// budget.  An infeasible <2,2,2> plan means the product must be split.
+// Records the planned depth and any budget rung in *report.
+template <class T>
+layout::GemmPlan plan_product(int m, int k, int n, const ExecConfig& cfg,
+                              const layout::TileOptions& tiles,
+                              std::size_t budget, ModgemmReport* report) {
+  const analysis::AlgoFamily algo = cfg.algo == analysis::AlgoFamily::kAuto
+                                        ? layout::choose_algo(m, k, n, tiles)
+                                        : cfg.algo;
+  if (algo != analysis::AlgoFamily::k222) {
+    const analysis::FamilyTable& t = analysis::family_table(algo);
+    const layout::GemmPlan fam = family_plan(t, algo, m, k, n);
+    if (std::min({fam.m.tile, fam.k.tile, fam.n.tile}) >
+            tiles.direct_threshold &&
+        (budget == 0 ||
+         family_workspace_bytes(t, m, k, n, sizeof(T)) < budget)) {
+      if (report) report->planned_depth = 1;
+      return fam;
+    }
+    record_fallback(report, FallbackReason::kAlgoFallback);
+  }
+  const layout::GemmPlan planned = layout::plan_gemm(m, k, n, tiles);
+  if (report) report->planned_depth = planned.depth;
+  if (!planned.direct && !planned.feasible) return planned;
+  layout::GemmPlan plan = apply_workspace_budget(
+      planned, m, k, n, tiles, budget, sizeof(T), report, cfg.schedule);
+  plan.strategy = plan_exec_strategy(cfg.strategy, plan, m, k, n, tiles);
+  return plan;
+}
+
+// The header of one call's report: its shape and the leaf kernel it runs
+// under.  Traced / non-double executions always run the generic scalar path.
+template <class MM, class T>
+void stamp_call(ModgemmReport* report, int m, int n, int k) {
+  if (report == nullptr) return;
+  report->m = m;
+  report->n = n;
+  report->k = k;
+  if constexpr (std::is_same_v<MM, RawMem> && std::is_same_v<T, double>) {
+    report->kernel = blas::kernels::kind_name(blas::kernels::active_kernel());
+    report->kernel_variant =
+        blas::kernels::variant_name(blas::kernels::avx2_variant());
+  } else {
+    report->kernel = "generic";
+    report->kernel_variant = "none";
+  }
+}
+
+// The fields of one executed Strassen product: the plan as it ran (its
+// strategy and the schedule family it executed), the bytes that family saved
+// against the 3-temporary default, the product count and the arena
+// high-water mark.  `forked` top levels ran as parallel spawn levels, whose
+// temporaries are family-independent: the saving is that of the 7^forked
+// serial subtrees below them.
+inline void stamp_product(ModgemmReport* report, layout::GemmPlan plan,
+                          layout::ExecStrategy strategy,
+                          analysis::ScheduleFamily executed,
+                          std::size_t elem_size, std::size_t peak,
+                          int forked = 0) {
+  if (report == nullptr) return;
+  plan.strategy = strategy;
+  plan.schedule = executed;
+  report->plan = plan;
+  report->strategy = layout::strategy_name(strategy);
+  report->schedule = analysis::family_name(executed);
+  const int d = plan.depth - forked;
+  const std::size_t def = winograd_workspace_bytes(
+      plan.m.tile, plan.k.tile, plan.n.tile, d, elem_size);
+  const std::size_t got = winograd_workspace_bytes(
+      plan.m.tile, plan.k.tile, plan.n.tile, d, elem_size, executed);
+  if (def > got) {
+    std::size_t saved = def - got;
+    for (int i = 0; i < forked; ++i) saved = checked_mul(saved, 7);
+    report->workspace_saved_bytes += saved;
+  }
+  ++report->products;
+  report->workspace_peak_bytes = std::max(report->workspace_peak_bytes, peak);
+}
+
+// Handles the products that need no multiplication: an empty C, or
+// alpha == 0 / k == 0 (C <- beta * C).  Returns true when it did.
+template <class MM, class T>
+bool trivial_product(MM& mm, int m, int n, int k, T alpha, T beta, T* C,
+                     int ldc) {
+  if (m == 0 || n == 0) return true;
+  if (alpha != T{0} && k != 0) return false;
+  blas::scale_view(mm, m, n, C, ldc, beta);
+  return true;
+}
+
+// Stored address of element (r0, c0) of op(X) for column-major X.
+template <class T>
+T* op_block(T* X, Op op, int ld, int r0, int c0) {
+  return op == Op::NoTrans ? X + static_cast<std::size_t>(c0) * ld + r0
+                           : X + static_cast<std::size_t>(r0) * ld + c0;
+}
+
+// The Morton rung: the planned Strassen-Winograd product over an arena from
+// this thread's ScratchArena cache (so repeated products of a shape reuse
+// warm memory; the acquisition notes its bytes on the call's collector).
+// All arena pushes (the Morton buffers and the recursion temporaries) happen
 // before any arithmetic, and C is written only by the final from_morton
 // conversion, which does not allocate -- so a std::bad_alloc from this
-// function guarantees C was never touched, and the caller may retry on a
-// cheaper path.  Workspace accounting (requested bytes / allocation count)
-// is the caller's business: the serial wrapper below books its own arena,
-// while the batched driver (core/batched.cpp) acquires through the
-// per-thread ScratchArena cache, whose collector note already covers the
-// acquisition.
+// function guarantees C was never touched, and the ladder may retry on a
+// cheaper path.  Books its phases in *report and returns the arena
+// high-water mark, like modgemm_packfused.
 template <class MM, class T>
-void modgemm_strassen_arena(MM& mm, Op opa, Op opb, int m, int n, int k,
-                            T alpha, const T* A, int lda, const T* B, int ldb,
-                            T beta, T* C, int ldc,
-                            const layout::GemmPlan& plan, Arena& arena,
-                            ModgemmReport* report) {
+std::size_t modgemm_morton(MM& mm, Op opa, Op opb, int m, int n, int k,
+                           T alpha, const T* A, int lda, const T* B, int ldb,
+                           T beta, T* C, int ldc,
+                           const layout::GemmPlan& plan,
+                           ModgemmReport* report) {
   STRASSEN_ASSERT(plan.feasible && plan.depth >= 1);
+  parallel::ScratchArena scratch(modgemm_workspace_bytes(plan, sizeof(T)));
+  Arena& arena = scratch.arena();
   const layout::MortonLayout la{m, k, plan.m.tile, plan.k.tile, plan.depth};
   const layout::MortonLayout lb{k, n, plan.k.tile, plan.n.tile, plan.depth};
   const layout::MortonLayout lc{m, n, plan.m.tile, plan.n.tile, plan.depth};
@@ -380,47 +459,8 @@ void modgemm_strassen_arena(MM& mm, Op opa, Op opb, int m, int n, int k,
     report->convert_in_seconds += t_in;
     report->compute_seconds += t_mul;
     report->convert_out_seconds += t_out;
-    report->plan = plan;
-    report->plan.strategy = layout::ExecStrategy::kMorton;
-    report->strategy = layout::strategy_name(layout::ExecStrategy::kMorton);
-    // kAuto means the planner kept the default family: report what ran.
-    report->schedule = analysis::family_name(
-        plan.schedule == analysis::ScheduleFamily::kAuto
-            ? analysis::ScheduleFamily::kWinograd
-            : plan.schedule);
-    if (plan.schedule != analysis::ScheduleFamily::kWinograd &&
-        plan.schedule != analysis::ScheduleFamily::kAuto) {
-      // Arena bytes the default 3-temporary family would have needed minus
-      // what this family's recursion actually reserved.
-      const std::size_t def = winograd_workspace_bytes(
-          plan.m.tile, plan.k.tile, plan.n.tile, plan.depth, sizeof(T));
-      const std::size_t got = winograd_workspace_bytes(
-          plan.m.tile, plan.k.tile, plan.n.tile, plan.depth, sizeof(T),
-          plan.schedule);
-      if (def > got) report->workspace_saved_bytes += def - got;
-    }
-    ++report->products;
-    report->workspace_peak_bytes =
-        std::max(report->workspace_peak_bytes, arena.peak());
   }
-}
-
-// The self-allocating wrapper: sizes and owns the arena for one product
-// (historical entry used by the serial ladder), keeping the per-call
-// workspace accounting it always had.
-template <class MM, class T>
-void modgemm_strassen(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
-                      const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                      int ldc, const layout::GemmPlan& plan,
-                      ModgemmReport* report) {
-  const std::size_t workspace_bytes = modgemm_workspace_bytes(plan, sizeof(T));
-  Arena arena(workspace_bytes);
-  modgemm_strassen_arena(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta,
-                         C, ldc, plan, arena, report);
-  if (report) {
-    report->workspace_requested_bytes += workspace_bytes;
-    ++report->workspace_allocations;
-  }
+  return arena.peak();
 }
 
 // The conventional path with its own last rung: gemm_blocked stages a
@@ -447,50 +487,44 @@ void modgemm_direct(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   }
 }
 
-// One planned product: C(m x n) {<-,+=} alpha * op(A).op(B) + beta * C.
-// Requires plan.feasible or plan.direct.  Degradation ladder: planned
-// Strassen execution (Morton or pack-fused per plan.strategy) ->
-// conventional blocked gemm (if workspace allocation fails) ->
+// The product ladder: one planned <2,2,2> product (plan.feasible or
+// plan.direct), C(m x n) {<-,+=} alpha * op(A).op(B) + beta * C.  Planned
+// Strassen execution (pack-fused or Morton per plan.strategy) ->
+// conventional blocked gemm (if its workspace acquisition fails) ->
 // allocation-free strided gemm (if even staging fails).  Every rung computes
 // the same correct product, so a valid call never leaves C partially
 // updated.  A failed pack-fused acquisition degrades straight to the
 // conventional path -- the Morton strategy needs strictly MORE memory, so
 // retrying it could only fail again.
 template <class MM, class T>
-void modgemm_single(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
-                    const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                    int ldc, const layout::GemmPlan& plan,
-                    ModgemmReport* report) {
+void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
+                const T* A, int lda, const T* B, int ldb, T beta, T* C,
+                int ldc, const layout::GemmPlan& plan,
+                ModgemmReport* report) {
   // Record the plan this product EXECUTES (budget degradation included), so
   // report->plan.direct is accurate even when no Strassen path runs.
   if (report) report->plan = plan;
   if (!plan.direct) {
-    bool try_morton = true;
-    if constexpr (std::is_same_v<MM, RawMem>) {
+    try {
       if (plan.strategy == layout::ExecStrategy::kPackFused) {
-        try_morton = false;
-        try {
-          modgemm_packfused(opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C,
-                            ldc, plan, report);
-          return;
-        } catch (const std::bad_alloc&) {
-          // The single up-front arena acquisition failed; C is untouched
-          // (see modgemm_packfused).
-          record_fallback(report, FallbackReason::kAllocDirect);
-        }
+        const std::size_t peak = modgemm_packfused(
+            opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
+            report);
+        stamp_product(report, plan, layout::ExecStrategy::kPackFused,
+                      packfused::executed_family(plan.schedule), sizeof(T),
+                      peak);
+      } else {
+        const std::size_t peak = modgemm_morton(
+            mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
+            report);
+        stamp_product(report, plan, layout::ExecStrategy::kMorton,
+                      plan.schedule, sizeof(T), peak);
       }
-    }
-    if (try_morton) {
-      try {
-        modgemm_strassen(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta,
-                         C, ldc, plan, report);
-        return;
-      } catch (const std::bad_alloc&) {
-        // Workspace allocation failed under real memory pressure (or a fault
-        // injector).  C is untouched (see modgemm_strassen); degrade to the
-        // conventional path, which needs no recursion workspace.
-        record_fallback(report, FallbackReason::kAllocDirect);
-      }
+      return;
+    } catch (const std::bad_alloc&) {
+      // The single up-front arena acquisition failed under real memory
+      // pressure (or a fault injector); C is untouched.
+      record_fallback(report, FallbackReason::kAllocDirect);
     }
   }
   modgemm_direct(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
@@ -513,10 +547,11 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
                                const std::vector<layout::Chunk>& k_chunks,
                                T alpha, const T* A, int lda, const T* B,
                                int ldb, T beta, T* C, int ldc,
-                               const ModgemmOptions& opt,
-                               analysis::ScheduleFamily resolved,
-                               ModgemmReport* report) {
+                               const ExecConfig& cfg,
+                               const layout::TileOptions& tiles,
+                               std::size_t budget, ModgemmReport* report) {
   using analysis::ScheduleFamily;
+  const ScheduleFamily resolved = cfg.schedule;
   if (resolved != ScheduleFamily::kLowMem &&
       resolved != ScheduleFamily::kInPlace)
     return false;
@@ -528,10 +563,8 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
   std::vector<layout::GemmPlan> subs;
   subs.reserve(static_cast<std::size_t>(nk));
   for (const auto& ck : k_chunks) {
-    layout::GemmPlan sub =
-        layout::plan_gemm(cm.size, ck.size, cn.size, opt.tiles);
-    sub = apply_workspace_budget(sub, cm.size, ck.size, cn.size, opt,
-                                 sizeof(T), report, resolved);
+    const layout::GemmPlan sub = plan_product<T>(cm.size, ck.size, cn.size,
+                                                 cfg, tiles, budget, report);
     if (sub.direct || !sub.feasible) return false;
     if (!subs.empty() &&
         (sub.m.tile != subs[0].m.tile || sub.n.tile != subs[0].n.tile ||
@@ -573,8 +606,7 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
   total = checked_add(total, chunk_peak);
   // The budget bounds the call's live temporary set; the fused block holds
   // Cm across all chunks, so its peak must fit as a whole.
-  if (opt.max_workspace_bytes != 0 && total > opt.max_workspace_bytes)
-    return false;
+  if (budget != 0 && total > budget) return false;
   try {
     Arena arena(total);
     T* Cm = arena.push<T>(static_cast<std::size_t>(lc.elems()));
@@ -584,14 +616,6 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
     for (int i = 0; i < nk; ++i) {
       const auto& ck = k_chunks[i];
       const layout::GemmPlan& sub = subs[i];
-      const T* Ablk =
-          opa == Op::NoTrans
-              ? A + static_cast<std::size_t>(ck.offset) * lda + cm.offset
-              : A + static_cast<std::size_t>(cm.offset) * lda + ck.offset;
-      const T* Bblk =
-          opb == Op::NoTrans
-              ? B + static_cast<std::size_t>(cn.offset) * ldb + ck.offset
-              : B + static_cast<std::size_t>(ck.offset) * ldb + cn.offset;
       const layout::MortonLayout la{cm.size, ck.size, sub.m.tile, sub.k.tile,
                                     depth};
       const layout::MortonLayout lb{ck.size, cn.size, sub.k.tile, sub.n.tile,
@@ -600,8 +624,10 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
       T* Am = arena.push<T>(static_cast<std::size_t>(la.elems()));
       T* Bm = arena.push<T>(static_cast<std::size_t>(lb.elems()));
       t.restart();
-      layout::to_morton(mm, la, Am, opa, Ablk, lda);
-      layout::to_morton(mm, lb, Bm, opb, Bblk, ldb);
+      layout::to_morton(mm, la, Am, opa,
+                        op_block(A, opa, lda, cm.offset, ck.offset), lda);
+      layout::to_morton(mm, lb, Bm, opb,
+                        op_block(B, opb, ldb, ck.offset, cn.offset), ldb);
       t_in += t.seconds();
       t.restart();
       if (i == 0)
@@ -613,8 +639,9 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
       t_mul += t.seconds();
     }
     t.restart();
-    T* Cblk = C + static_cast<std::size_t>(cn.offset) * ldc + cm.offset;
-    layout::from_morton(mm, lc, Cm, alpha, Cblk, ldc, beta);
+    layout::from_morton(mm, lc, Cm, alpha,
+                        op_block(C, Op::NoTrans, ldc, cm.offset, cn.offset),
+                        ldc, beta);
     const double t_out = t.seconds();
     if (report) {
       report->convert_in_seconds += t_in;
@@ -639,36 +666,62 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
   }
 }
 
-// One level of a non-<2,2,2> coefficient table (core/family.hpp), with every
-// sub-product recursing through modgemm_mm pinned to <2,2,2> -- so each of
-// the rank products gets the planner, the workspace ladder, the strategy
-// heuristic and the SIMD kernels exactly as a top-level call would.  Returns
-// false -- with C untouched and FallbackReason::kAlgoFallback recorded --
-// when the family cannot run: its staging buffers alone would reach
-// max_workspace_bytes, or their up-front allocation fails.  The caller then
-// continues on the plain <2,2,2> path.
+// One (cm x cn) block of C for a split product (paper Fig. 4):
+// C[i][j] = sum_r A[i][r] . B[r][j] over the k-chunks.  Low-memory families
+// first try the fused accumulating evaluation (a Morton-strategy
+// optimization, so a pack-fused config skips it); otherwise each k-chunk runs
+// the ladder in chunk order, the first with beta and the rest accumulating.
+// The serial splitter and pmodgemm's parallel one (one task per block) both
+// run this, so their results are bit-identical.  cfg.algo must be k222.
 template <class MM, class T>
-bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
-                    const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                    int ldc, analysis::AlgoFamily algo,
-                    const ModgemmOptions& opt, ModgemmReport* report) {
-  const analysis::FamilyTable& t = analysis::family_table(algo);
-  const std::size_t staging = family_workspace_bytes(t, m, k, n, sizeof(T));
-  if (opt.max_workspace_bytes != 0 && staging >= opt.max_workspace_bytes) {
-    record_fallback(report, FallbackReason::kAlgoFallback);
-    return false;
+void run_split_block(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
+                     const layout::Chunk& cn,
+                     const std::vector<layout::Chunk>& k_chunks, T alpha,
+                     const T* A, int lda, const T* B, int ldb, T beta, T* C,
+                     int ldc, const ExecConfig& cfg,
+                     const layout::TileOptions& tiles, std::size_t budget,
+                     ModgemmReport* report) {
+  if (cfg.strategy != layout::ExecStrategy::kPackFused &&
+      modgemm_split_block_fused(mm, opa, opb, cm, cn, k_chunks, alpha, A, lda,
+                                B, ldb, beta, C, ldc, cfg, tiles, budget,
+                                report))
+    return;
+  bool first = true;
+  for (const auto& ck : k_chunks) {
+    // The budget bounds the workspace of each sub-product (they run
+    // sequentially, so the per-product peak is the call's peak).
+    const layout::GemmPlan sub = plan_product<T>(cm.size, ck.size, cn.size,
+                                                 cfg, tiles, budget, report);
+    STRASSEN_ASSERT(sub.direct || sub.feasible);
+    run_ladder(mm, opa, opb, cm.size, cn.size, ck.size, alpha,
+               op_block(A, opa, lda, cm.offset, ck.offset), lda,
+               op_block(B, opb, ldb, ck.offset, cn.offset), ldb,
+               first ? beta : T{1},
+               op_block(C, Op::NoTrans, ldc, cm.offset, cn.offset), ldc, sub,
+               report);
+    first = false;
   }
-  ModgemmOptions sub_opt = opt;
-  // One level only: sub-products run the plain <2,2,2> driver (the pin wins
-  // over STRASSEN_ALGO, so a forced environment cannot recurse the family),
-  // inside whatever budget the staging buffers left.
-  sub_opt.algo = analysis::AlgoFamily::k222;
-  sub_opt.report = nullptr;
-  if (opt.max_workspace_bytes != 0)
-    sub_opt.max_workspace_bytes = opt.max_workspace_bytes - staging;
-  // Sub-products report into a scratch struct so their executed
-  // schedule/strategy and any degradation surface in the caller's report
-  // without double-counting this call's wall clock (WallStamp accumulates).
+}
+
+// One level of a non-<2,2,2> coefficient table (plan.algo, core/family.hpp)
+// with every block product handed to `sub(m2, n2, k2, A2, lda2, B2, ldb2,
+// C2, ldc2, subreport)`, which must compute C2 <- A2 . B2 under the caller's
+// config pinned to <2,2,2>: the serial driver passes its own pipeline,
+// pmodgemm a parallel product.  The sub-products' reports are merged into
+// *report once, so their strategy, schedule and fallbacks surface in the
+// caller's report.  Returns false -- with C untouched and kAlgoFallback
+// recorded -- when the staging allocation fails; the caller then continues
+// on the plain <2,2,2> path.
+template <class MM, class T, class SubGemm>
+bool run_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
+                const T* A, int lda, const T* B, int ldb, T beta, T* C,
+                int ldc, const layout::GemmPlan& plan, SubGemm&& sub,
+                ModgemmReport* report) {
+  const analysis::FamilyTable& t = analysis::family_table(plan.algo);
+  const std::size_t staging = family_workspace_bytes(t, m, k, n, sizeof(T));
+  // Sub-products report into a scratch struct so their results surface in
+  // the caller's report without double-counting this call's wall clock
+  // (WallStamp accumulates).
   obs::GemmReport subrep;
   obs::GemmReport* subrep_ptr = report ? &subrep : nullptr;
   try {
@@ -677,8 +730,7 @@ bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
         mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, t, arena,
         [&](int m2, int n2, int k2, const T* A2, int lda2, const T* B2,
             int ldb2, T* C2, int ldc2) {
-          modgemm_mm(mm, Op::NoTrans, Op::NoTrans, m2, n2, k2, T{1}, A2, lda2,
-                     B2, ldb2, T{0}, C2, ldc2, sub_opt, subrep_ptr);
+          sub(m2, n2, k2, A2, lda2, B2, ldb2, C2, ldc2, subrep_ptr);
         },
         report);
     if (report) {
@@ -691,11 +743,11 @@ bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
       report->workspace_peak_bytes =
           std::max(report->workspace_peak_bytes,
                    arena.peak() + subrep.workspace_peak_bytes);
-      report->plan = family_plan(t, algo, m, k, n);
+      report->plan = plan;
       report->plan.schedule = subrep.plan.schedule;
       report->plan.strategy = subrep.plan.strategy;
       report->planned_depth = 1;
-      report->algo = analysis::algo_name(algo);
+      report->algo = analysis::algo_name(plan.algo);
     }
     return true;
   } catch (const std::bad_alloc&) {
@@ -707,6 +759,59 @@ bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   }
 }
 
+// The serial pipeline for one planned call (plan from plan_product under
+// cfg): a family level whose sub-products re-enter this pipeline pinned to
+// <2,2,2>, one ladder product, or the split decomposition.
+template <class MM, class T>
+void run_product(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
+                 const T* A, int lda, const T* B, int ldb, T beta, T* C,
+                 int ldc, const layout::GemmPlan& plan, ExecConfig cfg,
+                 const layout::TileOptions& tiles, std::size_t budget,
+                 ModgemmReport* report) {
+  if (report) report->algo = analysis::algo_name(plan.algo);
+  // Everything below this call is <2,2,2>: a family runs one level only, and
+  // split chunks are plain products.
+  cfg.algo = analysis::AlgoFamily::k222;
+  if (plan.algo != analysis::AlgoFamily::k222) {
+    // The sub-products run inside whatever budget the staging left.
+    const std::size_t sub_budget =
+        budget == 0 ? 0
+                    : budget - family_workspace_bytes(
+                                   analysis::family_table(plan.algo), m, k, n,
+                                   sizeof(T));
+    if (run_family(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+                   plan,
+                   [&](int m2, int n2, int k2, const T* A2, int lda2,
+                       const T* B2, int ldb2, T* C2, int ldc2,
+                       ModgemmReport* sub) {
+                     run_product(mm, Op::NoTrans, Op::NoTrans, m2, n2, k2,
+                                 T{1}, A2, lda2, B2, ldb2, T{0}, C2, ldc2,
+                                 plan_product<T>(m2, k2, n2, cfg, tiles,
+                                                 sub_budget, sub),
+                                 cfg, tiles, sub_budget, sub);
+                   },
+                   report))
+      return;
+    run_product(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+                plan_product<T>(m, k, n, cfg, tiles, budget, report), cfg,
+                tiles, budget, report);
+    return;
+  }
+  if (plan.direct || plan.feasible) {
+    run_ladder(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+               plan, report);
+    return;
+  }
+  const layout::SplitPlan split = layout::plan_split(m, k, n, tiles);
+  if (report) report->split_used = true;
+  for (const auto& cm : split.m_chunks)
+    for (const auto& cn : split.n_chunks)
+      run_split_block(mm, opa, opb, cm, cn, split.k_chunks, alpha, A, lda, B,
+                      ldb, beta, C, ldc, cfg, tiles, budget, report);
+  // The chunks' planning overwrote it; a split call reports its own plan's.
+  if (report) report->planned_depth = plan.depth;
+}
+
 }  // namespace detail
 
 // The full MODGEMM entry point, templated on the memory model so complete
@@ -715,7 +820,8 @@ bool modgemm_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
 template <class MM, class T>
 void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                 const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                int ldc, const ModgemmOptions& opt, ModgemmReport* report) {
+                int ldc, const ModgemmOptions& opt = {},
+                ModgemmReport* report = nullptr) {
   require_gemm_args(opa, opb, m, n, k, lda, ldb, ldc);
   // A typo'd STRASSEN_KERNEL fails the call here, loudly, instead of
   // silently dispatching the scalar table (the noexcept registry chain's
@@ -726,165 +832,57 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
     kernel_pin.emplace(opt.kernel, opt.avx2_variant);
   if (report == nullptr) report = opt.report;
   obs::WallStamp wall(report);
-  if (report) {
-    report->m = m;
-    report->n = n;
-    report->k = k;
-    // Stamped here, while the per-call pin (if any) is still installed.
-    if constexpr (std::is_same_v<MM, RawMem> && std::is_same_v<T, double>) {
-      report->kernel = blas::kernels::kind_name(blas::kernels::active_kernel());
-      report->kernel_variant =
-          blas::kernels::variant_name(blas::kernels::avx2_variant());
-    } else {
-      // Traced / non-double executions always run the generic scalar path.
-      report->kernel = "generic";
-      report->kernel_variant = "none";
-    }
-  }
-  if (m == 0 || n == 0) return;
-  if (alpha == T{0} || k == 0) {
-    blas::scale_view(mm, m, n, C, ldc, beta);
-    return;
-  }
+  // Stamped here, while the per-call pin (if any) is still installed.
+  detail::stamp_call<MM, T>(report, m, n, k);
+  if (detail::trivial_product(mm, m, n, k, alpha, beta, C, ldc)) return;
 
-  // Resolve the schedule family once per call (pin, then STRASSEN_SCHEDULE,
-  // then auto).  A malformed environment value throws here, before any write
-  // to C.
-  const analysis::ScheduleFamily resolved =
-      detail::resolve_schedule_family(opt);
-
-  // Resolve the execution strategy once per call (pin, then
-  // STRASSEN_STRATEGY, then auto -- the per-plan heuristic decides kAuto
-  // below).  Same loud-throw discipline for malformed environment values.
   // Traced / non-RawMem executions dereference operands through the memory
   // model, which the pack-fused leaf path bypasses, so they always run
-  // kMorton (and skip the env read entirely, like their kernel stamping).
-  layout::ExecStrategy strat = layout::ExecStrategy::kMorton;
-  if constexpr (std::is_same_v<MM, RawMem>)
-    strat = detail::resolve_exec_strategy(opt);
+  // kMorton.  The fixed-tile ablation studies <2,2,2> static padding and
+  // never runs a family.  Pinning both keeps resolve_config from reading
+  // their environment variables.
+  ExecConfig pins{opt.schedule, opt.strategy, opt.algo};
+  if constexpr (!std::is_same_v<MM, RawMem>)
+    pins.strategy = layout::ExecStrategy::kMorton;
+  if (opt.fixed_tile > 0) pins.algo = analysis::AlgoFamily::k222;
+  const ExecConfig cfg = resolve_config(pins);
 
-  // Resolve the <m,k,n> algorithm family once per call (pin, then
-  // STRASSEN_ALGO, then the planner heuristic).  A non-<2,2,2> family runs
-  // one level of its coefficient table with every sub-product recursing
-  // through this driver pinned to <2,2,2>; when it cannot run (workspace
-  // budget, allocation failure) the call continues below on the plain path
-  // with FallbackReason::kAlgoFallback recorded.  The fixed-tile ablation
-  // studies <2,2,2> static padding and never runs a family.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::k222;
   if (opt.fixed_tile == 0) {
-    algo = detail::resolve_algo_family(opt);
-    if (algo == analysis::AlgoFamily::kAuto)
-      algo = layout::choose_algo(m, k, n, opt.tiles);
-  }
-  if (algo != analysis::AlgoFamily::k222) {
-    // Shape gate, applied to pins and STRASSEN_ALGO alike: when the family's
-    // ceil-partitioned sub-products sit at or below the direct threshold
-    // they would all run conventional, so one family level multiplies
-    // staging traffic by `rank` for nothing (the same rule choose_algo
-    // prices in).  Such shapes degrade to the <2,2,2> ladder up front.
-    const analysis::FamilyTable& t = analysis::family_table(algo);
-    if (std::min({family_partition(m, t.bm),
-                  family_partition(k, t.bk),
-                  family_partition(n, t.bn)}) <=
-        opt.tiles.direct_threshold) {
-      detail::record_fallback(report, FallbackReason::kAlgoFallback);
-      algo = analysis::AlgoFamily::k222;
-    }
-  }
-  if (report) report->algo = analysis::algo_name(algo);
-  if (algo != analysis::AlgoFamily::k222) {
-    if (detail::modgemm_family(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb,
-                               beta, C, ldc, algo, opt, report))
-      return;
-    // The family could not run; everything below is the plain <2,2,2> path.
-    if (report) report->algo = analysis::algo_name(analysis::AlgoFamily::k222);
-  }
-
-  if (opt.fixed_tile > 0) {
-    // Ablation: static padding with a fixed truncation point.  The three
-    // dimensions must then share a depth naturally, which holds for the
-    // square problems this mode is meant for; otherwise we fall back to the
-    // largest common depth.
-    layout::GemmPlan plan;
-    plan.m = layout::fixed_tile_dim(m, opt.fixed_tile);
-    plan.k = layout::fixed_tile_dim(k, opt.fixed_tile);
-    plan.n = layout::fixed_tile_dim(n, opt.fixed_tile);
-    plan.depth =
-        std::max({plan.m.depth, plan.k.depth, plan.n.depth});
-    // Re-derive padded sizes at the common depth (tile stays fixed; shallower
-    // dimensions get extra padding, exactly the static-padding cost).
-    auto lift = [&](layout::DimPlan& d) {
-      d.depth = plan.depth;
-      d.padded = opt.fixed_tile << plan.depth;
-      d.tile = opt.fixed_tile;
-    };
-    lift(plan.m);
-    lift(plan.k);
-    lift(plan.n);
-    plan.feasible = true;
-    plan.direct = plan.depth == 0;
-    if (resolved != analysis::ScheduleFamily::kAuto) plan.schedule = resolved;
-    plan.strategy = detail::plan_exec_strategy(strat, plan, m, k, n, opt.tiles);
-    detail::modgemm_single(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta,
-                           C, ldc, plan, report);
+    detail::run_product(
+        mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+        detail::plan_product<T>(m, k, n, cfg, opt.tiles,
+                                opt.max_workspace_bytes, report),
+        cfg, opt.tiles, opt.max_workspace_bytes, report);
     return;
   }
-
-  const layout::GemmPlan planned = layout::plan_gemm(m, k, n, opt.tiles);
-  if (report) report->planned_depth = planned.depth;
-  if (planned.direct || planned.feasible) {
-    layout::GemmPlan plan = detail::apply_workspace_budget(
-        planned, m, k, n, opt, sizeof(T), report, resolved);
-    plan.strategy = detail::plan_exec_strategy(strat, plan, m, k, n, opt.tiles);
-    detail::modgemm_single(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta,
-                           C, ldc, plan, report);
-    return;
-  }
-
-  // Highly rectangular: decompose into same-depth sub-products (paper Fig. 4)
-  // and reconstruct C[i][j] = sum_r A[i][r] . B[r][j].
-  const layout::SplitPlan split = layout::plan_split(m, k, n, opt.tiles);
-  if (report) report->split_used = true;
-  for (const auto& cm : split.m_chunks) {
-    for (const auto& cn : split.n_chunks) {
-      // Low-memory families first try the fused accumulating evaluation of
-      // this block (one shared Morton C, a single alpha/beta write-back) --
-      // a Morton-strategy optimization, so a pack-fused pin/env skips it in
-      // favor of the per-chunk loop below.
-      if (strat != layout::ExecStrategy::kPackFused &&
-          detail::modgemm_split_block_fused(mm, opa, opb, cm, cn,
-                                            split.k_chunks, alpha, A, lda, B,
-                                            ldb, beta, C, ldc, opt, resolved,
-                                            report))
-        continue;
-      bool first = true;
-      for (const auto& ck : split.k_chunks) {
-        // Locate the stored sub-blocks of op(A) and op(B).
-        const T* Ablk =
-            opa == Op::NoTrans
-                ? A + static_cast<std::size_t>(ck.offset) * lda + cm.offset
-                : A + static_cast<std::size_t>(cm.offset) * lda + ck.offset;
-        const T* Bblk =
-            opb == Op::NoTrans
-                ? B + static_cast<std::size_t>(cn.offset) * ldb + ck.offset
-                : B + static_cast<std::size_t>(ck.offset) * ldb + cn.offset;
-        T* Cblk = C + static_cast<std::size_t>(cn.offset) * ldc + cm.offset;
-        layout::GemmPlan sub =
-            layout::plan_gemm(cm.size, ck.size, cn.size, opt.tiles);
-        STRASSEN_ASSERT(sub.direct || sub.feasible);
-        // The budget bounds the workspace of each sub-product (they run
-        // sequentially, so the per-product peak is the call's peak).
-        sub = detail::apply_workspace_budget(sub, cm.size, ck.size, cn.size,
-                                             opt, sizeof(T), report, resolved);
-        sub.strategy = detail::plan_exec_strategy(strat, sub, cm.size, ck.size,
-                                                  cn.size, opt.tiles);
-        detail::modgemm_single(mm, opa, opb, cm.size, cn.size, ck.size, alpha,
-                               Ablk, lda, Bblk, ldb, first ? beta : T{1}, Cblk,
-                               ldc, sub, report);
-        first = false;
-      }
-    }
-  }
+  // Ablation: static padding with a fixed truncation point.  The three
+  // dimensions must then share a depth naturally, which holds for the square
+  // problems this mode is meant for; otherwise we fall back to the largest
+  // common depth.
+  layout::GemmPlan plan;
+  plan.m = layout::fixed_tile_dim(m, opt.fixed_tile);
+  plan.k = layout::fixed_tile_dim(k, opt.fixed_tile);
+  plan.n = layout::fixed_tile_dim(n, opt.fixed_tile);
+  plan.depth = std::max({plan.m.depth, plan.k.depth, plan.n.depth});
+  // Re-derive padded sizes at the common depth (tile stays fixed; shallower
+  // dimensions get extra padding, exactly the static-padding cost).
+  auto lift = [&](layout::DimPlan& d) {
+    d.depth = plan.depth;
+    d.padded = opt.fixed_tile << plan.depth;
+    d.tile = opt.fixed_tile;
+  };
+  lift(plan.m);
+  lift(plan.k);
+  lift(plan.n);
+  plan.feasible = true;
+  plan.direct = plan.depth == 0;
+  if (cfg.schedule != analysis::ScheduleFamily::kAuto)
+    plan.schedule = cfg.schedule;
+  plan.strategy =
+      detail::plan_exec_strategy(cfg.strategy, plan, m, k, n, opt.tiles);
+  detail::run_product(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C,
+                      ldc, plan, cfg, opt.tiles, opt.max_workspace_bytes,
+                      report);
 }
 
 // Production entry points (RawMem).

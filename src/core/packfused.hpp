@@ -469,9 +469,11 @@ inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
 }
 
 // The pack-fused Strassen-Winograd path for one planned product, with the
-// same exactness-or-untouched-C contract as modgemm_strassen: the single
+// same exactness-or-untouched-C contract as the Morton rung: the single
 // arena acquisition happens before any write to C, nothing after it can
-// fail, so std::bad_alloc guarantees C is untouched.
+// fail, so std::bad_alloc guarantees C is untouched.  Books its phases and
+// conversion savings in *report and returns the arena high-water mark; the
+// ladder (core/modgemm.hpp) stamps the product's remaining fields.
 //
 // The recursion destination is always the FULL padded pm x pn extent: the
 // schedule's U-chain parks intermediates in C quadrant slots and reads them
@@ -487,10 +489,11 @@ inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
 // per-element expression of layout::from_morton (plain copy when alpha == 1
 // and beta == 0, alpha*p when beta == 0, alpha*p + beta*c otherwise).
 template <class T>
-void modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
-                       const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                       int ldc, const layout::GemmPlan& plan,
-                       obs::GemmReport* report) {
+std::size_t modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
+                              const T* A, int lda, const T* B, int ldb,
+                              T beta, T* C, int ldc,
+                              const layout::GemmPlan& plan,
+                              obs::GemmReport* report) {
   STRASSEN_ASSERT(plan.feasible && !plan.direct && plan.depth >= 1);
   const analysis::ScheduleFamily family =
       packfused::executed_family(plan.schedule);
@@ -540,26 +543,11 @@ void modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
   if (report) {
     report->compute_seconds += t_mul;
     report->convert_out_seconds += t_out;
-    report->plan = plan;
-    report->plan.schedule = family;
-    report->plan.strategy = layout::ExecStrategy::kPackFused;
-    report->strategy = layout::strategy_name(layout::ExecStrategy::kPackFused);
-    report->schedule = analysis::family_name(family);
     report->conversion_saved_bytes += modgemm_conversion_bytes(plan, sizeof(T));
-    if (family != analysis::ScheduleFamily::kWinograd) {
-      const std::size_t def = winograd_workspace_bytes(
-          plan.m.tile, plan.k.tile, plan.n.tile, plan.depth, sizeof(T));
-      const std::size_t got = winograd_workspace_bytes(
-          plan.m.tile, plan.k.tile, plan.n.tile, plan.depth, sizeof(T), family);
-      if (def > got) report->workspace_saved_bytes += def - got;
-    }
-    ++report->products;
-    // ScratchArena already noted the acquisition (bytes + count) into the
-    // call's collector; stamping it here too would double-count.  Only the
-    // high-water mark comes from the arena directly.
-    report->workspace_peak_bytes =
-        std::max(report->workspace_peak_bytes, arena.peak());
   }
+  // ScratchArena already noted the acquisition (bytes + count) into the
+  // call's collector; only the high-water mark comes from the arena.
+  return arena.peak();
 }
 
 }  // namespace strassen::core

@@ -24,17 +24,6 @@ namespace strassen::parallel {
 
 namespace {
 
-// Options for the serial driver wherever pmodgemm hands work to it.  The
-// family decision was made (or declined) at this call's top level, so serial
-// products stay on the plain <2,2,2> driver.
-core::ModgemmOptions serial_options(const ParallelOptions& opt) {
-  core::ModgemmOptions serial;
-  serial.tiles = opt.tiles;
-  serial.schedule = opt.schedule;
-  serial.algo = analysis::AlgoFamily::k222;
-  return serial;
-}
-
 // Tasks per thread the auto fork depth aims for.  The top L levels fork
 // 7^L leaf tasks; 8 per thread (workers + the joining caller) is enough to
 // even out stealing while keeping the spawn temporaries, which every forked
@@ -89,19 +78,19 @@ void recurse(ThreadPool* pool, int spawn, double* C, const double* A,
 }
 
 // The split decomposition (paper Fig. 4), parallel over C-blocks: each
-// (m_chunk x n_chunk) block of C is one pool task running its k-chain of
-// sub-products SEQUENTIALLY in chunk order with the serial driver --
-// first ? beta : 1 accumulation exactly like core::modgemm_mm.  Blocks write
-// disjoint parts of C and the within-block order is unchanged, so the result
-// is bit-identical to the serial splitter.  Each task degrades independently
-// through the serial ladder (bad_alloc never escapes a task); if task SETUP
-// fails mid-submission, the blocks that never completed are finished
-// serially on the caller.
+// (m_chunk x n_chunk) block of C is one pool task running the serial
+// splitter's own block code (core::detail::run_split_block: its k-chain in
+// chunk order, each chunk through the serial ladder).  Blocks write disjoint
+// parts of C, so the result is bit-identical to the serial splitter.  Each
+// task degrades independently through the serial ladder (bad_alloc never
+// escapes a task); if task SETUP fails mid-submission, the blocks that never
+// completed are finished serially on the caller.
 void split_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
                     double alpha, const double* A, int lda, const double* B,
                     int ldb, double beta, double* C, int ldc,
-                    const ParallelOptions& opt, obs::GemmReport* rep) {
-  const layout::SplitPlan split = layout::plan_split(m, k, n, opt.tiles);
+                    const core::ExecConfig& cfg,
+                    const layout::TileOptions& tiles, obs::GemmReport* rep) {
+  const layout::SplitPlan split = layout::plan_split(m, k, n, tiles);
   if (rep) {
     rep->split_used = true;
     rep->parallel = true;
@@ -115,30 +104,15 @@ void split_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
   const std::unique_ptr<std::atomic<bool>[]> done(
       new std::atomic<bool>[blocks]());
 
-  const core::ModgemmOptions serial = serial_options(opt);
   const auto run_block = [&](std::size_t index, const layout::Chunk& cm,
                              const layout::Chunk& cn) {
-    obs::GemmReport* local = locals.empty() ? nullptr : &locals[index];
-    bool first = true;
-    for (const layout::Chunk& ck : split.k_chunks) {
-      const double* Ablk =
-          opa == Op::NoTrans
-              ? A + static_cast<std::size_t>(ck.offset) * lda + cm.offset
-              : A + static_cast<std::size_t>(cm.offset) * lda + ck.offset;
-      const double* Bblk =
-          opb == Op::NoTrans
-              ? B + static_cast<std::size_t>(cn.offset) * ldb + ck.offset
-              : B + static_cast<std::size_t>(ck.offset) * ldb + cn.offset;
-      double* Cblk = C + static_cast<std::size_t>(cn.offset) * ldc + cm.offset;
-      // The serial entry point: plans the chunk (feasible or direct by
-      // plan_split's guarantee), runs its full degradation ladder, and --
-      // executing under this call's collector, installed by the pool --
-      // nests its CallScope so kernel counters flow to this call while the
-      // phase/workspace numbers land in `local`.
-      core::modgemm(opa, opb, cm.size, cn.size, ck.size, alpha, Ablk, lda,
-                    Bblk, ldb, first ? beta : 1.0, Cblk, ldc, serial, local);
-      first = false;
-    }
+    // Runs under this call's collector, installed by the pool, so kernel
+    // counters flow to this call while phases and workspace land in the
+    // block's local report.
+    RawMem mm;
+    core::detail::run_split_block(
+        mm, opa, opb, cm, cn, split.k_chunks, alpha, A, lda, B, ldb, beta, C,
+        ldc, cfg, tiles, 0, locals.empty() ? nullptr : &locals[index]);
     done[index].store(true, std::memory_order_release);
   };
 
@@ -170,186 +144,18 @@ void split_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
       obs::merge_sub_report(*rep, local);
 }
 
-// One level of a non-<2,2,2> coefficient table (core/family.hpp) on the
-// parallel driver: the O(n^2) staging/scatter traffic runs serially on the
-// caller, and each of the rank block products is a full parallel product
-// over the pool (the whole pool works one product at a time -- products are
-// big by construction, so the fan-out inside each one saturates the
-// workers).  Sub-products pin <2,2,2>.  Returns false -- with C untouched
-// and kAlgoFallback recorded -- when the staging allocation fails.
-bool family_parallel(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
-                     double alpha, const double* A, int lda, const double* B,
-                     int ldb, double beta, double* C, int ldc,
-                     analysis::AlgoFamily algo,
-                     analysis::ScheduleFamily family,
-                     const ParallelOptions& opt, obs::GemmReport* rep) {
-  const analysis::FamilyTable& t = analysis::family_table(algo);
-  const std::size_t staging =
-      core::family_workspace_bytes(t, m, k, n, sizeof(double));
-  ParallelOptions sub_opt = opt;
-  sub_opt.algo = analysis::AlgoFamily::k222;  // one level only
-  sub_opt.report = nullptr;
-  try {
-    Arena arena(staging);
-    RawMem mm;
-    core::detail::modgemm_family_arena(
-        mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, t, arena,
-        [&](int m2, int n2, int k2, const double* A2, int lda2,
-            const double* B2, int ldb2, double* C2, int ldc2) {
-          pmodgemm(pool, Op::NoTrans, Op::NoTrans, m2, n2, k2, 1.0, A2, lda2,
-                   B2, ldb2, 0.0, C2, ldc2, sub_opt);
-        },
-        rep);
-    if (rep) {
-      rep->parallel = true;
-      rep->threads = pool != nullptr ? pool->thread_count() : 0;
-      rep->workspace_requested_bytes += staging;
-      ++rep->workspace_allocations;
-      rep->plan = core::family_plan(t, algo, m, k, n);
-      rep->plan.schedule = family;
-      rep->planned_depth = 1;
-      rep->schedule = analysis::family_name(family);
-      rep->algo = analysis::algo_name(algo);
-    }
-    return true;
-  } catch (const std::bad_alloc&) {
-    // The staging arena is pushed before any arithmetic and C is written
-    // only by the final merge, so C is untouched; the plain path takes over.
-    core::detail::record_fallback(rep, core::FallbackReason::kAlgoFallback);
-    return false;
-  }
-}
-
-}  // namespace
-
-int fork_levels(const ThreadPool* pool, int tm, int tk, int tn, int depth,
-                std::int64_t min_task_flops) {
-  if (pool == nullptr) return 0;
-  const std::int64_t threads = pool->thread_count();
-  if (threads == 0) return 0;
-  const std::int64_t wanted = kTasksPerThread * (threads + 1);
-  int levels = 0;
-  for (std::int64_t tasks = 1; tasks < wanted && levels < depth; tasks *= 7) {
-    // Padded volume of one child of this level: (tm*tk*tn) << 3*(d-1) at
-    // remaining depth d.  Computed in double to sidestep overflow for deep
-    // plans.
-    const double child_volume = std::ldexp(static_cast<double>(tm) * tk * tn,
-                                           3 * (depth - levels - 1));
-    if (child_volume < static_cast<double>(min_task_flops)) break;
-    ++levels;
-  }
-  return levels;
-}
-
-std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
-                                     int spawn_levels, std::size_t elem_size,
-                                     analysis::ScheduleFamily family) {
-  STRASSEN_REQUIRE(tm >= 1 && tk >= 1 && tn >= 1 && depth >= 0 &&
-                       spawn_levels >= 0,
-                   "bad workspace request");
-  // The driver runs kInPlace subtrees as kLowMem (no owned operand copies to
-  // overwrite below a spawn level); size what actually executes.
-  family = analysis::child_family(family);
-  if (spawn_levels == 0 || depth == 0)
-    return core::winograd_workspace_bytes(tm, tk, tn, depth, elem_size,
-                                          family);
-  // All 7 child arenas can be live at once.  A spawn level's own
-  // temporaries are family-independent.
-  return checked_add(
-      core::level_temp_bytes(analysis::kWinogradSpawn, tm, tk, tn, depth - 1,
-                             elem_size),
-      checked_mul(7, pmodgemm_workspace_bytes(tm, tk, tn, depth - 1,
-                                              spawn_levels - 1, elem_size,
-                                              family)));
-}
-
-void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
-              double alpha, const double* A, int lda, const double* B, int ldb,
-              double beta, double* C, int ldc, const ParallelOptions& opt) {
-  // Reject bad inputs identically to the serial entry point.
-  core::require_gemm_args(opa, opb, m, n, k, lda, ldb, ldc);
-  blas::kernels::require_valid_kernel_env();
-  STRASSEN_REQUIRE(opt.spawn_levels >= kSpawnAuto,
-                   "bad spawn_levels: " << opt.spawn_levels);
-  STRASSEN_REQUIRE(opt.min_task_flops >= 1,
-                   "min_task_flops must be positive: " << opt.min_task_flops);
-  obs::CallScope scope("pmodgemm", opt.report);
-  obs::GemmReport* rep = scope.report();
-  obs::WallStamp wall(rep);
-  if (rep) {
-    rep->m = m;
-    rep->n = n;
-    rep->k = k;
-    rep->kernel =
-        blas::kernels::kind_name(blas::kernels::active_kernel());
-    rep->kernel_variant =
-        blas::kernels::variant_name(blas::kernels::avx2_variant());
-  }
-  if (m == 0 || n == 0) return;
-  if (alpha == 0.0 || k == 0) {
-    RawMem mm;
-    blas::scale_view(mm, m, n, C, ldc, beta);
-    return;
-  }
-  // Resolve the schedule family once per call (pin, then STRASSEN_SCHEDULE).
+// The parallel execution of one planned <2,2,2> Strassen product
+// (plan.feasible, !plan.direct): Morton conversions fanned out over tile
+// ranges, the top fork levels forked, the conversion back.  If an
+// allocation fails, the serial ladder reruns the same plan.
+void run_planned(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
+                 double alpha, const double* A, int lda, const double* B,
+                 int ldb, double beta, double* C, int ldc,
+                 const layout::GemmPlan& plan, const ParallelOptions& opt,
+                 obs::GemmReport* rep) {
   // The parallel recursion never owns throwaway operand copies below a spawn
-  // level, so the in-place family degenerates to the low-mem one here.
-  analysis::ScheduleFamily family =
-      opt.schedule != analysis::ScheduleFamily::kAuto
-          ? opt.schedule
-          : core::detail::env_schedule_family();
-  if (family == analysis::ScheduleFamily::kAuto)
-    family = analysis::ScheduleFamily::kWinograd;
-  family = analysis::child_family(family);
-  // Resolve the <m,k,n> algorithm family (pin, then STRASSEN_ALGO, then the
-  // planner heuristic -- same layering as the serial driver).  A non-<2,2,2>
-  // family runs one table level with each block product as a full parallel
-  // product; if it cannot run, the plain path below takes over.
-  analysis::AlgoFamily algo =
-      opt.algo != analysis::AlgoFamily::kAuto ? opt.algo
-                                              : core::detail::env_algo_family();
-  if (algo == analysis::AlgoFamily::kAuto)
-    algo = layout::choose_algo(m, k, n, opt.tiles);
-  if (algo != analysis::AlgoFamily::k222) {
-    // Same shape gate as the serial driver: sub-products at or below the
-    // direct threshold would all run conventional, so a family level only
-    // multiplies staging traffic by its rank.
-    const analysis::FamilyTable& t = analysis::family_table(algo);
-    if (std::min({core::family_partition(m, t.bm),
-                  core::family_partition(k, t.bk),
-                  core::family_partition(n, t.bn)}) <=
-        opt.tiles.direct_threshold) {
-      if (rep)
-        core::detail::record_fallback(rep,
-                                      core::FallbackReason::kAlgoFallback);
-      algo = analysis::AlgoFamily::k222;
-    }
-  }
-  if (rep) rep->algo = analysis::algo_name(algo);
-  if (algo != analysis::AlgoFamily::k222) {
-    if (family_parallel(pool, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta,
-                        C, ldc, algo, family, opt, rep))
-      return;
-    if (rep) rep->algo = analysis::algo_name(analysis::AlgoFamily::k222);
-  }
-  layout::GemmPlan plan = layout::plan_gemm(m, k, n, opt.tiles);
-  plan.schedule = family;
-  if (rep) rep->planned_depth = plan.depth;
-  if (plan.direct) {
-    // Thin shapes: one conventional product; nothing to fan out.  The
-    // report (if any) is handed down, so its phases/plan reflect the serial
-    // execution while entry stays "pmodgemm".
-    core::modgemm(opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-                  serial_options(opt), rep);
-    return;
-  }
-  if (!plan.feasible) {
-    // Highly rectangular: the split decomposition, C-blocks as pool tasks.
-    split_parallel(pool, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C,
-                   ldc, opt, rep);
-    return;
-  }
-
+  // level, so the in-place family runs as the low-memory one here.
+  const analysis::ScheduleFamily family = analysis::child_family(plan.schedule);
   // Fork depth, resolved once: the auto rule or the explicit count, capped
   // at the plan depth.  The recursion counts it down level by level.
   const int spawn =
@@ -375,11 +181,6 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
       rep->parallel = true;
       rep->threads = pool != nullptr ? pool->thread_count() : 0;
       rep->spawn_levels = spawn;
-      rep->plan = plan;
-      rep->plan.strategy = layout::ExecStrategy::kMorton;
-      rep->strategy = layout::strategy_name(layout::ExecStrategy::kMorton);
-      rep->schedule = analysis::family_name(family);
-      ++rep->products;
       rep->workspace_requested_bytes += abytes + bbytes + cbytes;
       rep->workspace_allocations += 3;
     }
@@ -451,20 +252,142 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
       }
     }
     if (rep) rep->convert_out_seconds += t.seconds();
+    // The peak is the call's: the collecting CallScope lifts it to every
+    // byte requested (spawn temporaries and child arenas are live together).
+    core::detail::stamp_product(rep, plan, layout::ExecStrategy::kMorton,
+                                family, sizeof(double), 0, spawn);
   } catch (const std::bad_alloc&) {
     // A Morton buffer or a task's arena failed to allocate.  Exceptions from
     // tasks surface at TaskGroup::wait(), after every sibling task joined,
     // so nothing still references the spawn-level temporaries being unwound
     // here.  C has not been touched (the final conversion above completes
     // even under submission failure and lets no bad_alloc escape), so the
-    // serial driver -- with its full degradation ladder down to the
-    // allocation-free path -- can produce the product from scratch.  The
-    // caller's idle arena cache is released first so the retry runs with
-    // every reusable byte returned.
+    // serial ladder -- down to the allocation-free path -- can produce the
+    // same plan's product from scratch.  The caller's idle arena cache is
+    // released first so the retry runs with every reusable byte returned.
     core::detail::record_fallback(rep, core::FallbackReason::kAllocDirect);
     purge_thread_arena_cache();
-    core::modgemm(opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-                  serial_options(opt), rep);
+    RawMem mm;
+    core::detail::run_ladder(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb,
+                             beta, C, ldc, plan, rep);
+  }
+}
+
+}  // namespace
+
+int fork_levels(const ThreadPool* pool, int tm, int tk, int tn, int depth,
+                std::int64_t min_task_flops) {
+  if (pool == nullptr) return 0;
+  const std::int64_t threads = pool->thread_count();
+  if (threads == 0) return 0;
+  const std::int64_t wanted = kTasksPerThread * (threads + 1);
+  int levels = 0;
+  for (std::int64_t tasks = 1; tasks < wanted && levels < depth; tasks *= 7) {
+    // Padded volume of one child of this level: (tm*tk*tn) << 3*(d-1) at
+    // remaining depth d.  Computed in double to sidestep overflow for deep
+    // plans.
+    const double child_volume = std::ldexp(static_cast<double>(tm) * tk * tn,
+                                           3 * (depth - levels - 1));
+    if (child_volume < static_cast<double>(min_task_flops)) break;
+    ++levels;
+  }
+  return levels;
+}
+
+std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
+                                     int spawn_levels, std::size_t elem_size,
+                                     analysis::ScheduleFamily family) {
+  STRASSEN_REQUIRE(tm >= 1 && tk >= 1 && tn >= 1 && depth >= 0 &&
+                       spawn_levels >= 0,
+                   "bad workspace request");
+  // The driver runs kInPlace subtrees as kLowMem (no owned operand copies to
+  // overwrite below a spawn level); size what actually executes.
+  family = analysis::child_family(family);
+  if (spawn_levels == 0 || depth == 0)
+    return core::winograd_workspace_bytes(tm, tk, tn, depth, elem_size,
+                                          family);
+  // All 7 child arenas can be live at once.  A spawn level's own
+  // temporaries are family-independent.
+  return checked_add(
+      core::level_temp_bytes(analysis::kWinogradSpawn, tm, tk, tn, depth - 1,
+                             elem_size),
+      checked_mul(7, pmodgemm_workspace_bytes(tm, tk, tn, depth - 1,
+                                              spawn_levels - 1, elem_size,
+                                              family)));
+}
+
+void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
+              double alpha, const double* A, int lda, const double* B, int ldb,
+              double beta, double* C, int ldc, const ParallelOptions& opt) {
+  // Reject bad inputs identically to the serial entry point.
+  core::require_gemm_args(opa, opb, m, n, k, lda, ldb, ldc);
+  blas::kernels::require_valid_kernel_env();
+  STRASSEN_REQUIRE(opt.spawn_levels >= kSpawnAuto,
+                   "bad spawn_levels: " << opt.spawn_levels);
+  STRASSEN_REQUIRE(opt.min_task_flops >= 1,
+                   "min_task_flops must be positive: " << opt.min_task_flops);
+  obs::CallScope scope("pmodgemm", opt.report);
+  obs::GemmReport* rep = scope.report();
+  obs::WallStamp wall(rep);
+  core::detail::stamp_call<RawMem, double>(rep, m, n, k);
+  RawMem mm;
+  if (core::detail::trivial_product(mm, m, n, k, alpha, beta, C, ldc)) return;
+  // pmodgemm runs the Morton strategy; the resolved strategy reaches only
+  // the products it hands to the serial ladder.
+  const core::ExecConfig cfg = core::resolve_config(
+      {opt.schedule, layout::ExecStrategy::kAuto, opt.algo});
+  detail::run_product(
+      pool, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+      core::detail::plan_product<double>(m, k, n, cfg, opt.tiles, 0, rep), cfg,
+      opt, rep);
+}
+
+void detail::run_product(ThreadPool* pool, Op opa, Op opb, int m, int n,
+                         int k, double alpha, const double* A, int lda,
+                         const double* B, int ldb, double beta, double* C,
+                         int ldc, const layout::GemmPlan& plan,
+                         core::ExecConfig cfg, const ParallelOptions& opt,
+                         obs::GemmReport* rep) {
+  RawMem mm;
+  if (rep) rep->algo = analysis::algo_name(plan.algo);
+  cfg.algo = analysis::AlgoFamily::k222;
+  if (plan.algo != analysis::AlgoFamily::k222) {
+    // The family level stages its combinations serially on the caller; each
+    // of its rank block products is a full parallel product over the pool
+    // (the whole pool works one product at a time -- products are big by
+    // construction, so the fan-out inside each one saturates the workers).
+    if (core::detail::run_family(
+            mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
+            [&](int m2, int n2, int k2, const double* A2, int lda2,
+                const double* B2, int ldb2, double* C2, int ldc2,
+                obs::GemmReport* sub) {
+              run_product(pool, Op::NoTrans, Op::NoTrans, m2, n2, k2, 1.0, A2,
+                          lda2, B2, ldb2, 0.0, C2, ldc2,
+                          core::detail::plan_product<double>(
+                              m2, k2, n2, cfg, opt.tiles, 0, sub),
+                          cfg, opt, sub);
+            },
+            rep)) {
+      if (rep) {
+        rep->parallel = true;
+        rep->threads = pool != nullptr ? pool->thread_count() : 0;
+      }
+      return;
+    }
+    run_product(pool, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+                core::detail::plan_product<double>(m, k, n, cfg, opt.tiles, 0,
+                                                   rep),
+                cfg, opt, rep);
+  } else if (plan.direct) {
+    // Thin shapes: one conventional product; nothing to fan out.
+    core::detail::run_ladder(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb,
+                             beta, C, ldc, plan, rep);
+  } else if (!plan.feasible) {
+    split_parallel(pool, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C,
+                   ldc, cfg, opt.tiles, rep);
+  } else {
+    run_planned(pool, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+                plan, opt, rep);
   }
 }
 

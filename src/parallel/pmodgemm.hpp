@@ -122,4 +122,21 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
               double beta, double* C, int ldc,
               const ParallelOptions& opt = {});
 
+namespace detail {
+
+// pmodgemm's pipeline below resolve and plan: runs `plan` (from
+// core::detail::plan_product under cfg) on the pool.  A family level runs
+// each block product as a parallel product of its own, thin shapes the
+// serial ladder, split shapes one pool task per C block, and the rest the
+// parallel Morton product (serial ladder on the same plan if an allocation
+// fails).  The batched driver hands its deep products here; their class was
+// already planned once.
+void run_product(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
+                 double alpha, const double* A, int lda, const double* B,
+                 int ldb, double beta, double* C, int ldc,
+                 const layout::GemmPlan& plan, core::ExecConfig cfg,
+                 const ParallelOptions& opt, obs::GemmReport* report);
+
+}  // namespace detail
+
 }  // namespace strassen::parallel

@@ -47,15 +47,16 @@ namespace strassen::tune {
 
 // ---- in-process plan cache --------------------------------------------------
 
-// Everything that influences plan_gemm + apply_workspace_budget +
-// plan_exec_strategy for one product.  Two calls with equal keys execute the
-// same plan, so the cached result is exact, not heuristic.
+// Everything that influences core::detail::plan_product for one product.
+// Two calls with equal keys execute the same plan, so the cached result is
+// exact, not heuristic.
 struct PlanKey {
   int m = 0, k = 0, n = 0;
   std::uint8_t opa = 0, opb = 0;      // Op, as ordinal
-  std::uint8_t schedule = 0;          // resolved analysis::ScheduleFamily
-  std::uint8_t strategy = 0;          // resolved layout::ExecStrategy
-  std::uint8_t algo = 0;              // resolved analysis::AlgoFamily
+  // The call's core::ExecConfig, as ordinals (kAuto = decided per product).
+  std::uint8_t schedule = 0;          // analysis::ScheduleFamily
+  std::uint8_t strategy = 0;          // layout::ExecStrategy
+  std::uint8_t algo = 0;              // analysis::AlgoFamily
   std::uint32_t elem_size = 0;
   std::uint64_t max_workspace_bytes = 0;
   // Planner knobs (layout::TileOptions), field by field.

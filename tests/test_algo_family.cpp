@@ -267,11 +267,11 @@ TEST(AlgoFamilyBitIdentity, DeepSquareHeuristicStaysOn222) {
 
 TEST(AlgoFamilyEnv, PinBeatsEnvironment) {
   ScopedEnv env("STRASSEN_ALGO", "333");
-  core::ModgemmOptions opt;
-  opt.algo = AlgoFamily::k323;
-  EXPECT_EQ(core::detail::resolve_algo_family(opt), AlgoFamily::k323);
-  opt.algo = AlgoFamily::kAuto;
-  EXPECT_EQ(core::detail::resolve_algo_family(opt), AlgoFamily::k333);
+  core::ExecConfig pins;
+  pins.algo = AlgoFamily::k323;
+  EXPECT_EQ(core::resolve_config(pins).algo, AlgoFamily::k323);
+  pins.algo = AlgoFamily::kAuto;
+  EXPECT_EQ(core::resolve_config(pins).algo, AlgoFamily::k333);
 }
 
 TEST(AlgoFamilyEnv, ParsesEveryName) {

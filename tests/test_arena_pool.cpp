@@ -13,8 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 
+#include "common/matrix.hpp"
+#include "common/rng.hpp"
+#include "core/modgemm.hpp"
 #include "parallel/arena_pool.hpp"
 #include "testing/fault_injection.hpp"
 
@@ -99,6 +103,33 @@ TEST(ArenaPool, CacheIsPerThread) {
   // The peer's activity did not disturb this thread's cache.
   EXPECT_EQ(thread_arena_cache_stats().cached_arenas, mine.cached_arenas);
   purge_thread_arena_cache();
+}
+
+// The serial driver's Morton rung draws its arena from this cache too: a
+// repeated product of one shape is a cache hit on every call after the
+// first.
+TEST(ArenaPool, SerialMortonReusesTheThreadArena) {
+  const int n = 200;
+  Matrix<double> A(n, n), B(n, n), C(n, n);
+  Rng rng(3);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  core::ModgemmOptions opt;
+  opt.tiles.direct_threshold = 32;  // force a Strassen execution
+  opt.strategy = layout::ExecStrategy::kMorton;
+  opt.algo = analysis::AlgoFamily::k222;
+  const auto run = [&] {
+    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                  B.data(), n, 0.0, C.data(), n, opt);
+  };
+  run();
+  const ArenaCacheStats first = thread_arena_cache_stats();
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    run();
+    const ArenaCacheStats now = thread_arena_cache_stats();
+    EXPECT_EQ(now.hits, first.hits + i);
+    EXPECT_EQ(now.misses, first.misses);
+  }
 }
 
 }  // namespace

@@ -1,0 +1,153 @@
+// The three entry points dispatch alike.
+//
+// core::modgemm, parallel::pmodgemm on an inline pool and a one-item
+// core::modgemm_batched share one pipeline (resolve_config -> plan_product
+// -> the product ladder, family runner or split blocks), so on every
+// planner-boundary shape they must report the same <m,k,n> family, plan and
+// fallback and produce bit-identical C.  Serial and batched must also agree
+// on the execution strategy (pmodgemm always runs Morton).
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <tuple>
+
+#include "common/matrix.hpp"
+#include "common/rng.hpp"
+#include "core/batched.hpp"
+#include "core/modgemm.hpp"
+#include "parallel/pmodgemm.hpp"
+
+namespace strassen {
+namespace {
+
+using analysis::AlgoFamily;
+using analysis::ScheduleFamily;
+
+struct Shape {
+  const char* name;
+  int m, k, n;
+  layout::TileOptions tiles;
+};
+
+layout::TileOptions window_gap_tiles() {
+  // Under these knobs 22 sits in the window gap: no common depth >= 1.
+  layout::TileOptions t;
+  t.min_tile = 12;
+  t.max_tile = 32;
+  t.preferred_tile = 12;
+  t.direct_threshold = 16;
+  return t;
+}
+
+const Shape kShapes[] = {
+    {"DirectThreshold", 64, 200, 150, {}},
+    {"DirectThresholdPlus1", 65, 200, 150, {}},
+    {"WindowGap", 22, 32, 22, window_gap_tiles()},
+    {"Split", 100, 2100, 100, {}},
+    {"Conv3x3", 256, 2304, 361, {}},
+    {"Cube1025", 1025, 1025, 1025, {}},
+};
+
+void expect_same_dispatch(const obs::GemmReport& a, const obs::GemmReport& b) {
+  EXPECT_STREQ(a.algo, b.algo);
+  EXPECT_EQ(a.plan.direct, b.plan.direct);
+  EXPECT_EQ(a.plan.m.tile, b.plan.m.tile);
+  EXPECT_EQ(a.plan.k.tile, b.plan.k.tile);
+  EXPECT_EQ(a.plan.n.tile, b.plan.n.tile);
+  EXPECT_EQ(a.plan.depth, b.plan.depth);
+  EXPECT_EQ(a.plan.schedule, b.plan.schedule);
+  EXPECT_EQ(a.fallback_reason, b.fallback_reason);
+}
+
+class DispatchAlike
+    : public ::testing::TestWithParam<
+          std::tuple<int, AlgoFamily, ScheduleFamily>> {};
+
+TEST_P(DispatchAlike, EntryPointsAgree) {
+  const auto [index, algo, schedule] = GetParam();
+  const Shape& s = kShapes[index];
+  if (core::resolve_config({schedule, layout::ExecStrategy::kAuto, algo})
+          .schedule == ScheduleFamily::kInPlace)
+    GTEST_SKIP() << "pmodgemm runs the in-place family as low-memory";
+  Matrix<double> A(s.m, s.k), B(s.k, s.n), C0(s.m, s.n);
+  Rng rng(17);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  rng.fill_uniform(C0.storage());
+  Matrix<double> Cs(s.m, s.n), Cp(s.m, s.n), Cb(s.m, s.n);
+  for (Matrix<double>* c : {&Cs, &Cp, &Cb})
+    std::memcpy(c->data(), C0.data(), sizeof(double) * C0.storage().size());
+  const double alpha = 1.5, beta = 0.5;
+
+  core::ModgemmOptions sopt;
+  sopt.tiles = s.tiles;
+  sopt.algo = algo;
+  sopt.schedule = schedule;
+  obs::GemmReport serial;
+  core::modgemm(Op::NoTrans, Op::NoTrans, s.m, s.n, s.k, alpha, A.data(),
+                A.ld(), B.data(), B.ld(), beta, Cs.data(), Cs.ld(), sopt,
+                &serial);
+
+  parallel::ParallelOptions popt;
+  popt.tiles = s.tiles;
+  popt.algo = algo;
+  popt.schedule = schedule;
+  obs::GemmReport par;
+  popt.report = &par;
+  parallel::pmodgemm(nullptr, Op::NoTrans, Op::NoTrans, s.m, s.n, s.k, alpha,
+                     A.data(), A.ld(), B.data(), B.ld(), beta, Cp.data(),
+                     Cp.ld(), popt);
+
+  core::BatchItem item;
+  item.m = s.m;
+  item.n = s.n;
+  item.k = s.k;
+  item.alpha = alpha;
+  item.A = A.data();
+  item.lda = A.ld();
+  item.B = B.data();
+  item.ldb = B.ld();
+  item.beta = beta;
+  item.C = Cb.data();
+  item.ldc = Cb.ld();
+  core::BatchedOptions bopt;
+  bopt.tiles = s.tiles;
+  bopt.algo = algo;
+  bopt.schedule = schedule;
+  obs::GemmReport batched;
+  core::modgemm_batched(nullptr, &item, 1, bopt, &batched);
+
+  {
+    SCOPED_TRACE("pmodgemm vs modgemm");
+    expect_same_dispatch(serial, par);
+  }
+  {
+    SCOPED_TRACE("modgemm_batched vs modgemm");
+    expect_same_dispatch(serial, batched);
+    EXPECT_EQ(serial.plan.strategy, batched.plan.strategy);
+  }
+  const std::size_t bytes = sizeof(double) * Cs.storage().size();
+  EXPECT_EQ(std::memcmp(Cs.data(), Cp.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(Cs.data(), Cb.data(), bytes), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, DispatchAlike,
+    ::testing::Combine(::testing::Range(0, static_cast<int>(
+                                               std::size(kShapes))),
+                       ::testing::Values(AlgoFamily::kAuto, AlgoFamily::k222),
+                       ::testing::Values(ScheduleFamily::kAuto,
+                                         ScheduleFamily::kLowMem)),
+    [](const auto& info) {
+      return std::string(kShapes[std::get<0>(info.param)].name) + "_" +
+             (std::get<1>(info.param) == AlgoFamily::kAuto ? "AlgoAuto"
+                                                           : "Algo222") +
+             "_" +
+             (std::get<2>(info.param) == ScheduleFamily::kAuto
+                  ? "ScheduleAuto"
+                  : "LowMem");
+    });
+
+}  // namespace
+}  // namespace strassen

@@ -492,6 +492,53 @@ TEST(ObsParallel, MortonPathStampsStrategy) {
   EXPECT_EQ(report.plan.strategy, layout::ExecStrategy::kMorton);
 }
 
+// pmodgemm's family path merges its sub-products' reports: the strategy
+// they executed reaches the caller (it used to stay empty).
+TEST(ObsParallel, FamilyPathReportsSubProductStrategy) {
+  const int n = 384;
+  Problem p(n);
+  parallel::ThreadPool pool(1);
+  parallel::ParallelOptions popt;
+  popt.algo = analysis::AlgoFamily::k234;
+  ModgemmReport report;
+  popt.report = &report;
+  parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
+                     p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
+                     p.C.data(), p.C.ld(), popt);
+  ASSERT_STREQ(report.algo, "234");
+  EXPECT_STRNE(report.strategy, "");
+  EXPECT_STREQ(report.strategy, layout::strategy_name(report.plan.strategy));
+}
+
+// ...and a sub-product's degradation surfaces as the caller's fallback.
+TEST(ObsParallel, FamilyPathSurfacesSubProductFallback) {
+  const int n = 384;
+  Problem p(n);
+  ModgemmOptions sopt;
+  sopt.algo = analysis::AlgoFamily::k234;
+  Matrix<double> Cserial(n, n);
+  core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
+                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(),
+                sopt);
+
+  parallel::ThreadPool pool(1);
+  parallel::ParallelOptions popt;
+  popt.algo = analysis::AlgoFamily::k234;
+  ModgemmReport report;
+  popt.report = &report;
+  {
+    // Allocation 1 is the family staging; 2 is the first sub-product's
+    // first Morton buffer, so that sub-product reruns on the serial ladder.
+    ft::FaultInjector inj(ft::FaultMode::kFailOnce, 2);
+    parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
+                       p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
+                       p.C.data(), p.C.ld(), popt);
+  }
+  EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
+  EXPECT_STREQ(report.algo, "234");
+  EXPECT_EQ(report.fallback_reason, FallbackReason::kAllocDirect);
+}
+
 TEST(ObsParallel, InlinePoolStillCountsTasks) {
   const int n = 256;
   Problem p(n);

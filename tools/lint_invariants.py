@@ -21,6 +21,12 @@ Enforces three invariants that ordinary compilation cannot:
                     tolerated occurrences are enumerated exceptions in the
                     allowlist (obs::now_nanos).
 
+  4. getenv         Under src/core and src/parallel only the allowlisted
+                    files may read the environment: configuration is
+                    resolved once per call (core::resolve_config) or per
+                    pool, and nested products receive it instead of
+                    re-reading STRASSEN_* while callers may setenv.
+
 Engines: the default "text" engine strips comments and string literals and
 scans with regexes -- deliberately dependency-free so it runs in any
 container.  "--engine libclang" uses clang.cindex over compile_commands.json
@@ -72,6 +78,9 @@ HOT_PATH_FILES = [
     "src/core/winograd.hpp",
     "src/obs/collector.hpp",
 ]
+
+# Directories whose environment reads must be allowlisted ("getenv").
+GETENV_SCOPE = ["src/core", "src/parallel"]
 
 BANNED_TOKENS = [
     "steady_clock", "system_clock", "high_resolution_clock",
@@ -281,6 +290,33 @@ def check_hot_path_tokens(root, allowlist, errors):
                 "allowlist entry")
 
 
+def check_getenv(root, allowlist, errors):
+    allowed = {}
+    for entry in allowlist.get("getenv", []):
+        allowed[entry["file"]] = 0
+        if not entry.get("why"):
+            errors.append(f"{entry['file']}: getenv allowlist entry has no "
+                          "justification ('why')")
+    for scope in GETENV_SCOPE:
+        for path in sorted((root / scope).rglob("*")):
+            if path.suffix not in (".hpp", ".cpp"):
+                continue
+            rel = path.relative_to(root).as_posix()
+            text = strip_comments_and_strings(path.read_text(encoding="utf-8"))
+            for m in re.finditer(r"\bgetenv\b", text):
+                if rel in allowed:
+                    allowed[rel] += 1
+                    continue
+                errors.append(
+                    f"{rel}:{line_of(text, m.start())}: getenv outside the "
+                    "allowlisted configuration files -- resolve STRASSEN_* "
+                    "once (core::resolve_config) and pass the result down")
+    for rel, seen in sorted(allowed.items()):
+        if seen == 0:
+            errors.append(f"{rel}: getenv allowlist entry but no getenv "
+                          "found -- stale allowlist entry")
+
+
 # ---- libclang engine (optional) -------------------------------------------
 
 def libclang_available():
@@ -370,6 +406,7 @@ def main():
     check_atomic_orders(root, allowlist, errors)
     check_noexcept(root, errors)
     check_hot_path_tokens(root, allowlist, errors)
+    check_getenv(root, allowlist, errors)
     if engine == "libclang":
         run_libclang(root, allowlist, errors)
 
