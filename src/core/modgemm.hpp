@@ -511,7 +511,7 @@ void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
             opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
             report);
         stamp_product(report, plan, layout::ExecStrategy::kPackFused,
-                      packfused::executed_family(plan.schedule), sizeof(T),
+                      analysis::child_family(plan.schedule), sizeof(T),
                       peak);
       } else {
         const std::size_t peak = modgemm_morton(

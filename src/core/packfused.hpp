@@ -3,33 +3,37 @@
 // The Morton strategy (core/modgemm.hpp) pays three layout conversions per
 // product -- 5-15% of the call (paper Fig. 7), pure overhead for one-shot,
 // low-reuse and rectangular problems.  This strategy runs the SAME verified
-// schedule tables (analysis/schedule.hpp) directly over the caller's
-// column-major storage, BLIS-Strassen style (Huang, Smith, Henry & van de
-// Geijn):
+// schedule tables on the SAME interpreter (core::detail::ScheduleInterpreter,
+// core/winograd.hpp) as Morton, with a different operand storage: the
+// caller's column-major matrices, BLIS-Strassen style (Huang, Smith, Henry &
+// van de Geijn).  This file holds that storage (ViewStorage), the
+// workspace sizing and the modgemm_packfused rung:
 //
 //   * every recursion operand is a clipped VIEW (blas::PackSrc) of the user
 //     matrix, a recursion temporary, or a C-quadrant window; zero padding is
 //     a property of the view (reads outside the stored extent return 0,
 //     stores outside it are dropped), never a materialized buffer;
-//   * at the leaves, operands the kernels cannot consume in place --
-//     transposed sources, boundary tiles needing zero fill, Winograd operand
-//     sums (A_i +- A_j) -- are gathered by blas/pack.hpp into dense
-//     64-byte-aligned panels drawn from the per-thread arena pool; interior
-//     untransposed views pass straight through (the kernels take a leading
-//     dimension), so packing traffic concentrates at the boundary;
+//   * at the leaves (core::detail::leaf_product, shared with Morton's fused
+//     leaves), operands the kernels cannot consume in place -- transposed
+//     sources, boundary tiles needing zero fill, wide-strided views -- are
+//     gathered by blas/pack.hpp into dense 64-byte-aligned panels in this
+//     call's arena; interior untransposed views pass straight through (the
+//     kernels take a leading dimension), so packing traffic concentrates at
+//     the boundary;
 //   * the schedule's output combinations (the U-chain add/sub-in-place
 //     steps) accumulate C +-= P exactly as they do over Morton storage, so
 //     the "unpack" is the table itself.
 //
 // Bit-exactness contract (tested in tests/test_packfused.cpp): for every
 // alpha/beta and kernel, the pack-fused strategy produces BIT-IDENTICAL
-// results to the Morton strategy.  This holds because (1) both strategies
-// select tables by analysis::level_schedule, (2) every element-wise
-// step performs the same single +/- per element on the same values, (3)
-// every leaf invokes the same kernel entry on the same tile values (a packed
+// results to the Morton strategy.  The table sequence, temporaries and
+// fused-kernel gate are the interpreter's, so they are shared by
+// construction; what this storage must keep is (1) every element-wise step
+// performs the same single +/- per element on the same values, (2) every
+// leaf invokes the same kernel entry on the same tile values (a packed
 // panel replicates the Morton tile bit-for-bit; a pass-through view feeds
 // the kernel the same values through a different leading dimension, which
-// does not change its FMA order), and (4) the alpha/beta epilogue applies
+// does not change its FMA order), and (3) the alpha/beta epilogue applies
 // the exact per-element expression of layout::from_morton (via
 // blas::scale_view / blas::axpby_view).
 //
@@ -50,12 +54,11 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <type_traits>
+#include <functional>
 
 #include "analysis/schedule.hpp"
 #include "blas/gemm.hpp"
 #include "blas/kernels.hpp"
-#include "blas/kernels/registry.hpp"
 #include "blas/pack.hpp"
 #include "common/arena.hpp"
 #include "common/check.hpp"
@@ -92,19 +95,6 @@ namespace packfused {
 
 using blas::PackSrc;
 
-// The schedule family a pack-fused execution actually runs.  kInPlace is
-// mapped to kLowMem: the in-place table overwrites its A/B operand slots,
-// which over Morton storage are the call's own staging copies but here would
-// be the USER's matrices.  kLowMem is the closest verified schedule with the
-// same products.
-inline analysis::ScheduleFamily executed_family(analysis::ScheduleFamily f) {
-  if (f == analysis::ScheduleFamily::kAuto)
-    return analysis::ScheduleFamily::kWinograd;
-  if (f == analysis::ScheduleFamily::kInPlace)
-    return analysis::ScheduleFamily::kLowMem;
-  return f;
-}
-
 // Clipped quadrant of a read view at logical offset (r0, c0), extent at most
 // hr x hc.  The pointer is only advanced when the clipped extent is
 // non-empty (an all-pad quadrant must not form an out-of-bounds address).
@@ -124,303 +114,89 @@ inline PackSrc<T> quad(const PackSrc<T>& v, int r0, int c0, int hr, int hc) {
 
 namespace detail {
 
-using core::detail::fused_op;
-
-// One side of a leaf product, presented the way the kernel entries expect:
-// source pointer(s) sharing one leading dimension.  Views the kernels can
-// read in place pass through; everything else is packed into arena panels
-// holding exactly the values the Morton conversion would have staged.
-template <class T>
-struct LeafSide {
-  const T* p0 = nullptr;
-  const T* p1 = nullptr;
-  int ld = 0;
-};
-
-template <class T>
-LeafSide<T> stage_side(const PackSrc<T>& s0, const PackSrc<T>* s1, int pr,
-                       int pc, Arena& arena) {
-  // Wide-strided covering views are packed anyway: with ld > 2*pr each
-  // cache line fetched for a panel column carries under half useful data,
-  // so a kernel reading the view in place more than doubles its working
-  // set versus a contiguous panel (immediate-level temps have ld == 2*pr
-  // exactly and stay cheap to read in place; user-matrix and top-level
-  // temp reads with ld of several multiples of pr do not).  One packing
-  // pass pays that cost once instead of on every kernel sweep.
-  auto wide = [&](const PackSrc<T>& s) { return s.ld > 2 * pr; };
-  LeafSide<T> out;
-  const bool in_place =
-      s1 == nullptr ? (s0.covers(pr, pc) && !wide(s0))
-                    : (s0.covers(pr, pc) && s1->covers(pr, pc) &&
-                       !s0.trans && !s1->trans && s0.ld == s1->ld &&
-                       !wide(s0) && !wide(*s1));
-  if (in_place) {
-    out.p0 = s0.ptr;
-    out.p1 = s1 != nullptr ? s1->ptr : nullptr;
-    out.ld = s0.ld;
-    return out;
-  }
-  T* panel0 = arena.push<T>(static_cast<std::size_t>(pr) * pc);
-  blas::pack_panel(panel0, pr, pc, s0);
-  out.p0 = panel0;
-  out.ld = pr;
-  if (s1 != nullptr) {
-    T* panel1 = arena.push<T>(static_cast<std::size_t>(pr) * pc);
-    blas::pack_panel(panel1, pr, pc, *s1);
-    out.p1 = panel1;
-  }
-  return out;
-}
-
-// One leaf product: dst(real dr x dc window of the tm x tn tile, leading
-// dimension ldd) = (a0 [asign a1]) . (b0 [bsign b1]).  Fused partners are
-// only ever present when the caller selected the fused-L1 table, i.e. when
-// `fused` points at a kernel table publishing the fused entries.  Values the
-// clipped destination drops are exact zeros (padding invariant).
-template <class T>
-void leaf_product(T* dst, int ldd, int dr, int dc, const PackSrc<T>& a0,
-                  const PackSrc<T>* a1, analysis::Sign asign,
-                  const PackSrc<T>& b0, const PackSrc<T>* b1,
-                  analysis::Sign bsign, int tm, int tk, int tn, Arena& arena,
-                  const blas::kernels::LeafKernels* fused) {
-  Arena::Frame frame(arena);
-  const LeafSide<T> a = stage_side(a0, a1, tm, tk, arena);
-  const LeafSide<T> b = stage_side(b0, b1, tk, tn, arena);
-  T* cptr = dst;
-  int ldc = ldd;
-  const bool clipped = dr < tm || dc < tn;
-  if (clipped) {
-    cptr = arena.push<T>(static_cast<std::size_t>(tm) * tn);
-    ldc = tm;
-  }
-  if (a1 != nullptr || b1 != nullptr) {
-    if constexpr (std::is_same_v<T, double>) {
-      STRASSEN_REQUIRE(fused != nullptr,
-                       "fused leaf product without a fused kernel table");
-      obs::LeafTimer lt(/*fused=*/true);
-      if (a1 != nullptr && b1 != nullptr) {
-        fused->gemm_fused_ab(tm, tn, tk, a.p0, a.p1, fused_op(asign), a.ld,
-                             b.p0, b.p1, fused_op(bsign), b.ld, cptr, ldc);
-      } else if (a1 != nullptr) {
-        fused->gemm_fused_a(tm, tn, tk, a.p0, a.p1, fused_op(asign), a.ld,
-                            b.p0, b.ld, cptr, ldc);
-      } else {
-        fused->gemm_fused_b(tm, tn, tk, a.p0, a.ld, b.p0, b.p1,
-                            fused_op(bsign), b.ld, cptr, ldc);
-      }
-    } else {
-      STRASSEN_REQUIRE(false,
-                       "fused leaf product in a non-double instantiation");
+// d = op(x, y) over d's extent.  Source reads clip to exact zeros -- the
+// values to_morton would have staged there -- and the clipped contribution
+// is still COMPUTED (e.g. dj + 0), not skipped, so zero signs match the
+// Morton strategy bit-for-bit.  Columns split into a dense in-bounds run
+// (tight, vectorizable) and a clipped tail; transposed user operands take
+// the generic gather.
+template <class T, class Op>
+void combine(const PackSrc<T>& d, const PackSrc<T>& x, const PackSrc<T>& y,
+             Op op) {
+  T* dst = const_cast<T*>(d.ptr);
+  const int rows = d.rows;
+  if (x.trans || y.trans) {
+    for (int j = 0; j < d.cols; ++j) {
+      T* dj = dst + static_cast<std::size_t>(j) * d.ld;
+      for (int i = 0; i < rows; ++i) dj[i] = op(x.at(i, j), y.at(i, j));
     }
-  } else {
-    RawMem raw;
-    blas::gemm_leaf(raw, tm, tn, tk, a.p0, a.ld, b.p0, b.ld, cptr, ldc,
-                    blas::LeafMode::Overwrite);
+    return;
   }
-  if (clipped) {
-    // Unpack: the real window takes the product; the padded remainder holds
-    // exact zeros and is dropped.
-    for (int j = 0; j < dc; ++j) {
-      const T* pj = cptr + static_cast<std::size_t>(j) * tm;
-      T* oj = dst + static_cast<std::size_t>(j) * ldd;
-      for (int i = 0; i < dr; ++i) oj[i] = pj[i];
-    }
+  for (int j = 0; j < d.cols; ++j) {
+    T* dj = dst + static_cast<std::size_t>(j) * d.ld;
+    const T* xj =
+        j < x.cols ? x.ptr + static_cast<std::size_t>(j) * x.ld : nullptr;
+    const T* yj =
+        j < y.cols ? y.ptr + static_cast<std::size_t>(j) * y.ld : nullptr;
+    const int xr = xj != nullptr ? std::min(x.rows, rows) : 0;
+    const int yr = yj != nullptr ? std::min(y.rows, rows) : 0;
+    const int dense = std::min(xr, yr);
+    for (int i = 0; i < dense; ++i) dj[i] = op(xj[i], yj[i]);
+    for (int i = dense; i < rows; ++i)
+      dj[i] = op(i < xr ? xj[i] : T{0}, i < yr ? yj[i] : T{0});
   }
 }
 
 }  // namespace detail
 
-// C-view (real crows x ccols window of the padded (tm<<depth) x (tn<<depth)
-// product, leading dimension ldc) = A-view . B-view, by the `family`
-// schedule tables.  Mirrors core::winograd_recurse level for level: same
-// table selection, same temporary sizes and push order, same step sequence.
+// View storage for core::detail::ScheduleInterpreter: an operand of depth d
+// is a clipped column-major view of a zero-padded (rows << d) x (cols << d)
+// operand -- the user matrix, a C-quadrant window or an arena temporary
+// (the padding is implicit, see the file comment).  Writable
+// slots are never transposed, and their view ld doubles as the store
+// leading dimension.  Leaves go through core::detail::leaf_product with
+// this storage's arena for staging panels (sized by
+// packfused_workspace_bytes).
 template <class T>
-void recurse(T* C, int ldc, int crows, int ccols, const PackSrc<T>& A,
-             const PackSrc<T>& B, int tm, int tk, int tn, int depth,
-             Arena& arena, analysis::ScheduleFamily family) {
-  using analysis::Operand;
-  using analysis::StepKind;
-  if (depth == 0) {
-    detail::leaf_product<T>(C, ldc, crows, ccols, A, nullptr,
-                            analysis::Sign::kPlus, B, nullptr,
-                            analysis::Sign::kPlus, tm, tk, tn, arena, nullptr);
-    return;
+struct ViewStorage : core::detail::LeafTiles {
+  using Model = RawMem;
+  using Elem = T;
+  using Ref = PackSrc<T>;
+  static constexpr bool kStagesLeaves = true;
+
+  // The full `s`-shaped operand of `depth` levels stored densely at p.
+  Ref operand(const T* p, analysis::Shape s, int depth) const {
+    const int r = rows(s) << depth;
+    return {p, r, false, r, cols(s) << depth};
   }
-  const int d1 = depth - 1;
-  const int hm = tm << d1;
-  const int hk = tk << d1;
-  const int hn = tn << d1;
-
-  // Table selection and temporary layout: the Morton recursion's own rules
-  // (analysis::level_schedule, core::push_temps), so both strategies run the
-  // same tables with the same arena peak.
-  const blas::kernels::LeafKernels* fused_tab =
-      core::detail::fused_kernels<RawMem, T>(d1);
-  const analysis::Schedule* sched =
-      &analysis::level_schedule(family, d1, fused_tab != nullptr);
-  if (!sched->uses_fused_kernels) fused_tab = nullptr;
-
-  // Operand slot tables: a read view per slot, a writable base for C
-  // quadrants and temporaries.  Writable slots are never transposed and
-  // their view ld doubles as the store leading dimension.
-  PackSrc<T> rd[analysis::kOperandCount] = {};
-  T* wr[analysis::kOperandCount] = {};
-  auto idx = [](Operand op) { return static_cast<int>(op); };
-
-  rd[idx(Operand::kA11)] = quad(A, 0, 0, hm, hk);
-  rd[idx(Operand::kA12)] = quad(A, 0, hk, hm, hk);
-  rd[idx(Operand::kA21)] = quad(A, hm, 0, hm, hk);
-  rd[idx(Operand::kA22)] = quad(A, hm, hk, hm, hk);
-  rd[idx(Operand::kB11)] = quad(B, 0, 0, hk, hn);
-  rd[idx(Operand::kB12)] = quad(B, 0, hn, hk, hn);
-  rd[idx(Operand::kB21)] = quad(B, hk, 0, hk, hn);
-  rd[idx(Operand::kB22)] = quad(B, hk, hn, hk, hn);
-
-  PackSrc<T> cview{C, ldc, false, crows, ccols};
-  const Operand cquads[] = {Operand::kC11, Operand::kC12, Operand::kC21,
-                            Operand::kC22};
-  const int coff[][2] = {{0, 0}, {0, hn}, {hm, 0}, {hm, hn}};
-  for (int q = 0; q < 4; ++q) {
-    PackSrc<T> v = quad(cview, coff[q][0], coff[q][1], hm, hn);
-    rd[idx(cquads[q])] = v;
-    wr[idx(cquads[q])] = const_cast<T*>(v.ptr);
+  Ref quadrant(const Ref& whole, analysis::Shape s, int q, int d1) const {
+    const int hr = rows(s) << d1;
+    const int hc = cols(s) << d1;
+    return quad(whole, (q >> 1) * hr, (q & 1) * hc, hr, hc);
   }
-
-  Arena::Frame frame(arena);
-  push_temps<T>(*sched, arena, static_cast<std::size_t>(hm) * hk,
-                static_cast<std::size_t>(hk) * hn,
-                static_cast<std::size_t>(hm) * hn,
-                [&](Operand t, T* base, std::size_t) {
-                  const analysis::Shape s = analysis::shape_of(t);
-                  const int rows = s == analysis::Shape::kB ? hk : hm;
-                  const int cols = s == analysis::Shape::kA ? hk : hn;
-                  rd[idx(t)] = PackSrc<T>{base, rows, false, rows, cols};
-                  wr[idx(t)] = base;
-                });
-
-  // Element-wise step over the destination's extent; source reads clip to
-  // exact zeros -- the values to_morton would have staged there -- and the
-  // clipped contribution is still COMPUTED (e.g. dj + 0), not skipped, so
-  // zero signs match the Morton strategy bit-for-bit.  Counted like one
-  // blas::vadd/vsub call so kernel telemetry matches the Morton strategy.
-  // Columns split into a dense in-bounds run (tight, vectorizable) and a
-  // clipped tail; transposed user operands take the generic gather.
-  auto elementwise = [&](const analysis::Step& s) {
-    T* dst = wr[idx(s.dst)];
-    STRASSEN_REQUIRE(dst != nullptr, "schedule step writes read-only operand "
-                                         << analysis::operand_name(s.dst));
-    const PackSrc<T>& dv = rd[idx(s.dst)];
-    const PackSrc<T>& x = rd[idx(s.a0)];
-    const bool binary =
-        s.kind == StepKind::kAdd || s.kind == StepKind::kSub;
-    const PackSrc<T>& y = rd[idx(binary ? s.a1 : s.a0)];
+  // dst = x (+/-) *y, or dst (+/-)= x when y is null (run as
+  // dst = dst (+/-) x: the same single operation per element).  Counted like
+  // one blas::vadd/vsub call so kernel telemetry matches the Morton storage.
+  void elementwise(const Ref& dst, const Ref& x, const Ref* y,
+                   analysis::Sign sign) const {
     if (obs::Collector* c = obs::current()) c->note_elementwise();
-    const int rows = dv.rows;
-    if (x.trans || (binary && y.trans)) {
-      for (int j = 0; j < dv.cols; ++j) {
-        T* dj = dst + static_cast<std::size_t>(j) * dv.ld;
-        for (int i = 0; i < rows; ++i) {
-          switch (s.kind) {
-            case StepKind::kAdd:
-              dj[i] = static_cast<T>(x.at(i, j) + y.at(i, j));
-              break;
-            case StepKind::kSub:
-              dj[i] = static_cast<T>(x.at(i, j) - y.at(i, j));
-              break;
-            case StepKind::kAddInplace:
-              dj[i] = static_cast<T>(dj[i] + x.at(i, j));
-              break;
-            default:  // kSubInplace
-              dj[i] = static_cast<T>(dj[i] - x.at(i, j));
-              break;
-          }
-        }
-      }
-      return;
-    }
-    for (int j = 0; j < dv.cols; ++j) {
-      T* dj = dst + static_cast<std::size_t>(j) * dv.ld;
-      const T* xj =
-          j < x.cols ? x.ptr + static_cast<std::size_t>(j) * x.ld : nullptr;
-      const int xr = xj != nullptr ? std::min(x.rows, rows) : 0;
-      switch (s.kind) {
-        case StepKind::kAdd:
-        case StepKind::kSub: {
-          const T* yj = j < y.cols
-                            ? y.ptr + static_cast<std::size_t>(j) * y.ld
-                            : nullptr;
-          const int yr = yj != nullptr ? std::min(y.rows, rows) : 0;
-          const int dense = std::min(xr, yr);
-          if (s.kind == StepKind::kAdd) {
-            for (int i = 0; i < dense; ++i)
-              dj[i] = static_cast<T>(xj[i] + yj[i]);
-            for (int i = dense; i < rows; ++i)
-              dj[i] = static_cast<T>((i < xr ? xj[i] : T{0}) +
-                                     (i < yr ? yj[i] : T{0}));
-          } else {
-            for (int i = 0; i < dense; ++i)
-              dj[i] = static_cast<T>(xj[i] - yj[i]);
-            for (int i = dense; i < rows; ++i)
-              dj[i] = static_cast<T>((i < xr ? xj[i] : T{0}) -
-                                     (i < yr ? yj[i] : T{0}));
-          }
-          break;
-        }
-        case StepKind::kAddInplace:
-          for (int i = 0; i < xr; ++i) dj[i] = static_cast<T>(dj[i] + xj[i]);
-          for (int i = xr; i < rows; ++i) dj[i] = static_cast<T>(dj[i] + T{0});
-          break;
-        default:  // kSubInplace
-          for (int i = 0; i < xr; ++i) dj[i] = static_cast<T>(dj[i] - xj[i]);
-          for (int i = xr; i < rows; ++i) dj[i] = static_cast<T>(dj[i] - T{0});
-          break;
-      }
-    }
-  };
-
-  for (int i = 0; i < sched->step_count; ++i) {
-    const analysis::Step& s = sched->steps[i];
-    switch (s.kind) {
-      case StepKind::kAdd:
-      case StepKind::kSub:
-      case StepKind::kAddInplace:
-      case StepKind::kSubInplace:
-        elementwise(s);
-        break;
-      case StepKind::kMul: {
-        T* dst = wr[idx(s.dst)];
-        STRASSEN_REQUIRE(dst != nullptr, "schedule product writes read-only "
-                                             << analysis::operand_name(s.dst));
-        const PackSrc<T>& dv = rd[idx(s.dst)];
-        if (d1 == 0) {
-          detail::leaf_product<T>(dst, dv.ld, dv.rows, dv.cols, rd[idx(s.a0)],
-                                  nullptr, s.asign, rd[idx(s.b0)], nullptr,
-                                  s.bsign, tm, tk, tn, arena, fused_tab);
-        } else {
-          recurse(dst, dv.ld, dv.rows, dv.cols, rd[idx(s.a0)], rd[idx(s.b0)],
-                  tm, tk, tn, d1, arena, family);
-        }
-        break;
-      }
-      case StepKind::kMulFusedA:
-      case StepKind::kMulFusedB:
-      case StepKind::kMulFusedAB: {
-        T* dst = wr[idx(s.dst)];
-        STRASSEN_REQUIRE(dst != nullptr && d1 == 0,
-                         "fused schedule step outside a fused-capable level");
-        const PackSrc<T>& dv = rd[idx(s.dst)];
-        const PackSrc<T>* a1 =
-            s.kind != StepKind::kMulFusedB ? &rd[idx(s.a1)] : nullptr;
-        const PackSrc<T>* b1 =
-            s.kind != StepKind::kMulFusedA ? &rd[idx(s.b1)] : nullptr;
-        detail::leaf_product(dst, dv.ld, dv.rows, dv.cols, rd[idx(s.a0)], a1,
-                             s.asign, rd[idx(s.b0)], b1, s.bsign, tm, tk, tn,
-                             arena, fused_tab);
-        break;
-      }
-    }
+    const Ref& a = y != nullptr ? x : dst;
+    const Ref& b = y != nullptr ? *y : x;
+    if (sign == analysis::Sign::kPlus)
+      detail::combine(dst, a, b, std::plus<T>{});
+    else
+      detail::combine(dst, a, b, std::minus<T>{});
   }
-}
+  void leaf(const Ref& C, const Ref& A, const Ref& B, Arena& arena,
+            blas::LeafMode mode) const {
+    STRASSEN_ASSERT(mode == blas::LeafMode::Overwrite);
+    (void)mode;
+    core::detail::leaf_product<T>(C, A, nullptr, analysis::Sign::kPlus, B,
+                                  nullptr, analysis::Sign::kPlus, tm, tk, tn,
+                                  &arena, nullptr);
+  }
+  const Ref& view(const Ref& r, analysis::Shape) const { return r; }
+};
 
 }  // namespace packfused
 
@@ -436,11 +212,12 @@ inline bool packfused_needs_c_scratch(const layout::GemmPlan& plan, int m,
   return beta_nonzero || m < plan.m.padded || n < plan.n.padded;
 }
 
-// Peak arena bytes one pack-fused product needs under `plan` (after the
-// executed_family mapping): the Morton strategy's recursion-temporary peak
-// for the same tables, plus one leaf panel set (live only inside a leaf's
-// arena frame), plus -- when the padding or beta requires it -- the padded
-// C scratch the epilogue merges into C.  Always at most
+// Peak arena bytes one pack-fused product needs under `plan` (its family
+// mapped by analysis::child_family, as modgemm_packfused runs it): the
+// Morton strategy's recursion-temporary peak for the same tables, plus one
+// leaf panel set (live only inside a leaf's arena frame), plus -- when the
+// padding or beta requires it -- the padded C scratch the epilogue merges
+// into C.  Always at most
 // modgemm_workspace_bytes for the same plan (the A and B Morton buffers
 // dwarf the panel set), which is why the workspace-budget ladder prices
 // plans with the Morton figure for both strategies.
@@ -448,7 +225,7 @@ inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
                                              std::size_t elem_size,
                                              bool c_scratch) {
   if (plan.direct || !plan.feasible) return 0;
-  const analysis::ScheduleFamily fam = packfused::executed_family(plan.schedule);
+  const analysis::ScheduleFamily fam = analysis::child_family(plan.schedule);
   auto r64 = [](std::size_t b) { return checked_add(b, 63) / 64 * 64; };
   std::size_t total = winograd_workspace_bytes(
       plan.m.tile, plan.k.tile, plan.n.tile, plan.depth, elem_size, fam);
@@ -495,8 +272,10 @@ std::size_t modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
                               const layout::GemmPlan& plan,
                               obs::GemmReport* report) {
   STRASSEN_ASSERT(plan.feasible && !plan.direct && plan.depth >= 1);
-  const analysis::ScheduleFamily family =
-      packfused::executed_family(plan.schedule);
+  // The in-place table overwrites its A/B slots, which here would be the
+  // USER's matrices: run its top level as the low-memory table it recurses
+  // with (same products, closest verified schedule).
+  const analysis::ScheduleFamily family = analysis::child_family(plan.schedule);
   const bool c_scratch = packfused_needs_c_scratch(plan, m, n, beta != T{0});
   const std::size_t workspace_bytes =
       packfused_workspace_bytes(plan, sizeof(T), c_scratch);
@@ -515,8 +294,11 @@ std::size_t modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
     P = arena.push<T>(static_cast<std::size_t>(pm) * pn);
     ldp = pm;
   }
-  packfused::recurse(P, ldp, pm, pn, av, bv, plan.m.tile, plan.k.tile,
-                     plan.n.tile, plan.depth, arena, family);
+  using Storage = packfused::ViewStorage<T>;
+  Storage st{{plan.m.tile, plan.k.tile, plan.n.tile}};
+  core::detail::ScheduleInterpreter<Storage>::recurse(
+      st, blas::PackSrc<T>{P, ldp, false, pm, pn}, av, bv, plan.depth, arena,
+      family);
   const double t_mul = t.seconds();
 
   // The alpha/beta merge -- the only work the Morton strategy's outbound

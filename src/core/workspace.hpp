@@ -55,7 +55,7 @@ inline TempLayout temp_layout(const analysis::Schedule& sched, std::size_t qa,
 }
 
 // Pushes `sched`'s temporaries for a level whose quadrants hold qa/qb/qc
-// elements and calls bind(temp, base, elems) once per declared temporary.
+// elements and calls bind(temp, base) once per declared temporary.
 template <class T, class Bind>
 void push_temps(const analysis::Schedule& sched, Arena& arena, std::size_t qa,
                 std::size_t qb, std::size_t qc, Bind&& bind) {
@@ -63,8 +63,7 @@ void push_temps(const analysis::Schedule& sched, Arena& arena, std::size_t qa,
   T* bufs[analysis::kTempSlotCount] = {};
   for (int b = 0; b < l.buffers; ++b) bufs[b] = arena.push<T>(l.elems[b]);
   for (int i = 0; i < sched.temp_count; ++i)
-    bind(sched.temps[i], bufs[analysis::temp_buffer_id(sched, i)],
-         quad_elems(sched.temps[i], qa, qb, qc));
+    bind(sched.temps[i], bufs[analysis::temp_buffer_id(sched, i)]);
 }
 
 // Arena bytes `sched` pushes at a level whose sub-products have `d1` levels

@@ -64,13 +64,20 @@ void recurse(ThreadPool* pool, int spawn, double* C, const double* A,
   // them.
   ScratchArena scratch(
       core::level_temp_bytes(sched, tm, tk, tn, d1, sizeof(double)));
-  core::detail::ScheduleInterpreter<RawMem, double> level(
-      mm, sched, C, A, B, tm, tk, tn, d1, scratch.arena(), family);
-  level.run([&](const core::detail::Product<double>* products, int count) {
+  using Storage = core::detail::MortonStorage<RawMem, double>;
+  using analysis::Shape;
+  Storage st{{tm, tk, tn}, mm};
+  core::detail::ScheduleInterpreter<Storage> level(
+      st, sched, st.operand(C, Shape::kC, depth),
+      st.operand(A, Shape::kA, depth), st.operand(B, Shape::kB, depth), d1,
+      scratch.arena(), family);
+  level.run([&](const core::detail::Product<Storage::Ref>* products,
+                int count) {
     TaskGroup group(pool);
     for (int i = 0; i < count; ++i) {
       group.run([=, p = products[i]] {
-        recurse(pool, spawn - 1, p.dst, p.a, p.b, tm, tk, tn, d1, family);
+        recurse(pool, spawn - 1, p.dst.p, p.a.p, p.b.p, tm, tk, tn, d1,
+                family);
       });
     }
     group.wait();

@@ -166,20 +166,30 @@ TEST(ObsOptions, OptionsPointerAndTrailingParameterAgree) {
 // Kernel telemetry: closed-form Strassen-Winograd counts.
 // ---------------------------------------------------------------------------
 
-TEST(ObsKernels, ScalarCountsMatchClosedForm) {
-  Problem p(64);
-  ModgemmOptions opt = fixed_depth2();
-  opt.kernel = ker::Kind::kScalar;  // scalar table: no fused entries
-  ModgemmReport report;
-  p.run(opt, &report);
+// Both storages of the schedule interpreter must count alike; depth 2 alone
+// would route to pack-fused, so each strategy is pinned in turn.
+constexpr layout::ExecStrategy kStorages[] = {layout::ExecStrategy::kMorton,
+                                              layout::ExecStrategy::kPackFused};
 
-  const int d = report.plan.depth;
-  ASSERT_EQ(d, 2);
-  EXPECT_STREQ(report.kernel, "scalar");
-  EXPECT_EQ(report.leaf_calls, pow7(d));
-  EXPECT_EQ(report.fused_calls, 0u);
-  // 15 quadrant additions at each internal node: 15 * (7^d - 1) / 6.
-  EXPECT_EQ(report.elementwise_calls, 15 * (pow7(d) - 1) / 6);
+TEST(ObsKernels, ScalarCountsMatchClosedForm) {
+  for (layout::ExecStrategy strategy : kStorages) {
+    SCOPED_TRACE(layout::strategy_name(strategy));
+    Problem p(64);
+    ModgemmOptions opt = fixed_depth2();
+    opt.kernel = ker::Kind::kScalar;  // scalar table: no fused entries
+    opt.strategy = strategy;
+    ModgemmReport report;
+    p.run(opt, &report);
+
+    const int d = report.plan.depth;
+    ASSERT_EQ(d, 2);
+    EXPECT_EQ(report.plan.strategy, strategy);
+    EXPECT_STREQ(report.kernel, "scalar");
+    EXPECT_EQ(report.leaf_calls, pow7(d));
+    EXPECT_EQ(report.fused_calls, 0u);
+    // 15 quadrant additions at each internal node: 15 * (7^d - 1) / 6.
+    EXPECT_EQ(report.elementwise_calls, 15 * (pow7(d) - 1) / 6);
+  }
 }
 
 TEST(ObsKernels, FusedCountsMatchClosedForm) {
@@ -193,19 +203,24 @@ TEST(ObsKernels, FusedCountsMatchClosedForm) {
   if (tab->gemm_fused_ab == nullptr)
     GTEST_SKIP() << "kernel publishes no fused entries";
 
-  Problem p(64);
-  ModgemmOptions opt = fixed_depth2();
-  opt.kernel = simd;
-  ModgemmReport report;
-  p.run(opt, &report);
+  for (layout::ExecStrategy strategy : kStorages) {
+    SCOPED_TRACE(layout::strategy_name(strategy));
+    Problem p(64);
+    ModgemmOptions opt = fixed_depth2();
+    opt.kernel = simd;
+    opt.strategy = strategy;
+    ModgemmReport report;
+    p.run(opt, &report);
 
-  const int d = report.plan.depth;
-  ASSERT_EQ(d, 2);
-  EXPECT_STREQ(report.kernel, ker::kind_name(simd));
-  // Each bottom-level node fuses 3 of its 7 products (P5, P7, P6) and runs
-  // the other 4 as plain leaves; there are 7^(d-1) bottom-level nodes.
-  EXPECT_EQ(report.fused_calls, 3 * pow7(d - 1));
-  EXPECT_EQ(report.leaf_calls, 4 * pow7(d - 1));
+    const int d = report.plan.depth;
+    ASSERT_EQ(d, 2);
+    EXPECT_EQ(report.plan.strategy, strategy);
+    EXPECT_STREQ(report.kernel, ker::kind_name(simd));
+    // Each bottom-level node fuses 3 of its 7 products (P5, P7, P6) and runs
+    // the other 4 as plain leaves; there are 7^(d-1) bottom-level nodes.
+    EXPECT_EQ(report.fused_calls, 3 * pow7(d - 1));
+    EXPECT_EQ(report.leaf_calls, 4 * pow7(d - 1));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -227,6 +242,17 @@ TEST(ObsWorkspace, RequestedMatchesPublicSizing) {
   EXPECT_EQ(report.workspace_requested_bytes,
             core::modgemm_workspace_bytes(report.plan, sizeof(double)));
   EXPECT_EQ(report.workspace_allocations, 1);
+  // The Morton arena is sized with no room for leaf panels: a fused leaf
+  // that staged one would overrun it (a refused push degrades the call) or
+  // raise the peak past the request.
+  EXPECT_EQ(report.workspace_peak_bytes, report.workspace_requested_bytes);
+  EXPECT_EQ(report.fallback_reason, FallbackReason::kNone);
+  // Fused leaves run only under the default family's fused level-1 table.
+  const ker::LeafKernels* tab = ker::kernel_table(ker::active_kernel());
+  if (tab != nullptr && tab->gemm_fused_ab != nullptr &&
+      report.plan.schedule == analysis::ScheduleFamily::kWinograd) {
+    EXPECT_GT(report.fused_calls, 0u);
+  }
 }
 
 TEST(ObsWorkspace, FallbackLadderIsRecorded) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Tests for the getenv rule of tools/lint_invariants.py (stdlib only,
-registered with ctest).
+"""Tests for the getenv and step-executor rules of tools/lint_invariants.py
+(stdlib only, registered with ctest).
 
-Builds small source trees and checks that an environment read under
-src/core or src/parallel passes only in an allowlisted file.
+Builds small source trees and checks that an environment read, or a
+schedule-step dispatch, under src/core or src/parallel passes only in an
+allowlisted file.
 """
 
 import importlib.util
@@ -20,18 +21,22 @@ ALLOWLIST = {"getenv": [{"file": "src/core/config.cpp",
                          "why": "resolves the configuration once"}]}
 
 
+def run_check(check, files, allowlist):
+    """files: {relative path: source text}; returns check's error list."""
+    with tempfile.TemporaryDirectory() as d:
+        root = pathlib.Path(d)
+        for rel, text in files.items():
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        errors = []
+        check(root, allowlist, errors)
+    return errors
+
+
 class GetenvRuleTest(unittest.TestCase):
     def check(self, files, allowlist=ALLOWLIST):
-        """files: {relative path: source text}; returns the error list."""
-        with tempfile.TemporaryDirectory() as d:
-            root = pathlib.Path(d)
-            for rel, text in files.items():
-                path = root / rel
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(text)
-            errors = []
-            lint.check_getenv(root, allowlist, errors)
-        return errors
+        return run_check(lint.check_getenv, files, allowlist)
 
     def test_allowlisted_read_passes(self):
         errors = self.check({
@@ -64,6 +69,42 @@ class GetenvRuleTest(unittest.TestCase):
             "src/blas/kernels/registry.cpp": 'std::getenv("STRASSEN_KERNEL");\n',
         })
         self.assertEqual(errors, [])
+
+
+STEP_ALLOWLIST = {"step_executor": [{"file": "src/core/winograd.hpp",
+                                     "why": "the one schedule interpreter"}]}
+
+
+class StepExecutorRuleTest(unittest.TestCase):
+    def check(self, files):
+        return run_check(lint.check_step_executor, files, STEP_ALLOWLIST)
+
+    def test_interpreter_only_passes(self):
+        errors = self.check({
+            "src/core/winograd.hpp":
+                "switch (s.kind) {\n"
+                "  case analysis::StepKind::kAdd: break;\n}\n",
+            # Mentions in comments are not dispatch.
+            "src/core/packfused.hpp":
+                "// runs on the interpreter, never on StepKind::kMul itself\n"
+                "int storage = 0;\n",
+        })
+        self.assertEqual(errors, [])
+
+    def test_second_step_loop_fails(self):
+        errors = self.check({
+            "src/core/winograd.hpp": "case StepKind::kMul: break;\n",
+            "src/parallel/pmodgemm.cpp":
+                "void f(const Step& s) {\n"
+                "  if (s.kind == analysis::StepKind :: kMul) spawn();\n}\n",
+        })
+        self.assertEqual(len(errors), 1)
+        self.assertIn("src/parallel/pmodgemm.cpp:2", errors[0])
+
+    def test_stale_entry_fails(self):
+        errors = self.check({"src/core/winograd.hpp": "int x = 0;\n"})
+        self.assertEqual(len(errors), 1)
+        self.assertIn("stale", errors[0])
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hot-path invariant linter (stdlib only; see docs/ANALYSIS.md).
 
-Enforces three invariants that ordinary compilation cannot:
+Enforces five invariants that ordinary compilation cannot:
 
   1. atomic-order   Every atomic access in src/parallel/ names an explicit
                     std::memory_order, and every (file, object, op, order)
@@ -26,6 +26,11 @@ Enforces three invariants that ordinary compilation cannot:
                     resolved once per call (core::resolve_config) or per
                     pool, and nested products receive it instead of
                     re-reading STRASSEN_* while callers may setenv.
+
+  5. step-executor  Under src/core and src/parallel only the allowlisted
+                    files may name analysis::StepKind values: one schedule
+                    interpreter walks the step tables for every operand
+                    storage, so a second step loop cannot land unnoticed.
 
 Engines: the default "text" engine strips comments and string literals and
 scans with regexes -- deliberately dependency-free so it runs in any
@@ -76,11 +81,16 @@ HOT_PATH_FILES = [
     "src/blas/kernels.hpp",
     "src/blas/level1.hpp",
     "src/core/winograd.hpp",
+    "src/core/packfused.hpp",
     "src/obs/collector.hpp",
 ]
 
 # Directories whose environment reads must be allowlisted ("getenv").
 GETENV_SCOPE = ["src/core", "src/parallel"]
+
+# Directories whose schedule-step dispatch must be allowlisted
+# ("step_executor").
+STEP_EXECUTOR_SCOPE = ["src/core", "src/parallel"]
 
 BANNED_TOKENS = [
     "steady_clock", "system_clock", "high_resolution_clock",
@@ -290,31 +300,50 @@ def check_hot_path_tokens(root, allowlist, errors):
                 "allowlist entry")
 
 
-def check_getenv(root, allowlist, errors):
+def check_scoped_token(root, allowlist, key, scopes, pattern, complaint,
+                       errors):
+    """Fails every match of `pattern` under `scopes` outside the files listed
+    under allowlist[key], and every listed file with no match (stale)."""
     allowed = {}
-    for entry in allowlist.get("getenv", []):
+    for entry in allowlist.get(key, []):
         allowed[entry["file"]] = 0
         if not entry.get("why"):
-            errors.append(f"{entry['file']}: getenv allowlist entry has no "
+            errors.append(f"{entry['file']}: {key} allowlist entry has no "
                           "justification ('why')")
-    for scope in GETENV_SCOPE:
+    for scope in scopes:
         for path in sorted((root / scope).rglob("*")):
             if path.suffix not in (".hpp", ".cpp"):
                 continue
             rel = path.relative_to(root).as_posix()
             text = strip_comments_and_strings(path.read_text(encoding="utf-8"))
-            for m in re.finditer(r"\bgetenv\b", text):
+            for m in re.finditer(pattern, text):
                 if rel in allowed:
                     allowed[rel] += 1
                     continue
-                errors.append(
-                    f"{rel}:{line_of(text, m.start())}: getenv outside the "
-                    "allowlisted configuration files -- resolve STRASSEN_* "
-                    "once (core::resolve_config) and pass the result down")
+                errors.append(f"{rel}:{line_of(text, m.start())}: "
+                              f"{complaint}")
     for rel, seen in sorted(allowed.items()):
         if seen == 0:
-            errors.append(f"{rel}: getenv allowlist entry but no getenv "
+            errors.append(f"{rel}: {key} allowlist entry but no match "
                           "found -- stale allowlist entry")
+
+
+def check_getenv(root, allowlist, errors):
+    check_scoped_token(
+        root, allowlist, "getenv", GETENV_SCOPE, r"\bgetenv\b",
+        "getenv outside the allowlisted configuration files -- resolve "
+        "STRASSEN_* once (core::resolve_config) and pass the result down",
+        errors)
+
+
+def check_step_executor(root, allowlist, errors):
+    check_scoped_token(
+        root, allowlist, "step_executor", STEP_EXECUTOR_SCOPE,
+        r"\bStepKind\s*::",
+        "StepKind outside the allowlisted schedule interpreter -- run step "
+        "tables through core::detail::ScheduleInterpreter with a storage "
+        "policy instead of a second step loop",
+        errors)
 
 
 # ---- libclang engine (optional) -------------------------------------------
@@ -407,6 +436,7 @@ def main():
     check_noexcept(root, errors)
     check_hot_path_tokens(root, allowlist, errors)
     check_getenv(root, allowlist, errors)
+    check_step_executor(root, allowlist, errors)
     if engine == "libclang":
         run_libclang(root, allowlist, errors)
 
