@@ -474,7 +474,7 @@ inline constexpr Step kWinogradAccumSteps[] = {
     add_ip(C11, tP, "C11+=P2"),     //                      [final C11]
 };
 
-// The spawn level of the parallel driver (parallel/pmodgemm.cpp): the
+// The spawn level of a forked product (core::detail::fork_recurse): the
 // element-wise steps of kWinogradSteps, but each of the 8 operand sums keeps
 // its own temporary so the 7 products can form ONE concurrent group, listed
 // in the order pmodgemm submits them.  P2, P3, P4 and P5 land directly in
@@ -557,7 +557,7 @@ inline constexpr Schedule kWinogradAccum =
                   /*accumulates=*/true);
 
 // The parallel spawn level: one concurrent group of 7 products over 11
-// dedicated temporaries (parallel/pmodgemm.cpp).
+// dedicated temporaries (core::detail::fork_recurse).
 inline constexpr Schedule kWinogradSpawn =
     make_schedule("winograd-spawn", detail::kWinogradSpawnSteps,
                   detail::kWinogradSpawnTemps, 11);

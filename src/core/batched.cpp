@@ -1,9 +1,6 @@
 #include "core/batched.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <new>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -188,10 +185,10 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
                 pkey, tune::CachedPlan{cls.plan, cls.planned_depth,
                                        cls.fallback});
         }
-        // A product whose <2,2,2> plan's top level pmodgemm would fork
+        // A product whose <2,2,2> plan's top level would fork on the pool
         // (parallel::fork_levels, the one definition of "deep") runs as a
-        // parallel product of its own instead of one task.  Pack-fused plans
-        // stay single-task: the parallel product is Morton-only, and
+        // forked product of its own instead of one task.  Pack-fused plans
+        // stay single-task: a forked product runs the Morton rung, and
         // honoring the strategy outweighs intra-product parallelism.
         const layout::GemmPlan plain =
             cls.plan.algo == analysis::AlgoFamily::k222
@@ -220,89 +217,68 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
   }
 
   // ---- execute: one task per product ---------------------------------------
-  // Pre-allocated before the first submission (GemmReport is not
-  // thread-safe; the done flags serve the submission-failure path).
+  // Pre-allocated before the first submission: local reports (GemmReport is
+  // not thread-safe) and the shallow items' indices.
   std::vector<obs::GemmReport> locals(
       rep != nullptr ? static_cast<std::size_t>(count) : 0);
-  const std::unique_ptr<std::atomic<bool>[]> done(
-      new std::atomic<bool>[static_cast<std::size_t>(count)]());
-
-  RawMem mm;
-  // Every product runs the serial pipeline on its class's plan: the ladder
-  // for a <2,2,2> plan, a family level or the split decomposition otherwise.
-  // Its Morton and pack-fused rungs draw their arenas from this thread's
-  // cache, so every product of a class after the first reuses warm memory;
-  // the acquisition notes itself on the batch collector (bytes + count) and
-  // the cache hit/cold telemetry is tallied from the per-thread stats delta.
-  const auto run_item = [&](const BatchItem& it, const PlanClass& cls,
-                            obs::GemmReport* local) {
-    if (detail::trivial_product(mm, it.m, it.n, it.k, it.alpha, it.beta, it.C,
-                                it.ldc))
-      return;
-    detail::run_product(mm, it.opa, it.opb, it.m, it.n, it.k, it.alpha, it.A,
-                        it.lda, it.B, it.ldb, it.beta, it.C, it.ldc, cls.plan,
-                        cfg, tiles, opt.max_workspace_bytes, local);
-  };
-
   const auto class_of = [&](int i) -> const PlanClass& {
     return classes[static_cast<std::size_t>(
         cls_of[static_cast<std::size_t>(i)])];
   };
-  const auto run_indexed = [&](int i) {
+  const auto local_of = [&](int i) {
+    return locals.empty() ? nullptr : &locals[static_cast<std::size_t>(i)];
+  };
+  std::vector<int> shallow;
+  shallow.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i)
+    if (!class_of(i).deep) shallow.push_back(i);
+
+  RawMem mm;
+  // Every product runs the pipeline on its class's plan: the ladder for a
+  // <2,2,2> plan, a family level or the split decomposition otherwise.
+  // `fork` (deep products only) forks it across the pool.  Its Morton and
+  // pack-fused rungs draw their arenas from this thread's cache, so every
+  // product of a class after the first reuses warm memory; the acquisition
+  // notes itself on the batch collector (bytes + count) and the cache
+  // hit/cold telemetry is tallied from the per-thread stats delta.
+  const auto run_item = [&](int i, const detail::Fork* fork) {
     const BatchItem& it = items[i];
-    const PlanClass& cls = class_of(i);
-    obs::GemmReport* local =
-        locals.empty() ? nullptr : &locals[static_cast<std::size_t>(i)];
-    if (local) {
-      const parallel::ArenaCacheStats before =
-          parallel::thread_arena_cache_stats();
-      run_item(it, cls, local);
-      const parallel::ArenaCacheStats after =
-          parallel::thread_arena_cache_stats();
-      local->batch_workspace_acquisitions +=
-          (after.hits - before.hits) + (after.misses - before.misses);
-      local->batch_workspace_cold_allocs += after.misses - before.misses;
-    } else {
-      run_item(it, cls, nullptr);
-    }
-    done[i].store(true, std::memory_order_release);
+    if (detail::trivial_product(mm, it.m, it.n, it.k, it.alpha, it.beta, it.C,
+                                it.ldc))
+      return;
+    detail::run_product(mm, it.opa, it.opb, it.m, it.n, it.k, it.alpha, it.A,
+                        it.lda, it.B, it.ldb, it.beta, it.C, it.ldc,
+                        class_of(i).plan, cfg, tiles, opt.max_workspace_bytes,
+                        local_of(i), fork);
   };
 
-  try {
-    parallel::TaskGroup group(pool);
-    for (int i = 0; i < count; ++i) {
-      if (class_of(i).deep) continue;
-      group.run([&run_indexed, i] { run_indexed(i); });
-    }
-    group.wait();
-  } catch (const std::bad_alloc&) {
-    // Task-setup allocation failed part way; the tasks themselves absorb
-    // bad_alloc in the ladder.  ~TaskGroup joined everything in flight --
-    // finish the rest inline.
+  // Shallow products: one task each.  A product absorbs its own bad_alloc
+  // in the ladder; a failed submission finishes the rest inline.
+  if (parallel::fan_out(pool, shallow.size(), [&](std::size_t s) {
+        const int i = shallow[s];
+        obs::GemmReport* local = local_of(i);
+        if (local == nullptr) {
+          run_item(i, nullptr);
+          return;
+        }
+        const parallel::ArenaCacheStats before =
+            parallel::thread_arena_cache_stats();
+        run_item(i, nullptr);
+        const parallel::ArenaCacheStats after =
+            parallel::thread_arena_cache_stats();
+        local->batch_workspace_acquisitions +=
+            (after.hits - before.hits) + (after.misses - before.misses);
+        local->batch_workspace_cold_allocs += after.misses - before.misses;
+      })) {
     detail::record_fallback(rep, FallbackReason::kAllocDirect);
     parallel::purge_thread_arena_cache();
-    for (int i = 0; i < count; ++i) {
-      if (class_of(i).deep) continue;
-      if (!done[i].load(std::memory_order_acquire)) run_indexed(i);
-    }
   }
 
   // Deep products: one at a time, each forking across the whole pool
   // (running them concurrently would oversubscribe it).
-  parallel::ParallelOptions popt;
-  popt.tiles = tiles;
-  popt.min_task_flops = opt.min_task_flops;
-  for (int i = 0; i < count; ++i) {
-    if (!class_of(i).deep) continue;
-    const BatchItem& it = items[i];
-    if (!detail::trivial_product(mm, it.m, it.n, it.k, it.alpha, it.beta,
-                                 it.C, it.ldc))
-      parallel::detail::run_product(
-          pool, it.opa, it.opb, it.m, it.n, it.k, it.alpha, it.A, it.lda,
-          it.B, it.ldb, it.beta, it.C, it.ldc, class_of(i).plan, cfg, popt,
-          locals.empty() ? nullptr : &locals[static_cast<std::size_t>(i)]);
-    done[i].store(true, std::memory_order_release);
-  }
+  const detail::Fork fork{pool, parallel::kSpawnAuto, opt.min_task_flops};
+  for (int i = 0; i < count; ++i)
+    if (class_of(i).deep) run_item(i, &fork);
 
   for (const obs::GemmReport& local : locals)
     obs::merge_sub_report(*rep, local);

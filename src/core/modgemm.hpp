@@ -27,13 +27,19 @@
 //   resolve -- resolve_config turns the call's pins and the STRASSEN_*
 //              environment into one ExecConfig, once per top-level call.
 //              Every nested product (family sub-products, split chunks,
-//              pmodgemm's serial fallbacks, batched items) gets that config.
+//              a forked product's serial rerun, batched items) gets that
+//              config.
 //   plan    -- detail::plan_product picks the <m,k,n> family, plans the
 //              tiles, applies the workspace budget and picks the strategy.
-//   ladder  -- detail::run_ladder runs one planned product: pack-fused or
-//              Morton, then the conventional path if allocation fails.
-//              detail::run_family runs one family level over a sub-product
-//              callable; detail::run_split_block runs one C block of a split.
+//   run     -- detail::run_product, the only router: detail::run_family
+//              runs one family level whose sub-products re-enter it, the
+//              split loop runs each C block (detail::run_split_block) as
+//              one task, and detail::run_ladder runs one planned product:
+//              pack-fused or Morton, then the conventional path if
+//              allocation fails.  Its optional detail::Fork (null = serial)
+//              runs the products on a pool: split blocks become pool tasks,
+//              and the ladder runs the Morton rung with its conversions
+//              fanned out and its top levels forked.
 //   report  -- detail::stamp_call fills a call's header, and
 //              detail::stamp_product the fields of each executed product.
 #pragma once
@@ -62,6 +68,7 @@
 #include "layout/split.hpp"
 #include "obs/report.hpp"
 #include "parallel/arena_pool.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace strassen::core {
 
@@ -222,6 +229,26 @@ inline layout::ExecStrategy plan_exec_strategy(layout::ExecStrategy resolved,
 inline void record_fallback(ModgemmReport* report, FallbackReason r) {
   if (report && static_cast<int>(r) > static_cast<int>(report->fallback_reason))
     report->fallback_reason = r;
+}
+
+// The pool a product runs on and its fork policy (parallel::pmodgemm's
+// ParallelOptions, or the batched driver's deep products), passed down the
+// pipeline as one optional parameter: null means serial.
+struct Fork {
+  parallel::ThreadPool* pool;
+  int spawn_levels;  // parallel::kSpawnAuto, or an explicit level count
+  std::int64_t min_task_flops;
+  // The fork depth of one planned product: parallel::fork_levels under
+  // kSpawnAuto, else the explicit count capped at the plan depth.  Defined
+  // beside fork_levels in parallel/pmodgemm.cpp.
+  int levels(const layout::GemmPlan& plan) const;
+};
+
+// Marks a product that ran on fork.pool.
+inline void stamp_pool(ModgemmReport* report, const Fork& fork) {
+  if (report == nullptr) return;
+  report->parallel = true;
+  report->threads = fork.pool->thread_count();
 }
 
 // Degrades a feasible plan until its workspace fits `budget` bytes (0 =
@@ -403,23 +430,76 @@ T* op_block(T* X, Op op, int ld, int r0, int c0) {
                            : X + static_cast<std::size_t>(r0) * ld + c0;
 }
 
+// The recursion of a forked Morton product; `spawn` counts the fork levels
+// left.  A spawn level runs the verified analysis::kWinogradSpawn table: its
+// operand sums and U-chain execute on this task, and its one concurrent
+// group of seven products is forked -- on a pool worker the children land
+// on ITS deque bottom (depth-first, cache-hot), idle workers steal whole
+// subtrees from the top, and the U-chain is the continuation this task runs
+// after the join.  Every level acquires an arena of its own (a task that
+// help-runs others while blocked in wait() never interleaves frames with
+// them).  Once `spawn` reaches 0 this is winograd_recurse, so the product is
+// bit-identical to the serial rung; `family` is child_family of the plan's,
+// since a subtree owns no operand copies for kInPlace to overwrite.
+template <class T>
+void fork_recurse(parallel::ThreadPool* pool, int spawn, T* C, const T* A,
+                  const T* B, int tm, int tk, int tn, int depth,
+                  analysis::ScheduleFamily family) {
+  RawMem mm;
+  if (spawn == 0) {
+    parallel::ScratchArena scratch(
+        winograd_workspace_bytes(tm, tk, tn, depth, sizeof(T), family));
+    winograd_recurse(mm, C, A, B, tm, tk, tn, depth, scratch.arena(), family);
+    return;
+  }
+  const int d1 = depth - 1;
+  const analysis::Schedule& sched = analysis::kWinogradSpawn;
+  parallel::ScratchArena scratch(
+      level_temp_bytes(sched, tm, tk, tn, d1, sizeof(T)));
+  using Storage = MortonStorage<RawMem, T>;
+  using analysis::Shape;
+  Storage st{{tm, tk, tn}, mm};
+  ScheduleInterpreter<Storage> level(
+      st, sched, st.operand(C, Shape::kC, depth),
+      st.operand(A, Shape::kA, depth), st.operand(B, Shape::kB, depth), d1,
+      scratch.arena(), family);
+  level.run([&](const Product<typename Storage::Ref>* products, int count) {
+    parallel::TaskGroup group(pool);
+    for (int i = 0; i < count; ++i)
+      group.run([=, p = products[i]] {
+        fork_recurse(pool, spawn - 1, p.dst.p, p.a.p, p.b.p, tm, tk, tn, d1,
+                     family);
+      });
+    group.wait();
+  });
+}
+
 // The Morton rung: the planned Strassen-Winograd product over an arena from
 // this thread's ScratchArena cache (so repeated products of a shape reuse
 // warm memory; the acquisition notes its bytes on the call's collector).
-// All arena pushes (the Morton buffers and the recursion temporaries) happen
-// before any arithmetic, and C is written only by the final from_morton
-// conversion, which does not allocate -- so a std::bad_alloc from this
-// function guarantees C was never touched, and the ladder may retry on a
-// cheaper path.  Books its phases in *report and returns the arena
-// high-water mark, like modgemm_packfused.
+// With a pool, both conversions fan out over Morton tile ranges and the top
+// `spawn` levels fork (fork_recurse), whose subtrees acquire their own
+// arenas -- this one then holds just the three Morton buffers.  With no
+// pool the conversions are plain to_morton / from_morton, so traced memory
+// models keep their address stream and a serial call builds no tasks.  All
+// arena pushes (the Morton buffers and the recursion temporaries) happen
+// before any arithmetic, and C is written only by the final conversion,
+// which does not allocate and finishes inline any chunk that fails to
+// submit (beta must reach each tile exactly once) -- so a std::bad_alloc
+// from this function guarantees C was never touched, and the ladder may
+// retry on a cheaper path.  Books its phases in *report and
+// returns the arena high-water mark, like modgemm_packfused.
 template <class MM, class T>
 std::size_t modgemm_morton(MM& mm, Op opa, Op opb, int m, int n, int k,
                            T alpha, const T* A, int lda, const T* B, int ldb,
                            T beta, T* C, int ldc,
                            const layout::GemmPlan& plan,
+                           parallel::ThreadPool* pool, int spawn,
                            ModgemmReport* report) {
   STRASSEN_ASSERT(plan.feasible && plan.depth >= 1);
-  parallel::ScratchArena scratch(modgemm_workspace_bytes(plan, sizeof(T)));
+  parallel::ScratchArena scratch(
+      spawn == 0 ? modgemm_workspace_bytes(plan, sizeof(T))
+                 : modgemm_conversion_bytes(plan, sizeof(T)));
   Arena& arena = scratch.arena();
   const layout::MortonLayout la{m, k, plan.m.tile, plan.k.tile, plan.depth};
   const layout::MortonLayout lb{k, n, plan.k.tile, plan.n.tile, plan.depth};
@@ -437,22 +517,59 @@ std::size_t modgemm_morton(MM& mm, Op opa, Op opb, int m, int n, int k,
                       Arena::kChunkAlignment == 0);
   STRASSEN_ASSERT(reinterpret_cast<std::uintptr_t>(Cm) %
                       Arena::kChunkAlignment == 0);
+  const auto tiles = [](const layout::MortonLayout& l) {
+    return static_cast<std::int64_t>(l.tiles_per_side()) * l.tiles_per_side();
+  };
 
   WallTimer t;
-  layout::to_morton(mm, la, Am, opa, A, lda);
-  layout::to_morton(mm, lb, Bm, opb, B, ldb);
+  const auto convert_in = [&](const layout::MortonLayout& l, T* dst, Op op,
+                              const T* src, int ld) {
+    if (pool == nullptr) {
+      layout::to_morton(mm, l, dst, op, src, ld);
+      return;
+    }
+    parallel::parallel_for(pool, 0, tiles(l), /*min_grain=*/8,
+                           [&](std::int64_t t0, std::int64_t t1) {
+                             layout::to_morton_range(
+                                 mm, l, dst, op, src, ld,
+                                 static_cast<int>(t0), static_cast<int>(t1));
+                           });
+  };
+  convert_in(la, Am, opa, A, lda);
+  convert_in(lb, Bm, opb, B, ldb);
   const double t_in = t.seconds();
 
   t.restart();
   // The in-place family overwrites its operands -- safe here because Am/Bm
   // are this call's own Morton staging copies, consumed by nothing after the
   // recursion.
-  winograd_recurse(mm, Cm, Am, Bm, plan.m.tile, plan.k.tile, plan.n.tile,
-                   plan.depth, arena, plan.schedule);
+  if (spawn == 0)
+    winograd_recurse(mm, Cm, Am, Bm, plan.m.tile, plan.k.tile, plan.n.tile,
+                     plan.depth, arena, plan.schedule);
+  else
+    fork_recurse(pool, spawn, Cm, Am, Bm, plan.m.tile, plan.k.tile,
+                 plan.n.tile, plan.depth,
+                 analysis::child_family(plan.schedule));
   const double t_mul = t.seconds();
 
   t.restart();
-  layout::from_morton(mm, lc, Cm, alpha, C, ldc, beta);
+  if (pool == nullptr) {
+    layout::from_morton(mm, lc, Cm, alpha, C, ldc, beta);
+  } else {
+    const std::int64_t ctiles = tiles(lc);
+    const std::int64_t chunks = std::max<std::int64_t>(
+        1, std::min<std::int64_t>(pool->thread_count(), (ctiles + 7) / 8));
+    const std::int64_t per = (ctiles + chunks - 1) / chunks;
+    if (parallel::fan_out(
+            pool, static_cast<std::size_t>((ctiles + per - 1) / per),
+            [&](std::size_t i) {
+              const std::int64_t lo = static_cast<std::int64_t>(i) * per;
+              layout::from_morton_range(
+                  mm, lc, Cm, alpha, C, ldc, beta, static_cast<int>(lo),
+                  static_cast<int>(std::min(ctiles, lo + per)));
+            }))
+      record_fallback(report, FallbackReason::kAllocDirect);
+  }
   const double t_out = t.seconds();
 
   if (report) {
@@ -495,18 +612,24 @@ void modgemm_direct(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
 // the same correct product, so a valid call never leaves C partially
 // updated.  A failed pack-fused acquisition degrades straight to the
 // conventional path -- the Morton strategy needs strictly MORE memory, so
-// retrying it could only fail again.
+// retrying it could only fail again.  A pool (`fork`) runs the Morton rung
+// whatever plan.strategy says, forking fork->levels(plan) top levels, and
+// adds one rung on top: if anything it allocates fails -- a buffer, or an
+// arena inside a task, whose exception surfaces at the join after every
+// sibling finished -- the fork is dropped and the same plan reruns on the
+// serial rungs (C is untouched, as above).
 template <class MM, class T>
 void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                 const T* A, int lda, const T* B, int ldb, T beta, T* C,
                 int ldc, const layout::GemmPlan& plan,
-                ModgemmReport* report) {
+                ModgemmReport* report, const Fork* fork = nullptr) {
   // Record the plan this product EXECUTES (budget degradation included), so
   // report->plan.direct is accurate even when no Strassen path runs.
   if (report) report->plan = plan;
   if (!plan.direct) {
     try {
-      if (plan.strategy == layout::ExecStrategy::kPackFused) {
+      if (fork == nullptr &&
+          plan.strategy == layout::ExecStrategy::kPackFused) {
         const std::size_t peak = modgemm_packfused(
             opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
             report);
@@ -514,17 +637,38 @@ void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                       analysis::child_family(plan.schedule), sizeof(T),
                       peak);
       } else {
+        // Standing in for a pack-fused plan, the Morton rung runs the family
+        // pack-fused runs, so the product stays bit-identical to the serial
+        // call.
+        layout::GemmPlan run = plan;
+        if (plan.strategy == layout::ExecStrategy::kPackFused)
+          run.schedule = analysis::child_family(plan.schedule);
+        const int spawn = fork == nullptr ? 0 : fork->levels(run);
+        if (fork != nullptr) {
+          stamp_pool(report, *fork);
+          if (report) report->spawn_levels = spawn;
+        }
         const std::size_t peak = modgemm_morton(
-            mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
-            report);
-        stamp_product(report, plan, layout::ExecStrategy::kMorton,
-                      plan.schedule, sizeof(T), peak);
+            mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, run,
+            fork == nullptr ? nullptr : fork->pool, spawn, report);
+        stamp_product(report, run, layout::ExecStrategy::kMorton,
+                      spawn == 0 ? run.schedule
+                                 : analysis::child_family(run.schedule),
+                      sizeof(T), peak, spawn);
       }
       return;
     } catch (const std::bad_alloc&) {
-      // The single up-front arena acquisition failed under real memory
-      // pressure (or a fault injector); C is untouched.
+      // The up-front arena acquisition (or a forked task's) failed under
+      // real memory pressure or a fault injector; C is untouched.
       record_fallback(report, FallbackReason::kAllocDirect);
+      if (fork != nullptr) {
+        // The caller's idle arena cache is released first, so the serial
+        // rerun has every reusable byte back.
+        parallel::purge_thread_arena_cache();
+        run_ladder(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
+                   plan, report);
+        return;
+      }
     }
   }
   modgemm_direct(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
@@ -671,8 +815,8 @@ bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
 // first try the fused accumulating evaluation (a Morton-strategy
 // optimization, so a pack-fused config skips it); otherwise each k-chunk runs
 // the ladder in chunk order, the first with beta and the rest accumulating.
-// The serial splitter and pmodgemm's parallel one (one task per block) both
-// run this, so their results are bit-identical.  cfg.algo must be k222.
+// run_product runs each block as one task (inline without a pool), so the
+// result does not depend on the pool.  cfg.algo must be k222.
 template <class MM, class T>
 void run_split_block(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
                      const layout::Chunk& cn,
@@ -706,8 +850,8 @@ void run_split_block(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
 // One level of a non-<2,2,2> coefficient table (plan.algo, core/family.hpp)
 // with every block product handed to `sub(m2, n2, k2, A2, lda2, B2, ldb2,
 // C2, ldc2, subreport)`, which must compute C2 <- A2 . B2 under the caller's
-// config pinned to <2,2,2>: the serial driver passes its own pipeline,
-// pmodgemm a parallel product.  The sub-products' reports are merged into
+// config pinned to <2,2,2> (run_product passes itself, with its pool).  The
+// sub-products' reports are merged into
 // *report once, so their strategy, schedule and fallbacks surface in the
 // caller's report.  Returns false -- with C untouched and kAlgoFallback
 // recorded -- when the staging allocation fails; the caller then continues
@@ -759,21 +903,26 @@ bool run_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   }
 }
 
-// The serial pipeline for one planned call (plan from plan_product under
-// cfg): a family level whose sub-products re-enter this pipeline pinned to
-// <2,2,2>, one ladder product, or the split decomposition.
+// The pipeline for one planned call (plan from plan_product under cfg): a
+// family level whose sub-products re-enter this pipeline pinned to <2,2,2>,
+// one ladder product, or the split decomposition.  Every entry point ends
+// here: modgemm and pmodgemm on their one call, the batched driver on each
+// item.  `fork` (null = serial) reaches the ladder and the family's
+// sub-products; split blocks run as one task each and fork no further.
 template <class MM, class T>
 void run_product(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                  const T* A, int lda, const T* B, int ldb, T beta, T* C,
                  int ldc, const layout::GemmPlan& plan, ExecConfig cfg,
                  const layout::TileOptions& tiles, std::size_t budget,
-                 ModgemmReport* report) {
+                 ModgemmReport* report, const Fork* fork = nullptr) {
   if (report) report->algo = analysis::algo_name(plan.algo);
   // Everything below this call is <2,2,2>: a family runs one level only, and
   // split chunks are plain products.
   cfg.algo = analysis::AlgoFamily::k222;
   if (plan.algo != analysis::AlgoFamily::k222) {
-    // The sub-products run inside whatever budget the staging left.
+    // The sub-products run inside whatever budget the staging left.  Under
+    // a pool the level stages serially on the caller and each block product
+    // forks across the whole pool in turn.
     const std::size_t sub_budget =
         budget == 0 ? 0
                     : budget - family_workspace_bytes(
@@ -788,28 +937,46 @@ void run_product(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                                  T{1}, A2, lda2, B2, ldb2, T{0}, C2, ldc2,
                                  plan_product<T>(m2, k2, n2, cfg, tiles,
                                                  sub_budget, sub),
-                                 cfg, tiles, sub_budget, sub);
+                                 cfg, tiles, sub_budget, sub, fork);
                    },
-                   report))
+                   report)) {
+      if (fork != nullptr) stamp_pool(report, *fork);
       return;
+    }
     run_product(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
                 plan_product<T>(m, k, n, cfg, tiles, budget, report), cfg,
-                tiles, budget, report);
+                tiles, budget, report, fork);
     return;
   }
   if (plan.direct || plan.feasible) {
     run_ladder(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-               plan, report);
+               plan, report, fork);
     return;
   }
+  // The split decomposition (paper Fig. 4): each (m_chunk x n_chunk) block
+  // of C is one task running its k-chain in chunk order.  Blocks write
+  // disjoint parts of C and report into local reports (GemmReport is not
+  // thread-safe), merged after the join; each degrades on its own through
+  // the ladder.
   const layout::SplitPlan split = layout::plan_split(m, k, n, tiles);
   if (report) report->split_used = true;
-  for (const auto& cm : split.m_chunks)
-    for (const auto& cn : split.n_chunks)
-      run_split_block(mm, opa, opb, cm, cn, split.k_chunks, alpha, A, lda, B,
-                      ldb, beta, C, ldc, cfg, tiles, budget, report);
-  // The chunks' planning overwrote it; a split call reports its own plan's.
-  if (report) report->planned_depth = plan.depth;
+  if (fork != nullptr) stamp_pool(report, *fork);
+  const std::size_t cols = split.n_chunks.size();
+  std::vector<ModgemmReport> locals(
+      report != nullptr ? split.m_chunks.size() * cols : 0);
+  if (parallel::fan_out(
+          fork == nullptr ? nullptr : fork->pool,
+          split.m_chunks.size() * cols, [&](std::size_t i) {
+            run_split_block(mm, opa, opb, split.m_chunks[i / cols],
+                            split.n_chunks[i % cols], split.k_chunks, alpha, A,
+                            lda, B, ldb, beta, C, ldc, cfg, tiles, budget,
+                            locals.empty() ? nullptr : &locals[i]);
+          })) {
+    record_fallback(report, FallbackReason::kAllocDirect);
+    parallel::purge_thread_arena_cache();
+  }
+  for (const ModgemmReport& local : locals)
+    obs::merge_sub_report(*report, local);
 }
 
 }  // namespace detail

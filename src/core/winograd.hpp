@@ -43,7 +43,8 @@
 // its storage must add for the two strategies to stay bit-identical.
 // The parallel driver's spawn level (analysis::kWinogradSpawn) runs here
 // too: a table's concurrent product group goes to a caller-supplied
-// callback, so forking and its allocations stay in parallel/pmodgemm.cpp.
+// callback, so forking and its allocations stay in core/modgemm.hpp
+// (detail::fork_recurse).
 //
 // At the last level before the leaves, the production engine can fuse the
 // operand combinations that feed exactly one product into the product

@@ -1,17 +1,21 @@
 // pmodgemm.hpp -- task-parallel MODGEMM on the work-stealing pool.
 //
-// The seven Strassen-Winograd products of one recursion level are mutually
-// independent: they read the input quadrants and the S/T operand sums, and
-// only the U-chain combination afterwards has cross-product dependencies.
-// This module exploits exactly that structure:
+// pmodgemm is the serial pipeline (core/modgemm.hpp: resolve, plan,
+// core::detail::run_product) run with a pool; parallelism changes only how
+// a product executes, never what it computes.  The seven Strassen-Winograd
+// products of one recursion level are mutually independent: they read the
+// input quadrants and the S/T operand sums, and only the U-chain
+// combination afterwards has cross-product dependencies.  With a pool:
 //
-//   * each of the top fork levels (see spawn_levels and fork_levels below)
-//     runs the verified spawn table analysis::kWinogradSpawn: the 8 operand
-//     sums are formed into dedicated temporaries (S1..S4, T1..T4), the
-//     table's one concurrent group of 7 products is submitted to the
-//     work-stealing pool (each recursing independently, with its own
-//     scratch arena from the per-thread cache), and the U-chain runs as the
-//     spawning task's continuation after the join;
+//   * every planned product runs the Morton rung, whatever strategy the
+//     planner picked, and each of its top fork levels (see spawn_levels and
+//     fork_levels below) runs the verified spawn table
+//     analysis::kWinogradSpawn: the 8 operand sums are formed into dedicated
+//     temporaries (S1..S4, T1..T4), the table's one concurrent group of 7
+//     products is submitted to the work-stealing pool (each recursing
+//     independently, with its own scratch arena from the per-thread cache),
+//     and the U-chain runs as the spawning task's continuation after the
+//     join;
 //   * below the fork levels each task runs the serial Morton recursion of
 //     core/winograd.hpp unchanged -- so the arithmetic performed (and hence
 //     the result, bit for bit) is IDENTICAL to the serial algorithm;
@@ -21,18 +25,23 @@
 //     Fig. 4) run each C-block's chain of sub-products as its own pool task:
 //     the k-chain within a block stays sequential in chunk order and the
 //     blocks write disjoint parts of C, so the result is bit-identical to
-//     the serial splitter.
+//     the serial splitter;
+//   * a family level stages serially and runs each block product forked
+//     across the whole pool in turn.
+//
+// Without a pool, pmodgemm is core::modgemm.
 //
 // Memory: a spawn level keeps 11 temporaries live at once (4 A-quadrants +
 // 4 B-quadrants + 3 C-quadrants, ~2.75x the quadrant set of the serial
 // schedule; P2..P5 land directly in C's quadrants) -- the classic
 // space-for-parallelism trade, bounded per worker by the depth of its active
 // path (Boyer et al.).  That is why the auto policy forks only as many levels
-// as the pool needs to stay busy, never every level it could.  Scratch comes
-// from a per-thread arena cache (parallel/arena_pool.hpp), so a worker's
-// temporaries are first-touched locally; STRASSEN_NUMA=1 additionally pins
-// workers to CPUs (thread_pool.hpp) to keep that locality stable on
-// multi-socket hosts.
+// as the pool needs to stay busy, never every level it could; and if an
+// allocation fails, the product drops the fork and reruns on the serial
+// ladder.  Scratch comes from a per-thread arena cache
+// (parallel/arena_pool.hpp), so a worker's temporaries are first-touched
+// locally; STRASSEN_NUMA=1 additionally pins workers to CPUs
+// (thread_pool.hpp) to keep that locality stable on multi-socket hosts.
 //
 // Restrictions: RawMem only (the cache simulator is not thread-safe by
 // design -- a traced run must be a deterministic serial address stream).
@@ -70,8 +79,8 @@ struct ParallelOptions {
   // default 3-temporary family.  Spawn levels always keep their 11 dedicated
   // temporaries (the space-for-parallelism trade is the point of forking);
   // the low-memory families shrink each task's serial arena.  kInPlace runs
-  // as kLowMem here -- the parallel recursion never owns throwaway operand
-  // copies for a subtree to overwrite.
+  // in place when nothing forks (spawn depth 0 or no pool), and as kLowMem
+  // in forked subtrees -- they own no throwaway operand copies to overwrite.
   analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
   // <m,k,n> algorithm-family pin (analysis/algo_family.hpp), mirroring
   // ModgemmOptions::algo: kAuto defers to STRASSEN_ALGO and then the planner
@@ -92,51 +101,35 @@ struct ParallelOptions {
 // stopping early -- at the plan depth, or above the first level whose
 // sub-products fall below min_task_flops of padded volume.  A null or
 // worker-less pool forks nothing.  This is the single meaning of "deep"
-// shared by pmodgemm (kSpawnAuto) and the batched driver, which hands a
-// product to pmodgemm exactly when this is >= 1.
+// shared by pmodgemm (kSpawnAuto) and the batched driver, which forks a
+// product across the pool exactly when this is >= 1.
 int fork_levels(const ThreadPool* pool, int tm, int tk, int tn, int depth,
                 std::int64_t min_task_flops);
 
-// Bytes of spawn-level temporaries + per-task arenas pmodgemm needs beyond
-// the Morton buffers themselves (informational; allocation is internal) --
-// the sum of every arena the call acquires, so the Morton buffers plus this
-// equal GemmReport::workspace_requested_bytes.  Takes an explicit
-// spawn_levels >= 0; for the auto policy, pass fork_levels() (also reported
-// in GemmReport::spawn_levels).  `family` sizes the serial
-// arenas (spawn levels are family-independent: kWinogradSpawn's 11
-// temporaries).
+// Bytes of spawn-level temporaries + per-task arenas a pooled product needs
+// beyond the Morton buffers themselves (informational; allocation is
+// internal) -- the sum of every arena the call acquires, so the Morton
+// buffers plus this equal GemmReport::workspace_requested_bytes.  Takes an
+// explicit spawn_levels >= 0; for the auto policy, pass fork_levels() (also
+// reported in GemmReport::spawn_levels).  `family` sizes the serial arenas
+// as they run: in place at spawn_levels 0, child_family below a spawn level
+// (spawn levels are family-independent: kWinogradSpawn's 11 temporaries).
 std::size_t pmodgemm_workspace_bytes(
     int tm, int tk, int tn, int depth, int spawn_levels, std::size_t elem_size,
     analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd);
 
 // C <- alpha * op(A).op(B) + beta * C, using `pool` for parallelism.
-// pool == nullptr runs the whole pipeline inline (useful for tests).
-// Bit-for-bit identical to core::modgemm for every input.  Arguments are
+// pool == nullptr is core::modgemm (same plan, strategy and report fields).
+// Bit-for-bit identical to core::modgemm for every input (except that a
+// forked in-place product runs its subtrees as low-memory).  Arguments are
 // validated exactly like the serial entry point (same STRASSEN_REQUIRE
-// checks and messages); if an allocation fails mid-call -- a buffer here or
-// an arena inside a task, whose exception surfaces at TaskGroup::wait() --
-// the call falls back to the serial driver's degradation ladder, so it
-// still returns a correct C without partial writes.
+// checks and messages); if an allocation fails mid-call -- a buffer or an
+// arena inside a task, whose exception surfaces at TaskGroup::wait() -- the
+// product drops its fork and reruns on the serial degradation ladder, so
+// the call still returns a correct C without partial writes.
 void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
               double alpha, const double* A, int lda, const double* B, int ldb,
               double beta, double* C, int ldc,
               const ParallelOptions& opt = {});
-
-namespace detail {
-
-// pmodgemm's pipeline below resolve and plan: runs `plan` (from
-// core::detail::plan_product under cfg) on the pool.  A family level runs
-// each block product as a parallel product of its own, thin shapes the
-// serial ladder, split shapes one pool task per C block, and the rest the
-// parallel Morton product (serial ladder on the same plan if an allocation
-// fails).  The batched driver hands its deep products here; their class was
-// already planned once.
-void run_product(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
-                 double alpha, const double* A, int lda, const double* B,
-                 int ldb, double beta, double* C, int ldc,
-                 const layout::GemmPlan& plan, core::ExecConfig cfg,
-                 const ParallelOptions& opt, obs::GemmReport* report);
-
-}  // namespace detail
 
 }  // namespace strassen::parallel

@@ -359,8 +359,9 @@ void TaskGroup::run(std::function<void()> task) {
   } catch (...) {
     // bad_alloc building the std::function or pushing onto the deque: the
     // task was never enqueued, so roll the count back or join()/~TaskGroup
-    // would spin forever -- deadlocking the very serial fallbacks (pmodgemm,
-    // split_parallel) that catch this rethrow to finish the work inline.
+    // would spin forever -- deadlocking the very serial fallbacks (fan_out,
+    // the forked Morton rung) that catch this rethrow to finish the work
+    // inline.
     std::lock_guard<std::mutex> lock(mutex_);
     --pending_;
     if (pending_ == 0) cv_.notify_all();
@@ -418,6 +419,33 @@ void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,
     group.run([&fn, c, hi] { fn(c, hi); });
   }
   group.wait();
+}
+
+bool fan_out(ThreadPool* pool, std::size_t n,
+             const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return false;
+  }
+  // Allocated before the first submission: the completion flags are the
+  // recovery state of the catch below.
+  const std::unique_ptr<std::atomic<bool>[]> done(new std::atomic<bool>[n]());
+  try {
+    TaskGroup group(pool);
+    for (std::size_t i = 0; i < n; ++i)
+      group.run([&fn, &done, i] {
+        fn(i);
+        done[i].store(true, std::memory_order_release);
+      });
+    group.wait();
+    return false;
+  } catch (const std::bad_alloc&) {
+    // ~TaskGroup joined everything in flight, so the flags are final and no
+    // item is mid-run.
+    for (std::size_t i = 0; i < n; ++i)
+      if (!done[i].load(std::memory_order_acquire)) fn(i);
+    return true;
+  }
 }
 
 }  // namespace strassen::parallel

@@ -207,4 +207,20 @@ void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,
                   std::int64_t min_grain,
                   const std::function<void(std::int64_t, std::int64_t)>& fn);
 
+// Runs fn(i) for every i in [0, n): one pool task per item, submitted in
+// order, or all inline on the caller when pool is null.  Submitting a task
+// (or joining) can throw std::bad_alloc part way; the items that never
+// finished then run inline after the join, so every item runs to completion
+// exactly once -- which keeps non-idempotent items (an alpha/beta write-back,
+// a block accumulating into C) exact.  Returns whether any item had to be
+// finished that way, so the caller can record the fallback and release its
+// idle arena cache.  Other exceptions propagate after the join.
+// Precondition: fn must not throw std::bad_alloc after it has written any
+// output (absorb it, e.g. through the product ladder, or throw before the
+// first write).  The recovery cannot tell a failed submission or join from
+// an item that failed part way, and reruns both -- which would apply an
+// item's update twice.
+bool fan_out(ThreadPool* pool, std::size_t n,
+             const std::function<void(std::size_t)>& fn);
+
 }  // namespace strassen::parallel

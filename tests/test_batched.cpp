@@ -9,6 +9,7 @@
 // per product, exact-or-untouched.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -396,6 +397,52 @@ TEST(BatchedFaults, EveryInjectedAllocationFailureKeepsEveryProductExact) {
       ASSERT_EQ(products[static_cast<std::size_t>(i)].diff(), 0.0)
           << "fail_at " << fail_at << " product " << i;
   }
+}
+
+// Mid-submission failure: the pool's submit gate (the OOM point where
+// building a task object throws) denies every third submission.  The shallow
+// items' fan-out must finish the items it could not submit inline -- each
+// exactly once, or beta would reach C twice -- and the deep item must drop
+// its fork and rerun on the serial ladder.
+struct ScopedFlakySubmits {
+  ScopedFlakySubmits() { parallel::ThreadPool::set_submit_gate(&gate, &count); }
+  ~ScopedFlakySubmits() {
+    parallel::ThreadPool::set_submit_gate(nullptr, nullptr);
+  }
+  static bool gate(void* user) {
+    auto* n = static_cast<std::atomic<std::uint64_t>*>(user);
+    return n->fetch_add(1, std::memory_order_relaxed) % 3 != 2;
+  }
+  std::atomic<std::uint64_t> count{0};
+};
+
+TEST(BatchedFaults, SubmissionFailureFinishesEveryProductInline) {
+  std::vector<Product> products;
+  for (int i = 0; i < 5; ++i)
+    products.emplace_back(Op::NoTrans, Op::NoTrans, 96, 96, 96, 1.0 + i, 0.5,
+                          1000 + i);
+  // Deep on a 2-worker pool: its children (160^3 padded) reach 2^21.
+  products.emplace_back(Op::NoTrans, Op::NoTrans, 320, 320, 320, 1.0, -0.5,
+                        1010);
+  for (Product& p : products) p.run_serial_reference();
+  const std::vector<BatchItem> items = items_of(products);
+  parallel::ThreadPool pool(2);
+  BatchedOptions opt;
+  opt.min_task_flops = std::int64_t{1} << 21;
+  opt.strategy = layout::ExecStrategy::kMorton;
+  obs::GemmReport report;
+  {
+    ScopedFlakySubmits flaky;
+    modgemm_batched(&pool, items.data(), static_cast<int>(items.size()), opt,
+                    &report);
+    EXPECT_GE(flaky.count.load(), 3u);  // the gate denied a submission
+  }
+  for (std::size_t i = 0; i < products.size(); ++i)
+    EXPECT_EQ(std::memcmp(products[i].C.data(), products[i].Ref.data(),
+                          products[i].C.storage().size() * sizeof(double)),
+              0)
+        << "product " << i;
+  EXPECT_EQ(report.fallback_reason, obs::FallbackReason::kAllocDirect);
 }
 
 TEST(BatchedFaults, HardCeilingStillCompletesEveryProduct) {

@@ -1,11 +1,14 @@
 // The three entry points dispatch alike.
 //
-// core::modgemm, parallel::pmodgemm on an inline pool and a one-item
-// core::modgemm_batched share one pipeline (resolve_config -> plan_product
-// -> the product ladder, family runner or split blocks), so on every
+// core::modgemm, parallel::pmodgemm and a one-item core::modgemm_batched
+// share one pipeline (resolve_config -> plan_product -> run_product: the
+// product ladder, family runner or split blocks), so on every
 // planner-boundary shape they must report the same <m,k,n> family, plan and
-// fallback and produce bit-identical C.  Serial and batched must also agree
-// on the execution strategy (pmodgemm always runs Morton).
+// fallback and produce bit-identical C.  Without a pool pmodgemm IS the
+// serial pipeline, so it must also run the same execution strategy.  On a
+// pool it runs the Morton rung with forked top levels, bit-identical to the
+// serial strategies except under the in-place family (forked subtrees run
+// it as low-memory).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -67,16 +70,13 @@ class DispatchAlike
 TEST_P(DispatchAlike, EntryPointsAgree) {
   const auto [index, algo, schedule] = GetParam();
   const Shape& s = kShapes[index];
-  if (core::resolve_config({schedule, layout::ExecStrategy::kAuto, algo})
-          .schedule == ScheduleFamily::kInPlace)
-    GTEST_SKIP() << "pmodgemm runs the in-place family as low-memory";
   Matrix<double> A(s.m, s.k), B(s.k, s.n), C0(s.m, s.n);
   Rng rng(17);
   rng.fill_uniform(A.storage());
   rng.fill_uniform(B.storage());
   rng.fill_uniform(C0.storage());
-  Matrix<double> Cs(s.m, s.n), Cp(s.m, s.n), Cb(s.m, s.n);
-  for (Matrix<double>* c : {&Cs, &Cp, &Cb})
+  Matrix<double> Cs(s.m, s.n), Cp(s.m, s.n), Cb(s.m, s.n), Cq(s.m, s.n);
+  for (Matrix<double>* c : {&Cs, &Cp, &Cb, &Cq})
     std::memcpy(c->data(), C0.data(), sizeof(double) * C0.storage().size());
   const double alpha = 1.5, beta = 0.5;
 
@@ -121,6 +121,7 @@ TEST_P(DispatchAlike, EntryPointsAgree) {
   {
     SCOPED_TRACE("pmodgemm vs modgemm");
     expect_same_dispatch(serial, par);
+    EXPECT_EQ(serial.plan.strategy, par.plan.strategy);
   }
   {
     SCOPED_TRACE("modgemm_batched vs modgemm");
@@ -130,6 +131,26 @@ TEST_P(DispatchAlike, EntryPointsAgree) {
   const std::size_t bytes = sizeof(double) * Cs.storage().size();
   EXPECT_EQ(std::memcmp(Cs.data(), Cp.data(), bytes), 0);
   EXPECT_EQ(std::memcmp(Cs.data(), Cb.data(), bytes), 0);
+
+  // The pooled leg.
+  if (core::resolve_config({schedule, layout::ExecStrategy::kAuto, algo})
+          .schedule == ScheduleFamily::kInPlace)
+    return;  // forked subtrees run the in-place family as low-memory
+  parallel::ThreadPool pool(2);
+  obs::GemmReport pooled;
+  popt.report = &pooled;
+  parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, s.m, s.n, s.k, alpha,
+                     A.data(), A.ld(), B.data(), B.ld(), beta, Cq.data(),
+                     Cq.ld(), popt);
+  {
+    SCOPED_TRACE("pmodgemm on a pool vs modgemm");
+    EXPECT_EQ(serial.plan.m.tile, pooled.plan.m.tile);
+    EXPECT_EQ(serial.plan.k.tile, pooled.plan.k.tile);
+    EXPECT_EQ(serial.plan.n.tile, pooled.plan.n.tile);
+    EXPECT_EQ(serial.plan.depth, pooled.plan.depth);
+    EXPECT_EQ(serial.fallback_reason, pooled.fallback_reason);
+  }
+  EXPECT_EQ(std::memcmp(Cs.data(), Cq.data(), bytes), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

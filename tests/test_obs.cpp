@@ -401,7 +401,8 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
   // The parallel schedule keeps everything live at once.
   EXPECT_GT(report.workspace_requested_bytes, 0u);
   EXPECT_EQ(report.workspace_peak_bytes, report.workspace_requested_bytes);
-  EXPECT_GE(report.workspace_allocations, 3 + 7);  // Morton bufs + task arenas
+  // One Morton arena, the spawn level's arena and the 7 task arenas.
+  EXPECT_EQ(report.workspace_allocations, 1 + 1 + 7);
   EXPECT_GT(report.leaf_calls + report.fused_calls, 0u);
   EXPECT_GT(report.pool_utilization(), 0.0);
   // Steals are scheduling-dependent (0 is legal on a loaded host), but they
@@ -565,22 +566,32 @@ TEST(ObsParallel, FamilyPathSurfacesSubProductFallback) {
   EXPECT_EQ(report.fallback_reason, FallbackReason::kAllocDirect);
 }
 
-TEST(ObsParallel, InlinePoolStillCountsTasks) {
+TEST(ObsParallel, NullPoolReportsTheSerialCall) {
+  // With no pool pmodgemm is the serial pipeline: nothing forks, even under
+  // an explicit spawn_levels, and the report matches core::modgemm's.
   const int n = 256;
   Problem p(n);
+  Matrix<double> Cserial(n, n);
+  ModgemmReport serial;
+  core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
+                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(), {},
+                &serial);
   parallel::ParallelOptions popt;
-  popt.spawn_levels = 1;  // the auto rule forks nothing without a pool
+  popt.spawn_levels = 1;
   ModgemmReport report;
   popt.report = &report;
   parallel::pmodgemm(nullptr, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
                      p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
                      p.C.data(), p.C.ld(), popt);
-  EXPECT_TRUE(report.parallel);
+  EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
+  EXPECT_FALSE(report.parallel);
   EXPECT_EQ(report.threads, 0);
-  // The 7 products still run as (inline) tasks on the calling thread.
-  EXPECT_GE(report.tasks_executed, 7u);
-  ASSERT_FALSE(report.per_thread_tasks.empty());
-  EXPECT_EQ(report.per_thread_tasks[0], report.tasks_executed);
+  EXPECT_EQ(report.spawn_levels, 0);
+  EXPECT_EQ(report.tasks_executed, 0u);
+  EXPECT_STREQ(report.strategy, serial.strategy);
+  EXPECT_EQ(report.workspace_requested_bytes,
+            serial.workspace_requested_bytes);
+  EXPECT_EQ(report.workspace_allocations, serial.workspace_allocations);
 }
 
 // ---------------------------------------------------------------------------

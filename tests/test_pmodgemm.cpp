@@ -442,6 +442,18 @@ TEST(PmodgemmForkDepth, FollowsPoolWidth) {
     EXPECT_EQ(fork_levels(pool.get(), 33, 33, 33, 5, opt.min_task_flops),
               w.levels);
     EXPECT_EQ(report.spawn_levels, w.levels);
+    if (!pool) {
+      // No pool: pmodgemm is modgemm, planned strategy included.
+      core::ModgemmOptions sopt;
+      sopt.algo = opt.algo;
+      sopt.schedule = opt.schedule;
+      obs::GemmReport serial;
+      core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                    B.data(), n, 0.0, C.data(), n, sopt, &serial);
+      EXPECT_EQ(serial.workspace_requested_bytes,
+                report.workspace_requested_bytes);
+      continue;
+    }
     std::size_t morton = 0;
     for (const layout::MortonLayout& l :
          {layout::MortonLayout{n, n, plan.m.tile, plan.k.tile, plan.depth},

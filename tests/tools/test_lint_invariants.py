@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Tests for the getenv and step-executor rules of tools/lint_invariants.py
-(stdlib only, registered with ctest).
+"""Tests for the getenv, step-executor and fork-join rules of
+tools/lint_invariants.py (stdlib only, registered with ctest).
 
-Builds small source trees and checks that an environment read, or a
-schedule-step dispatch, under src/core or src/parallel passes only in an
-allowlisted file.
+Builds small source trees and checks that an environment read, a
+schedule-step dispatch, or a fork/join primitive under src/core or
+src/parallel passes only in an allowlisted file.
 """
 
 import importlib.util
@@ -104,6 +104,52 @@ class StepExecutorRuleTest(unittest.TestCase):
     def test_stale_entry_fails(self):
         errors = self.check({"src/core/winograd.hpp": "int x = 0;\n"})
         self.assertEqual(len(errors), 1)
+        self.assertIn("stale", errors[0])
+
+
+FORK_ALLOWLIST = {"fork_join": [
+    {"file": "src/core/modgemm.hpp", "why": "the one forking pipeline"},
+    {"file": "src/parallel/thread_pool.hpp", "why": "the primitives"},
+]}
+
+
+class ForkJoinRuleTest(unittest.TestCase):
+    def check(self, files):
+        return run_check(lint.check_fork_join, files, FORK_ALLOWLIST)
+
+    def test_allowlisted_files_pass(self):
+        errors = self.check({
+            "src/core/modgemm.hpp":
+                "parallel::TaskGroup group(pool);\n"
+                "parallel::fan_out(pool, n, fn);\n",
+            "src/parallel/thread_pool.hpp":
+                "class TaskGroup {};\nvoid parallel_for();\n",
+            # Mentions in comments are not forks.
+            "src/parallel/arena_pool.hpp":
+                "// blocked in TaskGroup::wait()\nint x = 0;\n",
+        })
+        self.assertEqual(errors, [])
+
+    def test_second_parallel_router_fails(self):
+        errors = self.check({
+            "src/core/modgemm.hpp": "TaskGroup g(pool);\n",
+            "src/parallel/thread_pool.hpp": "class TaskGroup {};\n",
+            "src/parallel/pmodgemm.cpp":
+                "void route() {\n"
+                "  parallel_for(pool, 0, n, 8, fn);\n"
+                "  fan_out(pool, blocks, run_block);\n}\n",
+        })
+        self.assertEqual(len(errors), 2)
+        self.assertIn("src/parallel/pmodgemm.cpp:2", errors[0])
+        self.assertIn("src/parallel/pmodgemm.cpp:3", errors[1])
+
+    def test_stale_entry_fails(self):
+        errors = self.check({
+            "src/core/modgemm.hpp": "TaskGroup g(pool);\n",
+            "src/parallel/thread_pool.hpp": "int x = 0;\n",
+        })
+        self.assertEqual(len(errors), 1)
+        self.assertIn("src/parallel/thread_pool.hpp", errors[0])
         self.assertIn("stale", errors[0])
 
 

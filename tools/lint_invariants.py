@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hot-path invariant linter (stdlib only; see docs/ANALYSIS.md).
 
-Enforces five invariants that ordinary compilation cannot:
+Enforces six invariants that ordinary compilation cannot:
 
   1. atomic-order   Every atomic access in src/parallel/ names an explicit
                     std::memory_order, and every (file, object, op, order)
@@ -31,6 +31,12 @@ Enforces five invariants that ordinary compilation cannot:
                     files may name analysis::StepKind values: one schedule
                     interpreter walks the step tables for every operand
                     storage, so a second step loop cannot land unnoticed.
+
+  6. fork-join      Under src/core and src/parallel only the allowlisted
+                    files may name the pool's fork/join primitives
+                    (TaskGroup, parallel_for, fan_out): one pipeline
+                    (core::detail::run_product) forks products, so a second
+                    parallel router cannot land unnoticed.
 
 Engines: the default "text" engine strips comments and string literals and
 scans with regexes -- deliberately dependency-free so it runs in any
@@ -91,6 +97,9 @@ GETENV_SCOPE = ["src/core", "src/parallel"]
 # Directories whose schedule-step dispatch must be allowlisted
 # ("step_executor").
 STEP_EXECUTOR_SCOPE = ["src/core", "src/parallel"]
+
+# Directories whose fork/join primitives must be allowlisted ("fork_join").
+FORK_JOIN_SCOPE = ["src/core", "src/parallel"]
 
 BANNED_TOKENS = [
     "steady_clock", "system_clock", "high_resolution_clock",
@@ -346,6 +355,16 @@ def check_step_executor(root, allowlist, errors):
         errors)
 
 
+def check_fork_join(root, allowlist, errors):
+    check_scoped_token(
+        root, allowlist, "fork_join", FORK_JOIN_SCOPE,
+        r"\b(?:TaskGroup|parallel_for|fan_out)\b",
+        "fork/join primitive outside the allowlisted files -- run products "
+        "through core::detail::run_product with a pool instead of a second "
+        "parallel router",
+        errors)
+
+
 # ---- libclang engine (optional) -------------------------------------------
 
 def libclang_available():
@@ -437,6 +456,7 @@ def main():
     check_hot_path_tokens(root, allowlist, errors)
     check_getenv(root, allowlist, errors)
     check_step_executor(root, allowlist, errors)
+    check_fork_join(root, allowlist, errors)
     if engine == "libclang":
         run_libclang(root, allowlist, errors)
 
