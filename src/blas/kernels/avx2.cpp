@@ -12,9 +12,10 @@
 //          pressure, and its 4/8 footprints divide the library's power-of-two
 //          tiles (16, 32, 64) exactly, so those shapes run edge-free.
 //
-// The variant is chosen per call shape (whichever covers more of m x n with
-// full blocks), or pinned via set_avx2_variant / STRASSEN_KERNEL=avx2-8x6 /
-// avx2-4x8 / the autotuner.
+// kAuto runs 8x6 on every shape: with edges at full speed it beat 4x8 by
+// 8-35% on every square tile measured between 16 and 64, the power-of-two
+// ones included (4-vCPU AVX2 host).  4x8 stays selectable via
+// set_avx2_variant / STRASSEN_KERNEL=avx2-4x8 / the autotuner.
 //
 // Operand loaders abstract A and B access so the same blocks serve the plain
 // kernel and the fused Winograd kernels, which form (A1 +/- A2) or
@@ -24,8 +25,24 @@
 // Columns are contiguous in column-major storage, so A loads are plain
 // unaligned vector loads for ANY leading dimension; Morton leaf operands are
 // additionally contiguous (ld == rows) and 64-byte aligned, which is the
-// fast case the engine is built around.  Edges (m % MR, n % NR) run a
-// column-strip path: vectorized over four rows at a time, scalar tail.
+// fast case the engine is built around.
+//
+// Edges keep a full register block, as in BLIS.  The m % MR rows run the
+// same block with its last vector masked (_mm256_maskload_pd for A and for
+// C under Accumulate, _mm256_maskstore_pd for C).  The n % NR columns run
+// narrower instantiations of that block, made taller so each keeps at least
+// eight independent accumulators: a column pays FMA latency, not just
+// throughput, once fewer chains are in flight.
+//
+// The fused-B entries form B1 +/- B2 once per k x NR column panel into a
+// stack panel and then read it like a plain B; only calls deeper than the
+// panel (k > kPanelK, reachable by raising TileOptions::max_tile) form each
+// sum on every read.
+//
+// Every element of C is one FMA chain over p = 0..k-1 starting from zero;
+// Overwrite stores alpha * acc, Accumulate stores fma(alpha, acc, C).  Block
+// shape, masking and loaders change which instructions run, never this
+// arithmetic (KernelBitExactness.EveryElementIsOneFmaChain).
 #include "blas/kernels/registry.hpp"
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -36,17 +53,39 @@ namespace strassen::blas::kernels {
 
 namespace {
 
+// Deepest k whose fused-B sums are staged on the stack, and the widest
+// column panel (the 4x8 variant's NR).
+constexpr int kPanelK = 128;
+constexpr int kPanelNR = 8;
+
 inline std::size_t off(int ld, int col) {
   return static_cast<std::size_t>(ld) * col;
 }
 
+// Lanes of a four-row vector that hold the first r (1..4) rows.
+inline __m256i row_mask(int r) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(r),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+template <bool kSub>
+__m256d combine(__m256d x, __m256d y) {
+  return kSub ? _mm256_sub_pd(x, y) : _mm256_add_pd(x, y);
+}
+
 // ---- operand loaders ------------------------------------------------------
+// A loaders give four rows of column p starting at row i; the masked form
+// reads only the `live` lanes.
 
 struct APlain {
   const double* a;
   int lda;
-  __m256d load4(int i, int p) const { return _mm256_loadu_pd(a + off(lda, p) + i); }
-  double at(int i, int p) const { return a[off(lda, p) + i]; }
+  __m256d load4(int i, int p) const {
+    return _mm256_loadu_pd(a + off(lda, p) + i);
+  }
+  __m256d load4(int i, int p, __m256i live) const {
+    return _mm256_maskload_pd(a + off(lda, p) + i, live);
+  }
 };
 
 template <bool kSub>
@@ -55,22 +94,29 @@ struct AFused {
   const double* a2;
   int lda;
   __m256d load4(int i, int p) const {
-    const __m256d x = _mm256_loadu_pd(a1 + off(lda, p) + i);
-    const __m256d y = _mm256_loadu_pd(a2 + off(lda, p) + i);
-    return kSub ? _mm256_sub_pd(x, y) : _mm256_add_pd(x, y);
+    return combine<kSub>(_mm256_loadu_pd(a1 + off(lda, p) + i),
+                         _mm256_loadu_pd(a2 + off(lda, p) + i));
   }
-  double at(int i, int p) const {
-    return kSub ? a1[off(lda, p) + i] - a2[off(lda, p) + i]
-                : a1[off(lda, p) + i] + a2[off(lda, p) + i];
+  __m256d load4(int i, int p, __m256i live) const {
+    return combine<kSub>(_mm256_maskload_pd(a1 + off(lda, p) + i, live),
+                         _mm256_maskload_pd(a2 + off(lda, p) + i, live));
   }
 };
+
+// B loaders hand the blocks one k x w column panel at a time: panel(j, w, k)
+// returns a loader whose at(p, jj) reads element (p, j + jj).
 
 struct BPlain {
   const double* b;
   int ldb;
   double at(int p, int j) const { return b[off(ldb, j) + p]; }
+  BPlain panel(int j, int /*w*/, int /*k*/) const {
+    return {b + off(ldb, j), ldb};
+  }
 };
 
+// B1 +/- B2 formed on every read, once per row block.  Serves only fused-B
+// calls deeper than the stack panel.
 template <bool kSub>
 struct BFused {
   const double* b1;
@@ -80,93 +126,189 @@ struct BFused {
     return kSub ? b1[off(ldb, j) + p] - b2[off(ldb, j) + p]
                 : b1[off(ldb, j) + p] + b2[off(ldb, j) + p];
   }
+  BFused panel(int j, int /*w*/, int /*k*/) const {
+    return {b1 + off(ldb, j), b2 + off(ldb, j), ldb};
+  }
+};
+
+// B1 +/- B2 formed once per column panel into `sums` (k <= kPanelK, at most
+// kPanelNR columns), which the blocks then read like a plain B.
+template <bool kSub>
+struct BSumPanel {
+  const double* b1;
+  const double* b2;
+  int ldb;
+  double* sums;
+  BPlain panel(int j, int w, int k) const {
+    for (int jj = 0; jj < w; ++jj) {
+      const double* x = b1 + off(ldb, j + jj);
+      const double* y = b2 + off(ldb, j + jj);
+      double* d = sums + off(k, jj);
+      int p = 0;
+      for (; p + 4 <= k; p += 4)
+        _mm256_storeu_pd(d + p, combine<kSub>(_mm256_loadu_pd(x + p),
+                                              _mm256_loadu_pd(y + p)));
+      for (; p < k; ++p) d[p] = kSub ? x[p] - y[p] : x[p] + y[p];
+    }
+    return {sums, k};
+  }
 };
 
 // ---- kernel blocks --------------------------------------------------------
 
-// One MR x NR register block at (i, j): C block {=, +=} alpha * A.B.
-template <int MR, int NR, class AL, class BL>
-void block(const AL& A, const BL& B, int k, double* C, int ldc, LeafMode mode,
-           double alpha, int i, int j) {
-  constexpr int MV = MR / 4;  // ymm vectors per column strip
+// One (4 * MV) x NR register block at row i of a column panel:
+// C {=, +=} alpha * A.B.  With kMask the last vector holds only the `live`
+// rows; its A and C lanes outside them are never touched.  Always inlined
+// into its row loop: out of line, the call and a stack round trip of the
+// accumulators cost as much as a small tile's whole k loop.
+template <int MV, int NR, bool kMask, class AL, class BL>
+[[gnu::always_inline]] inline void block(const AL& A, const BL& B, int k,
+                                         double* C, int ldc, LeafMode mode,
+                                         double alpha, int i, __m256i live) {
+  // The unroll pragmas keep every acc[][] index a constant, so the array
+  // lives in registers; without them GCC stores the masked blocks'
+  // accumulators back to the stack on every k step.
   __m256d acc[NR][MV];
+#pragma GCC unroll 8
   for (int jj = 0; jj < NR; ++jj)
+#pragma GCC unroll 8
     for (int v = 0; v < MV; ++v) acc[jj][v] = _mm256_setzero_pd();
   for (int p = 0; p < k; ++p) {
     __m256d a[MV];
-    for (int v = 0; v < MV; ++v) a[v] = A.load4(i + 4 * v, p);
+#pragma GCC unroll 8
+    for (int v = 0; v < MV; ++v)
+      a[v] = kMask && v == MV - 1 ? A.load4(i + 4 * v, p, live)
+                                  : A.load4(i + 4 * v, p);
+#pragma GCC unroll 8
     for (int jj = 0; jj < NR; ++jj) {
-      const __m256d b = _mm256_set1_pd(B.at(p, j + jj));
+      const __m256d b = _mm256_set1_pd(B.at(p, jj));
+#pragma GCC unroll 8
       for (int v = 0; v < MV; ++v)
         acc[jj][v] = _mm256_fmadd_pd(a[v], b, acc[jj][v]);
     }
   }
   const __m256d va = _mm256_set1_pd(alpha);
+#pragma GCC unroll 8
   for (int jj = 0; jj < NR; ++jj) {
-    double* c = C + off(ldc, j + jj) + i;
+    double* c = C + off(ldc, jj) + i;
+#pragma GCC unroll 8
     for (int v = 0; v < MV; ++v) {
-      __m256d r = _mm256_mul_pd(va, acc[jj][v]);
+      double* cv = c + 4 * v;
+      const bool part = kMask && v == MV - 1;
+      __m256d r;
       if (mode == LeafMode::Accumulate)
-        r = _mm256_add_pd(_mm256_loadu_pd(c + 4 * v), r);
-      _mm256_storeu_pd(c + 4 * v, r);
+        r = _mm256_fmadd_pd(va, acc[jj][v],
+                            part ? _mm256_maskload_pd(cv, live)
+                                 : _mm256_loadu_pd(cv));
+      else
+        r = _mm256_mul_pd(va, acc[jj][v]);
+      if (part)
+        _mm256_maskstore_pd(cv, live, r);
+      else
+        _mm256_storeu_pd(cv, r);
     }
   }
 }
 
-// Edge path: columns [j0, j1) x rows [i0, i1), one column at a time,
-// vectorized over four-row strips with a scalar row tail.
+// Rows [i, i + r) of a column panel, 0 < r < 4 * MV: the fewest vectors that
+// cover them, the last one masked.  Out of line for the same reason as
+// panel().
+template <int MV, int NR, class AL, class BL>
+[[gnu::noinline]] void row_tail(const AL& A, const BL& B, int k, double* C,
+                                int ldc, LeafMode mode, double alpha, int i,
+                                int r) {
+  if constexpr (MV > 1) {
+    if (r <= 4 * (MV - 1))
+      return row_tail<MV - 1, NR>(A, B, k, C, ldc, mode, alpha, i, r);
+  }
+  block<MV, NR, true>(A, B, k, C, ldc, mode, alpha, i,
+                      row_mask(r - 4 * (MV - 1)));
+}
+
+// One leaf call: C(m x n) {=, +=} alpha * A(m x k) . B(k x n).
 template <class AL, class BL>
-void strip_cols(const AL& A, const BL& B, int k, double* C, int ldc, int i0,
-                int i1, int j0, int j1, LeafMode mode, double alpha) {
-  for (int j = j0; j < j1; ++j) {
-    double* c = C + off(ldc, j);
-    int i = i0;
-    for (; i + 4 <= i1; i += 4) {
-      __m256d acc = _mm256_setzero_pd();
-      for (int p = 0; p < k; ++p)
-        acc = _mm256_fmadd_pd(A.load4(i, p), _mm256_set1_pd(B.at(p, j)), acc);
-      __m256d r = _mm256_mul_pd(_mm256_set1_pd(alpha), acc);
-      if (mode == LeafMode::Accumulate)
-        r = _mm256_add_pd(_mm256_loadu_pd(c + i), r);
-      _mm256_storeu_pd(c + i, r);
-    }
-    for (; i < i1; ++i) {
-      double acc = 0.0;
-      for (int p = 0; p < k; ++p) acc += A.at(i, p) * B.at(p, j);
-      const double v = alpha * acc;
-      c[i] = mode == LeafMode::Overwrite ? v : c[i] + v;
-    }
+struct Leaf {
+  int m, k;
+  const AL& A;
+  const BL& B;
+  double* C;
+  int ldc;
+  LeafMode mode;
+  double alpha;
+};
+
+// Columns [j, j + NR) over all m rows in (4 * MV)-row blocks; returns the
+// next column.  Kept out of line: inlined into the column loop, the NR
+// column offsets of B no longer fit the general registers and the inner
+// loop spills them.
+template <int MV, int NR, class AL, class BL>
+[[gnu::noinline]] int panel(const Leaf<AL, BL>& L, int j) {
+  const auto B = L.B.panel(j, NR, L.k);
+  double* C = L.C + off(L.ldc, j);
+  int i = 0;
+  for (; i + 4 * MV <= L.m; i += 4 * MV)
+    block<MV, NR, false>(L.A, B, L.k, C, L.ldc, L.mode, L.alpha, i,
+                         _mm256_setzero_si256());
+  if (i < L.m)
+    row_tail<MV, NR>(L.A, B, L.k, C, L.ldc, L.mode, L.alpha, i, L.m - i);
+  return j + NR;
+}
+
+// Full MR x NR panels, then the column tail.  A w-column tail panel runs
+// ceil(8 / w) vectors per column for w <= 3 and two for w = 4, 5, so every
+// tail block keeps at least eight accumulators; the 4x8 variant's 6- and
+// 7-column tails run one 8x6 panel first.
+template <int MV, int NR, class AL, class BL>
+void gemm_main(int n, const Leaf<AL, BL>& L) {
+  int j = 0;
+  while (n - j >= NR) j = panel<MV, NR>(L, j);
+  if (n - j >= 6) j = panel<2, 6>(L, j);
+  switch (n - j) {
+    case 5: panel<2, 5>(L, j); break;
+    case 4: panel<2, 4>(L, j); break;
+    case 3: panel<3, 3>(L, j); break;
+    case 2: panel<4, 2>(L, j); break;
+    case 1: panel<8, 1>(L, j); break;
+    default: break;
   }
-}
-
-template <int MR, int NR, class AL, class BL>
-void gemm_main(int m, int n, int k, const AL& A, const BL& B, double* C,
-               int ldc, LeafMode mode, double alpha) {
-  const int mM = m - m % MR;
-  const int nN = n - n % NR;
-  for (int j = 0; j < nN; j += NR)
-    for (int i = 0; i < mM; i += MR)
-      block<MR, NR>(A, B, k, C, ldc, mode, alpha, i, j);
-  if (mM < m) strip_cols(A, B, k, C, ldc, mM, m, 0, nN, mode, alpha);
-  if (nN < n) strip_cols(A, B, k, C, ldc, 0, m, nN, n, mode, alpha);
-}
-
-// Full-block coverage of an MR x NR variant over an m x n result.
-long long coverage(int m, int n, int mr, int nr) {
-  return static_cast<long long>(m - m % mr) * (n - n % nr);
 }
 
 template <class AL, class BL>
 void gemm_dispatch(int m, int n, int k, const AL& A, const BL& B, double* C,
                    int ldc, LeafMode mode, double alpha) {
-  Avx2Variant v = avx2_variant();
-  if (v == Avx2Variant::kAuto)
-    v = coverage(m, n, 4, 8) > coverage(m, n, 8, 6) ? Avx2Variant::k4x8
-                                                    : Avx2Variant::k8x6;
-  if (v == Avx2Variant::k4x8)
-    gemm_main<4, 8>(m, n, k, A, B, C, ldc, mode, alpha);
+  const Leaf<AL, BL> leaf{m, k, A, B, C, ldc, mode, alpha};
+  if (avx2_variant() == Avx2Variant::k4x8)
+    gemm_main<1, 8>(n, leaf);
   else
-    gemm_main<8, 6>(m, n, k, A, B, C, ldc, mode, alpha);
+    gemm_main<2, 6>(n, leaf);
+}
+
+// Calls f with the loader for A1 op A2.
+template <class F>
+void with_fused_a(const double* A1, const double* A2, FusedOp opa, int lda,
+                  F&& f) {
+  if (opa == FusedOp::kSub)
+    f(AFused<true>{A1, A2, lda});
+  else
+    f(AFused<false>{A1, A2, lda});
+}
+
+// Calls f with the loader for B1 op B2: staged once per column panel on the
+// stack when k fits the panel, else formed on every read.
+template <class F>
+void with_fused_b(int k, const double* B1, const double* B2, FusedOp opb,
+                  int ldb, F&& f) {
+  if (k <= kPanelK) {
+    alignas(32) double sums[kPanelK * kPanelNR];
+    if (opb == FusedOp::kSub)
+      f(BSumPanel<true>{B1, B2, ldb, sums});
+    else
+      f(BSumPanel<false>{B1, B2, ldb, sums});
+  } else if (opb == FusedOp::kSub) {
+    f(BFused<true>{B1, B2, ldb});
+  } else {
+    f(BFused<false>{B1, B2, ldb});
+  }
 }
 
 // ---- table entries --------------------------------------------------------
@@ -179,45 +321,30 @@ void avx2_gemm(int m, int n, int k, const double* A, int lda, const double* B,
 void avx2_gemm_fused_a(int m, int n, int k, const double* A1, const double* A2,
                        FusedOp opa, int lda, const double* B, int ldb,
                        double* C, int ldc) {
-  const BPlain b{B, ldb};
-  if (opa == FusedOp::kSub)
-    gemm_dispatch(m, n, k, AFused<true>{A1, A2, lda}, b, C, ldc,
-                  LeafMode::Overwrite, 1.0);
-  else
-    gemm_dispatch(m, n, k, AFused<false>{A1, A2, lda}, b, C, ldc,
-                  LeafMode::Overwrite, 1.0);
+  with_fused_a(A1, A2, opa, lda, [&](const auto& a) {
+    gemm_dispatch(m, n, k, a, BPlain{B, ldb}, C, ldc, LeafMode::Overwrite,
+                  1.0);
+  });
 }
 
 void avx2_gemm_fused_b(int m, int n, int k, const double* A, int lda,
                        const double* B1, const double* B2, FusedOp opb,
                        int ldb, double* C, int ldc) {
-  const APlain a{A, lda};
-  if (opb == FusedOp::kSub)
-    gemm_dispatch(m, n, k, a, BFused<true>{B1, B2, ldb}, C, ldc,
-                  LeafMode::Overwrite, 1.0);
-  else
-    gemm_dispatch(m, n, k, a, BFused<false>{B1, B2, ldb}, C, ldc,
-                  LeafMode::Overwrite, 1.0);
+  with_fused_b(k, B1, B2, opb, ldb, [&](const auto& b) {
+    gemm_dispatch(m, n, k, APlain{A, lda}, b, C, ldc, LeafMode::Overwrite,
+                  1.0);
+  });
 }
 
 void avx2_gemm_fused_ab(int m, int n, int k, const double* A1,
                         const double* A2, FusedOp opa, int lda,
                         const double* B1, const double* B2, FusedOp opb,
                         int ldb, double* C, int ldc) {
-  auto run = [&](auto a, auto b) {
-    gemm_dispatch(m, n, k, a, b, C, ldc, LeafMode::Overwrite, 1.0);
-  };
-  if (opa == FusedOp::kSub) {
-    if (opb == FusedOp::kSub)
-      run(AFused<true>{A1, A2, lda}, BFused<true>{B1, B2, ldb});
-    else
-      run(AFused<true>{A1, A2, lda}, BFused<false>{B1, B2, ldb});
-  } else {
-    if (opb == FusedOp::kSub)
-      run(AFused<false>{A1, A2, lda}, BFused<true>{B1, B2, ldb});
-    else
-      run(AFused<false>{A1, A2, lda}, BFused<false>{B1, B2, ldb});
-  }
+  with_fused_a(A1, A2, opa, lda, [&](const auto& a) {
+    with_fused_b(k, B1, B2, opb, ldb, [&](const auto& b) {
+      gemm_dispatch(m, n, k, a, b, C, ldc, LeafMode::Overwrite, 1.0);
+    });
+  });
 }
 
 // ---- element-wise quadrant kernels ---------------------------------------

@@ -8,8 +8,9 @@
 //
 // The kernel is a 4x4 register block (8 q-register accumulators + 2 A
 // vectors + broadcast), the direct NEON analogue of the scalar kernel's
-// blocking, with the same column-strip edge path as the AVX2 TU.  Fused
-// entries are provided for the Winograd sum-into-leaf path.
+// blocking, with a column-strip edge path (one column at a time, scalar row
+// tail).  The AVX2 TU's masked and narrow edge blocks are not ported here.
+// Fused entries are provided for the Winograd sum-into-leaf path.
 #include "blas/kernels/registry.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)

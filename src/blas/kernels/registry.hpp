@@ -8,7 +8,7 @@
 //
 //   scalar    4x4  -- the portable fallback; byte-for-byte the code the
 //                     generic MemModel template produces (seed behaviour)
-//   avx2      8x6 and 4x8 (double, AVX2+FMA), selected per shape or pinned
+//   avx2      8x6 and 4x8 (double, AVX2+FMA), 8x6 unless pinned
 //   neon      4x4  (double, Advanced SIMD; AArch64 and ARMv7-NEON)
 //
 // selected once at startup by a CPU probe (cpuid on x86, HWCAP/mandatory
@@ -41,9 +41,9 @@ namespace strassen::blas::kernels {
 // names "re-run the probe + environment override" in setter contexts.
 enum class Kind { kAuto = -1, kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-// Register-block variant of the AVX2 kernel.  kAuto picks per call shape
-// (n % 6 == 0 favours 8x6, n % 8 == 0 favours 4x8); the autotuner or the
-// STRASSEN_KERNEL suffix can pin one.
+// Register-block variant of the AVX2 kernel.  kAuto runs 8x6, which keeps
+// a full register block on edges and is the faster block on every leaf
+// tile; the autotuner or the STRASSEN_KERNEL suffix can pin either.
 enum class Avx2Variant { kAuto = 0, k8x6 = 1, k4x8 = 2 };
 
 // Operand combination applied on the fly by the fused kernels.

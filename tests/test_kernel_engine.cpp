@@ -7,9 +7,11 @@
 // MemModel kernel -- the seed library's behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -369,6 +371,139 @@ TEST(KernelBitExactness, ScalarTableIsGenericKernelBitForBit) {
                               C2.data(), C2.ld(), mode, 2.5);
       EXPECT_EQ(max_abs_diff<double>(C1.view(), C2.view()), 0.0)
           << "m=" << m << " n=" << n << " k=" << k;
+    }
+  }
+}
+
+// The arithmetic every SIMD gemm entry performs, element by element: one FMA
+// chain over p = 0..k-1 starting from zero, then alpha * acc, added to C in
+// the same rounding (one more FMA) under Accumulate.  Register blocking,
+// edge handling and operand loaders may change which instructions run but
+// never this arithmetic, so every entry must match it bit for bit.
+void fma_chain_gemm(int m, int n, int k, const double* A, int lda,
+                    const double* B, int ldb, double* C, int ldc,
+                    LeafMode mode, double alpha) {
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < m; ++i) {
+      double acc = 0.0;
+      for (int p = 0; p < k; ++p)
+        acc = std::fma(A[static_cast<std::size_t>(p) * lda + i],
+                       B[static_cast<std::size_t>(j) * ldb + p], acc);
+      double& c = C[static_cast<std::size_t>(j) * ldc + i];
+      c = mode == LeafMode::Overwrite ? alpha * acc : std::fma(alpha, acc, c);
+    }
+  }
+}
+
+void copy_storage(const Matrix<double>& src, Matrix<double>& dst) {
+  std::copy(src.storage().begin(), src.storage().end(), dst.storage().begin());
+}
+
+// Equal-shaped matrices, compared over the padding rows too.
+bool same_bits(const Matrix<double>& x, const Matrix<double>& y) {
+  return std::memcmp(x.storage().data(), y.storage().data(),
+                     x.storage().size() * sizeof(double)) == 0;
+}
+
+TEST(KernelBitExactness, EveryElementIsOneFmaChain) {
+  std::vector<Config> simd;
+  for (const Config& cfg : runnable_configs())
+    if (cfg.kind != Kind::kScalar) simd.push_back(cfg);
+  if (simd.empty()) GTEST_SKIP() << "scalar-only host";
+  // Every edge remainder of both register blocks, plus the off-multiple
+  // tiles the planner picks on the benchmarked shapes.
+  int edge = 0;
+  for (const Config& cfg : simd) {
+    const LeafKernels* tab = kernel_table(cfg.kind);
+    edge = std::max({edge, tab->mr, tab->nr});
+  }
+  std::vector<int> dims;
+  for (int d = 1; d <= 2 * edge + 1; ++d) dims.push_back(d);
+  for (int d : {25, 33, 43, 46, 47, 61}) dims.push_back(d);
+
+  const int pad = 3;  // every operand carries padded leading dimensions
+  struct Case {
+    int m, n, k;
+  };
+  std::vector<Case> cases;
+  for (int k : {1, 7, 33})
+    for (int m : dims)
+      for (int n : dims) cases.push_back({m, n, k});
+  // Far deeper than any leaf the default planner picks (max_tile 64), so
+  // the fused-B entries exceed their per-panel stack staging.
+  cases.push_back({13, 11, 300});
+
+  for (const Case& cs : cases) {
+    const int m = cs.m, n = cs.n, k = cs.k;
+    Rng rng(static_cast<std::uint64_t>(m * 7919 + n * 104729 + k));
+    Matrix<double> A1(m, k, m + pad), A2(m, k, m + pad), B1(k, n, k + pad),
+        B2(k, n, k + pad), S(m, k, m + pad), T(k, n, k + pad);
+    Matrix<double> C0(m, n, m + pad), C(m, n, m + pad), Ref(m, n, m + pad);
+    for (auto* x : {&A1, &A2, &B1, &B2, &C0}) rng.fill_uniform(x->storage());
+    const auto where = [&](const Config& cfg, const char* entry) {
+      return cfg.name + " " + entry + " m=" + std::to_string(m) +
+             " n=" + std::to_string(n) + " k=" + std::to_string(k);
+    };
+
+    for (LeafMode mode : {LeafMode::Overwrite, LeafMode::Accumulate}) {
+      for (double alpha : {1.0, -1.5}) {
+        copy_storage(C0, Ref);
+        fma_chain_gemm(m, n, k, A1.data(), A1.ld(), B1.data(), B1.ld(),
+                       Ref.data(), Ref.ld(), mode, alpha);
+        for (const Config& cfg : simd) {
+          ScopedKernel pin(cfg.kind, cfg.variant);
+          copy_storage(C0, C);
+          active().gemm(m, n, k, A1.data(), A1.ld(), B1.data(), B1.ld(),
+                        C.data(), C.ld(), mode, alpha);
+          EXPECT_TRUE(same_bits(C, Ref))
+              << where(cfg, "gemm") << " alpha=" << alpha
+              << (mode == LeafMode::Overwrite ? " ow" : " acc");
+        }
+      }
+    }
+
+    // Fused entries: Overwrite, alpha == 1, the operand sums formed with
+    // the same IEEE add/sub the materialized temporaries use.
+    for (FusedOp opa : {FusedOp::kAdd, FusedOp::kSub}) {
+      for (FusedOp opb : {FusedOp::kAdd, FusedOp::kSub}) {
+        for (std::size_t e = 0; e < S.storage().size(); ++e)
+          S.storage()[e] = opa == FusedOp::kAdd
+                               ? A1.storage()[e] + A2.storage()[e]
+                               : A1.storage()[e] - A2.storage()[e];
+        for (std::size_t e = 0; e < T.storage().size(); ++e)
+          T.storage()[e] = opb == FusedOp::kAdd
+                               ? B1.storage()[e] + B2.storage()[e]
+                               : B1.storage()[e] - B2.storage()[e];
+        Matrix<double> RefA(m, n, m + pad), RefB(m, n, m + pad),
+            RefAB(m, n, m + pad);
+        for (auto* r : {&RefA, &RefB, &RefAB}) copy_storage(C0, *r);
+        fma_chain_gemm(m, n, k, S.data(), S.ld(), B1.data(), B1.ld(),
+                       RefA.data(), RefA.ld(), LeafMode::Overwrite, 1.0);
+        fma_chain_gemm(m, n, k, A1.data(), A1.ld(), T.data(), T.ld(),
+                       RefB.data(), RefB.ld(), LeafMode::Overwrite, 1.0);
+        fma_chain_gemm(m, n, k, S.data(), S.ld(), T.data(), T.ld(),
+                       RefAB.data(), RefAB.ld(), LeafMode::Overwrite, 1.0);
+        for (const Config& cfg : simd) {
+          const LeafKernels* tab = kernel_table(cfg.kind);
+          if (tab->gemm_fused_a == nullptr) continue;
+          ScopedKernel pin(cfg.kind, cfg.variant);
+          if (opa == opb) {  // single-operand entries: one pass per op
+            copy_storage(C0, C);
+            tab->gemm_fused_a(m, n, k, A1.data(), A2.data(), opa, A1.ld(),
+                              B1.data(), B1.ld(), C.data(), C.ld());
+            EXPECT_TRUE(same_bits(C, RefA)) << where(cfg, "fused_a");
+            copy_storage(C0, C);
+            tab->gemm_fused_b(m, n, k, A1.data(), A1.ld(), B1.data(),
+                              B2.data(), opb, B1.ld(), C.data(), C.ld());
+            EXPECT_TRUE(same_bits(C, RefB)) << where(cfg, "fused_b");
+          }
+          copy_storage(C0, C);
+          tab->gemm_fused_ab(m, n, k, A1.data(), A2.data(), opa, A1.ld(),
+                             B1.data(), B2.data(), opb, B1.ld(), C.data(),
+                             C.ld());
+          EXPECT_TRUE(same_bits(C, RefAB)) << where(cfg, "fused_ab");
+        }
+      }
     }
   }
 }

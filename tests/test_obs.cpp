@@ -209,6 +209,9 @@ TEST(ObsKernels, FusedCountsMatchClosedForm) {
     ModgemmOptions opt = fixed_depth2();
     opt.kernel = simd;
     opt.strategy = strategy;
+    // The closed form counts kWinogradFusedL1's leaves; the low-memory and
+    // in-place families (STRASSEN_SCHEDULE) run no fused leaves.
+    opt.schedule = analysis::ScheduleFamily::kWinograd;
     ModgemmReport report;
     p.run(opt, &report);
 
