@@ -11,9 +11,11 @@
 // engine's regression baseline:
 //
 //   --kernels_json=PATH   skip google-benchmark; sweep every available
-//                         (kernel, variant) x tile configuration under the
-//                         paper's measurement protocol and write the results
-//                         as JSON (the BENCH_kernels.json artifact).
+//                         kernel x tile configuration and write the results
+//                         as JSON (the BENCH_kernels.json artifact).  Each
+//                         tile measures every kernel in alternating rounds
+//                         before the next tile, so host drift enters both
+//                         sides of each speedup-over-scalar ratio.
 //   --check_speedup=X     with --kernels_json: exit non-zero unless the best
 //                         SIMD kernel reaches X times the scalar GFLOP/s at
 //                         every tile in {16, 32, 64}.  No-op when only the
@@ -167,25 +169,21 @@ namespace ker = strassen::blas::kernels;
 
 struct KernelConfig {
   ker::Kind kind;
-  ker::Avx2Variant variant;
-  std::string name;  // "scalar", "avx2-8x6", ...
+  std::string name;  // "scalar", "avx2-8x6", "neon"
 };
 
+// The AVX2 row keeps the label "avx2-8x6" (its register block), so sweeps
+// stay comparable with the checked-in baseline.
 std::vector<KernelConfig> kernel_configs() {
   std::vector<KernelConfig> out;
-  for (ker::Kind kind : ker::available_kernels()) {
-    if (kind == ker::Kind::kAvx2) {
-      out.push_back({kind, ker::Avx2Variant::k8x6, "avx2-8x6"});
-      out.push_back({kind, ker::Avx2Variant::k4x8, "avx2-4x8"});
-    } else {
-      out.push_back({kind, ker::Avx2Variant::kAuto, ker::kind_name(kind)});
-    }
-  }
+  for (ker::Kind kind : ker::available_kernels())
+    out.push_back({kind, kind == ker::Kind::kAvx2 ? "avx2-8x6"
+                                                  : ker::kind_name(kind)});
   return out;
 }
 
 void BM_LeafGemmKernel(benchmark::State& state, KernelConfig cfg, int t) {
-  ker::ScopedKernel pin(cfg.kind, cfg.variant);
+  ker::ScopedKernel pin(cfg.kind);
   Matrix<double> A(t, t), B(t, t), C(t, t);
   Rng rng(7);
   rng.fill_uniform(A.storage());
@@ -211,8 +209,8 @@ void register_kernel_benchmarks() {
 
 // ---- --kernels_json sweep (the BENCH_kernels.json regression baseline) ----
 
-// GFLOP/s of the contiguous T x T leaf multiply under the active kernel,
-// measured with the paper's protocol (min over outer reps of the average).
+// GFLOP/s of the contiguous T x T leaf multiply under the active kernel:
+// min over outer reps of the average time.
 double leaf_gflops(int t, int reps) {
   Rng rng(static_cast<std::uint64_t>(t) * 11 + 5);
   Matrix<double> A(t, t), B(t, t), C(t, t);
@@ -238,27 +236,36 @@ int run_kernel_sweep(const std::string& json_path, double check_speedup) {
   const std::vector<int> check_tiles{16, 32, 64};
   const std::vector<KernelConfig> configs = kernel_configs();
 
-  // config name -> tile -> GFLOP/s
+  // config name -> tile -> GFLOP/s, the best of kRounds alternating
+  // rounds: every configuration runs once per round at one tile before the
+  // next round, and all rounds of a tile finish before the next tile.
+  constexpr int kRounds = 5;
   std::map<std::string, std::map<int, double>> results;
+  for (int t : tiles) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (const KernelConfig& cfg : configs) {
+        ker::ScopedKernel pin(cfg.kind);
+        double& best = results[cfg.name][t];
+        best = std::max(best, leaf_gflops(t, /*reps=*/1));
+      }
+    }
+  }
   // config name -> one observed modgemm call's GemmReport (JSON), giving
   // each configuration's leaf/fused usage and phase split at n = 256.
   std::map<std::string, std::string> modgemm_reports;
   for (const KernelConfig& cfg : configs) {
-    ker::ScopedKernel pin(cfg.kind, cfg.variant);
-    for (int t : tiles) results[cfg.name][t] = leaf_gflops(t, /*reps=*/5);
-    {
-      const int n = 256;
-      Rng rng(static_cast<std::uint64_t>(n));
-      Matrix<double> A(n, n), B(n, n), C(n, n);
-      rng.fill_uniform(A.storage());
-      rng.fill_uniform(B.storage());
-      core::ModgemmOptions mo;
-      mo.tiles.direct_threshold = 64;  // guarantee a Strassen execution
-      obs::GemmReport report;
-      core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), A.ld(),
-                    B.data(), B.ld(), 0.0, C.data(), C.ld(), mo, &report);
-      modgemm_reports[cfg.name] = obs::to_json(report);
-    }
+    ker::ScopedKernel pin(cfg.kind);
+    const int n = 256;
+    Rng rng(static_cast<std::uint64_t>(n));
+    Matrix<double> A(n, n), B(n, n), C(n, n);
+    rng.fill_uniform(A.storage());
+    rng.fill_uniform(B.storage());
+    core::ModgemmOptions mo;
+    mo.tiles.direct_threshold = 64;  // guarantee a Strassen execution
+    obs::GemmReport report;
+    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), A.ld(),
+                  B.data(), B.ld(), 0.0, C.data(), C.ld(), mo, &report);
+    modgemm_reports[cfg.name] = obs::to_json(report);
   }
 
   // ---- execution-strategy sweep: MODGEMM end-to-end per strategy ---------

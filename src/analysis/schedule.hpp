@@ -229,10 +229,6 @@ struct Schedule {
   // and only at the TOP level of a recursion: a child running this table
   // would clobber parent operands that are still live.
   bool overwrites_inputs = false;
-  // True when the table computes C += A.B instead of C = A.B: the C
-  // quadrants' initial values are inputs the verifier must prove survive
-  // into the result (and nowhere else).
-  bool accumulates_c = false;
   // Arena-buffer sharing: temp_buffer[i] is the dense buffer id backing
   // temps[i].  Temps mapped to one id share a single allocation sized for
   // the larger shape; the verifier proves their live ranges are disjoint.
@@ -435,45 +431,6 @@ inline constexpr Step kWinogradInPlaceSteps[] = {
 
 inline constexpr Operand kWinogradInPlaceTemps[] = {tP};
 
-// The accumulating schedule: C += A . B with the C quadrants' INITIAL
-// values live throughout (the split path's k-chunk chains use this to skip
-// the separate beta pass and the per-chunk C buffer).  Every product lands
-// in tP and is combined into its targets with in-place adds, so no C
-// quadrant is ever overwritten -- only accumulated into.  Same three
-// temporaries as the default schedule (the saving is the C pass and the
-// extra Morton C buffer, not the per-level temporaries).
-inline constexpr Step kWinogradAccumSteps[] = {
-    sub(tS, A11, A21, "S3"),        // tS  = A11 - A21
-    sub(tT, B22, B12, "T3"),        // tT  = B22 - B12
-    mul(tP, tS, tT, "P5"),          // tP  = S3 . T3
-    add_ip(C21, tP, "C21+=P5"),
-    add_ip(C22, tP, "C22+=P5"),
-    add(tS, A21, A22, "S1"),        // tS  = A21 + A22
-    sub(tT, B12, B11, "T1"),        // tT  = B12 - B11
-    mul(tP, tS, tT, "P3"),          // tP  = S1 . T1
-    add_ip(C22, tP, "C22+=P3"),
-    add_ip(C12, tP, "C12+=P3"),
-    sub_ip(tS, A11, "S2"),          // tS  = S1 - A11
-    sub(tT, B22, tT, "T2"),         // tT  = B22 - T1
-    mul(tP, tS, tT, "P4"),          // tP  = S2 . T2
-    add_ip(C12, tP, "C12+=P4"),
-    add_ip(C21, tP, "C21+=P4"),
-    add_ip(C22, tP, "C22+=P4"),
-    sub(tS, A12, tS, "S4"),         // tS  = A12 - S2
-    mul(tP, tS, B22, "P6"),         // tP  = S4 . B22
-    add_ip(C12, tP, "C12+=P6"),
-    sub_ip(tT, B21, "-T4"),         // tT  = T2 - B21
-    mul(tP, A22, tT, "-P7"),        // tP  = A22 . (T2 - B21)
-    sub_ip(C21, tP, "C21-=P7"),
-    mul(tP, A11, B11, "P1"),        // tP  = A11 . B11
-    add_ip(C11, tP, "C11+=P1"),
-    add_ip(C12, tP, "C12+=P1"),
-    add_ip(C21, tP, "C21+=P1"),
-    add_ip(C22, tP, "C22+=P1"),
-    mul(tP, A12, B21, "P2"),        // tP  = A12 . B21
-    add_ip(C11, tP, "C11+=P2"),     //                      [final C11]
-};
-
 // The spawn level of a forked product (core::detail::fork_recurse): the
 // element-wise steps of kWinogradSteps, but each of the 8 operand sums keeps
 // its own temporary so the 7 products can form ONE concurrent group, listed
@@ -521,10 +478,9 @@ template <int N, int M>
 constexpr Schedule make_schedule(const char* name, const Step (&steps)[N],
                                  const Operand (&temps)[M], int temp_peak,
                                  bool fused = false, bool overwrites = false,
-                                 bool accumulates = false,
                                  const std::int8_t* buffers = kOwnTempBuffers) {
-  return Schedule{name,      steps, N,          temps,       M,
-                  temp_peak, fused, overwrites, accumulates, buffers};
+  return Schedule{name,      steps, N,          temps, M,
+                  temp_peak, fused, overwrites, buffers};
 }
 
 // The production Winograd schedule (every level; sole schedule for the
@@ -542,19 +498,13 @@ inline constexpr Schedule kWinogradFusedL1 =
 // share one arena buffer, proved disjoint-liveness by the verifier.
 inline constexpr Schedule kWinogradLowMem = make_schedule(
     "winograd-lowmem", detail::kWinogradLowMemSteps, detail::kWinogradTemps,
-    2, false, false, false, detail::kWinogradLowMemBuffers);
+    2, false, false, detail::kWinogradLowMemBuffers);
 
 // The in-place schedule (ScheduleFamily::kInPlace, top level only):
 // overwrites the Morton A/B copies, one C-shaped temporary.
 inline constexpr Schedule kWinogradInPlace = make_schedule(
     "winograd-inplace", detail::kWinogradInPlaceSteps,
     detail::kWinogradInPlaceTemps, 1, false, /*overwrites=*/true);
-
-// The accumulating schedule (C += A.B; split-path k-chunk fusion).
-inline constexpr Schedule kWinogradAccum =
-    make_schedule("winograd-accum", detail::kWinogradAccumSteps,
-                  detail::kWinogradTemps, 3, false, false,
-                  /*accumulates=*/true);
 
 // The parallel spawn level: one concurrent group of 7 products over 11
 // dedicated temporaries (core::detail::fork_recurse).
@@ -564,9 +514,9 @@ inline constexpr Schedule kWinogradSpawn =
 
 // All shipped schedules, for the verifier CLI and tests.
 inline constexpr const Schedule* kShippedSchedules[] = {
-    &kWinograd,       &kWinogradFusedL1, &kWinogradLowMem,
-    &kWinogradInPlace, &kWinogradAccum,  &kWinogradSpawn};
-inline constexpr int kShippedScheduleCount = 6;
+    &kWinograd, &kWinogradFusedL1, &kWinogradLowMem, &kWinogradInPlace,
+    &kWinogradSpawn};
+inline constexpr int kShippedScheduleCount = 5;
 
 // ---- table selection ------------------------------------------------------
 

@@ -34,9 +34,6 @@ static_assert(proves(kWinogradLowMem, 2, 7, 0, 15) &&
 static_assert(proves(kWinogradInPlace, 1, 7, 0, 15),
               "shipped in-place schedule must verify as 7 products + 15 "
               "additions with a single C-shaped temporary");
-static_assert(proves(kWinogradAccum, 3, 7, 0, 22),
-              "shipped accumulating schedule must verify as 7 products + 22 "
-              "additions with a 3-temporary peak");
 static_assert(proves(kWinogradSpawn, 11, 7, 0, 15),
               "shipped spawn schedule must verify as one concurrent group of "
               "7 products + 15 additions over 4 + 4 + 3 live temporaries");
@@ -98,7 +95,7 @@ std::string step_render(const Step& s) {
 SymState forward_diagnose(const Schedule& sched,
                           std::vector<std::string>& errors,
                           int last_writer[kOperandCount]) {
-  SymState st = detail::initial_state(sched.accumulates_c);
+  SymState st = detail::initial_state();
   for (int i = 0; i < kOperandCount; ++i) last_writer[i] = -1;
   for (int i = 0; i < sched.step_count; ++i) {
     const Step& s = sched.steps[i];
@@ -166,25 +163,6 @@ SymState forward_diagnose(const Schedule& sched,
     last_writer[static_cast<int>(s.dst)] = i;
   }
   return st;
-}
-
-// Renders a C-shaped slot's initial-C contribution, e.g. "+C11(initial)".
-std::string cin_to_string(const Lin& l) {
-  std::ostringstream os;
-  bool any = false;
-  for (int i = 0; i < 4; ++i) {
-    const int k = l.c[i];
-    if (k == 0) continue;
-    if (any) os << " ";
-    os << (k > 0 ? "+" : "-");
-    if (k != 1 && k != -1) os << (k > 0 ? k : -k) << "*";
-    os << operand_name(
-              static_cast<Operand>(static_cast<int>(Operand::kC11) + i))
-       << "(initial)";
-    any = true;
-  }
-  if (!any) os << "0";
-  return os.str();
 }
 
 }  // namespace
@@ -278,20 +256,6 @@ VerifyResult verify_schedule(const Schedule& sched) {
          << " (last written at " << step_label(sched, w) << "): computed "
          << bilinear_to_string(v.bil) << ", expected "
          << bilinear_to_string(want);
-      out.errors.push_back(os.str());
-    }
-    Lin want_cin{};
-    if (sched.accumulates_c)
-      want_cin.c[static_cast<int>(c) - static_cast<int>(Operand::kC11)] = 1;
-    if (!(v.cin == want_cin)) {
-      std::ostringstream os;
-      os << "initial-value identity fails for " << operand_name(c)
-         << " (last written at " << step_label(sched, w) << "): carries "
-         << cin_to_string(v.cin) << ", expected " << cin_to_string(want_cin)
-         << (sched.accumulates_c
-                 ? " -- an accumulating table must add onto every C "
-                   "quadrant's initial value exactly once"
-                 : " -- an overwriting table must not leak initial C values");
       out.errors.push_back(os.str());
     }
   }

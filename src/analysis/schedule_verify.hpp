@@ -62,17 +62,11 @@ struct Bilinear {
   constexpr bool operator==(const Bilinear&) const = default;
 };
 
-// One slot's symbolic value; `defined` gates every read.  C-shaped slots
-// additionally carry `cin`: a linear combination over the INITIAL values of
-// the four C quadrants (index 0..3 = C11,C12,C21,C22), which is how the
-// verifier proves accumulating schedules -- a final C quadrant must carry
-// exactly its own initial value (unit cin) in accumulating tables and none
-// at all in overwriting ones.
+// One slot's symbolic value; `defined` gates every read.
 struct SymValue {
   bool defined = false;
   Lin lin{};       // meaningful for A-/B-shaped slots
   Bilinear bil{};  // meaningful for C-shaped slots
-  Lin cin{};       // initial-C contribution; meaningful for C-shaped slots
 };
 
 struct SymState {
@@ -111,8 +105,6 @@ enum class Violation : std::uint8_t {
   kTempPeakMismatch,   // live-temporary peak != declared_temp_peak
   kBadTempBuffer,      // temp_buffer id out of range [0, temp_count)
   kSharedTempOverlap,  // temps sharing one arena buffer simultaneously live
-  kAccumClobber,       // accumulating table loses a C quadrant's initial
-                       // value (or a plain table leaks one in)
   kGroupNonProduct,    // a concurrent group member is not a plain product
   kGroupWriteConflict,   // two group members write the same storage
   kGroupReadConflict,    // a group member reads storage a sibling writes
@@ -135,7 +127,6 @@ constexpr const char* violation_name(Violation v) {
     case Violation::kTempPeakMismatch: return "temp-peak-mismatch";
     case Violation::kBadTempBuffer: return "bad-temp-buffer";
     case Violation::kSharedTempOverlap: return "shared-temp-overlap";
-    case Violation::kAccumClobber: return "accum-clobber";
     case Violation::kGroupNonProduct: return "group-non-product";
     case Violation::kGroupWriteConflict: return "group-write-conflict";
     case Violation::kGroupReadConflict: return "group-read-conflict";
@@ -268,7 +259,6 @@ constexpr void sym_apply(const Step& s, SymState& st) {
   const int d = static_cast<int>(s.dst);
   auto lin_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].lin; };
   auto bil_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].bil; };
-  auto cin_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].cin; };
   auto fused_lin = [&lin_of](Operand x0, Operand x1, Sign sign) {
     Lin l = lin_of(x0);
     if (x1 != Operand::kNone) {
@@ -289,10 +279,6 @@ constexpr void sym_apply(const Step& s, SymState& st) {
         for (int i = 0; i < 4; ++i)
           for (int j = 0; j < 4; ++j) out.c[i][j] = x.c[i][j] + sign * y.c[i][j];
         st.slot[d].bil = out;
-        const Lin cx = cin_of(s.a0), cy = cin_of(s.a1);
-        Lin cout{};
-        for (int i = 0; i < 4; ++i) cout.c[i] = cx.c[i] + sign * cy.c[i];
-        st.slot[d].cin = cout;
       } else {
         const Lin x = lin_of(s.a0), y = lin_of(s.a1);
         Lin out{};
@@ -308,8 +294,6 @@ constexpr void sym_apply(const Step& s, SymState& st) {
         const Bilinear x = bil_of(s.a0);
         for (int i = 0; i < 4; ++i)
           for (int j = 0; j < 4; ++j) st.slot[d].bil.c[i][j] += sign * x.c[i][j];
-        const Lin cx = cin_of(s.a0);
-        for (int i = 0; i < 4; ++i) st.slot[d].cin.c[i] += sign * cx.c[i];
       } else {
         const Lin x = lin_of(s.a0);
         for (int i = 0; i < 4; ++i) st.slot[d].lin.c[i] += sign * x.c[i];
@@ -336,27 +320,21 @@ constexpr void sym_apply(const Step& s, SymState& st) {
       for (int i = 0; i < 4; ++i)
         for (int j = 0; j < 4; ++j) out.c[i][j] = a.c[i] * b.c[j];
       st.slot[d].bil = out;
-      st.slot[d].cin = Lin{};  // a product overwrites any initial-C content
       break;
     }
   }
   st.slot[d].defined = true;
 }
 
-// Initial symbolic state: inputs hold their own unit linear combination.
-// For accumulating tables the C quadrants are inputs too: each starts
-// defined, holding its own unit initial-C term and an empty bilinear form.
-constexpr SymState initial_state(bool accumulates = false) {
+// Initial symbolic state: inputs hold their own unit linear combination;
+// C quadrants and temporaries start undefined.
+constexpr SymState initial_state() {
   SymState st{};
   for (int i = 0; i < 4; ++i) {
     st.slot[static_cast<int>(Operand::kA11) + i].defined = true;
     st.slot[static_cast<int>(Operand::kA11) + i].lin.c[i] = 1;
     st.slot[static_cast<int>(Operand::kB11) + i].defined = true;
     st.slot[static_cast<int>(Operand::kB11) + i].lin.c[i] = 1;
-    if (accumulates) {
-      st.slot[static_cast<int>(Operand::kC11) + i].defined = true;
-      st.slot[static_cast<int>(Operand::kC11) + i].cin.c[i] = 1;
-    }
   }
   return st;
 }
@@ -371,7 +349,7 @@ constexpr bool temp_declared(const Schedule& s, Operand op) {
 // fills `r` (step/operand) and returns false; otherwise `st` holds the final
 // symbolic state.
 constexpr bool sym_execute(const Schedule& sched, SymState& st, CoreResult& r) {
-  st = initial_state(sched.accumulates_c);
+  st = initial_state();
   for (int i = 0; i < sched.step_count; ++i) {
     const Step& s = sched.steps[i];
     r.step = i;
@@ -627,18 +605,6 @@ constexpr CoreResult verify_core(const Schedule& sched) {
     }
     if (!(v.bil == c_target(c))) {
       r.violation = Violation::kProductIdentity;
-      r.operand = c;
-      return r;
-    }
-    // Initial-C term: an accumulating table must deliver C += A.B -- each
-    // quadrant carries exactly its own initial value -- and an overwriting
-    // table must deliver none (trivially zero when C starts undefined, but
-    // checked so a mislabelled table cannot pass).
-    Lin want{};
-    if (sched.accumulates_c)
-      want.c[static_cast<int>(c) - static_cast<int>(Operand::kC11)] = 1;
-    if (!(v.cin == want)) {
-      r.violation = Violation::kAccumClobber;
       r.operand = c;
       return r;
     }

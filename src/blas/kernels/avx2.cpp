@@ -4,18 +4,11 @@
 // of the library keeps its portable -march; the registry only routes here
 // when cpuid reports AVX2+FMA at runtime.
 //
-// Two register-block variants share one implementation template:
-//
-//   8x6 -- 12 ymm accumulators + 2 A vectors + 1 B broadcast = 15 of 16 ymm;
-//          the classic double-precision blocking for 16-register AVX2.
-//   4x8 --  8 ymm accumulators + 1 A vector + 1 B broadcast; lower register
-//          pressure, and its 4/8 footprints divide the library's power-of-two
-//          tiles (16, 32, 64) exactly, so those shapes run edge-free.
-//
-// kAuto runs 8x6 on every shape: with edges at full speed it beat 4x8 by
-// 8-35% on every square tile measured between 16 and 64, the power-of-two
-// ones included (4-vCPU AVX2 host).  4x8 stays selectable via
-// set_avx2_variant / STRASSEN_KERNEL=avx2-4x8 / the autotuner.
+// The register block is 8x6: 12 ymm accumulators + 2 A vectors + 1 B
+// broadcast = 15 of 16 ymm, the classic double-precision blocking for
+// 16-register AVX2.  With edges at full speed it beat a 4x8 block by 8-35%
+// on every square tile measured between 16 and 64, the power-of-two ones
+// included (4-vCPU AVX2 host), so it is the only block.
 //
 // Operand loaders abstract A and B access so the same blocks serve the plain
 // kernel and the fused Winograd kernels, which form (A1 +/- A2) or
@@ -54,9 +47,9 @@ namespace strassen::blas::kernels {
 namespace {
 
 // Deepest k whose fused-B sums are staged on the stack, and the widest
-// column panel (the 4x8 variant's NR).
+// column panel (the block's NR).
 constexpr int kPanelK = 128;
-constexpr int kPanelNR = 8;
+constexpr int kPanelNR = 6;
 
 inline std::size_t off(int ld, int col) {
   return static_cast<std::size_t>(ld) * col;
@@ -254,15 +247,15 @@ template <int MV, int NR, class AL, class BL>
   return j + NR;
 }
 
-// Full MR x NR panels, then the column tail.  A w-column tail panel runs
+// Full 8x6 panels, then the column tail.  A w-column tail panel runs
 // ceil(8 / w) vectors per column for w <= 3 and two for w = 4, 5, so every
-// tail block keeps at least eight accumulators; the 4x8 variant's 6- and
-// 7-column tails run one 8x6 panel first.
-template <int MV, int NR, class AL, class BL>
-void gemm_main(int n, const Leaf<AL, BL>& L) {
+// tail block keeps at least eight accumulators.
+template <class AL, class BL>
+void gemm_dispatch(int m, int n, int k, const AL& A, const BL& B, double* C,
+                   int ldc, LeafMode mode, double alpha) {
+  const Leaf<AL, BL> L{m, k, A, B, C, ldc, mode, alpha};
   int j = 0;
-  while (n - j >= NR) j = panel<MV, NR>(L, j);
-  if (n - j >= 6) j = panel<2, 6>(L, j);
+  while (n - j >= kPanelNR) j = panel<2, kPanelNR>(L, j);
   switch (n - j) {
     case 5: panel<2, 5>(L, j); break;
     case 4: panel<2, 4>(L, j); break;
@@ -271,16 +264,6 @@ void gemm_main(int n, const Leaf<AL, BL>& L) {
     case 1: panel<8, 1>(L, j); break;
     default: break;
   }
-}
-
-template <class AL, class BL>
-void gemm_dispatch(int m, int n, int k, const AL& A, const BL& B, double* C,
-                   int ldc, LeafMode mode, double alpha) {
-  const Leaf<AL, BL> leaf{m, k, A, B, C, ldc, mode, alpha};
-  if (avx2_variant() == Avx2Variant::k4x8)
-    gemm_main<1, 8>(n, leaf);
-  else
-    gemm_main<2, 6>(n, leaf);
 }
 
 // Calls f with the loader for A1 op A2.

@@ -26,16 +26,11 @@ namespace strassen::blas::kernels {
 
 namespace {
 
-Kind detect_default(Avx2Variant* variant);
+Kind detect_default();
 
 struct State {
   std::atomic<Kind> active;
-  std::atomic<Avx2Variant> variant;
-  State() {
-    Avx2Variant v = Avx2Variant::kAuto;
-    active.store(detect_default(&v), std::memory_order_relaxed);
-    variant.store(v, std::memory_order_relaxed);
-  }
+  State() { active.store(detect_default(), std::memory_order_relaxed); }
 };
 
 bool table_compiled(Kind kind) { return kernel_table(kind) != nullptr; }
@@ -44,21 +39,12 @@ bool table_compiled(Kind kind) { return kernel_table(kind) != nullptr; }
 // unset/empty, kScalar for any value that names nothing runnable (unknown
 // strings included: an operator typo must not silently re-enable SIMD).  The
 // loud rejection of unknown values lives in require_valid_kernel_env(),
-// which the gemm entry points call from a throwing context.  May also pin
-// the AVX2 variant.
-Kind parse_env(Avx2Variant* variant) {
+// which the gemm entry points call from a throwing context.
+Kind parse_env() {
   const char* e = std::getenv("STRASSEN_KERNEL");
   if (e == nullptr || *e == '\0') return Kind::kAuto;
   if (std::strcmp(e, "scalar") == 0) return Kind::kScalar;
   if (std::strcmp(e, "avx2") == 0) return Kind::kAvx2;
-  if (std::strcmp(e, "avx2-8x6") == 0) {
-    *variant = Avx2Variant::k8x6;
-    return Kind::kAvx2;
-  }
-  if (std::strcmp(e, "avx2-4x8") == 0) {
-    *variant = Avx2Variant::k4x8;
-    return Kind::kAvx2;
-  }
   if (std::strcmp(e, "neon") == 0) return Kind::kNeon;
   return Kind::kScalar;
 }
@@ -70,8 +56,8 @@ Kind best_available() {
 }
 
 // The default selection: environment override, else probe.
-Kind detect_default(Avx2Variant* variant) {
-  const Kind env = parse_env(variant);
+Kind detect_default() {
+  const Kind env = parse_env();
   if (env == Kind::kAuto) return best_available();
   return is_available(env) ? env : Kind::kScalar;
 }
@@ -143,23 +129,11 @@ Kind active_kernel() noexcept {
 }
 
 void set_active_kernel(Kind kind) noexcept {
-  if (kind == Kind::kAuto) {
-    Avx2Variant variant = Avx2Variant::kAuto;
-    const Kind def = detect_default(&variant);
-    state().variant.store(variant, std::memory_order_relaxed);
-    state().active.store(def, std::memory_order_relaxed);
-    return;
-  }
-  if (!is_available(kind)) kind = Kind::kScalar;
+  if (kind == Kind::kAuto)
+    kind = detect_default();
+  else if (!is_available(kind))
+    kind = Kind::kScalar;
   state().active.store(kind, std::memory_order_relaxed);
-}
-
-Avx2Variant avx2_variant() noexcept {
-  return state().variant.load(std::memory_order_relaxed);
-}
-
-void set_avx2_variant(Avx2Variant v) noexcept {
-  state().variant.store(v, std::memory_order_relaxed);
 }
 
 const LeafKernels& active() noexcept {
@@ -167,24 +141,15 @@ const LeafKernels& active() noexcept {
   return t != nullptr ? *t : detail::scalar_table();
 }
 
-Kind parse_kernel_name(const char* value, Avx2Variant* variant) {
+Kind parse_kernel_name(const char* value) {
   STRASSEN_REQUIRE(value != nullptr, "STRASSEN_KERNEL: null value");
   if (*value == '\0' || std::strcmp(value, "auto") == 0) return Kind::kAuto;
   if (std::strcmp(value, "scalar") == 0) return Kind::kScalar;
   if (std::strcmp(value, "avx2") == 0) return Kind::kAvx2;
-  if (std::strcmp(value, "avx2-8x6") == 0) {
-    if (variant != nullptr) *variant = Avx2Variant::k8x6;
-    return Kind::kAvx2;
-  }
-  if (std::strcmp(value, "avx2-4x8") == 0) {
-    if (variant != nullptr) *variant = Avx2Variant::k4x8;
-    return Kind::kAvx2;
-  }
   if (std::strcmp(value, "neon") == 0) return Kind::kNeon;
   STRASSEN_REQUIRE(false, "STRASSEN_KERNEL: unknown kernel \""
                               << value
-                              << "\" (expected scalar, avx2, avx2-8x6, "
-                                 "avx2-4x8 or neon)");
+                              << "\" (expected scalar, avx2 or neon)");
   return Kind::kAuto;  // unreachable
 }
 
@@ -193,7 +158,7 @@ void require_valid_kernel_env() {
   // follows, and tests flip the variable mid-process): no gemm entry runs
   // under a typo'd override.
   const char* e = std::getenv("STRASSEN_KERNEL");
-  if (e != nullptr) (void)parse_kernel_name(e, nullptr);
+  if (e != nullptr) (void)parse_kernel_name(e);
 }
 
 const char* kind_name(Kind kind) noexcept {
@@ -206,18 +171,6 @@ const char* kind_name(Kind kind) noexcept {
       return "avx2";
     case Kind::kNeon:
       return "neon";
-  }
-  return "unknown";
-}
-
-const char* variant_name(Avx2Variant v) noexcept {
-  switch (v) {
-    case Avx2Variant::kAuto:
-      return "auto";
-    case Avx2Variant::k8x6:
-      return "8x6";
-    case Avx2Variant::k4x8:
-      return "4x8";
   }
   return "unknown";
 }

@@ -8,13 +8,13 @@
 //
 //   scalar    4x4  -- the portable fallback; byte-for-byte the code the
 //                     generic MemModel template produces (seed behaviour)
-//   avx2      8x6 and 4x8 (double, AVX2+FMA), 8x6 unless pinned
+//   avx2      8x6  (double, AVX2+FMA)
 //   neon      4x4  (double, Advanced SIMD; AArch64 and ARMv7-NEON)
 //
 // selected once at startup by a CPU probe (cpuid on x86, HWCAP/mandatory
 // NEON on ARM), overridable by the STRASSEN_KERNEL environment variable
-// ("scalar" | "avx2" | "avx2-8x6" | "avx2-4x8" | "neon") and per call via
-// ModgemmOptions::kernel.
+// ("scalar" | "avx2" | "neon") and per call via ModgemmOptions::kernel.
+// Each ISA ships one register block, as BLIS-style engines do.
 //
 // The engine serves ONLY the production RawMem/double instantiation: the
 // templated kernels in blas/kernels.hpp and blas/level1.hpp route to the
@@ -41,10 +41,9 @@ namespace strassen::blas::kernels {
 // names "re-run the probe + environment override" in setter contexts.
 enum class Kind { kAuto = -1, kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-// Register-block variant of the AVX2 kernel.  kAuto runs 8x6, which keeps
-// a full register block on edges and is the faster block on every leaf
-// tile; the autotuner or the STRASSEN_KERNEL suffix can pin either.
-enum class Avx2Variant { kAuto = 0, k8x6 = 1, k4x8 = 2 };
+// Register block of the AVX2 kernel.  There is one, 8x6; the enum and its
+// accessors below only name it in reports.
+enum class Avx2Variant { k8x6 };
 
 // Operand combination applied on the fly by the fused kernels.
 enum class FusedOp { kAdd, kSub };
@@ -121,19 +120,14 @@ Kind active_kernel() noexcept;
 // is documented to have the same global effect).
 void set_active_kernel(Kind kind) noexcept;
 
-Avx2Variant avx2_variant() noexcept;
-void set_avx2_variant(Avx2Variant v) noexcept;
-
 // The active table (never null).
 const LeafKernels& active() noexcept;
 
-// Parses a STRASSEN_KERNEL-style value: "scalar", "avx2", "avx2-8x6",
-// "avx2-4x8" or "neon" ("" and "auto" mean kAuto).  Any other string throws
-// std::invalid_argument naming the offending value -- this is the loud
-// counterpart of the noexcept dispatch chain's degrade-to-scalar guarantee.
-// Writes the pinned AVX2 variant (if the value names one) through `variant`
-// when non-null.
-Kind parse_kernel_name(const char* value, Avx2Variant* variant = nullptr);
+// Parses a STRASSEN_KERNEL-style value: "scalar", "avx2" or "neon" ("" and
+// "auto" mean kAuto).  Any other string throws std::invalid_argument naming
+// the offending value -- this is the loud counterpart of the noexcept
+// dispatch chain's degrade-to-scalar guarantee.
+Kind parse_kernel_name(const char* value);
 
 // Validates the STRASSEN_KERNEL environment variable, throwing (once per
 // offending value; cached) like parse_kernel_name on a malformed one.
@@ -147,27 +141,23 @@ void require_valid_kernel_env();
 const LeafKernels* kernel_table(Kind kind) noexcept;
 
 const char* kind_name(Kind kind) noexcept;
-const char* variant_name(Avx2Variant v) noexcept;
 
-// RAII pin for tests and per-call overrides: saves the active kernel (and
-// AVX2 variant), sets the requested one, restores on destruction.
+constexpr Avx2Variant avx2_variant() noexcept { return Avx2Variant::k8x6; }
+constexpr const char* variant_name(Avx2Variant) noexcept { return "8x6"; }
+
+// RAII pin for tests and per-call overrides: saves the active kernel, sets
+// the requested one, restores on destruction.
 class ScopedKernel {
  public:
-  explicit ScopedKernel(Kind kind, Avx2Variant variant = Avx2Variant::kAuto)
-      : saved_kind_(active_kernel()), saved_variant_(avx2_variant()) {
+  explicit ScopedKernel(Kind kind) : saved_kind_(active_kernel()) {
     set_active_kernel(kind);
-    set_avx2_variant(variant);
   }
-  ~ScopedKernel() {
-    set_active_kernel(saved_kind_);
-    set_avx2_variant(saved_variant_);
-  }
+  ~ScopedKernel() { set_active_kernel(saved_kind_); }
   ScopedKernel(const ScopedKernel&) = delete;
   ScopedKernel& operator=(const ScopedKernel&) = delete;
 
  private:
   Kind saved_kind_;
-  Avx2Variant saved_variant_;
 };
 
 namespace detail {

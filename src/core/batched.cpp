@@ -105,7 +105,7 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
   // naive loop).
   std::optional<blas::kernels::ScopedKernel> kernel_pin;
   if (opt.kernel != blas::kernels::Kind::kAuto)
-    kernel_pin.emplace(opt.kernel, opt.avx2_variant);
+    kernel_pin.emplace(opt.kernel);
 
   if (report == nullptr) report = opt.report;
   obs::CallScope scope("modgemm_batched", report);

@@ -67,7 +67,6 @@ struct BatchedOptions {
   // Leaf-kernel pin installed ONCE for the whole batch (process-global, like
   // ModgemmOptions::kernel).
   blas::kernels::Kind kernel = blas::kernels::Kind::kAuto;
-  blas::kernels::Avx2Variant avx2_variant = blas::kernels::Avx2Variant::kAuto;
   // Schedule-family / execution-strategy pins, resolved once per batch
   // against STRASSEN_SCHEDULE / STRASSEN_STRATEGY (semantics identical to
   // ModgemmOptions).

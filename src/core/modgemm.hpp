@@ -102,7 +102,6 @@ struct ModgemmOptions {
   // (RawMem, double) instantiation consults the engine; traced executions
   // always run the scalar path.
   blas::kernels::Kind kernel = blas::kernels::Kind::kAuto;
-  blas::kernels::Avx2Variant avx2_variant = blas::kernels::Avx2Variant::kAuto;
   // Schedule-family pin for this call (analysis/schedule.hpp).  kAuto (the
   // default) defers to the STRASSEN_SCHEDULE environment override and then
   // to the planner, which runs the seed-exact 3-temporary family and swaps
@@ -372,9 +371,11 @@ void stamp_call(ModgemmReport* report, int m, int n, int k) {
   report->n = n;
   report->k = k;
   if constexpr (std::is_same_v<MM, RawMem> && std::is_same_v<T, double>) {
-    report->kernel = blas::kernels::kind_name(blas::kernels::active_kernel());
-    report->kernel_variant =
-        blas::kernels::variant_name(blas::kernels::avx2_variant());
+    namespace ker = blas::kernels;
+    report->kernel = ker::kind_name(ker::active_kernel());
+    report->kernel_variant = ker::active_kernel() == ker::Kind::kAvx2
+                                 ? ker::variant_name(ker::avx2_variant())
+                                 : "none";
   } else {
     report->kernel = "generic";
     report->kernel_variant = "none";
@@ -675,146 +676,10 @@ void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                  report);
 }
 
-// Fused evaluation of one C block of a split product using the accumulating
-// schedule: all k-chunks share a single Morton C buffer -- chunk 0 runs the
-// overwriting recursion, later chunks run kWinogradAccum on top of it,
-// and ONE from_morton applies alpha/beta at the end.  Compared to the
-// per-chunk loop this removes n_k - 1 round trips of C through from_morton /
-// to-column-major accumulation.  Only attempted for the low-memory families
-// (the default family stays bit-identical to the per-chunk path).  Returns
-// false -- with C untouched -- when the chunk geometries disagree, the fused
-// workspace exceeds the budget, or allocation fails; the caller then runs
-// the per-chunk loop.
-template <class MM, class T>
-bool modgemm_split_block_fused(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
-                               const layout::Chunk& cn,
-                               const std::vector<layout::Chunk>& k_chunks,
-                               T alpha, const T* A, int lda, const T* B,
-                               int ldb, T beta, T* C, int ldc,
-                               const ExecConfig& cfg,
-                               const layout::TileOptions& tiles,
-                               std::size_t budget, ModgemmReport* report) {
-  using analysis::ScheduleFamily;
-  const ScheduleFamily resolved = cfg.schedule;
-  if (resolved != ScheduleFamily::kLowMem &&
-      resolved != ScheduleFamily::kInPlace)
-    return false;
-  const int nk = static_cast<int>(k_chunks.size());
-  if (nk < 2) return false;
-  // Every k-chunk sub-plan must be a feasible Strassen plan agreeing on the
-  // C-facing geometry (m/n tiles and depth) so the chunks can share one
-  // Morton C buffer.
-  std::vector<layout::GemmPlan> subs;
-  subs.reserve(static_cast<std::size_t>(nk));
-  for (const auto& ck : k_chunks) {
-    const layout::GemmPlan sub = plan_product<T>(cm.size, ck.size, cn.size,
-                                                 cfg, tiles, budget, report);
-    if (sub.direct || !sub.feasible) return false;
-    if (!subs.empty() &&
-        (sub.m.tile != subs[0].m.tile || sub.n.tile != subs[0].n.tile ||
-         sub.depth != subs[0].depth))
-      return false;
-    subs.push_back(sub);
-  }
-  const int depth = subs[0].depth;
-  const layout::MortonLayout lc{cm.size, cn.size, subs[0].m.tile,
-                                subs[0].n.tile, depth};
-  auto r64 = [](std::size_t b) { return checked_add(b, 63) / 64 * 64; };
-  // Accumulating chunks recurse their sub-products with the low-mem table
-  // (the in-place table runs only where the recursion owns the operands,
-  // i.e. chunk 0's top level).
-  const ScheduleFamily acc_fam = analysis::child_family(resolved);
-  std::size_t total = r64(layout::buffer_bytes(lc, sizeof(T)));
-  std::size_t chunk_peak = 0;
-  std::size_t saved = 0;
-  for (int i = 0; i < nk; ++i) {
-    const layout::GemmPlan& sub = subs[i];
-    const layout::MortonLayout la{cm.size, k_chunks[i].size, sub.m.tile,
-                                  sub.k.tile, depth};
-    const layout::MortonLayout lb{k_chunks[i].size, cn.size, sub.k.tile,
-                                  sub.n.tile, depth};
-    const std::size_t ov = winograd_workspace_bytes(
-        sub.m.tile, sub.k.tile, sub.n.tile, depth, sizeof(T), resolved);
-    const std::size_t ac =
-        winograd_workspace_bytes(sub.m.tile, sub.k.tile, sub.n.tile, depth,
-                                 sizeof(T), acc_fam, &analysis::kWinogradAccum);
-    const std::size_t w = checked_add(
-        checked_add(r64(layout::buffer_bytes(la, sizeof(T))),
-                    r64(layout::buffer_bytes(lb, sizeof(T)))),
-        std::max(ov, ac));
-    chunk_peak = std::max(chunk_peak, w);
-    const std::size_t def = winograd_workspace_bytes(
-        sub.m.tile, sub.k.tile, sub.n.tile, depth, sizeof(T));
-    if (def > ov) saved += def - ov;
-  }
-  total = checked_add(total, chunk_peak);
-  // The budget bounds the call's live temporary set; the fused block holds
-  // Cm across all chunks, so its peak must fit as a whole.
-  if (budget != 0 && total > budget) return false;
-  try {
-    Arena arena(total);
-    T* Cm = arena.push<T>(static_cast<std::size_t>(lc.elems()));
-    WallTimer t;
-    double t_in = 0;
-    double t_mul = 0;
-    for (int i = 0; i < nk; ++i) {
-      const auto& ck = k_chunks[i];
-      const layout::GemmPlan& sub = subs[i];
-      const layout::MortonLayout la{cm.size, ck.size, sub.m.tile, sub.k.tile,
-                                    depth};
-      const layout::MortonLayout lb{ck.size, cn.size, sub.k.tile, sub.n.tile,
-                                    depth};
-      Arena::Frame frame(arena);
-      T* Am = arena.push<T>(static_cast<std::size_t>(la.elems()));
-      T* Bm = arena.push<T>(static_cast<std::size_t>(lb.elems()));
-      t.restart();
-      layout::to_morton(mm, la, Am, opa,
-                        op_block(A, opa, lda, cm.offset, ck.offset), lda);
-      layout::to_morton(mm, lb, Bm, opb,
-                        op_block(B, opb, ldb, ck.offset, cn.offset), ldb);
-      t_in += t.seconds();
-      t.restart();
-      if (i == 0)
-        winograd_recurse(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile, sub.n.tile,
-                         depth, arena, resolved);
-      else
-        winograd_recurse(mm, Cm, Am, Bm, sub.m.tile, sub.k.tile, sub.n.tile,
-                         depth, arena, acc_fam, &analysis::kWinogradAccum);
-      t_mul += t.seconds();
-    }
-    t.restart();
-    layout::from_morton(mm, lc, Cm, alpha,
-                        op_block(C, Op::NoTrans, ldc, cm.offset, cn.offset),
-                        ldc, beta);
-    const double t_out = t.seconds();
-    if (report) {
-      report->convert_in_seconds += t_in;
-      report->compute_seconds += t_mul;
-      report->convert_out_seconds += t_out;
-      report->plan = subs[0];
-      report->plan.strategy = layout::ExecStrategy::kMorton;
-      report->strategy = layout::strategy_name(layout::ExecStrategy::kMorton);
-      report->schedule = analysis::family_name(resolved);
-      report->workspace_saved_bytes += saved;
-      report->products += nk;
-      report->workspace_requested_bytes += total;
-      ++report->workspace_allocations;
-      report->workspace_peak_bytes =
-          std::max(report->workspace_peak_bytes, arena.peak());
-    }
-    return true;
-  } catch (const std::bad_alloc&) {
-    // All allocation happens before the single from_morton write-back, so C
-    // is untouched; the per-chunk ladder takes over.
-    return false;
-  }
-}
-
 // One (cm x cn) block of C for a split product (paper Fig. 4):
-// C[i][j] = sum_r A[i][r] . B[r][j] over the k-chunks.  Low-memory families
-// first try the fused accumulating evaluation (a Morton-strategy
-// optimization, so a pack-fused config skips it); otherwise each k-chunk runs
-// the ladder in chunk order, the first with beta and the rest accumulating.
+// C[i][j] = sum_r A[i][r] . B[r][j] over the k-chunks.  Each k-chunk runs the
+// ladder in chunk order, the first with beta and the rest accumulating, so
+// the block's peak workspace is that of its largest chunk product.
 // run_product runs each block as one task (inline without a pool), so the
 // result does not depend on the pool.  cfg.algo must be k222.
 template <class MM, class T>
@@ -825,11 +690,6 @@ void run_split_block(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
                      int ldc, const ExecConfig& cfg,
                      const layout::TileOptions& tiles, std::size_t budget,
                      ModgemmReport* report) {
-  if (cfg.strategy != layout::ExecStrategy::kPackFused &&
-      modgemm_split_block_fused(mm, opa, opb, cm, cn, k_chunks, alpha, A, lda,
-                                B, ldb, beta, C, ldc, cfg, tiles, budget,
-                                report))
-    return;
   bool first = true;
   for (const auto& ck : k_chunks) {
     // The budget bounds the workspace of each sub-product (they run
@@ -996,7 +856,7 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   blas::kernels::require_valid_kernel_env();
   std::optional<blas::kernels::ScopedKernel> kernel_pin;
   if (opt.kernel != blas::kernels::Kind::kAuto)
-    kernel_pin.emplace(opt.kernel, opt.avx2_variant);
+    kernel_pin.emplace(opt.kernel);
   if (report == nullptr) report = opt.report;
   obs::WallStamp wall(report);
   // Stamped here, while the per-call pin (if any) is still installed.

@@ -187,10 +187,7 @@ struct ViewStorage : core::detail::LeafTiles {
     else
       detail::combine(dst, a, b, std::minus<T>{});
   }
-  void leaf(const Ref& C, const Ref& A, const Ref& B, Arena& arena,
-            blas::LeafMode mode) const {
-    STRASSEN_ASSERT(mode == blas::LeafMode::Overwrite);
-    (void)mode;
+  void leaf(const Ref& C, const Ref& A, const Ref& B, Arena& arena) const {
     core::detail::leaf_product<T>(C, A, nullptr, analysis::Sign::kPlus, B,
                                   nullptr, analysis::Sign::kPlus, tm, tk, tn,
                                   &arena, nullptr);

@@ -26,7 +26,7 @@
 //   operand(p, shape, depth)     a dense operand at p (arena temporaries);
 //   quadrant(ref, shape, q, d1)  quadrant q in memory order 11, 12, 21, 22;
 //   elementwise(dst, x, y, sign) one add/sub step (y null: dst +-= x);
-//   leaf(C, A, B, arena, mode)   a plain leaf product;
+//   leaf(C, A, B, arena)         a plain leaf product, C = A . B;
 //   view(ref, shape)             a leaf tile as the fused leaf's input;
 //   kStagesLeaves                whether its workspace sizes leaf panels.
 //
@@ -261,9 +261,9 @@ struct MortonStorage : LeafTiles {
       else blas::vsub(mm, dst.n, dst.p, x.p, y->p);
     }
   }
-  void leaf(const Ref& C, const Ref& A, const Ref& B, Arena&,
-            blas::LeafMode mode) const {
-    blas::gemm_leaf(mm, tm, tn, tk, A.p, tm, B.p, tk, C.p, tm, mode);
+  void leaf(const Ref& C, const Ref& A, const Ref& B, Arena&) const {
+    blas::gemm_leaf(mm, tm, tn, tk, A.p, tm, B.p, tk, C.p, tm,
+                    blas::LeafMode::Overwrite);
   }
   // A leaf tile as the column-major view the fused leaf takes.
   PackSrc<T> view(const Ref& r, analysis::Shape s) const {
@@ -283,26 +283,18 @@ class ScheduleInterpreter {
   using Ref = typename S::Ref;
 
   // C = A . B for operands with `depth` levels below them: a leaf product
-  // at depth 0, else one level running `top` (or the family's table, see
+  // at depth 0, else one level running the family's table (see
   // winograd_recurse) whose products recurse with child_family(family).
   static void recurse(S& st, const Ref& C, const Ref& A, const Ref& B,
                       int depth, Arena& arena,
-                      analysis::ScheduleFamily family,
-                      const analysis::Schedule* top = nullptr) {
+                      analysis::ScheduleFamily family) {
     if (depth == 0) {
-      st.leaf(C, A, B, arena,
-              top != nullptr && top->accumulates_c
-                  ? blas::LeafMode::Accumulate
-                  : blas::LeafMode::Overwrite);
+      st.leaf(C, A, B, arena);
       return;
     }
     const int d1 = depth - 1;
-    const analysis::Schedule& sched =
-        top != nullptr
-            ? *top
-            : analysis::level_schedule(
-                  family, d1,
-                  fused_kernels<typename S::Model, T>(d1) != nullptr);
+    const analysis::Schedule& sched = analysis::level_schedule(
+        family, d1, fused_kernels<typename S::Model, T>(d1) != nullptr);
     Arena::Frame frame(arena);
     ScheduleInterpreter level(st, sched, C, A, B, d1, arena,
                               analysis::child_family(family));
@@ -453,15 +445,13 @@ class ScheduleInterpreter {
 
 }  // namespace detail
 
-// C = A * B (or C += A * B) on Morton blocks.
+// C = A * B on Morton blocks.
 //   A: (tm<<depth) x (tk<<depth), leaf tiles tm x tk (column-major)
 //   B: (tk<<depth) x (tn<<depth), leaf tiles tk x tn
 //   C: (tm<<depth) x (tn<<depth), leaf tiles tm x tn
-// `arena` must have winograd_workspace_bytes(tm, tk, tn, depth, ..., family,
-// top) available.  The top level runs `top` when given -- e.g. the
-// accumulating table (C += A * B, the split path's k-chunk chains) -- and
-// otherwise analysis::level_schedule(family); deeper levels always run
-// level_schedule(child_family(family)).  kWinograd is the seed-exact
+// `arena` must have winograd_workspace_bytes(tm, tk, tn, depth, ..., family)
+// available.  The top level runs analysis::level_schedule(family), deeper
+// levels level_schedule(child_family(family)).  kWinograd is the seed-exact
 // default (3 temporaries, fused level-1 when the kernel table publishes the
 // entries), kLowMem the 2-buffer BDPZ table.  kInPlace runs its in-place
 // table at the top, which overwrites A and B: they must be operand copies
@@ -470,14 +460,13 @@ template <class MM, class T>
 void winograd_recurse(
     MM& mm, T* C, const T* A, const T* B, int tm, int tk, int tn, int depth,
     Arena& arena,
-    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd,
-    const analysis::Schedule* top = nullptr) {
+    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd) {
   using Storage = detail::MortonStorage<MM, T>;
   using analysis::Shape;
   Storage st{{tm, tk, tn}, mm};
   detail::ScheduleInterpreter<Storage>::recurse(
       st, st.operand(C, Shape::kC, depth), st.operand(A, Shape::kA, depth),
-      st.operand(B, Shape::kB, depth), depth, arena, family, top);
+      st.operand(B, Shape::kB, depth), depth, arena, family);
 }
 
 }  // namespace strassen::core

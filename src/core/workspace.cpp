@@ -21,8 +21,7 @@ std::size_t level_temp_bytes(const analysis::Schedule& sched, int tm, int tk,
 
 std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
                                      std::size_t elem_size,
-                                     analysis::ScheduleFamily family,
-                                     const analysis::Schedule* top) {
+                                     analysis::ScheduleFamily family) {
   STRASSEN_REQUIRE(tm >= 1 && tk >= 1 && tn >= 1 && depth >= 0 && depth < 31,
                    "bad workspace request: tm=" << tm << " tk=" << tk
                                                 << " tn=" << tn
@@ -31,12 +30,10 @@ std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
   // temporaries, so sizing does not depend on the active kernel.
   std::size_t total = 0;
   for (int d1 = depth - 1; d1 >= 0; --d1) {
-    const analysis::Schedule& sched =
-        top != nullptr ? *top : analysis::level_schedule(family, d1, false);
-    total = checked_add(total,
-                        level_temp_bytes(sched, tm, tk, tn, d1, elem_size));
+    total = checked_add(
+        total, level_temp_bytes(analysis::level_schedule(family, d1, false),
+                                tm, tk, tn, d1, elem_size));
     family = analysis::child_family(family);
-    top = nullptr;
   }
   return total;
 }

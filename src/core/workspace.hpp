@@ -74,12 +74,10 @@ std::size_t level_temp_bytes(const analysis::Schedule& sched, int tm, int tk,
 
 // Peak bytes of recursion temporaries for a product of Morton blocks with
 // leaf tiles (tm x tk) * (tk x tn) and `depth` recursion levels, exactly as
-// core::winograd_recurse(..., family, top) pushes them: the top level runs
-// `top` (or the family's table), deeper levels the tables
-// analysis::level_schedule selects.  kAuto sizes as kWinograd.
+// core::winograd_recurse(..., family) pushes them: every level runs the
+// table analysis::level_schedule selects.  kAuto sizes as kWinograd.
 std::size_t winograd_workspace_bytes(
     int tm, int tk, int tn, int depth, std::size_t elem_size,
-    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd,
-    const analysis::Schedule* top = nullptr);
+    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd);
 
 }  // namespace strassen::core

@@ -45,40 +45,26 @@ AutotuneResult autotune(const AutotuneOptions& opt) {
   AutotuneResult result;
 
   // --- kernel survey ----------------------------------------------------
-  // Rank every runnable engine configuration by aggregate leaf throughput
-  // over the candidate tiles, then (optionally) install the winner so the
-  // tile survey below measures the kernel that will actually run.
+  // Rank every runnable engine kernel by aggregate leaf throughput over the
+  // candidate tiles, then (optionally) install the winner so the tile
+  // survey below measures the kernel that will actually run.
   namespace ker = blas::kernels;
   if (opt.survey_kernels) {
-    struct Config {
-      ker::Kind kind;
-      ker::Avx2Variant variant;
-    };
-    std::vector<Config> configs;
-    for (ker::Kind kind : ker::available_kernels()) {
-      if (kind == ker::Kind::kAvx2) {
-        configs.push_back({kind, ker::Avx2Variant::k8x6});
-        configs.push_back({kind, ker::Avx2Variant::k4x8});
-      } else {
-        configs.push_back({kind, ker::Avx2Variant::kAuto});
-      }
-    }
     double best_total = 0.0;
-    for (const Config& c : configs) {
-      ker::ScopedKernel pin(c.kind, c.variant);
+    for (ker::Kind kind : ker::available_kernels()) {
+      ker::ScopedKernel pin(kind);
       double total = 0.0;
       for (int tile : opt.candidate_tiles) {
         const double rate = leaf_mflops(tile, opt.repetitions);
-        result.kernel_survey.push_back({c.kind, c.variant, tile, rate});
+        result.kernel_survey.push_back({kind, tile, rate});
         total += rate;
       }
       if (total > best_total) {
         best_total = total;
-        result.best_kernel = c.kind;
-        result.best_avx2_variant = c.variant;
+        result.best_kernel = kind;
       }
       if (opt.collect_reports) {
-        // One observed, forced-recursion call per configuration: its report
+        // One observed, forced-recursion call per kernel: its report
         // carries the leaf/fused split and phase times behind the ranking.
         const int n = std::max(64, opt.report_problem_size);
         Rng rng(static_cast<std::uint64_t>(n));
@@ -86,8 +72,7 @@ AutotuneResult autotune(const AutotuneOptions& opt) {
         rng.fill_uniform(A.storage());
         rng.fill_uniform(B.storage());
         core::ModgemmOptions mo;
-        mo.kernel = c.kind;
-        mo.avx2_variant = c.variant;
+        mo.kernel = kind;
         mo.tiles.direct_threshold = std::max(8, n / 4);
         obs::GemmReport report;
         core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), A.ld(),
@@ -95,10 +80,7 @@ AutotuneResult autotune(const AutotuneOptions& opt) {
         result.config_reports.push_back(report);
       }
     }
-    if (opt.apply_best_kernel) {
-      ker::set_active_kernel(result.best_kernel);
-      ker::set_avx2_variant(result.best_avx2_variant);
-    }
+    if (opt.apply_best_kernel) ker::set_active_kernel(result.best_kernel);
   }
 
   // --- leaf survey ----------------------------------------------------

@@ -57,11 +57,11 @@ struct AutotuneOptions {
   // under powers of two).
   int algo_probe_m = 256, algo_probe_k = 361, algo_probe_n = 256;
   int repetitions = 3;  // timing repetitions per probe
-  // Survey every available leaf-kernel implementation (and both AVX2
-  // register-block variants) across the candidate tiles before the tile
-  // survey, so the tile range is chosen for the kernel that will run.
+  // Survey every available leaf-kernel implementation across the candidate
+  // tiles before the tile survey, so the tile range is chosen for the
+  // kernel that will run.
   bool survey_kernels = true;
-  // Install the winning kernel/variant as the engine's active kernel (a
+  // Install the winning kernel as the engine's active kernel (a
   // process-global setting, see kernels/registry.hpp).
   bool apply_best_kernel = true;
   // Attach a full GemmReport (obs/report.hpp) for one representative
@@ -75,22 +75,18 @@ struct AutotuneOptions {
 
 struct AutotuneResult {
   layout::TileOptions tiles;  // ready to drop into ModgemmOptions
-  // Winning leaf-kernel configuration (ready to drop into
-  // ModgemmOptions::kernel / avx2_variant); scalar when the survey is off.
+  // Winning leaf kernel (ready to drop into ModgemmOptions::kernel); scalar
+  // when the survey is off.
   blas::kernels::Kind best_kernel = blas::kernels::Kind::kScalar;
-  blas::kernels::Avx2Variant best_avx2_variant =
-      blas::kernels::Avx2Variant::kAuto;
-  // Diagnostics: leaf MFLOPS per (kernel, variant, tile) probe.
+  // Diagnostics: leaf MFLOPS per (kernel, tile) probe.
   struct KernelSurveyPoint {
     blas::kernels::Kind kind;
-    blas::kernels::Avx2Variant variant;  // kAuto for non-AVX2 kinds
     int tile;
     double mflops;
   };
   std::vector<KernelSurveyPoint> kernel_survey;
-  // One report per surveyed configuration (same order as the distinct
-  // (kind, variant) pairs of kernel_survey); empty unless
-  // AutotuneOptions::collect_reports.
+  // One report per surveyed kernel (same order as the distinct kinds of
+  // kernel_survey); empty unless AutotuneOptions::collect_reports.
   std::vector<obs::GemmReport> config_reports;
   // Diagnostics: (tile, MFLOPS) pairs from the leaf survey.
   std::vector<std::pair<int, double>> leaf_survey;

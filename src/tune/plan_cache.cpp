@@ -115,18 +115,6 @@ namespace {
 
 constexpr const char* kTuneCacheMagic = "strassen.tune_cache.v1";
 
-// "avx2-8x6" style value round-trippable through parse_kernel_name.
-std::string kernel_value(blas::kernels::Kind kind,
-                         blas::kernels::Avx2Variant variant) {
-  using blas::kernels::Avx2Variant;
-  std::string v = blas::kernels::kind_name(kind);
-  if (kind == blas::kernels::Kind::kAvx2) {
-    if (variant == Avx2Variant::k8x6) v += "-8x6";
-    if (variant == Avx2Variant::k4x8) v += "-4x8";
-  }
-  return v;
-}
-
 void set_error(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
 }
@@ -229,9 +217,7 @@ TuneCacheStatus load_tune_cache(const std::string& path, TuneCacheEntry* out,
       seen[4] = true;
     } else if (key == "kernel") {
       try {
-        entry.kernel =
-            blas::kernels::parse_kernel_name(value.c_str(),
-                                             &entry.avx2_variant);
+        entry.kernel = blas::kernels::parse_kernel_name(value.c_str());
       } catch (const std::invalid_argument&) {
         ok = false;
       }
@@ -282,7 +268,7 @@ bool save_tune_cache(const std::string& path, const TuneCacheEntry& entry,
     out << "preferred_tile " << entry.tiles.preferred_tile << '\n';
     out << "direct_threshold " << entry.tiles.direct_threshold << '\n';
     out << "packfused_max_depth " << entry.tiles.packfused_max_depth << '\n';
-    out << "kernel " << kernel_value(entry.kernel, entry.avx2_variant) << '\n';
+    out << "kernel " << blas::kernels::kind_name(entry.kernel) << '\n';
     out << "end\n";
     out.flush();
     if (!out.good()) {
@@ -333,11 +319,7 @@ AutotuneResult result_from_entry(const TuneCacheEntry& entry,
   AutotuneResult r;
   r.tiles = entry.tiles;
   r.best_kernel = entry.kernel;
-  r.best_avx2_variant = entry.avx2_variant;
-  if (opt.apply_best_kernel) {
-    blas::kernels::set_active_kernel(entry.kernel);
-    blas::kernels::set_avx2_variant(entry.avx2_variant);
-  }
+  if (opt.apply_best_kernel) blas::kernels::set_active_kernel(entry.kernel);
   return r;
 }
 
@@ -381,7 +363,6 @@ CachedAutotune autotune_cached(const AutotuneOptions& opt, const char* path) {
   TuneCacheEntry entry;
   entry.tiles = out.result.tiles;
   entry.kernel = out.result.best_kernel;
-  entry.avx2_variant = out.result.best_avx2_variant;
   if (path != nullptr && path[0] != '\0') {
     std::string err;
     if (!save_tune_cache(path, entry, &err))

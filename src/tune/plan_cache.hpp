@@ -142,7 +142,6 @@ PlanCache& global_plan_cache();
 struct TuneCacheEntry {
   layout::TileOptions tiles{};
   blas::kernels::Kind kernel = blas::kernels::Kind::kScalar;
-  blas::kernels::Avx2Variant avx2_variant = blas::kernels::Avx2Variant::kAuto;
 };
 
 enum class TuneCacheStatus {

@@ -103,11 +103,6 @@ TEST(EnvParsing, KernelNameAcceptsKnownNames) {
   EXPECT_EQ(parse_kernel_name("scalar"), Kind::kScalar);
   EXPECT_EQ(parse_kernel_name("avx2"), Kind::kAvx2);
   EXPECT_EQ(parse_kernel_name("neon"), Kind::kNeon);
-  Avx2Variant v = Avx2Variant::kAuto;
-  EXPECT_EQ(parse_kernel_name("avx2-8x6", &v), Kind::kAvx2);
-  EXPECT_EQ(v, Avx2Variant::k8x6);
-  EXPECT_EQ(parse_kernel_name("avx2-4x8", &v), Kind::kAvx2);
-  EXPECT_EQ(v, Avx2Variant::k4x8);
 }
 
 TEST(EnvParsing, KernelNameRejectsUnknownNames) {
@@ -116,6 +111,12 @@ TEST(EnvParsing, KernelNameRejectsUnknownNames) {
                  {"STRASSEN_KERNEL", "bogus"});
   expect_rejects([] { parse_kernel_name("avx512"); },
                  {"STRASSEN_KERNEL", "avx512"});
+  // The AVX2 kernel has one register block; the old block suffixes are
+  // gone, not aliases.
+  expect_rejects([] { parse_kernel_name("avx2-8x6"); },
+                 {"STRASSEN_KERNEL", "avx2-8x6"});
+  expect_rejects([] { parse_kernel_name("avx2-4x8"); },
+                 {"STRASSEN_KERNEL", "avx2-4x8"});
   // Case and whitespace are not forgiven (exact-match contract).
   expect_rejects([] { parse_kernel_name("Scalar"); },
                  {"STRASSEN_KERNEL", "Scalar"});

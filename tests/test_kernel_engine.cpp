@@ -35,24 +35,15 @@ namespace {
 // kernels differ from the oracle by O(k) ulps on uniform [0,1) data.
 constexpr double kTol = 1e-12;
 
-// All (kernel, variant) configurations this binary can actually run.
+// All kernels this binary can actually run.
 struct Config {
   Kind kind;
-  Avx2Variant variant;
   std::string name;
 };
 
 std::vector<Config> runnable_configs() {
   std::vector<Config> out;
-  for (Kind kind : available_kernels()) {
-    if (kind == Kind::kAvx2) {
-      out.push_back({kind, Avx2Variant::k8x6, "avx2-8x6"});
-      out.push_back({kind, Avx2Variant::k4x8, "avx2-4x8"});
-      out.push_back({kind, Avx2Variant::kAuto, "avx2-auto"});
-    } else {
-      out.push_back({kind, Avx2Variant::kAuto, kind_name(kind)});
-    }
-  }
+  for (Kind kind : available_kernels()) out.push_back({kind, kind_name(kind)});
   return out;
 }
 
@@ -105,19 +96,15 @@ TEST(KernelRegistry, UnavailableKindDegradesToScalar) {
 
 TEST(KernelRegistry, ScopedKernelRestores) {
   const Kind before = active_kernel();
-  const Avx2Variant vbefore = avx2_variant();
   {
-    ScopedKernel pin(Kind::kScalar, Avx2Variant::k4x8);
+    ScopedKernel pin(Kind::kScalar);
     EXPECT_EQ(active_kernel(), Kind::kScalar);
-    EXPECT_EQ(avx2_variant(), Avx2Variant::k4x8);
   }
   EXPECT_EQ(active_kernel(), before);
-  EXPECT_EQ(avx2_variant(), vbefore);
 }
 
 TEST(KernelRegistry, EnvOverrideParsesAndDegrades) {
   const Kind before = active_kernel();
-  const Avx2Variant vbefore = avx2_variant();
   // Unknown value: never silently enables SIMD.
   ::setenv("STRASSEN_KERNEL", "bogus", 1);
   set_active_kernel(Kind::kAuto);
@@ -126,10 +113,9 @@ TEST(KernelRegistry, EnvOverrideParsesAndDegrades) {
   set_active_kernel(Kind::kAuto);
   EXPECT_EQ(active_kernel(), Kind::kScalar);
   if (is_available(Kind::kAvx2)) {
-    ::setenv("STRASSEN_KERNEL", "avx2-4x8", 1);
+    ::setenv("STRASSEN_KERNEL", "avx2", 1);
     set_active_kernel(Kind::kAuto);
     EXPECT_EQ(active_kernel(), Kind::kAvx2);
-    EXPECT_EQ(avx2_variant(), Avx2Variant::k4x8);
   }
   ::unsetenv("STRASSEN_KERNEL");
   set_active_kernel(Kind::kAuto);  // back to the probe default
@@ -138,7 +124,6 @@ TEST(KernelRegistry, EnvOverrideParsesAndDegrades) {
                                  ? Kind::kAvx2
                                  : before);
   set_active_kernel(before);
-  set_avx2_variant(vbefore);
 }
 
 TEST(KernelRegistry, Names) {
@@ -146,8 +131,7 @@ TEST(KernelRegistry, Names) {
   EXPECT_STREQ(kind_name(Kind::kAvx2), "avx2");
   EXPECT_STREQ(kind_name(Kind::kNeon), "neon");
   EXPECT_STREQ(kind_name(Kind::kAuto), "auto");
-  EXPECT_STREQ(variant_name(Avx2Variant::k8x6), "8x6");
-  EXPECT_STREQ(variant_name(Avx2Variant::k4x8), "4x8");
+  EXPECT_STREQ(variant_name(avx2_variant()), "8x6");
 }
 
 // ---- gemm conformance: every runnable variant vs the oracle ---------------
@@ -167,7 +151,7 @@ const std::vector<Shape>& conformance_shapes() {
 
 TEST(KernelConformance, AllVariantsMatchOracle) {
   for (const Config& cfg : runnable_configs()) {
-    ScopedKernel pin(cfg.kind, cfg.variant);
+    ScopedKernel pin(cfg.kind);
     for (const auto& [m, n, k] : conformance_shapes()) {
       Rng rng(static_cast<std::uint64_t>(m * 131 + n * 17 + k + 7));
       Matrix<double> A(m, std::max(k, 1)), B(std::max(k, 1), n);
@@ -196,7 +180,7 @@ TEST(KernelConformance, AllVariantsMatchOracle) {
 TEST(KernelConformance, StridedOperandsMatchOracle) {
   // Leading dimensions larger than the row count (edge tiles, blocked gemm).
   for (const Config& cfg : runnable_configs()) {
-    ScopedKernel pin(cfg.kind, cfg.variant);
+    ScopedKernel pin(cfg.kind);
     const int m = 13, n = 11, k = 17, pad = 5;
     Rng rng(99);
     Matrix<double> A(m, k, m + pad), B(k, n, k + pad), C(m, n, m + pad),
@@ -216,7 +200,7 @@ TEST(KernelConformance, StridedOperandsMatchOracle) {
 
 TEST(KernelConformance, OverwriteDoesNotReadC) {
   for (const Config& cfg : runnable_configs()) {
-    ScopedKernel pin(cfg.kind, cfg.variant);
+    ScopedKernel pin(cfg.kind);
     const int m = 11, n = 7, k = 5;
     Rng rng(3);
     Matrix<double> A(m, k), B(k, n), C(m, n);
@@ -236,7 +220,7 @@ TEST(KernelConformance, FusedMatchesMaterialized) {
     const LeafKernels* tab = kernel_table(cfg.kind);
     ASSERT_NE(tab, nullptr);
     if (tab->gemm_fused_a == nullptr) continue;  // scalar: deliberately none
-    ScopedKernel pin(cfg.kind, cfg.variant);
+    ScopedKernel pin(cfg.kind);
     for (const auto& [m, n, k] : conformance_shapes()) {
       if (k == 0) continue;  // fused entries serve leaf tiles, k >= 1
       Rng rng(static_cast<std::uint64_t>(m * 7 + n * 3 + k));
@@ -451,7 +435,7 @@ TEST(KernelBitExactness, EveryElementIsOneFmaChain) {
         fma_chain_gemm(m, n, k, A1.data(), A1.ld(), B1.data(), B1.ld(),
                        Ref.data(), Ref.ld(), mode, alpha);
         for (const Config& cfg : simd) {
-          ScopedKernel pin(cfg.kind, cfg.variant);
+          ScopedKernel pin(cfg.kind);
           copy_storage(C0, C);
           active().gemm(m, n, k, A1.data(), A1.ld(), B1.data(), B1.ld(),
                         C.data(), C.ld(), mode, alpha);
@@ -486,7 +470,7 @@ TEST(KernelBitExactness, EveryElementIsOneFmaChain) {
         for (const Config& cfg : simd) {
           const LeafKernels* tab = kernel_table(cfg.kind);
           if (tab->gemm_fused_a == nullptr) continue;
-          ScopedKernel pin(cfg.kind, cfg.variant);
+          ScopedKernel pin(cfg.kind);
           if (opa == opb) {  // single-operand entries: one pass per op
             copy_storage(C0, C);
             tab->gemm_fused_a(m, n, k, A1.data(), A2.data(), opa, A1.ld(),

@@ -1,6 +1,7 @@
 // Integration tests for the MODGEMM public interface (src/core/modgemm).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <tuple>
@@ -184,6 +185,43 @@ TEST(ModgemmSplit, SplitWithAlphaBetaAccumulatesOnce) {
   // The k-chunk loop must apply beta exactly once per C block.
   const int m = 100, k = 2100, n = 100;
   expect_exact(Op::NoTrans, Op::NoTrans, m, n, k, 3.0, -2.0);
+}
+
+TEST(ModgemmSplit, LowMemSplitPeaksAtItsLargestChunkProduct) {
+  // A split C block runs its k-chunk products one after another, so a call
+  // pinned to the low-memory family needs no more workspace than its
+  // largest chunk product run on its own.
+  const int m = 100, k = 4000, n = 150;
+  ModgemmOptions opt;
+  opt.schedule = analysis::ScheduleFamily::kLowMem;
+  opt.algo = analysis::AlgoFamily::k222;
+  Rng rng(5);
+  Matrix<double> A(m, k), B(k, n), C(m, n), Cc(m, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  ModgemmReport report;
+  modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), A.ld(), B.data(),
+          B.ld(), 0.0, C.data(), C.ld(), opt, &report);
+  ASSERT_TRUE(report.split_used);
+
+  const layout::SplitPlan split = layout::plan_split(m, k, n, opt.tiles);
+  ASSERT_EQ(split.m_chunks.size(), 1u);
+  ASSERT_EQ(split.n_chunks.size(), 1u);
+  ASSERT_GT(split.k_chunks.size(), 1u);
+  std::size_t chunk_peak = 0;
+  bool first = true;
+  for (const layout::Chunk& ck : split.k_chunks) {
+    ModgemmReport sub;
+    modgemm(Op::NoTrans, Op::NoTrans, m, n, ck.size, 1.0,
+            A.data() + static_cast<std::size_t>(ck.offset) * A.ld(), A.ld(),
+            B.data() + ck.offset, B.ld(), first ? 0.0 : 1.0, Cc.data(),
+            Cc.ld(), opt, &sub);
+    EXPECT_FALSE(sub.split_used);
+    chunk_peak = std::max(chunk_peak, sub.workspace_peak_bytes);
+    first = false;
+  }
+  EXPECT_GT(chunk_peak, 0u);
+  EXPECT_LE(report.workspace_peak_bytes, chunk_peak);
 }
 
 TEST(ModgemmEdge, StridedMatricesWork) {

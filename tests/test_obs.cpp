@@ -362,6 +362,20 @@ TEST(ObsEnvSink, AppendsOneJsonlLinePerCall) {
 // Parallel driver.
 // ---------------------------------------------------------------------------
 
+// The pooled result against the serial one for an n x n x n product:
+// bit-identical, except under the in-place family (STRASSEN_SCHEDULE),
+// whose table a forked top level replaces with kWinogradSpawn; that family
+// is held to the numerics suite's norm-wise bound (tests/test_numerics.cpp).
+void expect_matches_serial(const Matrix<double>& serial,
+                           const Matrix<double>& pooled, int n) {
+  const double diff = max_abs_diff<double>(serial.view(), pooled.view());
+  if (core::resolve_config({}).schedule ==
+      analysis::ScheduleFamily::kInPlace)
+    EXPECT_LT(diff, 1e-16 * 3.0 * n * 64.0);
+  else
+    EXPECT_EQ(diff, 0.0);
+}
+
 TEST(ObsParallel, PmodgemmFillsParallelSection) {
   const int n = 256;
   Problem p(n);
@@ -386,7 +400,7 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
                      p.C.data(), p.C.ld(), popt);
 
   // Observability must not perturb the bit-exactness contract.
-  EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
+  expect_matches_serial(Cserial, p.C, n);
 
   EXPECT_STREQ(report.entry, "pmodgemm");
   EXPECT_STREQ(report.strategy, "morton");
@@ -436,7 +450,7 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
   parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
                      p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
                      p.C.data(), p.C.ld(), popt);
-  EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
+  expect_matches_serial(Cserial, p.C, n);
 
   // The report carries the full plan depth, and the task count covers the
   // whole spawn tree: sum_{l=1..d} 7^l product tasks.
@@ -459,7 +473,7 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
   parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
                      p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
                      p.C.data(), p.C.ld(), popt);
-  EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
+  expect_matches_serial(Cserial, p.C, n);
   const layout::GemmPlan& plan = auto_report.plan;
   EXPECT_EQ(auto_report.spawn_levels,
             parallel::fork_levels(&pool, plan.m.tile, plan.k.tile,
@@ -653,8 +667,7 @@ TEST(ObsMerge, EveryFieldFolds) {
 }
 
 // Rectangular product on the serial driver and on pmodgemm's split path,
-// both pinned to <2,2,2> and the default schedule family (a low-memory
-// family would send the serial splitter down its fused accumulating path).
+// both pinned to <2,2,2> and the default schedule family.
 struct SplitShape {
   int m = 100, k = 4000, n = 150;
   Matrix<double> A{100, 4000}, B{4000, 150}, C{100, 150};

@@ -201,17 +201,44 @@ TEST_F(TuneCacheFile, MissingFileIsACleanColdStart) {
   EXPECT_FALSE(error.empty());
 }
 
-TEST_F(TuneCacheFile, CorruptFileIsRejectedWithReason) {
-  {
-    std::ofstream f(path_);
-    f << "not a tune cache at all\n";
-  }
-  TuneCacheEntry out;
-  out.tiles.preferred_tile = -7;  // sentinel: must stay untouched
+// A file this build wrote, with its "kernel" line naming `kernel` instead:
+// the deleted AVX2 block suffixes make an otherwise valid file stale.
+std::string cache_text_with_kernel(const std::string& path,
+                                   const std::string& kernel) {
   std::string error;
-  EXPECT_EQ(load_tune_cache(path_, &out, &error), TuneCacheStatus::kCorrupt);
-  EXPECT_FALSE(error.empty());
-  EXPECT_EQ(out.tiles.preferred_tile, -7);
+  EXPECT_TRUE(save_tune_cache(path, sample_entry(), &error)) << error;
+  std::ifstream in(path);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  const std::string line = "kernel scalar\n";
+  const std::string::size_type at = text.find(line);
+  EXPECT_NE(at, std::string::npos) << text;
+  if (at != std::string::npos)
+    text.replace(at, line.size(), "kernel " + kernel + "\n");
+  return text;
+}
+
+// Unreadable files, and caches naming a kernel this build no longer has.
+std::vector<std::string> corrupt_cache_texts(const std::string& path) {
+  return {"not a tune cache at all\n",
+          cache_text_with_kernel(path, "avx2-4x8"),
+          cache_text_with_kernel(path, "avx2-8x6")};
+}
+
+TEST_F(TuneCacheFile, CorruptFileIsRejectedWithReason) {
+  for (const std::string& text : corrupt_cache_texts(path_)) {
+    {
+      std::ofstream f(path_, std::ios::trunc);
+      f << text;
+    }
+    TuneCacheEntry out;
+    out.tiles.preferred_tile = -7;  // sentinel: must stay untouched
+    std::string error;
+    EXPECT_EQ(load_tune_cache(path_, &out, &error), TuneCacheStatus::kCorrupt)
+        << text;
+    EXPECT_FALSE(error.empty());
+    EXPECT_EQ(out.tiles.preferred_tile, -7);
+  }
 }
 
 TEST_F(TuneCacheFile, TruncatedFileIsRejected) {
@@ -324,20 +351,24 @@ TEST_F(TuneCacheFile, WarmProcessSkipsTheSurvey) {
 }
 
 TEST_F(TuneCacheFile, CorruptCacheForcesResurveyAndRewrite) {
-  {
-    std::ofstream f(path_);
-    f << "strassen.tune_cache.v1\ngarbage\n";
+  std::vector<std::string> texts = corrupt_cache_texts(path_);
+  texts.push_back("strassen.tune_cache.v1\ngarbage\n");
+  for (const std::string& text : texts) {
+    {
+      std::ofstream f(path_, std::ios::trunc);
+      f << text;
+    }
+    reset_autotune_memo();
+    const CachedAutotune rejected = autotune_cached(cheap_survey(),
+                                                    path_.c_str());
+    EXPECT_EQ(rejected.source, TuneSource::kRejectedCache) << text;
+    EXPECT_FALSE(rejected.result.leaf_survey.empty());  // it really surveyed
+    // The bad file was overwritten with this process's outcome.
+    TuneCacheEntry repaired;
+    std::string error;
+    EXPECT_EQ(load_tune_cache(path_, &repaired, &error), TuneCacheStatus::kOk)
+        << error;
   }
-  reset_autotune_memo();
-  const CachedAutotune rejected = autotune_cached(cheap_survey(),
-                                                  path_.c_str());
-  EXPECT_EQ(rejected.source, TuneSource::kRejectedCache);
-  EXPECT_FALSE(rejected.result.leaf_survey.empty());  // it really surveyed
-  // The bad file was overwritten with this process's outcome.
-  TuneCacheEntry repaired;
-  std::string error;
-  EXPECT_EQ(load_tune_cache(path_, &repaired, &error), TuneCacheStatus::kOk)
-      << error;
 }
 
 TEST_F(TuneCacheFile, NoPathMeansMemoOnly) {

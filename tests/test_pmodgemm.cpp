@@ -4,7 +4,8 @@
 // as the serial core::modgemm (the spawn-level combination is commutatively
 // identical and the sub-recursions are the serial code), so results must be
 // BIT-IDENTICAL for every thread count and spawn depth -- on real data, not
-// just integers.
+// just integers.  The one exception is the in-place schedule family (see
+// expect_matches_serial).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +25,21 @@
 namespace strassen::parallel {
 namespace {
 
+// Pooled result against the serial one for an n x n x n product.  The
+// in-place family runs its table only at an unforked top level: a forked
+// top level runs kWinogradSpawn instead, so under that family (pinned by
+// STRASSEN_SCHEDULE) the two are held to the numerics suite's norm-wise
+// bound (tests/test_numerics.cpp) rather than to bit identity.
+void expect_matches_serial(const Matrix<double>& serial,
+                           const Matrix<double>& pooled, int n) {
+  const double diff = max_abs_diff<double>(serial.view(), pooled.view());
+  if (core::resolve_config({}).schedule ==
+      analysis::ScheduleFamily::kInPlace)
+    EXPECT_LT(diff, 1e-16 * 3.0 * n * 64.0);
+  else
+    EXPECT_EQ(diff, 0.0);
+}
+
 using Param = std::tuple<int, int, int>;  // n, threads, spawn_levels
 class Pmodgemm : public ::testing::TestWithParam<Param> {};
 
@@ -41,7 +57,7 @@ TEST_P(Pmodgemm, BitIdenticalToSerial) {
   opt.spawn_levels = spawn;
   pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
            B.data(), n, 0.0, Cp.data(), n, opt);
-  EXPECT_EQ(max_abs_diff<double>(Cs.view(), Cp.view()), 0.0);
+  expect_matches_serial(Cs, Cp, n);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -67,7 +83,7 @@ TEST(PmodgemmDeepSpawn, ForkingEveryLevelStaysBitIdentical) {
   ASSERT_GE(opt.spawn_levels, 2);
   pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
            B.data(), n, 0.0, Cp.data(), n, opt);
-  EXPECT_EQ(max_abs_diff<double>(Cs.view(), Cp.view()), 0.0);
+  expect_matches_serial(Cs, Cp, n);
 }
 
 TEST(PmodgemmDeepSpawn, RejectsInvalidPolicyValues) {

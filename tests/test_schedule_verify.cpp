@@ -279,18 +279,9 @@ TEST(ScheduleVerifyFamily, ShippedInPlaceTableVerifies) {
   EXPECT_EQ(r.linear_ops, 15);
 }
 
-TEST(ScheduleVerifyFamily, ShippedAccumTableVerifies) {
-  const VerifyResult r = verify_schedule(kWinogradAccum);
-  EXPECT_TRUE(r.ok) << joined(r.errors);
-  EXPECT_EQ(r.temp_peak, 3);
-  EXPECT_EQ(r.products, 7);
-  EXPECT_EQ(r.linear_ops, 22);
-}
-
 TEST(ScheduleVerifyFamily, ConstexprCoreProvesFamilyTables) {
   static_assert(verify_core(kWinogradLowMem).violation == Violation::kNone);
   static_assert(verify_core(kWinogradInPlace).violation == Violation::kNone);
-  static_assert(verify_core(kWinogradAccum).violation == Violation::kNone);
 }
 
 TEST(ScheduleVerifyNegative, InPlaceReadAfterClobberRejected) {
@@ -441,36 +432,6 @@ TEST(ScheduleVerifyNegative, ElementwiseStepInGroupRejected) {
   TestSchedule t(kWinogradSpawn);
   t.steps[7].concurrent = true;  // -T4 joins the product group
   EXPECT_EQ(verify_core(t.sched).violation, Violation::kGroupNonProduct);
-}
-
-TEST(ScheduleVerifyNegative, AccumTempPeakUndercountRejected) {
-  // The accumulating table really needs 3 temporaries; declaring the
-  // low-mem bound instead must be rejected with the measured peak.
-  TestSchedule t(kWinogradAccum);
-  t.sched.declared_temp_peak = 2;
-  const VerifyResult r = verify_schedule(t.sched);
-  EXPECT_FALSE(r.ok);
-  EXPECT_TRUE(any_error_contains(r.errors, "live-temporary peak is 3"))
-      << joined(r.errors);
-  EXPECT_EQ(verify_core(t.sched).violation, Violation::kTempPeakMismatch);
-}
-
-TEST(ScheduleVerifyNegative, AccumInitialValueClobberRejected) {
-  // Turn C11 += P1 (step 23) into a direct product C11 = P1: the final
-  // bilinear form still reaches its target (P2 is added afterwards) but the
-  // caller's initial C11 no longer survives into the result -- exactly the
-  // defect the accumulating contract exists to exclude, invisible to every
-  // overwrite-table check.
-  TestSchedule t(kWinogradAccum);
-  ASSERT_STREQ(t.steps[23].note, "C11+=P1");
-  t.steps[23] = mul(C11, A11, B11, "P1");
-  t.refresh();
-  const VerifyResult r = verify_schedule(t.sched);
-  EXPECT_FALSE(r.ok);
-  EXPECT_TRUE(any_error_contains(r.errors, "C11")) << joined(r.errors);
-  const CoreResult c = verify_core(t.sched);
-  EXPECT_EQ(c.violation, Violation::kAccumClobber);
-  EXPECT_EQ(c.operand, C11);
 }
 
 }  // namespace
@@ -671,20 +632,6 @@ void expect_family_exact(int tm, int tk, int tn, int depth,
                      arena, ScheduleFamily::kInPlace);
     for (std::size_t i = 0; i < C.size(); ++i)
       ASSERT_EQ(C[i], Cref[i]) << "inplace differs at " << i;
-  }
-  {
-    // Accumulating top level: C starts at X and must end at X + A.B.
-    std::vector<double> C(Cref.size());
-    rng.fill_int(C, -3, 3);
-    std::vector<double> want = Cref;
-    for (std::size_t i = 0; i < want.size(); ++i) want[i] += C[i];
-    Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
-                                         ScheduleFamily::kLowMem,
-                                         &analysis::kWinogradAccum));
-    winograd_recurse(mm, C.data(), Am.data(), Bm.data(), tm, tk, tn, depth,
-                     arena, ScheduleFamily::kLowMem, &analysis::kWinogradAccum);
-    for (std::size_t i = 0; i < C.size(); ++i)
-      ASSERT_EQ(C[i], want[i]) << "accum differs at " << i;
   }
 }
 

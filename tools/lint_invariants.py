@@ -67,9 +67,8 @@ ATOMIC_OPS = ("load", "store", "fetch_add", "fetch_sub", "fetch_and",
 NOEXCEPT_ENTRY_POINTS = {
     "src/blas/kernels/registry.hpp": [
         "cpu_supports", "is_available", "active_kernel", "set_active_kernel",
-        "avx2_variant", "set_avx2_variant", "active", "kernel_table",
-        "kind_name", "variant_name", "scalar_table", "avx2_table",
-        "neon_table",
+        "avx2_variant", "active", "kernel_table", "kind_name", "variant_name",
+        "scalar_table", "avx2_table", "neon_table",
     ],
     "src/blas/kernels.hpp": ["dispatch_gemm_leaf", "simd_gemm_active"],
     "src/blas/level1.hpp": ["dispatch_vadd", "dispatch_vsub",
