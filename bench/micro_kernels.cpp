@@ -251,7 +251,7 @@ int run_kernel_sweep(const std::string& json_path, double check_speedup) {
     }
   }
   // config name -> one observed modgemm call's GemmReport (JSON), giving
-  // each configuration's leaf/fused usage and phase split at n = 256.
+  // each configuration's leaf counts and phase split at n = 256.
   std::map<std::string, std::string> modgemm_reports;
   for (const KernelConfig& cfg : configs) {
     ker::ScopedKernel pin(cfg.kind);

@@ -115,9 +115,6 @@ constexpr const char* operand_name(Operand op) {
 //   kAddInplace   dst = dst + a0                   (blas::vadd_inplace)
 //   kSubInplace   dst = dst - a0                   (blas::vsub_inplace)
 //   kMul          dst = a0 . b0                    (recursive product)
-//   kMulFusedA    dst = (a0 asign a1) . b0         (kernel gemm_fused_a)
-//   kMulFusedB    dst = a0 . (b0 bsign b1)         (kernel gemm_fused_b)
-//   kMulFusedAB   dst = (a0 asign a1) . (b0 bsign b1)  (gemm_fused_ab)
 // Element-wise steps may alias dst with a source EXACTLY (the level-1 alias
 // contract); products must never alias their destination with a source --
 // the verifier rejects the latter, shape rules make it impossible for
@@ -128,32 +125,18 @@ enum class StepKind : std::uint8_t {
   kAddInplace,
   kSubInplace,
   kMul,
-  kMulFusedA,
-  kMulFusedB,
-  kMulFusedAB,
 };
 
 enum class Sign : std::int8_t { kMinus = -1, kPlus = 1 };
 
-constexpr bool is_product(StepKind k) {
-  return k == StepKind::kMul || k == StepKind::kMulFusedA ||
-         k == StepKind::kMulFusedB || k == StepKind::kMulFusedAB;
-}
-
-constexpr bool is_fused(StepKind k) {
-  return k == StepKind::kMulFusedA || k == StepKind::kMulFusedB ||
-         k == StepKind::kMulFusedAB;
-}
+constexpr bool is_product(StepKind k) { return k == StepKind::kMul; }
 
 struct Step {
   StepKind kind;
   Operand dst;
   Operand a0 = Operand::kNone;  // first source (A side of a product)
-  Operand a1 = Operand::kNone;  // second linear source / fused A partner
+  Operand a1 = Operand::kNone;  // second source of kAdd / kSub
   Operand b0 = Operand::kNone;  // B side of a product
-  Operand b1 = Operand::kNone;  // fused B partner
-  Sign asign = Sign::kPlus;     // sign applied to a1 in kMulFusedA/AB
-  Sign bsign = Sign::kPlus;     // sign applied to b1 in kMulFusedB/AB
   const char* note = "";        // paper name of the step (S3, P5, U2, ...)
   // Member of a concurrent product group: a maximal run of consecutive
   // flagged steps whose products an executor may run in any order or at
@@ -163,43 +146,25 @@ struct Step {
 
 // Step factories -- keep the tables readable.
 constexpr Step add(Operand dst, Operand x, Operand y, const char* note) {
-  return Step{StepKind::kAdd, dst, x, y, Operand::kNone, Operand::kNone,
-              Sign::kPlus, Sign::kPlus, note};
+  return Step{StepKind::kAdd, dst, x, y, Operand::kNone, note};
 }
 constexpr Step sub(Operand dst, Operand x, Operand y, const char* note) {
-  return Step{StepKind::kSub, dst, x, y, Operand::kNone, Operand::kNone,
-              Sign::kPlus, Sign::kPlus, note};
+  return Step{StepKind::kSub, dst, x, y, Operand::kNone, note};
 }
 constexpr Step add_ip(Operand dst, Operand x, const char* note) {
   return Step{StepKind::kAddInplace, dst, x, Operand::kNone, Operand::kNone,
-              Operand::kNone, Sign::kPlus, Sign::kPlus, note};
+              note};
 }
 constexpr Step sub_ip(Operand dst, Operand x, const char* note) {
   return Step{StepKind::kSubInplace, dst, x, Operand::kNone, Operand::kNone,
-              Operand::kNone, Sign::kPlus, Sign::kPlus, note};
+              note};
 }
 constexpr Step mul(Operand dst, Operand a, Operand b, const char* note) {
-  return Step{StepKind::kMul, dst, a, Operand::kNone, b, Operand::kNone,
-              Sign::kPlus, Sign::kPlus, note};
+  return Step{StepKind::kMul, dst, a, Operand::kNone, b, note};
 }
 constexpr Step forked(Step s) {
   s.concurrent = true;
   return s;
-}
-constexpr Step mul_fused_a(Operand dst, Operand a0, Sign s, Operand a1,
-                           Operand b, const char* note) {
-  return Step{StepKind::kMulFusedA, dst, a0, a1, b, Operand::kNone, s,
-              Sign::kPlus, note};
-}
-constexpr Step mul_fused_b(Operand dst, Operand a, Operand b0, Sign s,
-                           Operand b1, const char* note) {
-  return Step{StepKind::kMulFusedB, dst, a, Operand::kNone, b0, b1,
-              Sign::kPlus, s, note};
-}
-constexpr Step mul_fused_ab(Operand dst, Operand a0, Sign sa, Operand a1,
-                            Operand b0, Sign sb, Operand b1,
-                            const char* note) {
-  return Step{StepKind::kMulFusedAB, dst, a0, a1, b0, b1, sa, sb, note};
 }
 
 // ---- schedules ------------------------------------------------------------
@@ -218,11 +183,6 @@ struct Schedule {
   const Operand* temps;    // temporaries in ALLOCATION order (arena pushes)
   int temp_count;
   int declared_temp_peak;  // documented live-temporary bound; verified
-  // True when the table contains fused-product steps: it is only executable
-  // at the last level before the leaves (d == 1) on a kernel table that
-  // publishes the fused entries, and only verifiable against a materialized
-  // reference.
-  bool uses_fused_kernels;
   // True when the table overwrites A/B quadrant slots (the Boyer-Dumas-
   // Pernet-Zhou in-place family).  Only executable on operand copies the
   // caller owns -- the Morton-staged quadrants -- never on user matrices,
@@ -254,13 +214,13 @@ constexpr int temp_buffer_count(const Schedule& s) {
 // Planner-facing grouping of the shipped tables.  The family -- not an
 // individual table -- is what ModgemmOptions::schedule / STRASSEN_SCHEDULE
 // pin and what the degradation ladder swaps between: within a family the
-// recursion still picks per level (e.g. the fused level-1 table inside
-// kWinograd).  kAuto defers the choice to the planner, which prefers the
+// recursion still picks per level (the in-place family runs its table only
+// at the top).  kAuto defers the choice to the planner, which prefers the
 // default family and degrades to the smaller-footprint ones only when
 // max_workspace_bytes forces it.
 enum class ScheduleFamily : std::uint8_t {
   kAuto = 0,
-  kWinograd,  // 3-temp paper schedule (+ fused L1): the bit-exact default
+  kWinograd,  // 3-temp paper schedule: the bit-exact default
   kLowMem,    // 2-buffer Boyer-Dumas-Pernet-Zhou variant (tS/tP share)
   kInPlace,   // top level overwrites the Morton A/B copies; 1 temp
 };
@@ -289,9 +249,7 @@ inline constexpr Op tS = Op::kTS0, tT = Op::kTT0, tP = Op::kTP0;
 // The paper's Winograd schedule (S2), reordered so C's quadrants double as
 // scratch and exactly three temporaries are live per level: 7 recursive
 // products, 15 element-wise steps, 22 steps total.  This is the table the
-// recursion executes at every level (and the ONLY table executed for the
-// scalar kernel pin and for traced/counted memory models, which is what
-// keeps those paths bit-identical to the seed).
+// default family executes at every level, on every kernel and memory model.
 inline constexpr Step kWinogradSteps[] = {
     sub(tS, A11, A21, "S3"),        // tS  = A11 - A21
     sub(tT, B22, B12, "T3"),        // tT  = B22 - B12
@@ -315,35 +273,6 @@ inline constexpr Step kWinogradSteps[] = {
     add_ip(C12, C11, "U7"),         // C12 = U6 + P6       [final C12]
     mul(C11, A12, B21, "P2"),       // C11 = A12 . B21
     add_ip(C11, tP, "U1"),          // C11 = P1 + P2       [final C11]
-};
-
-// Level-1 variant with the operand combinations that feed exactly one
-// product fused into the product itself (S3/T3 into P5, -T4 into P7, S4
-// into P6), saving four full passes over quadrant-sized temporaries.
-// S1/T1/S2/T2 stay materialized because the schedule reuses them.  Same
-// U-chain, same three temporaries.
-inline constexpr Step kWinogradFusedL1Steps[] = {
-    mul_fused_ab(C21, A11, Sign::kMinus, A21,     // C21 = (A11-A21).(B22-B12)
-                 B22, Sign::kMinus, B12, "P5"),   //       = S3 . T3
-    add(tS, A21, A22, "S1"),                      // tS  = A21 + A22
-    sub(tT, B12, B11, "T1"),                      // tT  = B12 - B11
-    mul(C22, tS, tT, "P3"),                       // C22 = S1 . T1
-    sub_ip(tS, A11, "S2"),                        // tS  = S1 - A11
-    sub(tT, B22, tT, "T2"),                       // tT  = B22 - T1
-    mul(C12, tS, tT, "P4"),                       // C12 = S2 . T2
-    mul(tP, A11, B11, "P1"),                      // tP  = A11 . B11
-    add_ip(C12, tP, "U2"),                        // C12 = P1 + P4
-    add_ip(C21, C12, "U3"),                       // C21 = U2 + P5
-    add_ip(C12, C22, "U6"),                       // C12 = U2 + P3
-    add_ip(C22, C21, "U5"),                       // C22 = U3 + P3  [final]
-    mul_fused_b(C11, A22, tT, Sign::kMinus, B21,  // C11 = A22 . (T2-B21)
-                "-P7"),
-    sub_ip(C21, C11, "U4"),                       // C21 = U3 + P7  [final]
-    mul_fused_a(C11, A12, Sign::kMinus, tS, B22,  // C11 = (A12-S2) . B22
-                "P6"),                            //       = S4 . B22
-    add_ip(C12, C11, "U7"),                       // C12 = U6 + P6  [final]
-    mul(C11, A12, B21, "P2"),                     // C11 = A12 . B21
-    add_ip(C11, tP, "U1"),                        // C11 = P1 + P2  [final]
 };
 
 // Allocation order matches the seed's arena pushes (tS, tT, tP) so the
@@ -477,34 +406,26 @@ inline constexpr Operand kWinogradSpawnTemps[] = {S1, S2, S3, S4, T1, T2,
 template <int N, int M>
 constexpr Schedule make_schedule(const char* name, const Step (&steps)[N],
                                  const Operand (&temps)[M], int temp_peak,
-                                 bool fused = false, bool overwrites = false,
+                                 bool overwrites = false,
                                  const std::int8_t* buffers = kOwnTempBuffers) {
-  return Schedule{name,      steps, N,          temps, M,
-                  temp_peak, fused, overwrites, buffers};
+  return Schedule{name, steps, N, temps, M, temp_peak, overwrites, buffers};
 }
 
-// The production Winograd schedule (every level; sole schedule for the
-// scalar pin and all traced/counted models).
+// The production Winograd schedule (every level of the default family).
 inline constexpr Schedule kWinograd = make_schedule(
     "winograd", detail::kWinogradSteps, detail::kWinogradTemps, 3);
-
-// The fused level-1 variant, executed when d == 1 and the active kernel
-// table publishes gemm_fused_{a,b,ab}.
-inline constexpr Schedule kWinogradFusedL1 =
-    make_schedule("winograd-fused-l1", detail::kWinogradFusedL1Steps,
-                  detail::kWinogradTemps, 3, /*fused=*/true);
 
 // The 2-buffer low-memory schedule (ScheduleFamily::kLowMem): tS and tP
 // share one arena buffer, proved disjoint-liveness by the verifier.
 inline constexpr Schedule kWinogradLowMem = make_schedule(
     "winograd-lowmem", detail::kWinogradLowMemSteps, detail::kWinogradTemps,
-    2, false, false, detail::kWinogradLowMemBuffers);
+    2, false, detail::kWinogradLowMemBuffers);
 
 // The in-place schedule (ScheduleFamily::kInPlace, top level only):
 // overwrites the Morton A/B copies, one C-shaped temporary.
 inline constexpr Schedule kWinogradInPlace = make_schedule(
     "winograd-inplace", detail::kWinogradInPlaceSteps,
-    detail::kWinogradInPlaceTemps, 1, false, /*overwrites=*/true);
+    detail::kWinogradInPlaceTemps, 1, /*overwrites=*/true);
 
 // The parallel spawn level: one concurrent group of 7 products over 11
 // dedicated temporaries (core::detail::fork_recurse).
@@ -514,9 +435,8 @@ inline constexpr Schedule kWinogradSpawn =
 
 // All shipped schedules, for the verifier CLI and tests.
 inline constexpr const Schedule* kShippedSchedules[] = {
-    &kWinograd, &kWinogradFusedL1, &kWinogradLowMem, &kWinogradInPlace,
-    &kWinogradSpawn};
-inline constexpr int kShippedScheduleCount = 5;
+    &kWinograd, &kWinogradLowMem, &kWinogradInPlace, &kWinogradSpawn};
+inline constexpr int kShippedScheduleCount = 4;
 
 // ---- table selection ------------------------------------------------------
 
@@ -524,14 +444,11 @@ inline constexpr int kShippedScheduleCount = 5;
 // both execution strategies and by the workspace sizing: the low-memory
 // family runs the 2-buffer table, the in-place family its in-place table
 // (its sub-products then recurse with child_family), and the default family
-// the materialized table -- or the fused level-1 table at the last level
-// before the leaves when `fused_kernels` (the active kernel publishes the
-// fused entries).  kAuto runs as kWinograd.
-constexpr const Schedule& level_schedule(ScheduleFamily f, int d1,
-                                         bool fused_kernels) {
+// kWinograd, on every kernel and at every level.  kAuto runs as kWinograd.
+constexpr const Schedule& level_schedule(ScheduleFamily f) {
   if (f == ScheduleFamily::kLowMem) return kWinogradLowMem;
   if (f == ScheduleFamily::kInPlace) return kWinogradInPlace;
-  return d1 == 0 && fused_kernels ? kWinogradFusedL1 : kWinograd;
+  return kWinograd;
 }
 
 // The family a level's seven sub-products recurse with: the in-place table

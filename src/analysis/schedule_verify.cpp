@@ -3,7 +3,6 @@
 #include "analysis/schedule_verify.hpp"
 
 #include <sstream>
-#include <utility>
 
 namespace strassen::analysis {
 
@@ -14,27 +13,23 @@ namespace strassen::analysis {
 namespace {
 // True when `s` verifies with exactly these proven statistics.
 constexpr bool proves(const Schedule& s, int temp_peak, int products,
-                      int fused_products, int linear_ops) {
+                      int linear_ops) {
   const CoreResult r = verify_core(s);
   return r.violation == Violation::kNone && r.temp_peak == temp_peak &&
-         r.products == products && r.fused_products == fused_products &&
-         r.linear_ops == linear_ops;
+         r.products == products && r.linear_ops == linear_ops;
 }
 
-static_assert(proves(kWinograd, 3, 7, 0, 15),
+static_assert(proves(kWinograd, 3, 7, 15),
               "shipped Winograd schedule must verify as 7 products + 15 "
               "additions with exactly 3 live temporaries (paper S3.3)");
-static_assert(proves(kWinogradFusedL1, 3, 7, 3, 11),
-              "shipped fused level-1 schedule must verify as 7 products "
-              "(3 fused) + 11 additions with a 3-temporary peak");
-static_assert(proves(kWinogradLowMem, 2, 7, 0, 15) &&
+static_assert(proves(kWinogradLowMem, 2, 7, 15) &&
                   temp_buffer_count(kWinogradLowMem) == 2,
               "shipped low-memory schedule must verify as 7 products + 15 "
               "additions in 2 arena buffers (Boyer-Dumas-Pernet-Zhou bound)");
-static_assert(proves(kWinogradInPlace, 1, 7, 0, 15),
+static_assert(proves(kWinogradInPlace, 1, 7, 15),
               "shipped in-place schedule must verify as 7 products + 15 "
               "additions with a single C-shaped temporary");
-static_assert(proves(kWinogradSpawn, 11, 7, 0, 15),
+static_assert(proves(kWinogradSpawn, 11, 7, 15),
               "shipped spawn schedule must verify as one concurrent group of "
               "7 products + 15 additions over 4 + 4 + 3 live temporaries");
 
@@ -64,23 +59,6 @@ std::string step_render(const Step& s) {
       break;
     case StepKind::kMul:
       os << dst << " = " << operand_name(s.a0) << " . " << operand_name(s.b0);
-      break;
-    case StepKind::kMulFusedA:
-      os << dst << " = (" << operand_name(s.a0)
-         << (s.asign == Sign::kPlus ? " + " : " - ") << operand_name(s.a1)
-         << ") . " << operand_name(s.b0);
-      break;
-    case StepKind::kMulFusedB:
-      os << dst << " = " << operand_name(s.a0) << " . ("
-         << operand_name(s.b0) << (s.bsign == Sign::kPlus ? " + " : " - ")
-         << operand_name(s.b1) << ")";
-      break;
-    case StepKind::kMulFusedAB:
-      os << dst << " = (" << operand_name(s.a0)
-         << (s.asign == Sign::kPlus ? " + " : " - ") << operand_name(s.a1)
-         << ") . (" << operand_name(s.b0)
-         << (s.bsign == Sign::kPlus ? " + " : " - ") << operand_name(s.b1)
-         << ")";
       break;
   }
   return os.str();
@@ -117,12 +95,6 @@ SymState forward_diagnose(const Schedule& sched,
             "overwrites_inputs";
       errors.push_back(os.str());
       continue;
-    }
-    if (is_fused(s.kind) && !sched.uses_fused_kernels) {
-      std::ostringstream os;
-      os << step_label(sched, i)
-         << ": fused product in a table not marked uses_fused_kernels";
-      errors.push_back(os.str());
     }
     const detail::ReadSet reads = detail::step_reads(s);
     if (is_product(s.kind)) {
@@ -289,69 +261,13 @@ VerifyResult verify_schedule(const Schedule& sched) {
   }
 
   for (int i = 0; i < sched.step_count; ++i) {
-    if (is_product(sched.steps[i].kind)) {
+    if (is_product(sched.steps[i].kind))
       ++out.products;
-      if (is_fused(sched.steps[i].kind)) ++out.fused_products;
-    } else {
+    else
       ++out.linear_ops;
-    }
   }
   out.ok = out.errors.empty();
   return out;
-}
-
-namespace {
-
-// Products of a schedule in execution order: (note, rendered step, bilinear
-// form each computes), by symbolic forward execution.
-struct ProductTerm {
-  int step;
-  std::string note;
-  std::string rendered;
-  Bilinear bil;
-};
-
-std::vector<ProductTerm> collect_products(const Schedule& sched) {
-  std::vector<ProductTerm> out;
-  SymState st = detail::initial_state();
-  for (int i = 0; i < sched.step_count; ++i) {
-    const Step& s = sched.steps[i];
-    Operand bad = Operand::kNone;
-    if (detail::step_shape_check(s, &bad) != Violation::kNone) continue;
-    detail::sym_apply(s, st);
-    if (is_product(s.kind))
-      out.push_back(ProductTerm{i, s.note, step_render(s),
-                                st.slot[static_cast<int>(s.dst)].bil});
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<std::string> check_fused_products(const Schedule& fused,
-                                              const Schedule& reference) {
-  std::vector<std::string> errors;
-  const std::vector<ProductTerm> f = collect_products(fused);
-  const std::vector<ProductTerm> r = collect_products(reference);
-  for (const ProductTerm& p : f) {
-    bool found = false;
-    for (const ProductTerm& q : r) {
-      if (p.bil == q.bil) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::ostringstream os;
-      os << fused.name << " step " << p.step << " (" << p.note << "): product '"
-         << p.rendered << "' computes " << bilinear_to_string(p.bil)
-         << ", which no product of " << reference.name
-         << " computes -- the fused entry is not a re-association of a "
-            "materialized product";
-      errors.push_back(os.str());
-    }
-  }
-  return errors;
 }
 
 }  // namespace strassen::analysis

@@ -35,9 +35,7 @@
 // its step index; schedule_verify.cpp static_asserts it over the shipped
 // tables, so a broken table fails the library build.  The runtime layer
 // (verify_schedule) re-runs the same core pieces and formats step-precise
-// diagnostics, collecting every violation; check_fused_products proves a
-// fused table's products are algebraically identical to products of its
-// materialized reference.
+// diagnostics, collecting every violation.
 #pragma once
 
 #include <string>
@@ -98,7 +96,6 @@ enum class Violation : std::uint8_t {
   kProductAliasing,    // a product's destination is also one of its sources
   kReadUndefined,      // source (or in-place destination) never written
   kUndeclaredTemp,     // step uses a temporary absent from Schedule::temps
-  kFusedInPlainTable,  // fused step in a table not marked uses_fused_kernels
   kDeadStore,          // written value never read and not a final C quadrant
   kProductIdentity,    // final C quadrant differs from its target
   kOutputUndefined,    // a C quadrant is never written
@@ -120,7 +117,6 @@ constexpr const char* violation_name(Violation v) {
     case Violation::kProductAliasing: return "product-aliasing";
     case Violation::kReadUndefined: return "read-undefined";
     case Violation::kUndeclaredTemp: return "undeclared-temp";
-    case Violation::kFusedInPlainTable: return "fused-in-plain-table";
     case Violation::kDeadStore: return "dead-store";
     case Violation::kProductIdentity: return "product-identity";
     case Violation::kOutputUndefined: return "output-undefined";
@@ -144,8 +140,7 @@ struct CoreResult {
   int temp_peak = 0;    // live-temporary peak (valid when no violation)
   int temp_peak_step = -1;  // first step whose entry point carries the peak
   int products = 0;     // product steps (7 for one Winograd level)
-  int fused_products = 0;
-  int linear_ops = 0;   // element-wise steps (15 materialized / 11 fused)
+  int linear_ops = 0;   // element-wise steps (15 for one Winograd level)
 };
 
 namespace detail {
@@ -153,8 +148,7 @@ namespace detail {
 // Sources a step READS, in a fixed scan order; kNone-padded.  In-place
 // destinations read their previous value and are included.
 struct ReadSet {
-  Operand ops[4] = {Operand::kNone, Operand::kNone, Operand::kNone,
-                    Operand::kNone};
+  Operand ops[2] = {Operand::kNone, Operand::kNone};
   int count = 0;
 };
 
@@ -177,22 +171,6 @@ constexpr ReadSet step_reads(const Step& s) {
     case StepKind::kMul:
       push(s.a0);
       push(s.b0);
-      break;
-    case StepKind::kMulFusedA:
-      push(s.a0);
-      push(s.a1);
-      push(s.b0);
-      break;
-    case StepKind::kMulFusedB:
-      push(s.a0);
-      push(s.b0);
-      push(s.b1);
-      break;
-    case StepKind::kMulFusedAB:
-      push(s.a0);
-      push(s.a1);
-      push(s.b0);
-      push(s.b1);
       break;
   }
   return r;
@@ -221,9 +199,6 @@ constexpr Violation step_shape_check(const Step& s, Operand* bad) {
       if (shape_of(s.a0) != ds) return fail(Violation::kShapeMismatch, s.a0);
       return Violation::kNone;
     case StepKind::kMul:
-    case StepKind::kMulFusedA:
-    case StepKind::kMulFusedB:
-    case StepKind::kMulFusedAB: {
       if (ds != Shape::kC) return fail(Violation::kShapeMismatch, s.dst);
       if (s.a0 == Operand::kNone) return fail(Violation::kBadOperand, s.a0);
       if (s.b0 == Operand::kNone) return fail(Violation::kBadOperand, s.b0);
@@ -231,22 +206,7 @@ constexpr Violation step_shape_check(const Step& s, Operand* bad) {
         return fail(Violation::kShapeMismatch, s.a0);
       if (shape_of(s.b0) != Shape::kB)
         return fail(Violation::kShapeMismatch, s.b0);
-      const bool wants_a1 =
-          s.kind == StepKind::kMulFusedA || s.kind == StepKind::kMulFusedAB;
-      const bool wants_b1 =
-          s.kind == StepKind::kMulFusedB || s.kind == StepKind::kMulFusedAB;
-      if (wants_a1) {
-        if (s.a1 == Operand::kNone) return fail(Violation::kBadOperand, s.a1);
-        if (shape_of(s.a1) != Shape::kA)
-          return fail(Violation::kShapeMismatch, s.a1);
-      }
-      if (wants_b1) {
-        if (s.b1 == Operand::kNone) return fail(Violation::kBadOperand, s.b1);
-        if (shape_of(s.b1) != Shape::kB)
-          return fail(Violation::kShapeMismatch, s.b1);
-      }
       return Violation::kNone;
-    }
   }
   return Violation::kBadOperand;
 }
@@ -259,15 +219,6 @@ constexpr void sym_apply(const Step& s, SymState& st) {
   const int d = static_cast<int>(s.dst);
   auto lin_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].lin; };
   auto bil_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].bil; };
-  auto fused_lin = [&lin_of](Operand x0, Operand x1, Sign sign) {
-    Lin l = lin_of(x0);
-    if (x1 != Operand::kNone) {
-      const Lin l1 = lin_of(x1);
-      for (int i = 0; i < 4; ++i)
-        l.c[i] += static_cast<int>(sign) * l1.c[i];
-    }
-    return l;
-  };
   const Shape ds = shape_of(s.dst);
   switch (s.kind) {
     case StepKind::kAdd:
@@ -300,22 +251,8 @@ constexpr void sym_apply(const Step& s, SymState& st) {
       }
       break;
     }
-    case StepKind::kMul:
-    case StepKind::kMulFusedA:
-    case StepKind::kMulFusedB:
-    case StepKind::kMulFusedAB: {
-      const Lin a = fused_lin(
-          s.a0,
-          (s.kind == StepKind::kMulFusedA || s.kind == StepKind::kMulFusedAB)
-              ? s.a1
-              : Operand::kNone,
-          s.asign);
-      const Lin b = fused_lin(
-          s.b0,
-          (s.kind == StepKind::kMulFusedB || s.kind == StepKind::kMulFusedAB)
-              ? s.b1
-              : Operand::kNone,
-          s.bsign);
+    case StepKind::kMul: {
+      const Lin a = lin_of(s.a0), b = lin_of(s.b0);
       Bilinear out{};
       for (int i = 0; i < 4; ++i)
         for (int j = 0; j < 4; ++j) out.c[i][j] = a.c[i] * b.c[j];
@@ -367,11 +304,6 @@ constexpr bool sym_execute(const Schedule& sched, SymState& st, CoreResult& r) {
     // clobbered original surface as a product-identity failure.
     if (is_input(s.dst) && !sched.overwrites_inputs) {
       r.violation = Violation::kWriteToInput;
-      r.operand = s.dst;
-      return false;
-    }
-    if (is_fused(s.kind) && !sched.uses_fused_kernels) {
-      r.violation = Violation::kFusedInPlainTable;
       r.operand = s.dst;
       return false;
     }
@@ -628,12 +560,10 @@ constexpr CoreResult verify_core(const Schedule& sched) {
     }
   }
   for (int i = 0; i < sched.step_count; ++i) {
-    if (is_product(sched.steps[i].kind)) {
+    if (is_product(sched.steps[i].kind))
       ++r.products;
-      if (is_fused(sched.steps[i].kind)) ++r.fused_products;
-    } else {
+    else
       ++r.linear_ops;
-    }
   }
   return r;
 }
@@ -644,7 +574,6 @@ struct VerifyResult {
   bool ok = false;
   int temp_peak = 0;
   int products = 0;
-  int fused_products = 0;
   int linear_ops = 0;
   std::vector<std::string> errors;  // step-precise diagnostics, all collected
 };
@@ -653,12 +582,6 @@ struct VerifyResult {
 // verify_core it keeps going after a forward-pass violation where possible
 // (dead stores, identity, peak are each reported independently).
 VerifyResult verify_schedule(const Schedule& sched);
-
-// Proves every product of `fused` is algebraically identical to a product
-// computed by `reference` (same bilinear form): the fused entries are exact
-// re-associations, not approximations.  Returns diagnostics (empty = proven).
-std::vector<std::string> check_fused_products(const Schedule& fused,
-                                              const Schedule& reference);
 
 // Renders a C-shaped slot's bilinear form, e.g. "+A11.B11 +A12.B21".
 std::string bilinear_to_string(const Bilinear& b);

@@ -11,9 +11,9 @@
 // included (4-vCPU AVX2 host), so it is the only block.
 //
 // Operand loaders abstract A and B access so the same blocks serve the plain
-// kernel and the fused Winograd kernels, which form (A1 +/- A2) or
-// (B1 +/- B2) on the fly instead of reading a materialized temporary -- the
-// BLIS-Strassen trick of fusing the quadrant sums into the kernel pass.
+// kernel and gemm_fused_ab, which forms (A1 +/- A2) and (B1 +/- B2) on the
+// fly instead of reading materialized temporaries -- the BLIS-Strassen trick
+// of fusing the quadrant sums into the kernel pass.
 //
 // Columns are contiguous in column-major storage, so A loads are plain
 // unaligned vector loads for ANY leading dimension; Morton leaf operands are
@@ -27,10 +27,9 @@
 // eight independent accumulators: a column pays FMA latency, not just
 // throughput, once fewer chains are in flight.
 //
-// The fused-B entries form B1 +/- B2 once per k x NR column panel into a
-// stack panel and then read it like a plain B; only calls deeper than the
-// panel (k > kPanelK, reachable by raising TileOptions::max_tile) form each
-// sum on every read.
+// gemm_fused_ab forms B1 +/- B2 once per k x NR column panel into a stack
+// panel and then reads it like a plain B; only calls deeper than the panel
+// (k > kPanelK) form each sum on every read.
 //
 // Every element of C is one FMA chain over p = 0..k-1 starting from zero;
 // Overwrite stores alpha * acc, Accumulate stores fma(alpha, acc, C).  Block
@@ -108,7 +107,7 @@ struct BPlain {
   }
 };
 
-// B1 +/- B2 formed on every read, once per row block.  Serves only fused-B
+// B1 +/- B2 formed on every read, once per row block.  Serves only fused
 // calls deeper than the stack panel.
 template <bool kSub>
 struct BFused {
@@ -301,24 +300,6 @@ void avx2_gemm(int m, int n, int k, const double* A, int lda, const double* B,
   gemm_dispatch(m, n, k, APlain{A, lda}, BPlain{B, ldb}, C, ldc, mode, alpha);
 }
 
-void avx2_gemm_fused_a(int m, int n, int k, const double* A1, const double* A2,
-                       FusedOp opa, int lda, const double* B, int ldb,
-                       double* C, int ldc) {
-  with_fused_a(A1, A2, opa, lda, [&](const auto& a) {
-    gemm_dispatch(m, n, k, a, BPlain{B, ldb}, C, ldc, LeafMode::Overwrite,
-                  1.0);
-  });
-}
-
-void avx2_gemm_fused_b(int m, int n, int k, const double* A, int lda,
-                       const double* B1, const double* B2, FusedOp opb,
-                       int ldb, double* C, int ldc) {
-  with_fused_b(k, B1, B2, opb, ldb, [&](const auto& b) {
-    gemm_dispatch(m, n, k, APlain{A, lda}, b, C, ldc, LeafMode::Overwrite,
-                  1.0);
-  });
-}
-
 void avx2_gemm_fused_ab(int m, int n, int k, const double* A1,
                         const double* A2, FusedOp opa, int lda,
                         const double* B1, const double* B2, FusedOp opb,
@@ -372,8 +353,6 @@ constexpr LeafKernels kTable = {
     /*mr=*/8,
     /*nr=*/6,
     avx2_gemm,
-    avx2_gemm_fused_a,
-    avx2_gemm_fused_b,
     avx2_gemm_fused_ab,
     avx2_vadd,
     avx2_vsub,

@@ -10,7 +10,6 @@
 // vectors + broadcast), the direct NEON analogue of the scalar kernel's
 // blocking, with a column-strip edge path (one column at a time, scalar row
 // tail).  The AVX2 TU's masked and narrow edge blocks are not ported here.
-// Fused entries are provided for the Winograd sum-into-leaf path.
 #include "blas/kernels/registry.hpp"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
@@ -134,30 +133,6 @@ void neon_gemm(int m, int n, int k, const double* A, int lda, const double* B,
   gemm_main(m, n, k, APlain{A, lda}, BPlain{B, ldb}, C, ldc, mode, alpha);
 }
 
-void neon_gemm_fused_a(int m, int n, int k, const double* A1, const double* A2,
-                       FusedOp opa, int lda, const double* B, int ldb,
-                       double* C, int ldc) {
-  const BPlain b{B, ldb};
-  if (opa == FusedOp::kSub)
-    gemm_main(m, n, k, AFused<true>{A1, A2, lda}, b, C, ldc,
-              LeafMode::Overwrite, 1.0);
-  else
-    gemm_main(m, n, k, AFused<false>{A1, A2, lda}, b, C, ldc,
-              LeafMode::Overwrite, 1.0);
-}
-
-void neon_gemm_fused_b(int m, int n, int k, const double* A, int lda,
-                       const double* B1, const double* B2, FusedOp opb,
-                       int ldb, double* C, int ldc) {
-  const APlain a{A, lda};
-  if (opb == FusedOp::kSub)
-    gemm_main(m, n, k, a, BFused<true>{B1, B2, ldb}, C, ldc,
-              LeafMode::Overwrite, 1.0);
-  else
-    gemm_main(m, n, k, a, BFused<false>{B1, B2, ldb}, C, ldc,
-              LeafMode::Overwrite, 1.0);
-}
-
 void neon_gemm_fused_ab(int m, int n, int k, const double* A1,
                         const double* A2, FusedOp opa, int lda,
                         const double* B1, const double* B2, FusedOp opb,
@@ -212,8 +187,6 @@ constexpr LeafKernels kTable = {
     /*mr=*/4,
     /*nr=*/4,
     neon_gemm,
-    neon_gemm_fused_a,
-    neon_gemm_fused_b,
     neon_gemm_fused_ab,
     neon_vadd,
     neon_vsub,

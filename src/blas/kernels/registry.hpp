@@ -45,16 +45,13 @@ enum class Kind { kAuto = -1, kScalar = 0, kAvx2 = 1, kNeon = 2 };
 // accessors below only name it in reports.
 enum class Avx2Variant { k8x6 };
 
-// Operand combination applied on the fly by the fused kernels.
+// Operand combination applied on the fly by gemm_fused_ab.
 enum class FusedOp { kAdd, kSub };
 
 // One ISA's kernel table.  All matrices are column-major doubles; the gemm
 // entry accepts arbitrary leading dimensions (edges and the blocked driver
-// pass strided views), while the fused entries and the element-wise entries
-// are only ever called on contiguous quadrants.  Fused pointers may be null:
-// the Winograd recursion then materializes operand sums exactly as the seed
-// code did (this is deliberate for the scalar table, which must stay
-// bit-identical to seed).
+// pass strided views), while the element-wise entries are only ever called
+// on contiguous quadrants.
 struct LeafKernels {
   Kind kind;
   const char* name;  // "scalar", "avx2", "neon"
@@ -64,18 +61,10 @@ struct LeafKernels {
   void (*gemm)(int m, int n, int k, const double* A, int lda, const double* B,
                int ldb, double* C, int ldc, LeafMode mode, double alpha);
 
-  // Fused leaf products (Overwrite, alpha == 1): the S/T operand sum of the
-  // Winograd schedule is computed on the fly instead of through a temporary,
-  // removing one full memory pass per fused operand.
-  //   C = (A1 op A2) . B
-  void (*gemm_fused_a)(int m, int n, int k, const double* A1, const double* A2,
-                       FusedOp opa, int lda, const double* B, int ldb,
-                       double* C, int ldc);
-  //   C = A . (B1 op B2)
-  void (*gemm_fused_b)(int m, int n, int k, const double* A, int lda,
-                       const double* B1, const double* B2, FusedOp opb, int ldb,
-                       double* C, int ldc);
-  //   C = (A1 opa A2) . (B1 opb B2)
+  // C = (A1 opa A2) . (B1 opb B2) (Overwrite, alpha == 1), both operand sums
+  // formed inside the kernel.  No library code calls it: the schedule
+  // tables materialize every operand sum.  Only the benchmark's
+  // fused-leaf probe does; null in the scalar table.
   void (*gemm_fused_ab)(int m, int n, int k, const double* A1,
                         const double* A2, FusedOp opa, int lda,
                         const double* B1, const double* B2, FusedOp opb,

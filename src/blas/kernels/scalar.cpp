@@ -74,8 +74,6 @@ constexpr LeafKernels kTable = {
     /*mr=*/4,
     /*nr=*/4,
     scalar_gemm,
-    /*gemm_fused_a=*/nullptr,
-    /*gemm_fused_b=*/nullptr,
     /*gemm_fused_ab=*/nullptr,
     scalar_vadd,
     scalar_vsub,

@@ -4,13 +4,10 @@
 // buffers so every recursion operand is a contiguous tile.  The pack-fused
 // strategy (core/packfused.hpp) instead runs the Winograd schedule straight
 // from the caller's column-major storage; wherever a leaf product needs an
-// operand the kernels cannot consume in place -- a transposed source, a
-// boundary tile that must be zero-padded, or a Winograd operand sum
-// (A_i ± A_j) -- these routines gather it into a dense 64-byte-aligned
-// panel, folding the transpose, the zero padding, the ± combination, and an
-// optional alpha scale into the single pass (Huang et al., "Implementing
-// Strassen's Algorithm with BLIS": the operand additions ride along with the
-// packing traffic instead of costing separate sweeps).
+// operand the kernels cannot consume in place -- a transposed source or a
+// boundary tile that must be zero-padded -- these routines gather it into a
+// dense 64-byte-aligned panel, folding the transpose, the zero padding and
+// an optional alpha scale into the single pass.
 //
 // A packed panel holds EXACTLY the values the Morton conversion would have
 // staged for the same tile (same single add/sub per element, zeros in the
@@ -106,11 +103,13 @@ void pack_panel(T* dst, int pr, int pc, const PackSrc<T>& a, T alpha = T{1}) {
                      alpha);
 }
 
-// dst (pr x pc, column-major, leading dimension pr) <- alpha * (a ± b): the
-// Winograd operand combination folded into the gather, one pass instead of
-// materialize-then-pack.  Elements outside either source's stored extent
-// contribute zero, so the panel equals the combination of the zero-padded
-// operands.  Every element of dst is written.
+// dst (pr x pc, column-major, leading dimension pr) <- alpha * (a ± b): a
+// Winograd operand combination folded into the gather (Huang et al.,
+// "Implementing Strassen's Algorithm with BLIS").  No library code calls
+// it -- the schedule tables materialize every operand sum -- only the
+// benchmark's packing probe.  Elements outside either source's stored
+// extent contribute zero, so the panel equals the combination of the
+// zero-padded operands.  Every element of dst is written.
 template <class T>
 void pack_panel_sum(T* dst, int pr, int pc, const PackSrc<T>& a,
                     analysis::Sign s, const PackSrc<T>& b, T alpha = T{1}) {

@@ -13,24 +13,23 @@
 //     matrix, a recursion temporary, or a C-quadrant window; zero padding is
 //     a property of the view (reads outside the stored extent return 0,
 //     stores outside it are dropped), never a materialized buffer;
-//   * at the leaves (core::detail::leaf_product, shared with Morton's fused
-//     leaves), operands the kernels cannot consume in place -- transposed
-//     sources, boundary tiles needing zero fill, wide-strided views -- are
-//     gathered by blas/pack.hpp into dense 64-byte-aligned panels in this
-//     call's arena; interior untransposed views pass straight through (the
-//     kernels take a leading dimension), so packing traffic concentrates at
-//     the boundary;
+//   * at the leaves (ViewStorage::leaf), operands the kernels cannot
+//     consume in place -- transposed sources, boundary tiles needing zero
+//     fill, wide-strided views -- are gathered by blas/pack.hpp into dense
+//     64-byte-aligned panels in this call's arena; interior untransposed
+//     views pass straight through (the kernels take a leading dimension),
+//     so packing traffic concentrates at the boundary;
 //   * the schedule's output combinations (the U-chain add/sub-in-place
 //     steps) accumulate C +-= P exactly as they do over Morton storage, so
 //     the "unpack" is the table itself.
 //
 // Bit-exactness contract (tested in tests/test_packfused.cpp): for every
 // alpha/beta and kernel, the pack-fused strategy produces BIT-IDENTICAL
-// results to the Morton strategy.  The table sequence, temporaries and
-// fused-kernel gate are the interpreter's, so they are shared by
-// construction; what this storage must keep is (1) every element-wise step
-// performs the same single +/- per element on the same values, (2) every
-// leaf invokes the same kernel entry on the same tile values (a packed
+// results to the Morton strategy.  The table sequence and temporaries are
+// the interpreter's, so they are shared by construction; what this storage
+// must keep is (1) every element-wise step performs the same single +/- per
+// element on the same values, (2) every leaf invokes the same kernel on the
+// same tile values (a packed
 // panel replicates the Morton tile bit-for-bit; a pass-through view feeds
 // the kernel the same values through a different leading dimension, which
 // does not change its FMA order), and (3) the alpha/beta epilogue applies
@@ -43,7 +42,7 @@
 // zeros.
 //
 // Workspace: the recursion temporaries are sized exactly as the Morton
-// strategy's (core/workspace.hpp), plus one leaf panel set and -- for
+// strategy's (core/workspace.hpp), plus one leaf frame and -- for
 // beta != 0 -- one m x n product scratch.  No Morton buffers exist; the
 // bytes they would have cost are reported as
 // GemmReport::conversion_saved_bytes.  All arena memory comes from the
@@ -147,6 +146,24 @@ void combine(const PackSrc<T>& d, const PackSrc<T>& x, const PackSrc<T>& y,
   }
 }
 
+// One pr x pc leaf operand as the kernel reads it: the view itself when the
+// kernel can read it in place, else a panel packed into `arena` holding
+// exactly the values the Morton conversion would have staged.  Wide-strided
+// covering views are packed anyway: with ld > 2*pr each cache line fetched
+// for a panel column carries under half useful data, so a kernel reading
+// the view in place more than doubles its working set versus a contiguous
+// panel (immediate-level temps have ld == 2*pr exactly and stay cheap to
+// read in place; user-matrix and top-level temp reads with ld of several
+// multiples of pr do not).  One packing pass pays that cost once instead of
+// on every kernel sweep.
+template <class T>
+PackSrc<T> stage(const PackSrc<T>& s, int pr, int pc, Arena& arena) {
+  if (s.covers(pr, pc) && s.ld <= 2 * pr) return s;
+  T* panel = arena.push<T>(static_cast<std::size_t>(pr) * pc);
+  blas::pack_panel(panel, pr, pc, s);
+  return {panel, pr, false, pr, pc};
+}
+
 }  // namespace detail
 
 // View storage for core::detail::ScheduleInterpreter: an operand of depth d
@@ -154,15 +171,12 @@ void combine(const PackSrc<T>& d, const PackSrc<T>& x, const PackSrc<T>& y,
 // operand -- the user matrix, a C-quadrant window or an arena temporary
 // (the padding is implicit, see the file comment).  Writable
 // slots are never transposed, and their view ld doubles as the store
-// leading dimension.  Leaves go through core::detail::leaf_product with
-// this storage's arena for staging panels (sized by
-// packfused_workspace_bytes).
+// leading dimension.  Leaves stage their panels in the recursion arena
+// (sized by packfused_workspace_bytes).
 template <class T>
 struct ViewStorage : core::detail::LeafTiles {
-  using Model = RawMem;
   using Elem = T;
   using Ref = PackSrc<T>;
-  static constexpr bool kStagesLeaves = true;
 
   // The full `s`-shaped operand of `depth` levels stored densely at p.
   Ref operand(const T* p, analysis::Shape s, int depth) const {
@@ -187,12 +201,27 @@ struct ViewStorage : core::detail::LeafTiles {
     else
       detail::combine(dst, a, b, std::minus<T>{});
   }
+  // C = A . B on one leaf tile.  A clipped C (a boundary tile) takes the
+  // product in an arena panel and keeps its real window; the dropped values
+  // are exact zeros (the padding invariant).
   void leaf(const Ref& C, const Ref& A, const Ref& B, Arena& arena) const {
-    core::detail::leaf_product<T>(C, A, nullptr, analysis::Sign::kPlus, B,
-                                  nullptr, analysis::Sign::kPlus, tm, tk, tn,
-                                  &arena, nullptr);
+    Arena::Frame frame(arena);
+    const Ref a = detail::stage(A, tm, tk, arena);
+    const Ref b = detail::stage(B, tk, tn, arena);
+    T* out = const_cast<T*>(C.ptr);
+    const bool clipped = C.rows < tm || C.cols < tn;
+    T* c = clipped ? arena.push<T>(static_cast<std::size_t>(tm) * tn) : out;
+    const int ldc = clipped ? tm : C.ld;
+    RawMem raw;
+    blas::gemm_leaf(raw, tm, tn, tk, a.ptr, a.ld, b.ptr, b.ld, c, ldc,
+                    blas::LeafMode::Overwrite);
+    if (!clipped) return;
+    for (int j = 0; j < C.cols; ++j) {
+      const T* pj = c + static_cast<std::size_t>(j) * tm;
+      T* oj = out + static_cast<std::size_t>(j) * C.ld;
+      for (int i = 0; i < C.rows; ++i) oj[i] = pj[i];
+    }
   }
-  const Ref& view(const Ref& r, analysis::Shape) const { return r; }
 };
 
 }  // namespace packfused
@@ -212,11 +241,11 @@ inline bool packfused_needs_c_scratch(const layout::GemmPlan& plan, int m,
 // Peak arena bytes one pack-fused product needs under `plan` (its family
 // mapped by analysis::child_family, as modgemm_packfused runs it): the
 // Morton strategy's recursion-temporary peak for the same tables, plus one
-// leaf panel set (live only inside a leaf's arena frame), plus -- when the
+// leaf frame (live only inside a leaf's arena frame), plus -- when the
 // padding or beta requires it -- the padded C scratch the epilogue merges
 // into C.  Always at most
 // modgemm_workspace_bytes for the same plan (the A and B Morton buffers
-// dwarf the panel set), which is why the workspace-budget ladder prices
+// dwarf the leaf frame), which is why the workspace-budget ladder prices
 // plans with the Morton figure for both strategies.
 inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
                                              std::size_t elem_size,
@@ -229,10 +258,10 @@ inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
   const std::size_t tm = static_cast<std::size_t>(plan.m.tile);
   const std::size_t tk = static_cast<std::size_t>(plan.k.tile);
   const std::size_t tn = static_cast<std::size_t>(plan.n.tile);
-  // Worst-case leaf frame: both A sources packed, both B sources packed, and
-  // a clipped destination staging panel.
-  total = checked_add(total, 2 * r64(checked_mul(tm, tk) * elem_size));
-  total = checked_add(total, 2 * r64(checked_mul(tk, tn) * elem_size));
+  // Worst-case leaf frame: the A panel, the B panel and a clipped
+  // destination's panel.
+  total = checked_add(total, r64(checked_mul(tm, tk) * elem_size));
+  total = checked_add(total, r64(checked_mul(tk, tn) * elem_size));
   total = checked_add(total, r64(checked_mul(tm, tn) * elem_size));
   if (c_scratch) {
     const std::size_t pmn = checked_mul(static_cast<std::size_t>(plan.m.padded),

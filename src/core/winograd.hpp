@@ -14,21 +14,18 @@
 // table format and the exact guarantees.
 //
 // The interpreter owns table selection (analysis::level_schedule), the
-// fused-kernel gate, the binding of quadrants and temporaries
-// (core::push_temps), the step switch and its read-only-slot checks, the
-// concurrent-group callback and the recursion into the child family.  What
-// differs between execution strategies is only the STORAGE of the operands,
-// a policy class (deriving LeafTiles for the tile extents) that supplies:
+// binding of quadrants and temporaries (core::push_temps), the step switch
+// and its read-only-slot checks, the concurrent-group callback and the
+// recursion into the child family.  What differs between execution
+// strategies is only the STORAGE of the operands, a policy class (deriving
+// LeafTiles for the tile extents) that supplies:
 //
-//   Model, Elem                  memory model and element type (they gate
-//                                the fused kernels, see fused_kernels);
+//   Elem                         the element type;
 //   Ref                          an operand handle;
 //   operand(p, shape, depth)     a dense operand at p (arena temporaries);
 //   quadrant(ref, shape, q, d1)  quadrant q in memory order 11, 12, 21, 22;
 //   elementwise(dst, x, y, sign) one add/sub step (y null: dst +-= x);
-//   leaf(C, A, B, arena)         a plain leaf product, C = A . B;
-//   view(ref, shape)             a leaf tile as the fused leaf's input;
-//   kStagesLeaves                whether its workspace sizes leaf panels.
+//   leaf(C, A, B, arena)         a leaf product, C = A . B.
 //
 //   * MortonStorage (here): a Morton block of depth d is four contiguous
 //     sub-blocks (NW=11, NE=12, SW=21, SE=22) each of depth d-1, so a
@@ -39,170 +36,33 @@
 //     same tables with no layout conversion.
 //
 // Both storages therefore run the same tables in the same order with the
-// same temporaries and the same leaf routine; core/packfused.hpp states what
+// same temporaries and the same leaf kernel; core/packfused.hpp states what
 // its storage must add for the two strategies to stay bit-identical.
 // The parallel driver's spawn level (analysis::kWinogradSpawn) runs here
 // too: a table's concurrent product group goes to a caller-supplied
 // callback, so forking and its allocations stay in core/modgemm.hpp
 // (detail::fork_recurse).
 //
-// At the last level before the leaves, the production engine can fuse the
-// operand combinations that feed exactly one product into the product
-// itself (S3/T3 into P5, -T4 into P7, S4 into P6), saving four full passes
-// over quadrant-sized temporaries per level-1 node; that variant is its own
-// verified table (analysis::kWinogradFusedL1), and both storages run its
-// fused steps through the one leaf routine, detail::leaf_product.  The
-// scalar table publishes no fused entries, so STRASSEN_KERNEL=scalar (and
-// every traced MemModel) runs the materialized schedule with its exact
-// rounding and address stream -- bit-identical to the seed library.
+// Table selection never looks at the kernel: each operand sum is one
+// contiguous element-wise pass (paper S3.3), and a leaf only multiplies
+// tiles.  The kernel choice therefore changes which instructions
+// run, never the schedule, and every traced MemModel keeps the seed's exact
+// rounding and address stream.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <type_traits>
+#include <cstddef>
 
 #include "analysis/schedule.hpp"
 #include "blas/kernels.hpp"
-#include "blas/kernels/registry.hpp"
 #include "blas/level1.hpp"
-#include "blas/pack.hpp"
 #include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/memmodel.hpp"
 #include "core/workspace.hpp"
-#include "obs/collector.hpp"
 
 namespace strassen::core {
 
 namespace detail {
-
-using blas::PackSrc;
-
-constexpr blas::kernels::FusedOp fused_op(analysis::Sign s) {
-  return s == analysis::Sign::kMinus ? blas::kernels::FusedOp::kSub
-                                     : blas::kernels::FusedOp::kAdd;
-}
-
-// The kernel table whose fused entries a last-before-leaves level may use:
-// only the production (RawMem, double) instantiation, and only when the
-// active kernel publishes all three entries (scalar does not, by design: the
-// materialized table is the seed-exact path).  Null otherwise.
-template <class MM, class T>
-const blas::kernels::LeafKernels* fused_kernels(int d1) {
-  if constexpr (std::is_same_v<MM, RawMem> && std::is_same_v<T, double>) {
-    if (d1 == 0) {
-      const blas::kernels::LeafKernels& tab = blas::kernels::active();
-      if (tab.gemm_fused_a != nullptr && tab.gemm_fused_b != nullptr &&
-          tab.gemm_fused_ab != nullptr)
-        return &tab;
-    }
-  }
-  return nullptr;
-}
-
-// One side of a leaf product, presented the way the kernel entries expect:
-// source pointer(s) sharing one leading dimension.
-template <class T>
-struct LeafSide {
-  const T* p0 = nullptr;
-  const T* p1 = nullptr;
-  int ld = 0;
-};
-
-// Views the kernels can read in place pass through; everything else is
-// packed into `staging` panels holding exactly the values the Morton
-// conversion would have staged.  A Morton leaf tile is a full, untransposed
-// view with ld == its row count, so it always passes through: Morton
-// storage supplies no staging arena (its workspace sizes none).
-template <class T>
-LeafSide<T> stage_side(const PackSrc<T>& s0, const PackSrc<T>* s1, int pr,
-                       int pc, Arena* staging) {
-  // Wide-strided covering views are packed anyway: with ld > 2*pr each
-  // cache line fetched for a panel column carries under half useful data,
-  // so a kernel reading the view in place more than doubles its working
-  // set versus a contiguous panel (immediate-level temps have ld == 2*pr
-  // exactly and stay cheap to read in place; user-matrix and top-level
-  // temp reads with ld of several multiples of pr do not).  One packing
-  // pass pays that cost once instead of on every kernel sweep.
-  auto wide = [&](const PackSrc<T>& s) { return s.ld > 2 * pr; };
-  const bool in_place =
-      s1 == nullptr ? (s0.covers(pr, pc) && !wide(s0))
-                    : (s0.covers(pr, pc) && s1->covers(pr, pc) &&
-                       !s0.trans && !s1->trans && s0.ld == s1->ld &&
-                       !wide(s0) && !wide(*s1));
-  if (in_place) return {s0.ptr, s1 != nullptr ? s1->ptr : nullptr, s0.ld};
-  STRASSEN_REQUIRE(staging != nullptr,
-                   "leaf operand needs a staging panel its storage never "
-                   "sized");
-  auto pack = [&](const PackSrc<T>& s) {
-    T* panel = staging->push<T>(static_cast<std::size_t>(pr) * pc);
-    blas::pack_panel(panel, pr, pc, s);
-    return static_cast<const T*>(panel);
-  };
-  return {pack(s0), s1 != nullptr ? pack(*s1) : nullptr, pr};
-}
-
-// The one leaf product of both storages: dst (a view of the tm x tn tile,
-// possibly clipped) = (a0 [asign a1]) . (b0 [bsign b1]).  Fused partners are
-// only ever present when the level runs the fused-L1 table, i.e. when
-// `fused` points at a kernel table publishing the fused entries.  Panels and
-// a clipped destination's scratch come from `staging` (null: nothing may be
-// staged).  Values a clipped destination drops are exact zeros (padding
-// invariant).
-template <class T>
-void leaf_product(const PackSrc<T>& dst, const PackSrc<T>& a0,
-                  const PackSrc<T>* a1, analysis::Sign asign,
-                  const PackSrc<T>& b0, const PackSrc<T>* b1,
-                  analysis::Sign bsign, int tm, int tk, int tn,
-                  Arena* staging, const blas::kernels::LeafKernels* fused) {
-  std::optional<Arena::Frame> frame;
-  if (staging != nullptr) frame.emplace(*staging);
-  const LeafSide<T> a = stage_side(a0, a1, tm, tk, staging);
-  const LeafSide<T> b = stage_side(b0, b1, tk, tn, staging);
-  T* out = const_cast<T*>(dst.ptr);
-  T* cptr = out;
-  int ldc = dst.ld;
-  const bool clipped = dst.rows < tm || dst.cols < tn;
-  if (clipped) {
-    STRASSEN_REQUIRE(staging != nullptr,
-                     "clipped leaf destination without a staging arena");
-    cptr = staging->push<T>(static_cast<std::size_t>(tm) * tn);
-    ldc = tm;
-  }
-  if (a1 != nullptr || b1 != nullptr) {
-    if constexpr (std::is_same_v<T, double>) {
-      STRASSEN_REQUIRE(fused != nullptr,
-                       "fused leaf product without a fused kernel table");
-      obs::LeafTimer lt(/*fused=*/true);
-      if (a1 != nullptr && b1 != nullptr) {
-        fused->gemm_fused_ab(tm, tn, tk, a.p0, a.p1, fused_op(asign), a.ld,
-                             b.p0, b.p1, fused_op(bsign), b.ld, cptr, ldc);
-      } else if (a1 != nullptr) {
-        fused->gemm_fused_a(tm, tn, tk, a.p0, a.p1, fused_op(asign), a.ld,
-                            b.p0, b.ld, cptr, ldc);
-      } else {
-        fused->gemm_fused_b(tm, tn, tk, a.p0, a.ld, b.p0, b.p1,
-                            fused_op(bsign), b.ld, cptr, ldc);
-      }
-    } else {
-      STRASSEN_REQUIRE(false,
-                       "fused leaf product in a non-double instantiation");
-    }
-  } else {
-    RawMem raw;
-    blas::gemm_leaf(raw, tm, tn, tk, a.p0, a.ld, b.p0, b.ld, cptr, ldc,
-                    blas::LeafMode::Overwrite);
-  }
-  if (clipped) {
-    // Unpack: the real window takes the product; the padded remainder holds
-    // exact zeros and is dropped.
-    for (int j = 0; j < dst.cols; ++j) {
-      const T* pj = cptr + static_cast<std::size_t>(j) * tm;
-      T* oj = out + static_cast<std::size_t>(j) * dst.ld;
-      for (int i = 0; i < dst.rows; ++i) oj[i] = pj[i];
-    }
-  }
-}
 
 // One member of a concurrent product group: dst = a . b, one level down.
 template <class Ref>
@@ -227,16 +87,14 @@ struct LeafTiles {
 // Morton storage: an operand is a contiguous Morton block of leaf tiles.
 // Element-wise steps are one blas kernel call over the whole quadrant (SIMD
 // for the production model; traced models keep their exact address stream)
-// and plain leaves call blas::gemm_leaf on the memory model.
+// and leaves call blas::gemm_leaf on the memory model.
 template <class MM, class T>
 struct MortonStorage : LeafTiles {
-  using Model = MM;
   using Elem = T;
   struct Ref {
     T* p = nullptr;
     std::size_t n = 0;
   };
-  static constexpr bool kStagesLeaves = false;
 
   MM& mm;
 
@@ -265,10 +123,6 @@ struct MortonStorage : LeafTiles {
     blas::gemm_leaf(mm, tm, tn, tk, A.p, tm, B.p, tk, C.p, tm,
                     blas::LeafMode::Overwrite);
   }
-  // A leaf tile as the column-major view the fused leaf takes.
-  PackSrc<T> view(const Ref& r, analysis::Shape s) const {
-    return {r.p, rows(s), false, rows(s), cols(s)};
-  }
 };
 
 // Executes one schedule level over the operands of storage S (see the file
@@ -292,11 +146,9 @@ class ScheduleInterpreter {
       st.leaf(C, A, B, arena);
       return;
     }
-    const int d1 = depth - 1;
-    const analysis::Schedule& sched = analysis::level_schedule(
-        family, d1, fused_kernels<typename S::Model, T>(d1) != nullptr);
     Arena::Frame frame(arena);
-    ScheduleInterpreter level(st, sched, C, A, B, d1, arena,
+    ScheduleInterpreter level(st, analysis::level_schedule(family), C, A, B,
+                              depth - 1, arena,
                               analysis::child_family(family));
     level.run();
   }
@@ -312,9 +164,6 @@ class ScheduleInterpreter {
         sched_(sched),
         arena_(arena),
         d1_(d1),
-        fused_tab_(sched.uses_fused_kernels
-                       ? fused_kernels<typename S::Model, T>(d1)
-                       : nullptr),
         family_(family) {
     using analysis::Operand;
     using analysis::Shape;
@@ -377,11 +226,6 @@ class ScheduleInterpreter {
         case StepKind::kMul:
           multiply(Product<Ref>{dst, ref(s.a0), ref(s.b0)});
           break;
-        case StepKind::kMulFusedA:
-        case StepKind::kMulFusedB:
-        case StepKind::kMulFusedAB:
-          fused_product(s);
-          break;
       }
     }
   }
@@ -407,37 +251,15 @@ class ScheduleInterpreter {
                          << analysis::operand_name(op));
     return ref(op);
   }
-  PackSrc<T> view(analysis::Operand op, analysis::Shape s) const {
-    return st_.view(ref(op), s);
-  }
 
   void multiply(const Product<Ref>& p) {
     recurse(st_, p.dst, p.a, p.b, d1_, arena_, family_);
-  }
-
-  // Fused products only exist at d1 == 0 on a kernel table publishing the
-  // fused entries; the plain tables selected everywhere else never contain
-  // these step kinds.
-  void fused_product(const analysis::Step& s) {
-    using analysis::Shape;
-    using analysis::StepKind;
-    STRASSEN_REQUIRE(fused_tab_ != nullptr && d1_ == 0,
-                     "fused schedule step outside a fused-capable level");
-    const bool has_a1 = s.kind != StepKind::kMulFusedB;
-    const bool has_b1 = s.kind != StepKind::kMulFusedA;
-    const PackSrc<T> a1 = has_a1 ? view(s.a1, Shape::kA) : PackSrc<T>{};
-    const PackSrc<T> b1 = has_b1 ? view(s.b1, Shape::kB) : PackSrc<T>{};
-    leaf_product(view(s.dst, Shape::kC), view(s.a0, Shape::kA),
-                 has_a1 ? &a1 : nullptr, s.asign, view(s.b0, Shape::kB),
-                 has_b1 ? &b1 : nullptr, s.bsign, st_.tm, st_.tk, st_.tn,
-                 S::kStagesLeaves ? &arena_ : nullptr, fused_tab_);
   }
 
   S& st_;
   const analysis::Schedule& sched_;
   Arena& arena_;
   int d1_;
-  const blas::kernels::LeafKernels* fused_tab_;
   analysis::ScheduleFamily family_;
   Ref ref_[analysis::kOperandCount] = {};
   bool writable_[analysis::kOperandCount] = {};
@@ -452,8 +274,7 @@ class ScheduleInterpreter {
 // `arena` must have winograd_workspace_bytes(tm, tk, tn, depth, ..., family)
 // available.  The top level runs analysis::level_schedule(family), deeper
 // levels level_schedule(child_family(family)).  kWinograd is the seed-exact
-// default (3 temporaries, fused level-1 when the kernel table publishes the
-// entries), kLowMem the 2-buffer BDPZ table.  kInPlace runs its in-place
+// default (3 temporaries), kLowMem the 2-buffer BDPZ table.  kInPlace runs its in-place
 // table at the top, which overwrites A and B: they must be operand copies
 // the caller owns (the Morton staging buffers of core/modgemm.hpp).
 template <class MM, class T>

@@ -26,13 +26,11 @@ std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
                    "bad workspace request: tm=" << tm << " tk=" << tk
                                                 << " tn=" << tn
                                                 << " depth=" << depth);
-  // fused_kernels = false: the fused level-1 table declares kWinograd's
-  // temporaries, so sizing does not depend on the active kernel.
   std::size_t total = 0;
   for (int d1 = depth - 1; d1 >= 0; --d1) {
-    total = checked_add(
-        total, level_temp_bytes(analysis::level_schedule(family, d1, false),
-                                tm, tk, tn, d1, elem_size));
+    total = checked_add(total,
+                        level_temp_bytes(analysis::level_schedule(family), tm,
+                                         tk, tn, d1, elem_size));
     family = analysis::child_family(family);
   }
   return total;

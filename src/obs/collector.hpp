@@ -1,7 +1,7 @@
 // obs/collector.hpp -- the hot-path side of the observability subsystem.
 //
 // A Collector is a block of relaxed atomic counters that the library's
-// kernels feed while a report-enabled call is in flight: leaf/fused kernel
+// kernels feed while a report-enabled call is in flight: leaf kernel
 // invocations and their time, element-wise quadrant kernel invocations,
 // workspace allocations noted by the parallel driver, and per-thread task
 // accounting from the thread pool.
@@ -44,8 +44,7 @@ struct Collector {
 
   // --- kernel telemetry ---
   std::atomic<std::uint64_t> leaf_calls{0};
-  std::atomic<std::uint64_t> fused_calls{0};
-  std::atomic<std::uint64_t> leaf_nanos{0};  // plain + fused leaf products
+  std::atomic<std::uint64_t> leaf_nanos{0};
   std::atomic<std::uint64_t> elementwise_calls{0};
 
   // --- workspace accounting (parallel driver; the serial driver writes its
@@ -59,8 +58,8 @@ struct Collector {
   std::atomic<std::uint64_t> steals{0};  // tasks migrated between workers
   std::atomic<std::uint64_t> per_thread_tasks[kMaxThreadSlots]{};
 
-  void note_leaf(std::uint64_t nanos, bool fused) noexcept {
-    (fused ? fused_calls : leaf_calls).fetch_add(1, std::memory_order_relaxed);
+  void note_leaf(std::uint64_t nanos) noexcept {
+    leaf_calls.fetch_add(1, std::memory_order_relaxed);
     leaf_nanos.fetch_add(nanos, std::memory_order_relaxed);
   }
   void note_elementwise() noexcept {
@@ -115,22 +114,20 @@ class ScopedCollector {
   Collector* prev_;
 };
 
-// Times one leaf (or fused-leaf) product into the current collector; a no-op
-// without one.  Used by the production gemm_leaf dispatch and the fused
-// Winograd kernel calls.
+// Times one leaf product into the current collector; a no-op without one.
+// Used by the production gemm_leaf dispatch.
 class LeafTimer {
  public:
-  explicit LeafTimer(bool fused = false) noexcept
-      : c_(current()), fused_(fused), t0_(c_ != nullptr ? now_nanos() : 0) {}
+  LeafTimer() noexcept
+      : c_(current()), t0_(c_ != nullptr ? now_nanos() : 0) {}
   ~LeafTimer() {
-    if (c_ != nullptr) c_->note_leaf(now_nanos() - t0_, fused_);
+    if (c_ != nullptr) c_->note_leaf(now_nanos() - t0_);
   }
   LeafTimer(const LeafTimer&) = delete;
   LeafTimer& operator=(const LeafTimer&) = delete;
 
  private:
   Collector* c_;
-  bool fused_;
   std::uint64_t t0_;
 };
 

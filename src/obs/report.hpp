@@ -113,7 +113,9 @@ struct GemmReport {
   const char* kernel = "";          // active engine kernel at call time
   const char* kernel_variant = "";  // AVX2 register-block variant
   std::uint64_t leaf_calls = 0;         // plain leaf products
-  std::uint64_t fused_calls = 0;        // fused (A1 op A2).(B1 op B2) products
+  // Always 0: no schedule runs fused leaves.  Kept for the v1 JSON schema
+  // and its readers; it leaves with the next schema bump.
+  std::uint64_t fused_calls = 0;
   std::uint64_t elementwise_calls = 0;  // quadrant vadd/vsub kernel calls
 
   // --- parallel stats ------------------------------------------------------

@@ -35,7 +35,6 @@ CallScope::~CallScope() {
   };
   GemmReport& r = *report_;
   r.leaf_calls += ld(counters_.leaf_calls);
-  r.fused_calls += ld(counters_.fused_calls);
   r.leaf_seconds += static_cast<double>(ld(counters_.leaf_nanos)) * 1e-9;
   r.elementwise_calls += ld(counters_.elementwise_calls);
 

@@ -21,9 +21,9 @@ namespace strassen::parallel {
 namespace {
 // Worker identity of the current thread: index within -- and owning pool of
 // -- the worker running here; (-1, nullptr) outside any pool.  The index
-// feeds per-thread task telemetry; the pool pointer routes submit() from a
+// feeds per-thread task telemetry; the pool pointer routes an enqueue from a
 // worker onto its own deque (and only for its own pool -- a worker
-// submitting into a DIFFERENT pool goes through that pool's inject queue).
+// enqueueing into a DIFFERENT pool goes through that pool's inject queue).
 thread_local int tl_worker_index = -1;
 thread_local ThreadPool* tl_worker_pool = nullptr;
 
@@ -184,14 +184,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  STRASSEN_REQUIRE(task != nullptr, "null task");
-  // Fire-and-forget: deliberately no collector.  The submitting call's
-  // Collector lives in its CallScope, and with no join point the task could
-  // run after that scope unwound -- a dangling note_steal/note_task.
-  enqueue(PoolTask{std::move(task), nullptr, false});
-}
-
 void ThreadPool::set_submit_gate(SubmitGate gate, void* user) noexcept {
   {
     std::lock_guard<std::mutex> lock(g_submit_gate_mutex);
@@ -272,27 +264,16 @@ bool ThreadPool::find_task(int me, PoolTask& out) {
 }
 
 // Runs one scheduled task on the current thread.  Re-installs the collector
-// captured at submit() so kernel hooks inside the task attribute to the call
+// captured at enqueue so kernel hooks inside the task attribute to the call
 // that spawned it.  Task timing/counting happens INSIDE the task body
 // (TaskGroup wraps with run_observed), not here: the group's pending count
 // only drops after the note lands, so a collector is never touched after
-// its call returned.  An escaping exception is parked in the pool's error
-// slot; TaskGroup tasks catch their own exceptions before this sees them,
-// so the slot only ever holds fire-and-forget escapes.
+// its call returned.  The TaskGroup wrapper catches its task's exception
+// for wait(), so nothing escapes here.
 void ThreadPool::execute(PoolTask& task) {
   executed_.fetch_add(1, std::memory_order_relaxed);
   obs::ScopedCollector install(task.col);
-  try {
-    task.fn();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!error_) error_ = std::current_exception();
-  }
-}
-
-std::exception_ptr ThreadPool::take_error() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return std::exchange(error_, nullptr);
+  task.fn();
 }
 
 bool ThreadPool::try_run_one() {
@@ -313,7 +294,7 @@ void ThreadPool::worker_loop(int me) {
     if (stopping_.load(std::memory_order_acquire)) return;
     std::unique_lock<std::mutex> lock(mutex_);
     idle_.fetch_add(1, std::memory_order_relaxed);
-    // Timed wait: a submit() racing our idle_ increment may skip the
+    // Timed wait: an enqueue racing our idle_ increment may skip the
     // notify, so never sleep unboundedly on the condition alone.
     cv_.wait_for(lock, std::chrono::milliseconds(1));
     idle_.fetch_sub(1, std::memory_order_relaxed);
@@ -340,8 +321,8 @@ void TaskGroup::run(std::function<void()> task) {
   // wrapper, so run_observed sees it via obs::current() and notes the task
   // BEFORE pending_ drops -- a joined group therefore never leaves a note
   // racing the caller's report finalization.  The collector is safe to ship
-  // (unlike the fire-and-forget submit()) because wait()/~TaskGroup keep the
-  // call -- and its collector -- alive until every task finished.
+  // because wait()/~TaskGroup keep the call -- and its collector -- alive
+  // until every task finished.
   try {
     pool_->enqueue(PoolTask{[this, task = std::move(task)] {
                               std::exception_ptr err;

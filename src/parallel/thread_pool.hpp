@@ -32,9 +32,9 @@
 // tasks may throw.  A TaskGroup captures the first exception any of its
 // tasks raises and rethrows it from wait(), after every task in the group
 // has finished -- so no task can outlive the state it captured by reference,
-// and the pool remains fully usable afterwards.  A fire-and-forget task
-// submitted directly to the pool has no join point; its first exception is
-// parked and can be collected with take_error().
+// and the pool remains fully usable afterwards.  Every task reaches the pool
+// through a TaskGroup (directly or via parallel_for / fan_out), so every
+// task has a join point.
 #pragma once
 
 #include <atomic>
@@ -79,18 +79,6 @@ class ThreadPool {
   // from outside any pool (observability maps -1 to per-thread slot 0).
   static int current_worker_index() noexcept;
 
-  // Enqueues a fire-and-forget task: onto the calling worker's own deque
-  // when invoked from a worker of THIS pool (depth-first spawning),
-  // otherwise onto the shared injection queue.  The observability collector
-  // active on the calling thread does NOT travel with the task: with no join
-  // point, the task can outlive the submitting call's collector, so it runs
-  // unobserved (TaskGroup::run, whose wait() pins the collector's lifetime,
-  // is the observed path).  A throwing task does not terminate the process:
-  // the exception is parked in the pool's error slot (collected with
-  // take_error()); tasks launched through a TaskGroup rethrow at wait()
-  // instead.
-  void submit(std::function<void()> task);
-
   // Finds one task -- own deque, then injection queue, then stealing from
   // the other workers -- and runs it on the CALLING thread; returns false if
   // no task was found.  TaskGroup::wait() uses this to "help" instead of
@@ -98,12 +86,7 @@ class ThreadPool {
   // single-thread pool.
   bool try_run_one();
 
-  // First exception that escaped a fire-and-forget task since the last call
-  // (nullptr if none).  Collecting clears the slot.  Tasks run through a
-  // TaskGroup report at wait() instead and never land here.
-  std::exception_ptr take_error();
-
-  // Gate consulted by the enqueue path (submit() and TaskGroup::run) before
+  // Gate consulted by the enqueue path (TaskGroup::run) before
   // a task is queued, for ALL pools; returning false makes the submission
   // throw std::bad_alloc -- exactly what an OOM building the task object
   // looks like to callers.  Test hook (mirrors
@@ -134,7 +117,7 @@ class ThreadPool {
  private:
   friend class TaskGroup;  // uses enqueue() to ship its collector with tasks
 
-  // Shared enqueue path behind submit() and TaskGroup::run: routes the task
+  // The enqueue path behind TaskGroup::run: routes the task
   // to the calling worker's deque or the injection queue (tagging it
   // `injected` there) and wakes an idle worker.  May throw bad_alloc from
   // the deque push; the task is then not enqueued.
@@ -143,8 +126,7 @@ class ThreadPool {
   // in this pool, -1 for external helpers).  Steal-half batches park their
   // surplus on the thief's own deque; externals take single tasks.
   bool find_task(int me, PoolTask& out);
-  // Runs one task: installs its collector, times it, notes per-thread
-  // telemetry, and parks fire-and-forget exceptions in the error slot.
+  // Runs one task with its collector installed.
   void execute(PoolTask& task);
   void worker_loop(int me);
 
@@ -152,9 +134,8 @@ class ThreadPool {
   WorkDeque inject_;  // submissions from non-worker threads
   std::vector<std::thread> workers_;
 
-  std::mutex mutex_;  // error slot + sleep coordination
+  std::mutex mutex_;  // sleep coordination
   std::condition_variable cv_;
-  std::exception_ptr error_;  // first fire-and-forget escape
   std::atomic<bool> stopping_{false};
   std::atomic<int> idle_{0};  // workers currently in a timed wait
 

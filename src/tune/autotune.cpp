@@ -65,7 +65,7 @@ AutotuneResult autotune(const AutotuneOptions& opt) {
       }
       if (opt.collect_reports) {
         // One observed, forced-recursion call per kernel: its report
-        // carries the leaf/fused split and phase times behind the ranking.
+        // carries the leaf counts and phase times behind the ranking.
         const int n = std::max(64, opt.report_problem_size);
         Rng rng(static_cast<std::uint64_t>(n));
         Matrix<double> A(n, n), B(n, n), C(n, n);

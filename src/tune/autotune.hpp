@@ -66,7 +66,7 @@ struct AutotuneOptions {
   bool apply_best_kernel = true;
   // Attach a full GemmReport (obs/report.hpp) for one representative
   // modgemm call per surveyed kernel configuration, so tuning runs can
-  // explain WHY a configuration won (leaf time, fused-kernel usage, phase
+  // explain WHY a configuration won (leaf time and counts, phase
   // split) instead of reporting a bare MFLOPS number.
   bool collect_reports = false;
   // Problem size of that representative call.

@@ -213,13 +213,13 @@ TEST(KernelConformance, OverwriteDoesNotReadC) {
   }
 }
 
-// ---- fused kernels vs materialized temporaries ----------------------------
+// ---- the fused kernel vs materialized temporaries -------------------------
 
 TEST(KernelConformance, FusedMatchesMaterialized) {
   for (const Config& cfg : runnable_configs()) {
     const LeafKernels* tab = kernel_table(cfg.kind);
     ASSERT_NE(tab, nullptr);
-    if (tab->gemm_fused_a == nullptr) continue;  // scalar: deliberately none
+    if (tab->gemm_fused_ab == nullptr) continue;  // scalar: deliberately none
     ScopedKernel pin(cfg.kind);
     for (const auto& [m, n, k] : conformance_shapes()) {
       if (k == 0) continue;  // fused entries serve leaf tiles, k >= 1
@@ -240,31 +240,17 @@ TEST(KernelConformance, FusedMatchesMaterialized) {
           blas::vsub(mm, T.storage().size(), T.data(), B1.data(), B2.data());
         }
         const char* opname = op == FusedOp::kAdd ? "add" : "sub";
-        // C = (A1 op A2) . B1  vs  S . B1 -- must be BIT-identical: the
-        // fused loaders perform the same IEEE op element-wise, and the
+        // C = (A1 op A2) . (B1 op B2)  vs  S . T -- must be BIT-identical:
+        // the fused loaders perform the same IEEE op element-wise, and the
         // accumulation order is that of the same kernel body.
-        tab->gemm_fused_a(m, n, k, A1.data(), A2.data(), op, A1.ld(),
-                          B1.data(), B1.ld(), C.data(), C.ld());
-        active().gemm(m, n, k, S.data(), S.ld(), B1.data(), B1.ld(),
-                      Ref.data(), Ref.ld(), LeafMode::Overwrite, 1.0);
-        EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0)
-            << cfg.name << " fused_a " << opname << " m=" << m << " n=" << n
-            << " k=" << k;
-        // C = A1 . (B1 op B2)
-        tab->gemm_fused_b(m, n, k, A1.data(), A1.ld(), B1.data(), B2.data(),
-                          op, B1.ld(), C.data(), C.ld());
-        active().gemm(m, n, k, A1.data(), A1.ld(), T.data(), T.ld(),
-                      Ref.data(), Ref.ld(), LeafMode::Overwrite, 1.0);
-        EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0)
-            << cfg.name << " fused_b " << opname;
-        // C = (A1 op A2) . (B1 op B2)
         tab->gemm_fused_ab(m, n, k, A1.data(), A2.data(), op, A1.ld(),
                            B1.data(), B2.data(), op, B1.ld(), C.data(),
                            C.ld());
         active().gemm(m, n, k, S.data(), S.ld(), T.data(), T.ld(), Ref.data(),
                       Ref.ld(), LeafMode::Overwrite, 1.0);
         EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0)
-            << cfg.name << " fused_ab " << opname;
+            << cfg.name << " fused_ab " << opname << " m=" << m << " n=" << n
+            << " k=" << k;
       }
     }
   }
@@ -414,7 +400,7 @@ TEST(KernelBitExactness, EveryElementIsOneFmaChain) {
     for (int m : dims)
       for (int n : dims) cases.push_back({m, n, k});
   // Far deeper than any leaf the default planner picks (max_tile 64), so
-  // the fused-B entries exceed their per-panel stack staging.
+  // the fused entry exceeds its per-panel stack staging.
   cases.push_back({13, 11, 300});
 
   for (const Case& cs : cases) {
@@ -446,7 +432,7 @@ TEST(KernelBitExactness, EveryElementIsOneFmaChain) {
       }
     }
 
-    // Fused entries: Overwrite, alpha == 1, the operand sums formed with
+    // The fused entry: Overwrite, alpha == 1, the operand sums formed with
     // the same IEEE add/sub the materialized temporaries use.
     for (FusedOp opa : {FusedOp::kAdd, FusedOp::kSub}) {
       for (FusedOp opb : {FusedOp::kAdd, FusedOp::kSub}) {
@@ -458,29 +444,14 @@ TEST(KernelBitExactness, EveryElementIsOneFmaChain) {
           T.storage()[e] = opb == FusedOp::kAdd
                                ? B1.storage()[e] + B2.storage()[e]
                                : B1.storage()[e] - B2.storage()[e];
-        Matrix<double> RefA(m, n, m + pad), RefB(m, n, m + pad),
-            RefAB(m, n, m + pad);
-        for (auto* r : {&RefA, &RefB, &RefAB}) copy_storage(C0, *r);
-        fma_chain_gemm(m, n, k, S.data(), S.ld(), B1.data(), B1.ld(),
-                       RefA.data(), RefA.ld(), LeafMode::Overwrite, 1.0);
-        fma_chain_gemm(m, n, k, A1.data(), A1.ld(), T.data(), T.ld(),
-                       RefB.data(), RefB.ld(), LeafMode::Overwrite, 1.0);
+        Matrix<double> RefAB(m, n, m + pad);
+        copy_storage(C0, RefAB);
         fma_chain_gemm(m, n, k, S.data(), S.ld(), T.data(), T.ld(),
                        RefAB.data(), RefAB.ld(), LeafMode::Overwrite, 1.0);
         for (const Config& cfg : simd) {
           const LeafKernels* tab = kernel_table(cfg.kind);
-          if (tab->gemm_fused_a == nullptr) continue;
+          if (tab->gemm_fused_ab == nullptr) continue;
           ScopedKernel pin(cfg.kind);
-          if (opa == opb) {  // single-operand entries: one pass per op
-            copy_storage(C0, C);
-            tab->gemm_fused_a(m, n, k, A1.data(), A2.data(), opa, A1.ld(),
-                              B1.data(), B1.ld(), C.data(), C.ld());
-            EXPECT_TRUE(same_bits(C, RefA)) << where(cfg, "fused_a");
-            copy_storage(C0, C);
-            tab->gemm_fused_b(m, n, k, A1.data(), A1.ld(), B1.data(),
-                              B2.data(), opb, B1.ld(), C.data(), C.ld());
-            EXPECT_TRUE(same_bits(C, RefB)) << where(cfg, "fused_b");
-          }
           copy_storage(C0, C);
           tab->gemm_fused_ab(m, n, k, A1.data(), A2.data(), opa, A1.ld(),
                              B1.data(), B2.data(), opb, B1.ld(), C.data(),

@@ -314,8 +314,9 @@ void sweep_with_options(int n, const ModgemmOptions& opt,
       core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 2.0, A.data(), n,
                     B.data(), n, -1.0, C.data(), n, opt, &report);
       EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
-      if (inj.failures() > 0)
+      if (inj.failures() > 0) {
         EXPECT_NE(report.fallback_reason, FallbackReason::kNone);
+      }
     } catch (const std::bad_alloc&) {
       EXPECT_EQ(max_abs_diff<double>(C.view(), C0.view()), 0.0);
     }

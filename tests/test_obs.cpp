@@ -141,11 +141,11 @@ TEST(ObsPhases, AccumulateAcrossCalls) {
   ModgemmReport report;
   p.run(fixed_depth2(), &report);
   const double wall1 = report.wall_seconds;
-  const std::uint64_t leaves1 = report.leaf_calls + report.fused_calls;
+  const std::uint64_t leaves1 = report.leaf_calls;
   p.run(fixed_depth2(), &report);
   EXPECT_EQ(report.products, 2);
   EXPECT_GT(report.wall_seconds, wall1);
-  EXPECT_EQ(report.leaf_calls + report.fused_calls, 2 * leaves1);
+  EXPECT_EQ(report.leaf_calls, 2 * leaves1);
   EXPECT_EQ(report.workspace_allocations, 2);
 }
 
@@ -171,58 +171,29 @@ TEST(ObsOptions, OptionsPointerAndTrailingParameterAgree) {
 constexpr layout::ExecStrategy kStorages[] = {layout::ExecStrategy::kMorton,
                                               layout::ExecStrategy::kPackFused};
 
-TEST(ObsKernels, ScalarCountsMatchClosedForm) {
-  for (layout::ExecStrategy strategy : kStorages) {
-    SCOPED_TRACE(layout::strategy_name(strategy));
-    Problem p(64);
-    ModgemmOptions opt = fixed_depth2();
-    opt.kernel = ker::Kind::kScalar;  // scalar table: no fused entries
-    opt.strategy = strategy;
-    ModgemmReport report;
-    p.run(opt, &report);
+TEST(ObsKernels, CountsMatchClosedForm) {
+  // Every kernel runs the same materialized schedule: 7^d plain leaves and
+  // the 15 quadrant additions of every internal node, no fused leaves.
+  for (ker::Kind kind : ker::available_kernels()) {
+    for (layout::ExecStrategy strategy : kStorages) {
+      SCOPED_TRACE(std::string(ker::kind_name(kind)) + " " +
+                   layout::strategy_name(strategy));
+      Problem p(64);
+      ModgemmOptions opt = fixed_depth2();
+      opt.kernel = kind;
+      opt.strategy = strategy;
+      ModgemmReport report;
+      p.run(opt, &report);
 
-    const int d = report.plan.depth;
-    ASSERT_EQ(d, 2);
-    EXPECT_EQ(report.plan.strategy, strategy);
-    EXPECT_STREQ(report.kernel, "scalar");
-    EXPECT_EQ(report.leaf_calls, pow7(d));
-    EXPECT_EQ(report.fused_calls, 0u);
-    // 15 quadrant additions at each internal node: 15 * (7^d - 1) / 6.
-    EXPECT_EQ(report.elementwise_calls, 15 * (pow7(d) - 1) / 6);
-  }
-}
-
-TEST(ObsKernels, FusedCountsMatchClosedForm) {
-  // Only meaningful when a SIMD table with fused entries can run here.
-  ker::Kind simd = ker::Kind::kScalar;
-  for (ker::Kind k : ker::available_kernels())
-    if (k != ker::Kind::kScalar) simd = k;
-  if (simd == ker::Kind::kScalar) GTEST_SKIP() << "no SIMD kernel available";
-  const ker::LeafKernels* tab = ker::kernel_table(simd);
-  ASSERT_NE(tab, nullptr);
-  if (tab->gemm_fused_ab == nullptr)
-    GTEST_SKIP() << "kernel publishes no fused entries";
-
-  for (layout::ExecStrategy strategy : kStorages) {
-    SCOPED_TRACE(layout::strategy_name(strategy));
-    Problem p(64);
-    ModgemmOptions opt = fixed_depth2();
-    opt.kernel = simd;
-    opt.strategy = strategy;
-    // The closed form counts kWinogradFusedL1's leaves; the low-memory and
-    // in-place families (STRASSEN_SCHEDULE) run no fused leaves.
-    opt.schedule = analysis::ScheduleFamily::kWinograd;
-    ModgemmReport report;
-    p.run(opt, &report);
-
-    const int d = report.plan.depth;
-    ASSERT_EQ(d, 2);
-    EXPECT_EQ(report.plan.strategy, strategy);
-    EXPECT_STREQ(report.kernel, ker::kind_name(simd));
-    // Each bottom-level node fuses 3 of its 7 products (P5, P7, P6) and runs
-    // the other 4 as plain leaves; there are 7^(d-1) bottom-level nodes.
-    EXPECT_EQ(report.fused_calls, 3 * pow7(d - 1));
-    EXPECT_EQ(report.leaf_calls, 4 * pow7(d - 1));
+      const int d = report.plan.depth;
+      ASSERT_EQ(d, 2);
+      EXPECT_EQ(report.plan.strategy, strategy);
+      EXPECT_STREQ(report.kernel, ker::kind_name(kind));
+      EXPECT_EQ(report.leaf_calls, pow7(d));
+      EXPECT_EQ(report.fused_calls, 0u);
+      // 15 quadrant additions at each internal node: 15 * (7^d - 1) / 6.
+      EXPECT_EQ(report.elementwise_calls, 15 * (pow7(d) - 1) / 6);
+    }
   }
 }
 
@@ -245,17 +216,12 @@ TEST(ObsWorkspace, RequestedMatchesPublicSizing) {
   EXPECT_EQ(report.workspace_requested_bytes,
             core::modgemm_workspace_bytes(report.plan, sizeof(double)));
   EXPECT_EQ(report.workspace_allocations, 1);
-  // The Morton arena is sized with no room for leaf panels: a fused leaf
-  // that staged one would overrun it (a refused push degrades the call) or
-  // raise the peak past the request.
+  // The Morton arena is sized with no room for leaf panels: a leaf that
+  // staged one would overrun it (a refused push degrades the call) or raise
+  // the peak past the request.
   EXPECT_EQ(report.workspace_peak_bytes, report.workspace_requested_bytes);
   EXPECT_EQ(report.fallback_reason, FallbackReason::kNone);
-  // Fused leaves run only under the default family's fused level-1 table.
-  const ker::LeafKernels* tab = ker::kernel_table(ker::active_kernel());
-  if (tab != nullptr && tab->gemm_fused_ab != nullptr &&
-      report.plan.schedule == analysis::ScheduleFamily::kWinograd) {
-    EXPECT_GT(report.fused_calls, 0u);
-  }
+  EXPECT_EQ(report.fused_calls, 0u);
 }
 
 TEST(ObsWorkspace, FallbackLadderIsRecorded) {
@@ -420,7 +386,7 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
   EXPECT_EQ(report.workspace_peak_bytes, report.workspace_requested_bytes);
   // One Morton arena, the spawn level's arena and the 7 task arenas.
   EXPECT_EQ(report.workspace_allocations, 1 + 1 + 7);
-  EXPECT_GT(report.leaf_calls + report.fused_calls, 0u);
+  EXPECT_GT(report.leaf_calls, 0u);
   EXPECT_GT(report.pool_utilization(), 0.0);
   // Steals are scheduling-dependent (0 is legal on a loaded host), but they
   // can never exceed the number of tasks that ran.
@@ -514,7 +480,7 @@ TEST(ObsParallel, AllocFailureDegradesIntoOneCoherentReport) {
   // The serial rerun's execution is fully accounted (one product, phases).
   EXPECT_EQ(report.products, 1);
   EXPECT_GT(report.compute_seconds, 0.0);
-  EXPECT_GT(report.leaf_calls + report.fused_calls, 0u);
+  EXPECT_GT(report.leaf_calls, 0u);
 }
 
 TEST(ObsParallel, MortonPathStampsStrategy) {

@@ -404,7 +404,9 @@ TEST_P(PmodgemmSizing, WorkspaceBytesMatchExecution) {
   const layout::GemmPlan& plan = report.plan;
   ASSERT_TRUE(plan.feasible && !plan.direct && !report.split_used);
   ASSERT_EQ(report.fallback_reason, obs::FallbackReason::kNone);
-  if (spawn != kSpawnAuto) EXPECT_EQ(report.spawn_levels, spawn);
+  if (spawn != kSpawnAuto) {
+    EXPECT_EQ(report.spawn_levels, spawn);
+  }
   std::size_t morton = 0;
   for (const layout::MortonLayout& l :
        {layout::MortonLayout{n, n, plan.m.tile, plan.k.tile, plan.depth},

@@ -204,21 +204,6 @@ TEST(ThreadPoolErrors, DestructorDropsUncollectedException) {
   SUCCEED();
 }
 
-TEST(ThreadPoolErrors, FireAndForgetErrorParkedInPool) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.take_error(), nullptr);
-  pool.submit([] { throw std::runtime_error("detached"); });
-  // No join point exists for a bare submit(); poll the pool's error slot.
-  std::exception_ptr err;
-  for (int spin = 0; spin < 10000 && !err; ++spin) {
-    err = pool.take_error();
-    if (!err) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(err != nullptr);
-  EXPECT_THROW(std::rethrow_exception(err), std::runtime_error);
-  EXPECT_EQ(pool.take_error(), nullptr);  // collecting cleared the slot
-}
-
 // RAII submit-gate install so a failing EXPECT cannot leak a gate into the
 // next test.
 struct ScopedSubmitGate {
@@ -249,12 +234,6 @@ TEST(ThreadPoolErrors, FailedSubmissionRollsBackPendingCount) {
   group.run([&ran] { ++ran; });
   group.wait();
   EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPoolErrors, FailedFireAndForgetSubmitThrowsToCaller) {
-  ThreadPool pool(2);
-  ScopedSubmitGate deny(&deny_all_submissions, nullptr);
-  EXPECT_THROW(pool.submit([] {}), std::bad_alloc);
 }
 
 TEST(ThreadPoolSteals, BlockedOwnerForcesASteal) {
@@ -307,7 +286,6 @@ TEST(ThreadPoolStress, OversubscribedNestedForkJoin) {
   }
   outer.wait();
   EXPECT_EQ(sum.load(), 16 * 8 * 4);
-  EXPECT_EQ(pool.take_error(), nullptr);
 }
 
 TEST(ThreadPoolEnv, StrassenThreadsControlsDefaultWidth) {

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Tests for the getenv, step-executor and fork-join rules of
+"""Tests for the getenv, step-executor, fork-join and fused-kernel rules of
 tools/lint_invariants.py (stdlib only, registered with ctest).
 
 Builds small source trees and checks that an environment read, a
 schedule-step dispatch, or a fork/join primitive under src/core or
-src/parallel passes only in an allowlisted file.
+src/parallel, or a fused-kernel entry under src, passes only in an
+allowlisted file.
 """
 
 import importlib.util
@@ -150,6 +151,46 @@ class ForkJoinRuleTest(unittest.TestCase):
         })
         self.assertEqual(len(errors), 1)
         self.assertIn("src/parallel/thread_pool.hpp", errors[0])
+        self.assertIn("stale", errors[0])
+
+
+FUSED_ALLOWLIST = {"fused_kernel": [
+    {"file": "src/blas/kernels/registry.hpp", "why": "the kernel table"},
+    {"file": "src/blas/kernels/avx2.cpp", "why": "the AVX2 entry"},
+]}
+
+
+class FusedKernelRuleTest(unittest.TestCase):
+    def check(self, files):
+        return run_check(lint.check_fused_kernel, files, FUSED_ALLOWLIST)
+
+    def test_kernel_tables_pass(self):
+        errors = self.check({
+            "src/blas/kernels/registry.hpp": "void (*gemm_fused)();\n",
+            "src/blas/kernels/avx2.cpp":
+                "void avx2_gemm_fused() {}\nT t{avx2_gemm_fused};\n",
+            # Mentions in comments are not calls.
+            "src/core/winograd.hpp": "// no gemm_fused here\nint x;\n",
+        })
+        self.assertEqual(errors, [])
+
+    def test_library_call_fails(self):
+        errors = self.check({
+            "src/blas/kernels/registry.hpp": "void (*gemm_fused)();\n",
+            "src/blas/kernels/avx2.cpp": "void avx2_gemm_fused() {}\n",
+            "src/core/packfused.hpp":
+                "void leaf() {\n  tab.gemm_fused(m, n, k);\n}\n",
+        })
+        self.assertEqual(len(errors), 1)
+        self.assertIn("src/core/packfused.hpp:2", errors[0])
+
+    def test_stale_entry_fails(self):
+        errors = self.check({
+            "src/blas/kernels/registry.hpp": "void (*gemm_fused)();\n",
+            "src/blas/kernels/avx2.cpp": "int x = 0;\n",
+        })
+        self.assertEqual(len(errors), 1)
+        self.assertIn("src/blas/kernels/avx2.cpp", errors[0])
         self.assertIn("stale", errors[0])
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hot-path invariant linter (stdlib only; see docs/ANALYSIS.md).
 
-Enforces six invariants that ordinary compilation cannot:
+Enforces seven invariants that ordinary compilation cannot:
 
   1. atomic-order   Every atomic access in src/parallel/ names an explicit
                     std::memory_order, and every (file, object, op, order)
@@ -37,6 +37,12 @@ Enforces six invariants that ordinary compilation cannot:
                     (TaskGroup, parallel_for, fan_out): one pipeline
                     (core::detail::run_product) forks products, so a second
                     parallel router cannot land unnoticed.
+
+  7. fused-kernel   Under src/ only the allowlisted files (the kernel
+                    tables in src/blas/kernels/) may name the gemm_fused
+                    entries: the schedule tables materialize every operand
+                    sum, and the remaining fused entry serves the benchmark
+                    alone, so no library path may call it again.
 
 Engines: the default "text" engine strips comments and string literals and
 scans with regexes -- deliberately dependency-free so it runs in any
@@ -99,6 +105,10 @@ STEP_EXECUTOR_SCOPE = ["src/core", "src/parallel"]
 
 # Directories whose fork/join primitives must be allowlisted ("fork_join").
 FORK_JOIN_SCOPE = ["src/core", "src/parallel"]
+
+# Directories whose fused-kernel entry names must be allowlisted
+# ("fused_kernel").
+FUSED_KERNEL_SCOPE = ["src"]
 
 BANNED_TOKENS = [
     "steady_clock", "system_clock", "high_resolution_clock",
@@ -364,6 +374,16 @@ def check_fork_join(root, allowlist, errors):
         errors)
 
 
+def check_fused_kernel(root, allowlist, errors):
+    check_scoped_token(
+        root, allowlist, "fused_kernel", FUSED_KERNEL_SCOPE,
+        r"\w*gemm_fused\w*",
+        "fused leaf kernel named outside src/blas/kernels/ -- the schedule "
+        "tables materialize every operand sum; run products through the "
+        "plain leaf",
+        errors)
+
+
 # ---- libclang engine (optional) -------------------------------------------
 
 def libclang_available():
@@ -456,6 +476,7 @@ def main():
     check_getenv(root, allowlist, errors)
     check_step_executor(root, allowlist, errors)
     check_fork_join(root, allowlist, errors)
+    check_fused_kernel(root, allowlist, errors)
     if engine == "libclang":
         run_libclang(root, allowlist, errors)
 

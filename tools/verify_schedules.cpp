@@ -4,10 +4,7 @@
 // verifier with full diagnostics (the library build already static_asserts
 // the constexpr core, so by the time this binary exists the tables have one
 // compile-time proof behind them; this CLI is the human-readable re-proof
-// CI archives, and the gate the default build runs).  Fused tables are
-// additionally checked product-by-product against the materialized
-// reference: every fused entry must compute the exact bilinear form of a
-// materialized product.
+// CI archives, and the gate the default build runs).
 //
 // Exit status: 0 when every schedule verifies, 1 otherwise.
 #include <cstdio>
@@ -34,28 +31,14 @@ int main() {
     for (int k = 0; k < sched.step_count; ++k)
       grouped += sched.steps[k].concurrent ? 1 : 0;
     if (grouped > 0) attrs += " concurrent-group=" + std::to_string(grouped);
-    std::printf("schedule %-20s steps=%2d products=%d (fused %d) "
-                "additions=%2d temp-peak=%d (declared %d)%s  %s\n",
-                sched.name, sched.step_count, r.products, r.fused_products,
-                r.linear_ops, r.temp_peak, sched.declared_temp_peak,
-                attrs.c_str(), r.ok ? "OK" : "FAIL");
+    std::printf("schedule %-20s steps=%2d products=%d additions=%2d "
+                "temp-peak=%d (declared %d)%s  %s\n",
+                sched.name, sched.step_count, r.products, r.linear_ops,
+                r.temp_peak, sched.declared_temp_peak, attrs.c_str(),
+                r.ok ? "OK" : "FAIL");
     for (const std::string& e : r.errors)
       std::printf("  error: %s\n", e.c_str());
     if (!r.ok) all_ok = false;
-
-    if (sched.uses_fused_kernels) {
-      const std::vector<std::string> fe =
-          check_fused_products(sched, kWinograd);
-      if (fe.empty()) {
-        std::printf("  fused products: all algebraically identical to %s "
-                    "products\n",
-                    kWinograd.name);
-      } else {
-        all_ok = false;
-        for (const std::string& e : fe)
-          std::printf("  error: %s\n", e.c_str());
-      }
-    }
   }
 
   // The <m,k,n> family tables: the same discipline as the schedules -- the
