@@ -1,7 +1,8 @@
 // fig2_padding -- reproduces Figure 2: "Effect of tile size on padding".
 //
 // The paper plots, against the original matrix size n: the padded size with
-// the tile chosen from [16,64] to minimize padding, the padded size with a
+// the tile chosen from [16,64] to minimize padding (the paper's window,
+// layout::kPaperTileWindow, not the library default), the padded size with a
 // fixed tile of 32, and the chosen tile size.  The expected shape: the
 // dynamic-T padded size hugs n (pad bounded by a small constant, worst case
 // 15), while the fixed-T line is a staircase of power-of-two cliffs reaching
@@ -29,7 +30,8 @@ int main(int argc, char** argv) {
   long long worst_fixed_pad = 0;
   const int step = args.quick ? 16 : 1;
   for (int n = 65; n <= 1200; n += step) {
-    const layout::DimPlan dyn = layout::choose_dim(n);
+    const layout::DimPlan dyn =
+        layout::choose_dim(n, layout::kPaperTileWindow);
     const layout::DimPlan fixed = layout::fixed_tile_dim(n, 32);
     if (n <= 1024) worst_dynamic_pad = std::max(worst_dynamic_pad, dyn.pad());
     worst_dynamic_pad_all = std::max(worst_dynamic_pad_all, dyn.pad());
@@ -55,7 +57,8 @@ int main(int argc, char** argv) {
       "Worst fixed-T=32 pad over the sweep: %lld elements per dimension "
       "(paper: ~n just past a power of two, e.g. 513 -> 1024).\n",
       worst_fixed_pad);
-  const layout::DimPlan p513 = layout::choose_dim(513);
+  const layout::DimPlan p513 =
+      layout::choose_dim(513, layout::kPaperTileWindow);
   std::printf(
       "Paper worked example n=513: chosen T=%d depth=%d padded=%d (paper: "
       "T=33, depth 4, padded 528).\n",

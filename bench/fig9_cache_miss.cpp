@@ -8,6 +8,7 @@
 //     padded size is 512 with 32x32 tiles, whose 8KB quadrants sit exactly a
 //     multiple of the 16KB cache apart (NW/SW conflict); at n = 513 the plan
 //     jumps to T = 33 (padded 528) and the conflict alignment disappears.
+// MODGEMM plans under the paper's tile window (layout::kPaperTileWindow).
 #include <cstdio>
 
 #include "common/ascii_plot.hpp"
@@ -43,7 +44,8 @@ int main(int argc, char** argv) {
         trace::Impl::Modgemm, n, n, n, trace::paper_fig9_cache_classified());
     const trace::TraceResult fmm = trace::trace_multiply(
         trace::Impl::Dgefmm, n, n, n, trace::paper_fig9_cache());
-    const layout::DimPlan plan = layout::choose_dim(n);
+    const layout::DimPlan plan =
+        layout::choose_dim(n, layout::kPaperTileWindow);
     const double conflict_pct =
         mod.total_accesses
             ? 100.0 * static_cast<double>(mod.levels[0].breakdown.conflict) /

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/check.hpp"
+#include "layout/split.hpp"
 
 namespace strassen::layout {
 
@@ -13,8 +14,7 @@ namespace {
 
 // ceil(n / 2^d)
 int ceil_shift(int n, int d) {
-  const long long span = 1LL << d;
-  return static_cast<int>((n + span - 1) / span);
+  return static_cast<int>((n + (1LL << d) - 1) >> d);
 }
 
 void validate(const TileOptions& opt) {
@@ -42,11 +42,24 @@ bool better(const DimPlan& a, const DimPlan& b, const TileOptions& opt) {
   return a.tile > b.tile;
 }
 
-}  // namespace
+// The depths d >= 1 at which n has a tile in range, min_tile <=
+// ceil(n / 2^d) <= max_tile: [lo, hi], empty when lo > hi.  The natural
+// tile only shrinks with depth, so the window is contiguous.
+struct DepthWindow {
+  int lo = 1, hi = 0;
+};
 
-DimPlan choose_dim_at_depth(int n, int depth, const TileOptions& opt) {
-  validate(opt);
-  STRASSEN_REQUIRE(n >= 1 && depth >= 0, "bad dimension or depth");
+DepthWindow depth_window(int n, const TileOptions& opt) {
+  DepthWindow w;
+  while (w.lo < 30 && ceil_shift(n, w.lo) > opt.max_tile) ++w.lo;
+  w.hi = w.lo - 1;
+  while (w.hi < 30 && ceil_shift(n, w.hi + 1) >= opt.min_tile) ++w.hi;
+  return w;
+}
+
+// choose_dim_at_depth without the argument checks, for the planner's own
+// loops (their callers validated once).
+DimPlan dim_at_depth(int n, int depth, const TileOptions& opt) {
   DimPlan plan;
   plan.n = n;
   plan.depth = depth;
@@ -77,6 +90,14 @@ DimPlan choose_dim_at_depth(int n, int depth, const TileOptions& opt) {
   return plan;
 }
 
+}  // namespace
+
+DimPlan choose_dim_at_depth(int n, int depth, const TileOptions& opt) {
+  validate(opt);
+  STRASSEN_REQUIRE(n >= 1 && depth >= 0, "bad dimension or depth");
+  return dim_at_depth(n, depth, opt);
+}
+
 DimPlan choose_dim(int n, const TileOptions& opt) {
   validate(opt);
   STRASSEN_REQUIRE(n >= 1, "dimension must be positive");
@@ -90,14 +111,9 @@ DimPlan choose_dim(int n, const TileOptions& opt) {
   }
   DimPlan best;
   best.n = n;
-  // Feasible depths satisfy min_tile <= ceil(n/2^d) <= max_tile; beyond the
-  // last one the natural tile drops below min_tile and padding only grows.
-  for (int d = 1; d < 31; ++d) {
-    const DimPlan cand = choose_dim_at_depth(n, d, opt);
-    if (cand.tile == 0) {
-      if (ceil_shift(n, d) < opt.min_tile) break;  // past the feasible window
-      continue;                                    // not yet in the window
-    }
+  const DepthWindow w = depth_window(n, opt);
+  for (int d = w.lo; d <= w.hi; ++d) {
+    const DimPlan cand = dim_at_depth(n, d, opt);
     if (best.tile == 0 || better(cand, best, opt)) best = cand;
   }
   if (best.tile == 0) {
@@ -133,11 +149,11 @@ DimPlan fixed_tile_dim(int n, int tile) {
 
 std::vector<int> feasible_depths(int n, const TileOptions& opt) {
   validate(opt);
+  STRASSEN_REQUIRE(n >= 1, "dimension must be positive");
   std::vector<int> out;
-  for (int d = 0; d < 31; ++d) {
-    if (choose_dim_at_depth(n, d, opt).tile != 0) out.push_back(d);
-    if (d > 0 && ceil_shift(n, d) < opt.min_tile) break;
-  }
+  if (n <= opt.max_tile) out.push_back(0);  // the matrix is one tile
+  const DepthWindow w = depth_window(n, opt);
+  for (int d = w.lo; d <= w.hi; ++d) out.push_back(d);
   return out;
 }
 
@@ -160,21 +176,18 @@ GemmPlan plan_gemm(int m, int k, int n, const TileOptions& opt) {
     return plan;
   }
   // Intersect the feasible depth windows of the three dimensions.
+  const DepthWindow wm = depth_window(m, opt);
+  const DepthWindow wk = depth_window(k, opt);
+  const DepthWindow wn = depth_window(n, opt);
   GemmPlan best;
   best.feasible = false;
-  for (int d = 1; d < 31; ++d) {
-    const DimPlan dm = choose_dim_at_depth(m, d, opt);
-    const DimPlan dk = choose_dim_at_depth(k, d, opt);
-    const DimPlan dn = choose_dim_at_depth(n, d, opt);
-    if (dm.tile == 0 || dk.tile == 0 || dn.tile == 0) {
-      if (ceil_shift(min_dim, d) < opt.min_tile) break;  // windows exhausted
-      continue;
-    }
+  for (int d = std::max({wm.lo, wk.lo, wn.lo});
+       d <= std::min({wm.hi, wk.hi, wn.hi}); ++d) {
     GemmPlan cand;
     cand.depth = d;
-    cand.m = dm;
-    cand.k = dk;
-    cand.n = dn;
+    cand.m = dim_at_depth(m, d, opt);
+    cand.k = dim_at_depth(k, d, opt);
+    cand.n = dim_at_depth(n, d, opt);
     auto conflicts = [&](const GemmPlan& p) {
       return opt.tile_penalty(p.m.tile) + opt.tile_penalty(p.k.tile) +
              opt.tile_penalty(p.n.tile);
@@ -229,10 +242,12 @@ ExecStrategy choose_exec_strategy(const GemmPlan& plan, int m, int k, int n,
   return ExecStrategy::kMorton;
 }
 
-double modeled_flops(int m, int k, int n, const TileOptions& opt) {
-  const double conventional = 2.0 * m * k * n;
-  const GemmPlan plan = plan_gemm(m, k, n, opt);
-  if (plan.direct || !plan.feasible) return conventional;
+namespace {
+
+// A direct or feasible plan's modeled cost (see modeled_flops).
+double plan_flops(const GemmPlan& plan) {
+  const double conventional = 2.0 * plan.m.n * plan.k.n * plan.n.n;
+  if (plan.direct) return conventional;
   double cost = 2.0 * plan.m.padded * plan.k.padded * plan.n.padded;
   for (int d = 0; d < plan.depth; ++d) cost *= 7.0 / 8.0;
   // Padding can price a "Strassen" plan above the conventional loop it
@@ -240,6 +255,28 @@ double modeled_flops(int m, int k, int n, const TileOptions& opt) {
   // for comparing families the conventional floor keeps one bad <2,2,2>
   // plan from flattering every alternative.
   return std::min(cost, conventional);
+}
+
+}  // namespace
+
+double modeled_flops(int m, int k, int n, const TileOptions& opt) {
+  const GemmPlan plan = plan_gemm(m, k, n, opt);
+  if (plan.direct || plan.feasible) return plan_flops(plan);
+  // The split path runs plan_split's chunk products one by one
+  // (run_split_block), so the split costs the sum of theirs.  Each distinct
+  // chunk shape -- at most 2 x 2 x 2 -- is planned once.
+  const int cap = opt.max_tile << split_depth(plan);
+  const auto mc = balanced_chunk_classes(m, cap);
+  const auto kc = balanced_chunk_classes(k, cap);
+  const auto nc = balanced_chunk_classes(n, cap);
+  double cost = 0;
+  for (const ChunkClass& cm : mc)
+    for (const ChunkClass& ck : kc)
+      for (const ChunkClass& cn : nc)
+        if (cm.count > 0 && ck.count > 0 && cn.count > 0)
+          cost += static_cast<double>(cm.count) * ck.count * cn.count *
+                  plan_flops(plan_gemm(cm.size, ck.size, cn.size, opt));
+  return cost;
 }
 
 analysis::AlgoFamily choose_algo(int m, int k, int n,

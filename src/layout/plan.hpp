@@ -7,11 +7,17 @@
 // minimize padding -- bounding the pad by a small constant (worst case 15 for
 // the paper's range) where a fixed T pads by up to ~n.
 //
-// Worked examples from the paper that this module must (and does) reproduce:
+// Worked examples from the paper that this module reproduces under the
+// paper's window kPaperTileWindow (T in [16, 64], preferred 32):
 //   n = 513          -> T = 33, d = 4, n' = 528 (pad 15)
 //   n in [505, 512]  -> T = 32, d = 4, n' = 512
 //   n = 513, fixed T=32 -> n' = 1024 (the pathological case motivating all
 //                          of this)
+// The library's default window is T in [16, 128], preferred 64: this
+// library's leaf is not flat across the paper's range (T = 16-23 runs well
+// below T >= 36), and each level it saves also saves that level's 15
+// memory-bound quadrant additions.  Under it, 513 plans T = 65, d = 3
+// (n' = 520) and 1024 plans T = 64, d = 4.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +61,14 @@ constexpr const char* strategy_name(ExecStrategy s) {
   return "unknown";
 }
 
-// Tuning knobs for the planner.  Defaults are the paper's values.
+// Tuning knobs for the planner.  The tile window defaults to [16, 128]; the
+// paper's is kPaperTileWindow below.
 struct TileOptions {
   int min_tile = 16;        // smallest leaf tile considered
-  int max_tile = 64;        // largest leaf tile considered
-  int preferred_tile = 32;  // tie-break target (fits an 8KB direct-mapped L1)
+  int max_tile = 128;       // largest leaf tile considered
+  int preferred_tile = 64;  // tie-break target, inside the tiles (T >= 36)
+                            // where the SIMD leaf runs at full speed; it
+                            // measured T = 16-23 well below that
   int direct_threshold = 64;  // problems with min-dimension <= this skip
                               // Strassen entirely (depth 0)
   // Conflict-aware selection (this library's completion of the paper's S4.2
@@ -123,6 +132,11 @@ struct TileOptions {
            static_cast<int>(tile_oversized(tile));
   }
 };
+
+// The paper's window (S3.3-3.4): T in [16, 64], preferred 32 (the tile that
+// fits its 8KB direct-mapped L1).  Its worked examples, Fig. 2's padding
+// curves and Fig. 9's conflict zone are stated under this window.
+inline constexpr TileOptions kPaperTileWindow{16, 64, 32};
 
 // Plan for one matrix dimension.
 struct DimPlan {
@@ -204,10 +218,8 @@ ExecStrategy choose_exec_strategy(const GemmPlan& plan, int m, int k, int n,
 
 // Modeled cost of one product under the <2,2,2> planner, in flops: a direct
 // plan costs the conventional 2mkn, a feasible plan 2 * 7^d * padded-volume
-// / 8^d, and an infeasible (split-path) shape is priced at the conventional
-// cost -- the split runs mostly-direct sub-products and pays per-chunk
-// staging, so crediting it with Strassen savings would bias choose_algo
-// against the family tables on exactly the shapes they exist for.
+// / 8^d (floored at 2mkn), and an infeasible shape the sum of its plan_split
+// chunk products' costs -- what the split path executes.
 double modeled_flops(int m, int k, int n, const TileOptions& opt = {});
 
 // The planner's algorithm-family heuristic, consulted when neither the

@@ -37,7 +37,8 @@ struct TraceResult {
 };
 
 // Runs C = A.B (alpha=1, beta=0, the paper's measurement setting) for an
-// m x n result with inner dimension k under cache simulation.
+// m x n result with inner dimension k under cache simulation.  MODGEMM plans
+// under the paper's tile window (layout::kPaperTileWindow).
 TraceResult trace_multiply(Impl impl, int m, int n, int k,
                            CacheHierarchy hierarchy,
                            std::uint64_t seed = 0x5C98u);

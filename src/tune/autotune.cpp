@@ -132,7 +132,8 @@ AutotuneResult autotune(const AutotuneOptions& opt) {
     forced.tiles.min_tile = std::max(8, lo / 2);
     forced.tiles.max_tile = hi;
     forced.tiles.preferred_tile = best_tile;
-    forced.tiles.direct_threshold = std::max(8, n / 4);  // force recursion
+    forced.tiles.direct_threshold =
+        std::max({8, n / 4, forced.tiles.min_tile});  // force recursion
     const double t_str = measure(
         [&] {
           core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(),

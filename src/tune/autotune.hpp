@@ -36,7 +36,10 @@
 namespace strassen::tune {
 
 struct AutotuneOptions {
-  std::vector<int> candidate_tiles{16, 24, 32, 40, 48, 56, 64};
+  // Spans the planner's default window [16, 128], so a tuned range can keep
+  // the large leaves the default plans use.
+  std::vector<int> candidate_tiles{16, 24, 32, 40, 48, 56,
+                                  64, 80, 96, 112, 128};
   // Tiles within this factor of the best tile's MFLOPS stay in the range.
   double tolerance = 0.85;
   // Problem sizes probed for the Strassen/conventional crossover.

@@ -263,6 +263,13 @@ TEST(AlgoFamilyBitIdentity, DeepSquareHeuristicStaysOn222) {
         << "n=" << n;
 }
 
+TEST(AlgoFamilyHeuristic, Conv3x3StaysOn222) {
+  // The im2col 3x3 convolution (256 x 2304 x 361) splits under <2,2,2>.
+  // Priced as its chunk products (layout::modeled_flops), the split beats
+  // every family table.
+  EXPECT_EQ(layout::choose_algo(256, 2304, 361), AlgoFamily::k222);
+}
+
 // ---- STRASSEN_ALGO resolution ladder --------------------------------------
 
 TEST(AlgoFamilyEnv, PinBeatsEnvironment) {

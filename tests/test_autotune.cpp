@@ -16,7 +16,7 @@ namespace {
 
 AutotuneOptions cheap() {
   AutotuneOptions opt;
-  opt.candidate_tiles = {16, 32, 64};
+  opt.candidate_tiles = {16, 32, 64, 128};
   opt.crossover_sizes = {64, 128};
   opt.strategy_sizes = {96, 160};
   opt.repetitions = 1;
@@ -31,6 +31,32 @@ TEST(Autotune, ProducesValidPlannerOptions) {
   EXPECT_LE(r.tiles.preferred_tile, r.tiles.max_tile);
   EXPECT_GE(r.tiles.direct_threshold, r.tiles.max_tile);
   EXPECT_LE(r.tiles.direct_threshold, 512);
+}
+
+TEST(Autotune, DefaultCandidatesSpanThePlannerWindow) {
+  // A survey that stopped short of the default max_tile would shrink the
+  // tuned range below the untuned one.
+  const AutotuneOptions opt;
+  const layout::TileOptions tiles;
+  EXPECT_EQ(*std::min_element(opt.candidate_tiles.begin(),
+                              opt.candidate_tiles.end()),
+            tiles.min_tile);
+  EXPECT_EQ(*std::max_element(opt.candidate_tiles.begin(),
+                              opt.candidate_tiles.end()),
+            tiles.max_tile);
+}
+
+TEST(Autotune, LargeTileSurveyKeepsProbesValid) {
+  // A lone candidate of 128 yields the range [64, 128], so the crossover
+  // probe plans with min_tile 32, above a quarter of its smallest size (64).
+  // Its direct threshold must still satisfy the planner's
+  // direct_threshold >= min_tile.
+  AutotuneOptions opt = cheap();
+  opt.candidate_tiles = {128};
+  const AutotuneResult r = autotune(opt);
+  EXPECT_EQ(r.tiles.min_tile, 64);
+  EXPECT_EQ(r.tiles.max_tile, 128);
+  EXPECT_EQ(r.crossover_probe.size(), opt.crossover_sizes.size());
 }
 
 TEST(Autotune, SurveyAndProbeArePopulated) {

@@ -14,8 +14,10 @@
 namespace strassen::layout {
 namespace {
 
+// The conflict zone is the paper's story, so these tests plan under its
+// window.
 TileOptions avoiding_16kb() {
-  TileOptions opt;
+  TileOptions opt = kPaperTileWindow;
   opt.avoid_conflict_cache_bytes = 16 * 1024;
   return opt;
 }
@@ -23,7 +25,8 @@ TileOptions avoiding_16kb() {
 TEST(ConflictAvoidance, DisabledByDefault) {
   const TileOptions opt;
   EXPECT_FALSE(opt.tile_conflicts(32));
-  EXPECT_EQ(choose_dim(512).tile, 32);  // the paper's (conflicting) choice
+  // the paper's (conflicting) choice
+  EXPECT_EQ(choose_dim(512, kPaperTileWindow).tile, 32);
 }
 
 TEST(ConflictAvoidance, FlagsAlignedTiles) {
@@ -55,7 +58,7 @@ TEST(ConflictAvoidance, BumpsTheTileAtPowersOfTwo) {
 TEST(ConflictAvoidance, LeavesNonConflictingSizesAlone) {
   const TileOptions opt = avoiding_16kb();
   const DimPlan with = choose_dim(513, opt);
-  const DimPlan without = choose_dim(513);
+  const DimPlan without = choose_dim(513, kPaperTileWindow);
   EXPECT_EQ(with.tile, without.tile);
   EXPECT_EQ(with.padded, without.padded);
 }
@@ -78,7 +81,7 @@ TEST(ConflictAvoidance, ResultsRemainExact) {
 TEST(CapacityAwareness, DisabledByDefault) {
   // n = 1000 minimizes padding with T = 63 (padded 1008) -- a 93KB
   // three-tile working set.  The paper's pure-padding objective keeps it.
-  const DimPlan p = choose_dim(1000);
+  const DimPlan p = choose_dim(1000, kPaperTileWindow);
   EXPECT_EQ(p.tile, 63);
   EXPECT_EQ(p.padded, 1008);
 }
@@ -122,6 +125,7 @@ TEST(ConflictAvoidance, EliminatesTheFig9ConflictZone) {
     trace::CacheHierarchy h = trace::paper_fig9_cache();
     trace::TracingMem mm(h);
     core::ModgemmOptions opt;
+    opt.tiles = kPaperTileWindow;
     opt.tiles.avoid_conflict_cache_bytes = avoid_bytes;
     // The conflict zone is a <2,2,2> Morton-layout story; pin the family so
     // a forced STRASSEN_ALGO run cannot reroute it (pin > env).

@@ -160,14 +160,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(AlgoFamily::kAuto, AlgoFamily::k222),
                        ::testing::Values(ScheduleFamily::kAuto,
                                          ScheduleFamily::kLowMem)),
-    [](const auto& info) {
-      return std::string(kShapes[std::get<0>(info.param)].name) + "_" +
-             (std::get<1>(info.param) == AlgoFamily::kAuto ? "AlgoAuto"
-                                                           : "Algo222") +
+    [](const auto& case_info) {
+      const auto& p = case_info.param;
+      return std::string(kShapes[std::get<0>(p)].name) + "_" +
+             (std::get<1>(p) == AlgoFamily::kAuto ? "AlgoAuto" : "Algo222") +
              "_" +
-             (std::get<2>(info.param) == ScheduleFamily::kAuto
-                  ? "ScheduleAuto"
-                  : "LowMem");
+             (std::get<2>(p) == ScheduleFamily::kAuto ? "ScheduleAuto"
+                                                      : "LowMem");
     });
 
 }  // namespace

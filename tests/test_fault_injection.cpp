@@ -315,8 +315,8 @@ TEST(WorkspaceBudget, GenerousBudgetChangesNothing) {
 }
 
 TEST(WorkspaceBudget, BudgetAppliesToEverySplitSubProduct) {
-  // Split-path shape under a tiny budget: every sub-product must run direct,
-  // and the result must still be exact.
+  // Split-path shape (under the paper's window) with a tiny budget: every
+  // sub-product must run direct, and the result must still be exact.
   const int m = 300, n = 300, k = 70;
   Rng rng(13);
   Matrix<double> A(m, k), B(k, n), C(m, n), Ref(m, n);
@@ -326,6 +326,7 @@ TEST(WorkspaceBudget, BudgetAppliesToEverySplitSubProduct) {
                    B.data(), k, 0.0, Ref.data(), m);
 
   ModgemmOptions opt;
+  opt.tiles = layout::kPaperTileWindow;
   opt.max_workspace_bytes = 1024;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m, B.data(),

@@ -1,19 +1,23 @@
 // Unit and property tests for the truncation-point planner (src/layout/plan).
 //
-// The paper's worked examples (S3.4) are hard requirements:
+// The paper's worked examples (S3.4) are hard requirements under its window
+// (kPaperTileWindow, T in [16, 64]):
 //   n = 513: T = 33, depth 4, padded 528 (pad 15 -- the worst case for the
 //            16..64 range at this scale);
 //   n in [505, 512]: padded 512, T = 32, depth 4;
 //   fixed T = 32 at n = 513: padded 1024.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "layout/plan.hpp"
+#include "layout/split.hpp"
 
 namespace strassen::layout {
 namespace {
 
 TEST(ChooseDim, PaperExampleN513) {
-  const DimPlan p = choose_dim(513);
+  const DimPlan p = choose_dim(513, kPaperTileWindow);
   EXPECT_EQ(p.tile, 33);
   EXPECT_EQ(p.depth, 4);
   EXPECT_EQ(p.padded, 528);
@@ -22,7 +26,7 @@ TEST(ChooseDim, PaperExampleN513) {
 
 TEST(ChooseDim, PaperExample505To512) {
   for (int n = 505; n <= 512; ++n) {
-    const DimPlan p = choose_dim(n);
+    const DimPlan p = choose_dim(n, kPaperTileWindow);
     EXPECT_EQ(p.padded, 512) << "n=" << n;
     EXPECT_EQ(p.tile, 32) << "n=" << n;
     EXPECT_EQ(p.depth, 4) << "n=" << n;
@@ -105,10 +109,24 @@ TEST(ChooseDimAtDepth, InfeasibleWhenTileOutOfRange) {
 }
 
 TEST(FeasibleDepths, WindowIsContiguousAndCorrect) {
-  const auto ds = feasible_depths(513);
+  const auto ds = feasible_depths(513, kPaperTileWindow);
   ASSERT_EQ(ds.size(), 2u);  // depths 4 and 5 (tiles 33 and 17)
   EXPECT_EQ(ds[0], 4);
   EXPECT_EQ(ds[1], 5);
+}
+
+// The default window [16, 128], preferred 64, unfolds the perfbench
+// squares one level less than the paper's window (d5, T = 32 / 33).
+TEST(PlanGemm, DefaultWindowPlansSquaresOneLevelShallower) {
+  for (const auto& [n, tile] : {std::pair{1024, 64}, std::pair{1025, 65}}) {
+    const GemmPlan p = plan_gemm(n, n, n);
+    ASSERT_TRUE(p.feasible) << "n=" << n;
+    EXPECT_EQ(p.depth, 4) << "n=" << n;
+    EXPECT_EQ(p.m.tile, tile) << "n=" << n;
+    EXPECT_EQ(p.k.tile, tile) << "n=" << n;
+    EXPECT_EQ(p.n.tile, tile) << "n=" << n;
+    EXPECT_EQ(plan_gemm(n, n, n, kPaperTileWindow).depth, 5) << "n=" << n;
+  }
 }
 
 TEST(FeasibleDepths, EveryListedDepthIsActuallyFeasible) {
@@ -170,9 +188,10 @@ TEST(PlanGemm, MildRectangularSweepSharesDepth) {
 }
 
 TEST(PlanGemm, FactorOfFourCanStraddleDepthWindows) {
-  // 150 admits depths {2,3}; 600 admits {4,5}: no common depth.  The driver
-  // must route such shapes through the splitter.
-  const GemmPlan p = plan_gemm(150, 600, 150);
+  // Under the paper's window 150 admits depths {2,3} and 600 admits {4,5}:
+  // no common depth.  The driver must route such shapes through the
+  // splitter.
+  const GemmPlan p = plan_gemm(150, 600, 150, kPaperTileWindow);
   EXPECT_FALSE(p.direct);
   EXPECT_FALSE(p.feasible);
 }
@@ -239,6 +258,26 @@ TEST(PlanGemm, PaddedElemsCountsAllThreeOperands) {
   p.k = DimPlan{200, 50, 2, 200};
   p.n = DimPlan{300, 75, 2, 300};
   EXPECT_EQ(p.padded_elems(), 100ll * 200 + 200ll * 300 + 100ll * 300);
+}
+
+// A split shape is priced as the chunk products the split path runs, so it
+// is credited with their Strassen savings instead of the conventional 2mkn.
+TEST(ModeledFlops, SplitShapeCostsTheSumOfItsChunks) {
+  using Shape3 = std::tuple<int, int, int>;
+  for (const auto& [m, k, n] :
+       {Shape3{256, 2304, 361}, Shape3{4096, 256, 4096},
+        Shape3{8192, 100, 100}, Shape3{3000, 150, 70}}) {
+    SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
+    const SplitPlan split = plan_split(m, k, n);
+    ASSERT_TRUE(split.needed);
+    double sum = 0;
+    for (const Chunk& cm : split.m_chunks)
+      for (const Chunk& ck : split.k_chunks)
+        for (const Chunk& cn : split.n_chunks)
+          sum += modeled_flops(cm.size, ck.size, cn.size);
+    EXPECT_NEAR(modeled_flops(m, k, n), sum, 1e-12 * sum);
+    EXPECT_LT(sum, 2.0 * m * k * n);
+  }
 }
 
 }  // namespace

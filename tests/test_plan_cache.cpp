@@ -80,7 +80,7 @@ TEST(PlanCache, DiscriminatesEveryKeyField) {
   variants[6].strategy = 1;
   variants[7].max_workspace_bytes = 1 << 20;
   variants[8].min_tile = 8;
-  variants[9].preferred_tile = 64;
+  variants[9].preferred_tile = base.preferred_tile / 2;
   variants[10].direct_threshold = 128;
   variants[11].packfused_max_depth = 0;
   for (std::size_t i = 0; i < variants.size(); ++i)

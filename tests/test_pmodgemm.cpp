@@ -430,8 +430,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The auto fork depth follows pool width: the fewest levels L with
 // 7^L >= 8 * (workers + 1), never past a level whose children fall below
-// min_task_flops.  On the n = 1025 plan (tile 33, depth 5) the children of
-// the top three levels reach 2^21 of padded volume and the fourth's do not.
+// min_task_flops.  On the n = 1025 plan under the paper's window (tile 33,
+// depth 5) the children of the top three levels reach 2^21 of padded volume
+// and the fourth's do not.
 TEST(PmodgemmForkDepth, FollowsPoolWidth) {
   const int n = 1025;
   Rng rng(29);
@@ -447,6 +448,7 @@ TEST(PmodgemmForkDepth, FollowsPoolWidth) {
     std::unique_ptr<ThreadPool> pool;
     if (w.workers > 0) pool = std::make_unique<ThreadPool>(w.workers);
     ParallelOptions opt;
+    opt.tiles = layout::kPaperTileWindow;
     opt.algo = analysis::AlgoFamily::k222;
     opt.schedule = analysis::ScheduleFamily::kWinograd;
     obs::GemmReport report;
@@ -463,6 +465,7 @@ TEST(PmodgemmForkDepth, FollowsPoolWidth) {
     if (!pool) {
       // No pool: pmodgemm is modgemm, planned strategy included.
       core::ModgemmOptions sopt;
+      sopt.tiles = opt.tiles;
       sopt.algo = opt.algo;
       sopt.schedule = opt.schedule;
       obs::GemmReport serial;
