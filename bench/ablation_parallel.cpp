@@ -117,7 +117,10 @@ int main(int argc, char** argv) {
       core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(),
                     p.A.ld(), p.B.data(), p.B.ld(), 0.0, p.C.data(), p.C.ld(),
                     sopt, &rep);
-      log.add("n" + std::to_string(n) + "/serial", rep);
+      std::string key = "n";
+      key += std::to_string(n);
+      key += "/serial";
+      log.add(key, rep);
     }
 
     for (int t : threads) {
@@ -146,9 +149,13 @@ int main(int argc, char** argv) {
                        Table::num(static_cast<long long>(rep.tasks_executed)),
                        Table::num(static_cast<long long>(rep.steals)),
                        Table::num(rep.pool_utilization(), 2)});
-        log.add("n" + std::to_string(n) + "/t" + std::to_string(t) + "/" +
-                    cfg.label,
-                rep);
+        std::string key = "n";
+        key += std::to_string(n);
+        key += "/t";
+        key += std::to_string(t);
+        key += "/";
+        key += cfg.label;
+        log.add(key, rep);
         if (n == sizes.back() && t == threads.back()) {
           if (std::strcmp(cfg.label, "top1") == 0) gate_top1 = ts;
           if (std::strcmp(cfg.label, "deep") == 0) {

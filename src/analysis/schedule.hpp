@@ -13,9 +13,8 @@
 //     same table and PROVES it: every C quadrant equals its sum-of-products
 //     target, no step reads an undefined or clobbered value, products never
 //     alias their destination, and the live-temporary peak matches the
-//     schedule's declared bound (3 for the paper's schedule; the
-//     Boyer-Dumas-Pernet-Zhou 2-temporary and in-place variants on the
-//     ROADMAP will declare theirs).
+//     schedule's declared bound (3 for the paper's schedule, 2 for the
+//     Boyer-Dumas-Pernet-Zhou low-memory one, 0 for Kreczmar's in-place one).
 //
 // The tables are constexpr and the verifier core is constexpr: the library
 // build static_asserts the shipped tables (schedule_verify.cpp), so an edit
@@ -25,10 +24,14 @@
 // A-shaped operands are the A quadrants and S-temporaries, B-shaped the B
 // quadrants and T-temporaries, C-shaped the C quadrants and P-temporaries.
 // Linear steps require all operands of one shape; a product maps
-// (A-shaped) x (B-shaped) -> C-shaped.
+// (A-shaped) x (B-shaped) -> C-shaped.  A destructive table
+// (Schedule::overwrites_inputs) runs on square tiles only, where every
+// quadrant has one size: there a slot's shape is the shape of the value it
+// holds, so products and sums may land in any quadrant.
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 
 namespace strassen::analysis {
 
@@ -39,8 +42,8 @@ namespace strassen::analysis {
 // operand sums and three products live across its concurrent product group,
 // which is what the higher slot counts are for.
 enum class Operand : std::uint8_t {
-  kA11 = 0, kA12, kA21, kA22,   // A quadrants (read-only inputs)
-  kB11, kB12, kB21, kB22,       // B quadrants (read-only inputs)
+  kA11 = 0, kA12, kA21, kA22,   // A quadrants (inputs)
+  kB11, kB12, kB21, kB22,       // B quadrants (inputs)
   kC11, kC12, kC21, kC22,       // C quadrants (outputs, usable as scratch)
   kTS0, kTS1, kTS2, kTS3,       // A-shaped temporaries
   kTT0, kTT1, kTT2, kTT3,       // B-shaped temporaries
@@ -64,7 +67,7 @@ constexpr Shape shape_of(Operand op) {
   return Shape::kNone;
 }
 
-// Read-only inputs: the A and B quadrants.
+// Inputs: the A and B quadrants, read-only unless the table is destructive.
 constexpr bool is_input(Operand op) {
   return op >= Operand::kA11 && op <= Operand::kB22;
 }
@@ -183,11 +186,11 @@ struct Schedule {
   const Operand* temps;    // temporaries in ALLOCATION order (arena pushes)
   int temp_count;
   int declared_temp_peak;  // documented live-temporary bound; verified
-  // True when the table overwrites A/B quadrant slots (the Boyer-Dumas-
-  // Pernet-Zhou in-place family).  Only executable on operand copies the
-  // caller owns -- the Morton-staged quadrants -- never on user matrices,
-  // and only at the TOP level of a recursion: a child running this table
-  // would clobber parent operands that are still live.
+  // True for a destructive table: it overwrites its A/B quadrant slots, and
+  // its products, which recurse with the same table, consume their
+  // operands.  Only executable with square tiles (tm == tk == tn) on operand
+  // copies the library owns -- the Morton-staged quadrants -- never on the
+  // caller's matrices.
   bool overwrites_inputs = false;
   // Arena-buffer sharing: temp_buffer[i] is the dense buffer id backing
   // temps[i].  Temps mapped to one id share a single allocation sized for
@@ -213,16 +216,15 @@ constexpr int temp_buffer_count(const Schedule& s) {
 
 // Planner-facing grouping of the shipped tables.  The family -- not an
 // individual table -- is what ModgemmOptions::schedule / STRASSEN_SCHEDULE
-// pin and what the degradation ladder swaps between: within a family the
-// recursion still picks per level (the in-place family runs its table only
-// at the top).  kAuto defers the choice to the planner, which prefers the
-// default family and degrades to the smaller-footprint ones only when
-// max_workspace_bytes forces it.
+// pin and what the degradation ladder swaps between; every serial level of
+// a product runs its family's table.  kAuto defers the choice to the
+// planner, which prefers the default family and degrades to the
+// smaller-footprint ones only when max_workspace_bytes forces it.
 enum class ScheduleFamily : std::uint8_t {
   kAuto = 0,
   kWinograd,  // 3-temp paper schedule: the bit-exact default
   kLowMem,    // 2-buffer Boyer-Dumas-Pernet-Zhou variant (tS/tP share)
-  kInPlace,   // top level overwrites the Morton A/B copies; 1 temp
+  kInPlace,   // Kreczmar: overwrites the Morton A/B copies; 0 temps
 };
 
 constexpr const char* family_name(ScheduleFamily f) {
@@ -319,46 +321,38 @@ inline constexpr Step kWinogradLowMemSteps[] = {
 // tT owns buffer 1.
 inline constexpr std::int8_t kWinogradLowMemBuffers[] = {0, 1, 0};
 
-// The in-place schedule: the S/T operand sums overwrite the A/B quadrant
-// slots themselves, leaving a single C-shaped temporary (tP).  Every
-// element-wise write aliases its source slot EXACTLY (the level-1 alias
-// contract), and two algebraic identities eliminate the reads the paper's
-// ordering would need after a clobber:
-//
-//   S3 = A11 - A21 = A22 - S2        (since S2 = A21 + A22 - A11)
-//   T3 = B22 - B12 = T2 - B11        (since T2 = B22 - B12 + B11)
-//
-// so S3/T3 are formed FROM the clobbered slots.  A22 and B22 are never
-// overwritten (they are read last).  Per level this needs qc temporary
-// elements -- but only at the TOP of a recursion: a child running this
-// table would destroy parent operands that are still live, so children run
-// kWinogradLowMem (analysis::child_family).
-inline constexpr Step kWinogradInPlaceSteps[] = {
-    mul(tP, A11, B11, "P1"),        // tP  = A11 . B11
-    mul(C11, A12, B21, "P2"),       // C11 = A12 . B21
-    add_ip(C11, tP, "U1"),          // C11 = P1 + P2       [final C11]
-    add(A21, A21, A22, "S1"),       // A21 <- S1 = A21 + A22
-    sub(A11, A21, A11, "S2"),       // A11 <- S2 = S1 - A11
-    sub(B12, B12, B11, "T1"),       // B12 <- T1 = B12 - B11
-    mul(C22, A21, B12, "P3"),       // C22 = S1 . T1
-    sub(B12, B22, B12, "T2"),       // B12 <- T2 = B22 - T1
-    mul(C12, A11, B12, "P4"),       // C12 = S2 . T2
-    add_ip(C12, tP, "U2"),          // C12 = P1 + P4       [tP dies here]
-    sub(A12, A12, A11, "S4"),       // A12 <- S4 = A12 - S2
-    sub(A11, A22, A11, "S3"),       // A11 <- S3 = A22 - S2
-    sub(B11, B12, B11, "T3"),       // B11 <- T3 = T2 - B11
-    mul(C21, A11, B11, "P5"),       // C21 = S3 . T3
-    add_ip(C21, C12, "U3"),         // C21 = U2 + P5
-    add_ip(C12, C22, "U6"),         // C12 = U2 + P3
-    add_ip(C22, C21, "U5"),         // C22 = U3 + P3       [final C22]
-    sub(B21, B12, B21, "-T4"),      // B21 <- T2 - B21
-    mul(tP, A22, B21, "-P7"),       // tP  = A22 . (T2 - B21)
-    sub_ip(C21, tP, "U4"),          // C21 = U3 + P7       [final C21]
-    mul(tP, A12, B22, "P6"),        // tP  = S4 . B22
-    add_ip(C12, tP, "U7"),          // C12 = U6 + P6       [final C12]
+// Kreczmar's in-place schedule (paper S5.1): no temporaries at all.  Every
+// quadrant of A, B and C serves as storage, so operand sums and products
+// land in whichever quadrant is free, whatever its matrix -- legal only with
+// square tiles, where all quadrants have one size.  Each product recurses
+// with this same table and so destroys its two operands; the order below
+// makes every product the last use of both.  The operand sums and the
+// U-chain are kWinograd's expressions (+ is commutative), so the result
+// matches kWinograd bit for bit.
+inline constexpr Step kKreczmarSteps[] = {
+    sub(C11, B12, B11, "T1"),       // C11 <- T1 = B12 - B11
+    sub(C12, B22, C11, "T2"),       // C12 <- T2 = B22 - T1
+    sub(C21, B22, B12, "T3"),       // C21 <- T3 = B22 - B12
+    sub(B12, A11, A21, "S3"),       // B12 <- S3 = A11 - A21
+    mul(C22, B12, C21, "P5"),       // C22 = S3 . T3
+    add(C21, A21, A22, "S1"),       // C21 <- S1 = A21 + A22
+    sub(A21, C21, A11, "S2"),       // A21 <- S2 = S1 - A11
+    mul(B12, C21, C11, "P3"),       // B12 = S1 . T1
+    mul(C11, A11, B11, "P1"),       // C11 = A11 . B11
+    sub(C21, A12, A21, "S4"),       // C21 <- S4 = A12 - S2
+    sub(A11, C12, B21, "-T4"),      // A11 <- T2 - B21
+    mul(B11, A21, C12, "P4"),       // B11 = S2 . T2
+    mul(A21, A12, B21, "P2"),       // A21 = A12 . B21
+    mul(A12, C21, B22, "P6"),       // A12 = S4 . B22
+    mul(B21, A22, A11, "-P7"),      // B21 = A22 . (T2 - B21)
+    add(C12, C11, B11, "U2"),       // C12 = P1 + P4
+    add_ip(C11, A21, "U1"),         // C11 = P1 + P2       [final C11]
+    add(C21, C12, C22, "U3"),       // C21 = U2 + P5
+    add_ip(C12, B12, "U6"),         // C12 = U2 + P3
+    add_ip(C12, A12, "U7"),         // C12 = U6 + P6       [final C12]
+    add(C22, C21, B12, "U5"),       // C22 = U3 + P3       [final C22]
+    sub_ip(C21, B21, "U4"),         // C21 = U3 + P7       [final C21]
 };
-
-inline constexpr Operand kWinogradInPlaceTemps[] = {tP};
 
 // The spawn level of a forked product (core::detail::fork_recurse): the
 // element-wise steps of kWinogradSteps, but each of the 8 operand sums keeps
@@ -367,6 +361,9 @@ inline constexpr Operand kWinogradInPlaceTemps[] = {tP};
 // their C quadrants (Boyer et al.'s placement), so only P1, P6 and -P7 need
 // C-shaped temporaries: 4 + 4 + 3 buffers.  The U-chain is kWinogradSteps'
 // (+ is commutative, so every element matches the serial schedule's bits).
+// Each operand feeds exactly one product and is never read after the
+// group, so the products may consume their operands: the table runs above
+// every family, Kreczmar's destructive one included.
 inline constexpr Op S1 = Op::kTS0, S2 = Op::kTS1, S3 = Op::kTS2,
                     S4 = Op::kTS3;
 inline constexpr Op T1 = Op::kTT0, T2 = Op::kTT1, T3 = Op::kTT2,
@@ -406,9 +403,8 @@ inline constexpr Operand kWinogradSpawnTemps[] = {S1, S2, S3, S4, T1, T2,
 template <int N, int M>
 constexpr Schedule make_schedule(const char* name, const Step (&steps)[N],
                                  const Operand (&temps)[M], int temp_peak,
-                                 bool overwrites = false,
                                  const std::int8_t* buffers = kOwnTempBuffers) {
-  return Schedule{name, steps, N, temps, M, temp_peak, overwrites, buffers};
+  return Schedule{name, steps, N, temps, M, temp_peak, false, buffers};
 }
 
 // The production Winograd schedule (every level of the default family).
@@ -419,13 +415,14 @@ inline constexpr Schedule kWinograd = make_schedule(
 // share one arena buffer, proved disjoint-liveness by the verifier.
 inline constexpr Schedule kWinogradLowMem = make_schedule(
     "winograd-lowmem", detail::kWinogradLowMemSteps, detail::kWinogradTemps,
-    2, false, detail::kWinogradLowMemBuffers);
+    2, detail::kWinogradLowMemBuffers);
 
-// The in-place schedule (ScheduleFamily::kInPlace, top level only):
-// overwrites the Morton A/B copies, one C-shaped temporary.
-inline constexpr Schedule kWinogradInPlace = make_schedule(
-    "winograd-inplace", detail::kWinogradInPlaceSteps,
-    detail::kWinogradInPlaceTemps, 1, /*overwrites=*/true);
+// Kreczmar's schedule (ScheduleFamily::kInPlace, every level): overwrites
+// the Morton A/B copies and declares no temporaries.
+inline constexpr Schedule kKreczmar{
+    "kreczmar", detail::kKreczmarSteps,
+    static_cast<int>(std::size(detail::kKreczmarSteps)), nullptr, 0, 0,
+    /*overwrites_inputs=*/true};
 
 // The parallel spawn level: one concurrent group of 7 products over 11
 // dedicated temporaries (core::detail::fork_recurse).
@@ -435,27 +432,20 @@ inline constexpr Schedule kWinogradSpawn =
 
 // All shipped schedules, for the verifier CLI and tests.
 inline constexpr const Schedule* kShippedSchedules[] = {
-    &kWinograd, &kWinogradLowMem, &kWinogradInPlace, &kWinogradSpawn};
+    &kWinograd, &kWinogradLowMem, &kKreczmar, &kWinogradSpawn};
 inline constexpr int kShippedScheduleCount = 4;
 
 // ---- table selection ------------------------------------------------------
 
-// The one rule mapping a family to the table a serial level runs, shared by
-// both execution strategies and by the workspace sizing: the low-memory
-// family runs the 2-buffer table, the in-place family its in-place table
-// (its sub-products then recurse with child_family), and the default family
-// kWinograd, on every kernel and at every level.  kAuto runs as kWinograd.
+// The one rule mapping a family to the table every serial level runs,
+// shared by both execution strategies and by the workspace sizing: the
+// low-memory family runs the 2-buffer table, the in-place family Kreczmar's
+// table, and the default family kWinograd, on every kernel.  kAuto runs as
+// kWinograd.
 constexpr const Schedule& level_schedule(ScheduleFamily f) {
   if (f == ScheduleFamily::kLowMem) return kWinogradLowMem;
-  if (f == ScheduleFamily::kInPlace) return kWinogradInPlace;
+  if (f == ScheduleFamily::kInPlace) return kKreczmar;
   return kWinograd;
-}
-
-// The family a level's seven sub-products recurse with: the in-place table
-// runs only at the top, because a child would clobber parent operands that
-// are still live.
-constexpr ScheduleFamily child_family(ScheduleFamily f) {
-  return f == ScheduleFamily::kInPlace ? ScheduleFamily::kLowMem : f;
 }
 
 }  // namespace strassen::analysis

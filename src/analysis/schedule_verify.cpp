@@ -26,12 +26,15 @@ static_assert(proves(kWinogradLowMem, 2, 7, 15) &&
                   temp_buffer_count(kWinogradLowMem) == 2,
               "shipped low-memory schedule must verify as 7 products + 15 "
               "additions in 2 arena buffers (Boyer-Dumas-Pernet-Zhou bound)");
-static_assert(proves(kWinogradInPlace, 1, 7, 15),
-              "shipped in-place schedule must verify as 7 products + 15 "
-              "additions with a single C-shaped temporary");
-static_assert(proves(kWinogradSpawn, 11, 7, 15),
+static_assert(products_consume(kKreczmar) && proves(kKreczmar, 0, 7, 15),
+              "shipped Kreczmar schedule must verify as 7 products + 15 "
+              "additions with no temporaries, each product consuming its "
+              "operands");
+static_assert(products_consume(kWinogradSpawn) &&
+                  proves(kWinogradSpawn, 11, 7, 15),
               "shipped spawn schedule must verify as one concurrent group of "
-              "7 products + 15 additions over 4 + 4 + 3 live temporaries");
+              "7 products + 15 additions over 4 + 4 + 3 live temporaries, "
+              "each product consuming its operands");
 
 std::string step_label(const Schedule& sched, int i) {
   std::ostringstream os;
@@ -74,19 +77,10 @@ SymState forward_diagnose(const Schedule& sched,
                           std::vector<std::string>& errors,
                           int last_writer[kOperandCount]) {
   SymState st = detail::initial_state();
+  const bool consume = products_consume(sched);
   for (int i = 0; i < kOperandCount; ++i) last_writer[i] = -1;
   for (int i = 0; i < sched.step_count; ++i) {
     const Step& s = sched.steps[i];
-    Operand bad = Operand::kNone;
-    const Violation shape_v = detail::step_shape_check(s, &bad);
-    if (shape_v != Violation::kNone) {
-      std::ostringstream os;
-      os << step_label(sched, i) << ": " << violation_name(shape_v)
-         << " on operand " << operand_name(bad) << " in '" << step_render(s)
-         << "'";
-      errors.push_back(os.str());
-      continue;  // malformed: cannot execute symbolically
-    }
     if (is_input(s.dst) && !sched.overwrites_inputs) {
       std::ostringstream os;
       os << step_label(sched, i) << ": writes input quadrant "
@@ -95,6 +89,17 @@ SymState forward_diagnose(const Schedule& sched,
             "overwrites_inputs";
       errors.push_back(os.str());
       continue;
+    }
+    Operand bad = Operand::kNone;
+    const Violation shape_v =
+        detail::step_shape_check(s, st, sched.overwrites_inputs, &bad);
+    if (shape_v != Violation::kNone) {
+      std::ostringstream os;
+      os << step_label(sched, i) << ": " << violation_name(shape_v)
+         << " on operand " << operand_name(bad) << " in '" << step_render(s)
+         << "'";
+      errors.push_back(os.str());
+      continue;  // malformed: cannot execute symbolically
     }
     const detail::ReadSet reads = detail::step_reads(s);
     if (is_product(s.kind)) {
@@ -120,8 +125,9 @@ SymState forward_diagnose(const Schedule& sched,
       if (!st.slot[static_cast<int>(op)].defined) {
         std::ostringstream os;
         os << step_label(sched, i) << ": reads " << operand_name(op)
-           << " before any step defined it ('" << step_render(s)
-           << "'); a reordering overwrote or delayed the value it expects";
+           << " while it holds no value ('" << step_render(s)
+           << "'); a reordering delayed the value it expects, or a product "
+              "consumed it";
         errors.push_back(os.str());
       }
     }
@@ -132,6 +138,7 @@ SymState forward_diagnose(const Schedule& sched,
       errors.push_back(os.str());
     }
     detail::sym_apply(s, st);
+    if (consume && is_product(s.kind)) detail::sym_consume(s, st);
     last_writer[static_cast<int>(s.dst)] = i;
   }
   return st;
@@ -184,8 +191,9 @@ VerifyResult verify_schedule(const Schedule& sched) {
       os << step_label(sched, gstep) << ": " << violation_name(gv) << " on "
          << operand_name(gop) << " in concurrent group member '"
          << step_render(sched.steps[gstep])
-         << "'; group members must be plain products with distinct "
-            "destinations that read nothing a sibling writes";
+         << "'; group members must be plain products that write (or "
+            "consume) nothing a sibling writes or consumes and read no "
+            "sibling's destination";
       out.errors.push_back(os.str());
     }
   }

@@ -8,12 +8,18 @@
 // coefficients, the checks are proofs, not spot tests:
 //
 //   1. well-formedness    every step's operands exist and have the shapes
-//                         its kind requires;
-//   2. write safety       no step writes an input quadrant; products never
-//                         alias their destination with a source;
+//                         its kind requires -- in a destructive table
+//                         (overwrites_inputs, square tiles) a slot's shape
+//                         is that of the value it holds: A-linear, B-linear
+//                         or bilinear;
+//   2. write safety       no step of a table not marked overwrites_inputs
+//                         writes an input quadrant; products never alias
+//                         their destination with a source;
 //   3. defined reads      no step reads a slot before it was written
 //                         (use-after-overwrite reorderings surface here or
-//                         as 4/5);
+//                         as 4/5).  Where products consume their operands
+//                         (products_consume), a product leaves both operand
+//                         slots undefined;
 //   4. no dead stores     every value written is read by a later step
 //                         before being overwritten, or is the final value
 //                         of a C quadrant -- a clobbered live value shows
@@ -25,11 +31,13 @@
 //                         schedule's declared bound;
 //   7. group safety       a concurrent product group (Step::concurrent) runs
 //                         in any order or at once: its members are plain
-//                         products with distinct destination storage, none
-//                         reads storage a sibling writes, and all of their
-//                         operands count as live at once in check 6.
-//                         Storage means the arena buffer for temporaries
-//                         (temp_buffer ids), the slot itself otherwise.
+//                         products, none writes storage a sibling writes --
+//                         a member's operands count as written, since it
+//                         may consume them -- or reads a sibling's
+//                         destination, and all of their operands count as
+//                         live at once in check 6.  Storage means the arena
+//                         buffer for temporaries (temp_buffer ids), the
+//                         slot itself otherwise.
 //
 // The core (verify_core) is constexpr and reports the FIRST violation with
 // its step index; schedule_verify.cpp static_asserts it over the shipped
@@ -60,11 +68,14 @@ struct Bilinear {
   constexpr bool operator==(const Bilinear&) const = default;
 };
 
-// One slot's symbolic value; `defined` gates every read.
+// One slot's symbolic value; `defined` gates every read.  `shape` is the
+// value's: kA / kB for a linear combination of A / B quadrants, kC for a
+// bilinear form.
 struct SymValue {
   bool defined = false;
-  Lin lin{};       // meaningful for A-/B-shaped slots
-  Bilinear bil{};  // meaningful for C-shaped slots
+  Shape shape = Shape::kNone;
+  Lin lin{};       // meaningful for A-/B-shaped values
+  Bilinear bil{};  // meaningful for C-shaped values
 };
 
 struct SymState {
@@ -83,6 +94,16 @@ constexpr Bilinear c_target(Operand c) {
     default: break;
   }
   return t;
+}
+
+// True when the table's products consume their operands, i.e. may run a
+// destructive child: a destructive table recurses with itself, and a
+// concurrent group (the spawn level) forks children of any family.
+constexpr bool products_consume(const Schedule& sched) {
+  if (sched.overwrites_inputs) return true;
+  for (int i = 0; i < sched.step_count; ++i)
+    if (sched.steps[i].concurrent) return true;
+  return false;
 }
 
 // ---- verification core ----------------------------------------------------
@@ -176,91 +197,83 @@ constexpr ReadSet step_reads(const Step& s) {
   return r;
 }
 
-// Structural check of one step: operand presence and shapes.  Returns the
-// violation (kNone when well-formed) and the offending operand.
-constexpr Violation step_shape_check(const Step& s, Operand* bad) {
+// Structural check of one step: operand presence and shapes.  An operand's
+// shape is its slot's, or -- in a destructive table (`by_value`) -- that of
+// the value the slot holds in `st`; an undefined value has no shape and is
+// left to the defined-reads check.  Returns the violation (kNone when
+// well-formed) and the offending operand.
+constexpr Violation step_shape_check(const Step& s, const SymState& st,
+                                     bool by_value, Operand* bad) {
   auto fail = [bad](Violation v, Operand op) {
     *bad = op;
     return v;
   };
-  if (s.dst == Operand::kNone) return fail(Violation::kBadOperand, s.dst);
-  const Shape ds = shape_of(s.dst);
-  switch (s.kind) {
-    case StepKind::kAdd:
-    case StepKind::kSub:
-      if (s.a0 == Operand::kNone) return fail(Violation::kBadOperand, s.a0);
-      if (s.a1 == Operand::kNone) return fail(Violation::kBadOperand, s.a1);
-      if (shape_of(s.a0) != ds) return fail(Violation::kShapeMismatch, s.a0);
-      if (shape_of(s.a1) != ds) return fail(Violation::kShapeMismatch, s.a1);
-      return Violation::kNone;
-    case StepKind::kAddInplace:
-    case StepKind::kSubInplace:
-      if (s.a0 == Operand::kNone) return fail(Violation::kBadOperand, s.a0);
-      if (shape_of(s.a0) != ds) return fail(Violation::kShapeMismatch, s.a0);
-      return Violation::kNone;
-    case StepKind::kMul:
-      if (ds != Shape::kC) return fail(Violation::kShapeMismatch, s.dst);
-      if (s.a0 == Operand::kNone) return fail(Violation::kBadOperand, s.a0);
-      if (s.b0 == Operand::kNone) return fail(Violation::kBadOperand, s.b0);
-      if (shape_of(s.a0) != Shape::kA)
-        return fail(Violation::kShapeMismatch, s.a0);
-      if (shape_of(s.b0) != Shape::kB)
-        return fail(Violation::kShapeMismatch, s.b0);
-      return Violation::kNone;
+  const bool binary = s.kind == StepKind::kAdd || s.kind == StepKind::kSub;
+  const Operand src[2] = {s.a0, binary               ? s.a1
+                                : is_product(s.kind) ? s.b0
+                                                     : s.a0};
+  for (const Operand op : {s.dst, src[0], src[1]})
+    if (op == Operand::kNone) return fail(Violation::kBadOperand, op);
+  auto shape = [&](Operand op) {
+    const SymValue& v = st.slot[static_cast<int>(op)];
+    return !by_value ? shape_of(op) : v.defined ? v.shape : Shape::kNone;
+  };
+  // What the sources must hold: A and B for a product, else one shape --
+  // the destination slot's, or in a destructive table the first defined
+  // source's.
+  Shape want[2] = {Shape::kA, Shape::kB};
+  if (is_product(s.kind) && !by_value && shape_of(s.dst) != Shape::kC)
+    return fail(Violation::kShapeMismatch, s.dst);
+  if (!is_product(s.kind)) {
+    const Shape held = shape(src[0]) != Shape::kNone ? shape(src[0])
+                                                     : shape(src[1]);
+    want[0] = want[1] = binary && by_value ? held : shape(s.dst);
   }
-  return Violation::kBadOperand;
+  for (int k = 0; k < 2; ++k) {
+    const Shape got = shape(src[k]);
+    if (got != want[k] && got != Shape::kNone && want[k] != Shape::kNone)
+      return fail(Violation::kShapeMismatch, src[k]);
+  }
+  return Violation::kNone;
 }
 
 // Executes one WELL-FORMED step on the symbolic state.  The caller has
 // already checked shapes and defined-ness; aliasing of element-wise steps is
 // handled naturally because sources are evaluated before the destination is
-// assigned.
+// assigned.  An undefined source contributes zero coefficients.
 constexpr void sym_apply(const Step& s, SymState& st) {
-  const int d = static_cast<int>(s.dst);
-  auto lin_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].lin; };
-  auto bil_of = [&st](Operand op) { return st.slot[static_cast<int>(op)].bil; };
-  const Shape ds = shape_of(s.dst);
-  switch (s.kind) {
-    case StepKind::kAdd:
-    case StepKind::kSub: {
-      const int sign = s.kind == StepKind::kAdd ? 1 : -1;
-      if (ds == Shape::kC) {
-        const Bilinear x = bil_of(s.a0), y = bil_of(s.a1);
-        Bilinear out{};
-        for (int i = 0; i < 4; ++i)
-          for (int j = 0; j < 4; ++j) out.c[i][j] = x.c[i][j] + sign * y.c[i][j];
-        st.slot[d].bil = out;
-      } else {
-        const Lin x = lin_of(s.a0), y = lin_of(s.a1);
-        Lin out{};
-        for (int i = 0; i < 4; ++i) out.c[i] = x.c[i] + sign * y.c[i];
-        st.slot[d].lin = out;
-      }
-      break;
+  auto at = [&st](Operand op) { return st.slot[static_cast<int>(op)]; };
+  SymValue out{};
+  if (is_product(s.kind)) {
+    const Lin a = at(s.a0).lin, b = at(s.b0).lin;
+    for (int i = 0; i < 4; ++i)
+      for (int j = 0; j < 4; ++j) out.bil.c[i][j] = a.c[i] * b.c[j];
+    out.shape = Shape::kC;
+  } else {
+    // dst = x +/- y, where an in-place step's x is dst's previous value.
+    // Both coefficient sets are combined; the value's shape says which
+    // one it uses.
+    const bool inplace = s.kind == StepKind::kAddInplace ||
+                         s.kind == StepKind::kSubInplace;
+    const SymValue x = at(inplace ? s.dst : s.a0);
+    const SymValue y = at(inplace ? s.a0 : s.a1);
+    const int sign =
+        s.kind == StepKind::kAdd || s.kind == StepKind::kAddInplace ? 1 : -1;
+    for (int i = 0; i < 4; ++i) {
+      out.lin.c[i] = x.lin.c[i] + sign * y.lin.c[i];
+      for (int j = 0; j < 4; ++j)
+        out.bil.c[i][j] = x.bil.c[i][j] + sign * y.bil.c[i][j];
     }
-    case StepKind::kAddInplace:
-    case StepKind::kSubInplace: {
-      const int sign = s.kind == StepKind::kAddInplace ? 1 : -1;
-      if (ds == Shape::kC) {
-        const Bilinear x = bil_of(s.a0);
-        for (int i = 0; i < 4; ++i)
-          for (int j = 0; j < 4; ++j) st.slot[d].bil.c[i][j] += sign * x.c[i][j];
-      } else {
-        const Lin x = lin_of(s.a0);
-        for (int i = 0; i < 4; ++i) st.slot[d].lin.c[i] += sign * x.c[i];
-      }
-      break;
-    }
-    case StepKind::kMul: {
-      const Lin a = lin_of(s.a0), b = lin_of(s.b0);
-      Bilinear out{};
-      for (int i = 0; i < 4; ++i)
-        for (int j = 0; j < 4; ++j) out.c[i][j] = a.c[i] * b.c[j];
-      st.slot[d].bil = out;
-      break;
-    }
+    out.shape = x.defined ? x.shape : y.defined ? y.shape : shape_of(s.dst);
   }
-  st.slot[d].defined = true;
+  out.defined = true;
+  st.slot[static_cast<int>(s.dst)] = out;
+}
+
+// A product that consumes its operands leaves both slots undefined.
+constexpr void sym_consume(const Step& s, SymState& st) {
+  st.slot[static_cast<int>(s.a0)] = SymValue{};
+  st.slot[static_cast<int>(s.b0)] = SymValue{};
 }
 
 // Initial symbolic state: inputs hold their own unit linear combination;
@@ -268,10 +281,12 @@ constexpr void sym_apply(const Step& s, SymState& st) {
 constexpr SymState initial_state() {
   SymState st{};
   for (int i = 0; i < 4; ++i) {
-    st.slot[static_cast<int>(Operand::kA11) + i].defined = true;
-    st.slot[static_cast<int>(Operand::kA11) + i].lin.c[i] = 1;
-    st.slot[static_cast<int>(Operand::kB11) + i].defined = true;
-    st.slot[static_cast<int>(Operand::kB11) + i].lin.c[i] = 1;
+    SymValue& a = st.slot[static_cast<int>(Operand::kA11) + i];
+    SymValue& b = st.slot[static_cast<int>(Operand::kB11) + i];
+    a.defined = b.defined = true;
+    a.shape = Shape::kA;
+    b.shape = Shape::kB;
+    a.lin.c[i] = b.lin.c[i] = 1;
   }
   return st;
 }
@@ -282,29 +297,33 @@ constexpr bool temp_declared(const Schedule& s, Operand op) {
   return false;
 }
 
+// Write safety (check 2, first half): the first step of a table not marked
+// overwrites_inputs that writes an input quadrant, or -1.  A property of
+// the table's structure, so it is checked before symbolic execution.
+// Misreads of a clobbered original in a destructive table surface as
+// undefined reads or product-identity failures.
+constexpr int first_input_write(const Schedule& sched) {
+  if (sched.overwrites_inputs) return -1;
+  for (int i = 0; i < sched.step_count; ++i)
+    if (is_input(sched.steps[i].dst)) return i;
+  return -1;
+}
+
 // Forward pass: structural checks + symbolic execution.  On violation,
 // fills `r` (step/operand) and returns false; otherwise `st` holds the final
 // symbolic state.
 constexpr bool sym_execute(const Schedule& sched, SymState& st, CoreResult& r) {
   st = initial_state();
+  const bool consume = products_consume(sched);
   for (int i = 0; i < sched.step_count; ++i) {
     const Step& s = sched.steps[i];
     r.step = i;
     Operand bad = Operand::kNone;
-    const Violation shape_v = step_shape_check(s, &bad);
+    const Violation shape_v =
+        step_shape_check(s, st, sched.overwrites_inputs, &bad);
     if (shape_v != Violation::kNone) {
       r.violation = shape_v;
       r.operand = bad;
-      return false;
-    }
-    // Tables marked overwrites_inputs may write A/B quadrant SLOTS: shape
-    // rules already confine such writes to element-wise steps (a product's
-    // destination must be C-shaped), so every one is an exact-alias
-    // vadd/vsub on an operand copy the caller staged.  Misreads of a
-    // clobbered original surface as a product-identity failure.
-    if (is_input(s.dst) && !sched.overwrites_inputs) {
-      r.violation = Violation::kWriteToInput;
-      r.operand = s.dst;
       return false;
     }
     const ReadSet reads = step_reads(s);
@@ -336,6 +355,7 @@ constexpr bool sym_execute(const Schedule& sched, SymState& st, CoreResult& r) {
       return false;
     }
     sym_apply(s, st);
+    if (consume && is_product(s.kind)) sym_consume(s, st);
   }
   r.step = -1;
   return true;
@@ -424,7 +444,8 @@ constexpr int storage_id(const Schedule& sched, Operand op) {
 }
 
 // Group safety (check 7): returns kNone, or the violation with the offending
-// member (`*step`) and the operand involved (`*op`).
+// member (`*step`) and the operand involved (`*op`).  A member writes its
+// destination and the two operands it may consume.
 constexpr Violation check_groups(const Schedule& sched, int* step,
                                  Operand* op) {
   for (int i = 0; i < sched.step_count; ++i) {
@@ -433,17 +454,25 @@ constexpr Violation check_groups(const Schedule& sched, int* step,
     *step = i;
     *op = s.dst;
     if (s.kind != StepKind::kMul) return Violation::kGroupNonProduct;
-    const ReadSet reads = step_reads(s);
+    const Operand writes[3] = {s.dst, s.a0, s.b0};
     for (int j = group_begin(sched, i);
          j < sched.step_count && sched.steps[j].concurrent; ++j) {
       if (j == i) continue;
-      const int w = storage_id(sched, sched.steps[j].dst);
-      if (j < i && w == storage_id(sched, s.dst))
-        return Violation::kGroupWriteConflict;
-      for (int k = 0; k < reads.count; ++k) {
-        if (storage_id(sched, reads.ops[k]) == w) {
-          *op = reads.ops[k];
+      const Step& t = sched.steps[j];
+      const int w = storage_id(sched, t.dst);
+      for (const Operand r : {s.a0, s.b0}) {
+        if (storage_id(sched, r) == w) {
+          *op = r;
           return Violation::kGroupReadConflict;
+        }
+      }
+      if (j > i) continue;  // each pair's writes are compared once
+      for (const Operand x : writes) {
+        for (const Operand y : {t.dst, t.a0, t.b0}) {
+          if (storage_id(sched, x) == storage_id(sched, y)) {
+            *op = x;
+            return Violation::kGroupWriteConflict;
+          }
         }
       }
     }
@@ -515,6 +544,12 @@ constexpr CoreResult verify_core(const Schedule& sched) {
   // touches, independent of (and more specific than) shape errors.
   r.violation = detail::check_groups(sched, &r.step, &r.operand);
   if (r.violation != Violation::kNone) return r;
+  r.step = detail::first_input_write(sched);
+  if (r.step >= 0) {
+    r.violation = Violation::kWriteToInput;
+    r.operand = sched.steps[r.step].dst;
+    return r;
+  }
   SymState st{};
   if (!detail::sym_execute(sched, st, r)) return r;
   {

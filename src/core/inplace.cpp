@@ -1,5 +1,8 @@
 #include "core/inplace.hpp"
 
+#include "common/check.hpp"
+#include "core/winograd.hpp"
+
 namespace strassen::core {
 
 void multiply_inplace(MortonMatrix& A, MortonMatrix& B, MortonMatrix& C) {
@@ -19,8 +22,10 @@ void multiply_inplace(MortonMatrix& A, MortonMatrix& B, MortonMatrix& C) {
                        lc.cols == lb.cols,
                    "shape mismatch");
   RawMem mm;
-  winograd_inplace_recurse(mm, C.data(), A.data(), B.data(), la.tile_rows,
-                           la.depth);
+  Arena none;
+  winograd_recurse(mm, C.data(), A.data(), B.data(), la.tile_rows,
+                   la.tile_rows, la.tile_rows, la.depth, none,
+                   analysis::ScheduleFamily::kInPlace);
 }
 
 }  // namespace strassen::core

@@ -5,106 +5,18 @@
 // is allowed to OVERWRITE its input arguments, and dismisses it for library
 // use ("we cannot assume that the input matrices can be overwritten").
 // For applications that CAN sacrifice their operands -- the matrices are
-// temporaries anyway, or memory is the binding constraint -- this module
-// provides that variant over the same Morton machinery: C = A.B with ZERO
-// workspace, destroying A and B.
-//
-// The schedule (derived for this library; validated exactly by the tests):
-// every quadrant of A, B and C serves as storage; each of the seven
-// recursive products destroys its two operands, which the ordering below
-// makes legal -- an operand's product is always its last use.  Writing
-// quadrants of one matrix into another requires all quadrants to share a
-// shape, so this variant is restricted to SQUARE tiles (tm == tk == tn);
-// square inputs always satisfy this.
-//
-//   step                         storage after the step
-//   c1 = T1 = B12 - B11
-//   c2 = T2 = B22 - T1
-//   c3 = T3 = B22 - B12          (B12 now dead)
-//   b2 = S3 = A11 - A21
-//   c4 = M7 = P(b2, c3)          destroys S3, T3 -> b2, c3 free
-//   c3 = S1 = A21 + A22          (A21 dead -> a3 free)
-//   a3 = S2 = S1 - A11
-//   b2 = M5 = P(c3, c1)          destroys S1, T1 -> c3, c1 free
-//   c1 = M1 = P(a1, b1)          destroys A11, B11 -> a1, b1 free
-//   c3 = S4 = A12 - S2
-//   a1 = -T4 = T2 - B21
-//   b1 = M6 = P(a3, c2)          destroys S2, T2 -> a3, c2 free
-//   a3 = M2 = P(a2, b3)          destroys A12, B21 -> a2, b3 free
-//   a2 = M3 = P(c3, b4)          destroys S4, B22 -> c3, b4 free
-//   b3 = M4 = P(a4, a1)          destroys A22, -T4 -> a4, a1 free
-//   c2 = U2 = M1 + M6
-//   c1 = C11 = M1 + M2           (final)
-//   c3 = U3 = U2 + M7
-//   c2 = U4 = U2 + M5
-//   c2 = C12 = U4 + M3           (final)
-//   c4 = C22 = U3 + M5           (final)
-//   c3 = C21 = U3 - M4           (final)
-//
-// (a1..a4, b1..b4, c1..c4 are the Morton quadrants of A, B, C; P() is the
-// recursive product, which applies the same schedule one level down.)
+// temporaries anyway, or memory is the binding constraint -- this entry
+// point runs that variant over the same Morton machinery: C = A.B with ZERO
+// workspace, destroying A and B.  The schedule is the verified table
+// analysis::kKreczmar, the one the in-place family (ScheduleFamily::kInPlace)
+// runs at every level; writing quadrants of one matrix into another
+// restricts it to SQUARE tiles (tm == tk == tn), which square inputs always
+// satisfy.
 #pragma once
 
-#include "blas/kernels.hpp"
-#include "blas/level1.hpp"
-#include "common/check.hpp"
-#include "common/memmodel.hpp"
 #include "core/morton_matrix.hpp"
 
 namespace strassen::core {
-
-// C = A.B over square-tiled Morton blocks of equal shape; A and B are
-// DESTROYED.  No workspace of any kind is allocated.
-template <class MM, class T>
-void winograd_inplace_recurse(MM& mm, T* C, T* A, T* B, int tile, int depth) {
-  if (depth == 0) {
-    blas::gemm_leaf(mm, tile, tile, tile, A, tile, B, tile, C, tile,
-                    blas::LeafMode::Overwrite);
-    return;
-  }
-  const int d1 = depth - 1;
-  const std::size_t q = static_cast<std::size_t>(tile) * tile
-                        << (2 * static_cast<std::size_t>(d1));
-  T* a1 = A;
-  T* a2 = A + q;
-  T* a3 = A + 2 * q;
-  T* a4 = A + 3 * q;
-  T* b1 = B;
-  T* b2 = B + q;
-  T* b3 = B + 2 * q;
-  T* b4 = B + 3 * q;
-  T* c1 = C;
-  T* c2 = C + q;
-  T* c3 = C + 2 * q;
-  T* c4 = C + 3 * q;
-
-  auto mul = [&](T* dst, T* x, T* y) {
-    winograd_inplace_recurse(mm, dst, x, y, tile, d1);
-  };
-
-  blas::vsub(mm, q, c1, b2, b1);  // T1
-  blas::vsub(mm, q, c2, b4, c1);  // T2
-  blas::vsub(mm, q, c3, b4, b2);  // T3
-  blas::vsub(mm, q, b2, a1, a3);  // S3
-  mul(c4, b2, c3);                // M7 (kills S3, T3)
-  blas::vadd(mm, q, c3, a3, a4);  // S1 (A21 dead)
-  blas::vsub(mm, q, a3, c3, a1);  // S2
-  mul(b2, c3, c1);                // M5 (kills S1, T1)
-  mul(c1, a1, b1);                // M1 (kills A11, B11)
-  blas::vsub(mm, q, c3, a2, a3);  // S4
-  blas::vsub(mm, q, a1, c2, b3);  // -T4 = T2 - B21
-  mul(b1, a3, c2);                // M6 (kills S2, T2)
-  mul(a3, a2, b3);                // M2 (kills A12, B21)
-  mul(a2, c3, b4);                // M3 (kills S4, B22)
-  mul(b3, a4, a1);                // M4 (kills A22, -T4)
-  blas::vadd(mm, q, c2, c1, b1);  // U2 = M1 + M6
-  blas::vadd_inplace(mm, q, c1, a3);  // final C11 = M1 + M2
-  blas::vadd(mm, q, c3, c2, c4);  // U3 = U2 + M7
-  blas::vadd_inplace(mm, q, c2, b2);  // U4 = U2 + M5
-  blas::vadd_inplace(mm, q, c2, a2);  // final C12 = U4 + M3
-  blas::vadd(mm, q, c4, c3, b2);  // final C22 = U3 + M5
-  blas::vsub_inplace(mm, q, c3, b3);  // final C21 = U3 - M4
-}
 
 // Destructive Morton-native multiply: C = A.B, consuming A and B.  Layouts
 // must be square-tiled, mutually compatible, and equal in shape.  Allocates

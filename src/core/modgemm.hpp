@@ -107,8 +107,10 @@ struct ModgemmOptions {
   // to the planner, which runs the seed-exact 3-temporary family and swaps
   // to the low-memory families only when max_workspace_bytes forces it
   // (recorded as FallbackReason::kScheduleSwap).  Pinning kLowMem/kInPlace
-  // runs that family unconditionally; pinning kWinograd disables the
-  // schedule-swap rung (the ladder then degrades by depth as before).
+  // runs that family unconditionally (kInPlace as kLowMem where Kreczmar's
+  // table cannot run, see detail::runnable_family); pinning kWinograd
+  // disables the schedule-swap rung (the ladder then degrades by depth as
+  // before).
   analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
   // Execution-strategy pin for this call (layout/plan.hpp).  kAuto (the
   // default) defers to the STRASSEN_STRATEGY environment override and then
@@ -250,20 +252,37 @@ inline void stamp_pool(ModgemmReport* report, const Fork& fork) {
   report->threads = fork.pool->thread_count();
 }
 
+// The family a Strassen plan runs when `family` is asked for: the one rule
+// of the in-place family.  Kreczmar's table destroys its operands and moves
+// values between the quadrants of A, B and C, so it runs only on the Morton
+// copies the library owns (pack-fused recurses on the caller's matrices)
+// and only with square tiles (tm == tk == tn).  Any other kInPlace plan
+// runs kLowMem.
+inline analysis::ScheduleFamily runnable_family(
+    const layout::GemmPlan& plan, analysis::ScheduleFamily family) {
+  const bool square =
+      plan.m.tile == plan.k.tile && plan.k.tile == plan.n.tile;
+  if (family == analysis::ScheduleFamily::kInPlace &&
+      (plan.strategy != layout::ExecStrategy::kMorton || !square))
+    return analysis::ScheduleFamily::kLowMem;
+  return family;
+}
+
 // Degrades a feasible plan until its workspace fits `budget` bytes (0 =
 // unlimited).  The ladder, from least to most severe:
 //   1. schedule swap -- keep the planned depth but run a lower-footprint
-//      schedule family (kLowMem saves ~1/3 of each level's temporaries,
-//      kInPlace additionally drops the top level to a single C-shaped
-//      buffer).  Recorded as kScheduleSwap.  Skipped when `resolved` pins a
-//      family (the pinned family was already priced in).
+//      schedule family (kLowMem saves ~1/3 of each level's temporaries;
+//      kInPlace needs no arena at all where runnable_family lets it run).
+//      Recorded as kScheduleSwap.  Skipped when `resolved` pins a family
+//      (the pinned family was already priced in).
 //   2. depth reduction -- re-plan at shallower recursion depths (each level
 //      removed drops that level's quadrant temporaries -- Boyer et al.'s
 //      space/depth trade), trying the family candidates at each depth.
 //      Recorded as kDepthReduced.
 //   3. direct -- no Strassen depth fits; the workspace-free conventional
 //      path.  Recorded as kBudgetDirect.
-// `resolved` != kAuto pins plan.schedule to that family throughout.
+// `resolved` != kAuto pins plan.schedule to that family throughout.  Every
+// candidate is priced with the family runnable_family gives it.
 inline layout::GemmPlan apply_workspace_budget(
     layout::GemmPlan plan, int m, int k, int n,
     const layout::TileOptions& tiles, std::size_t budget,
@@ -272,6 +291,7 @@ inline layout::GemmPlan apply_workspace_budget(
   using analysis::ScheduleFamily;
   if (resolved != ScheduleFamily::kAuto) plan.schedule = resolved;
   if (budget == 0 || plan.direct || !plan.feasible) return plan;
+  plan.schedule = runnable_family(plan, plan.schedule);
   if (modgemm_workspace_bytes(plan, elem_size) <= budget) return plan;
   // Family candidates in decreasing footprint order.  Pinned calls get only
   // the pinned family (already checked above at full depth -> only the depth
@@ -279,15 +299,14 @@ inline layout::GemmPlan apply_workspace_budget(
   const ScheduleFamily ladder[] = {ScheduleFamily::kWinograd,
                                    ScheduleFamily::kLowMem,
                                    ScheduleFamily::kInPlace};
-  const ScheduleFamily pinned[] = {plan.schedule};
-  const ScheduleFamily* fams = resolved == ScheduleFamily::kAuto ? ladder
-                                                                 : pinned;
+  const ScheduleFamily* fams =
+      resolved == ScheduleFamily::kAuto ? ladder : &resolved;
   const int nfams = resolved == ScheduleFamily::kAuto ? 3 : 1;
   // Rung 1: full planned depth, lower-footprint family.
   for (int f = 0; f < nfams; ++f) {
-    if (fams[f] == plan.schedule) continue;  // priced already
     layout::GemmPlan cand = plan;
-    cand.schedule = fams[f];
+    cand.schedule = runnable_family(cand, fams[f]);
+    if (cand.schedule == plan.schedule) continue;  // priced already
     if (modgemm_workspace_bytes(cand, elem_size) <= budget) {
       record_fallback(report, FallbackReason::kScheduleSwap);
       return cand;
@@ -307,7 +326,7 @@ inline layout::GemmPlan apply_workspace_budget(
       cand.k = dk;
       cand.n = dn;
       cand.feasible = true;
-      cand.schedule = fams[f];
+      cand.schedule = runnable_family(cand, fams[f]);
       if (modgemm_workspace_bytes(cand, elem_size) <= budget) {
         record_fallback(report, FallbackReason::kDepthReduced);
         return cand;
@@ -325,7 +344,8 @@ inline layout::GemmPlan apply_workspace_budget(
 
 // Plans one product (m, k, n >= 1) under a resolved config: the <m,k,n>
 // family (cfg.algo, or the choose_algo heuristic for kAuto), then for
-// <2,2,2> the tile plan, the workspace budget and the execution strategy.
+// <2,2,2> the tile plan, the workspace budget, the execution strategy and
+// the schedule family that strategy can run (runnable_family).
 // A family plan (plan.algo != k222) describes its partition grid and is
 // executed by run_family.  A family that cannot pay off degrades to <2,2,2>
 // up front, recorded as kAlgoFallback: its ceil-partitioned sub-products
@@ -359,6 +379,7 @@ layout::GemmPlan plan_product(int m, int k, int n, const ExecConfig& cfg,
   layout::GemmPlan plan = apply_workspace_budget(
       planned, m, k, n, tiles, budget, sizeof(T), report, cfg.schedule);
   plan.strategy = plan_exec_strategy(cfg.strategy, plan, m, k, n, tiles);
+  if (!plan.direct) plan.schedule = runnable_family(plan, plan.schedule);
   return plan;
 }
 
@@ -439,9 +460,10 @@ T* op_block(T* X, Op op, int ld, int r0, int c0) {
 // subtrees from the top, and the U-chain is the continuation this task runs
 // after the join.  Every level acquires an arena of its own (a task that
 // help-runs others while blocked in wait() never interleaves frames with
-// them).  Once `spawn` reaches 0 this is winograd_recurse, so the product is
-// bit-identical to the serial rung; `family` is child_family of the plan's,
-// since a subtree owns no operand copies for kInPlace to overwrite.
+// them).  Once `spawn` reaches 0 this is winograd_recurse in the plan's
+// `family`, so the product is bit-identical to the serial rung.  Below a
+// spawn level that includes Kreczmar's destructive table: the spawn table
+// never reads an operand after the product that consumes it (verified).
 template <class T>
 void fork_recurse(parallel::ThreadPool* pool, int spawn, T* C, const T* A,
                   const T* B, int tm, int tk, int tn, int depth,
@@ -549,8 +571,7 @@ std::size_t modgemm_morton(MM& mm, Op opa, Op opb, int m, int n, int k,
                      plan.depth, arena, plan.schedule);
   else
     fork_recurse(pool, spawn, Cm, Am, Bm, plan.m.tile, plan.k.tile,
-                 plan.n.tile, plan.depth,
-                 analysis::child_family(plan.schedule));
+                 plan.n.tile, plan.depth, plan.schedule);
   const double t_mul = t.seconds();
 
   t.restart();
@@ -635,27 +656,18 @@ void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
             opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
             report);
         stamp_product(report, plan, layout::ExecStrategy::kPackFused,
-                      analysis::child_family(plan.schedule), sizeof(T),
-                      peak);
+                      plan.schedule, sizeof(T), peak);
       } else {
-        // Standing in for a pack-fused plan, the Morton rung runs the family
-        // pack-fused runs, so the product stays bit-identical to the serial
-        // call.
-        layout::GemmPlan run = plan;
-        if (plan.strategy == layout::ExecStrategy::kPackFused)
-          run.schedule = analysis::child_family(plan.schedule);
-        const int spawn = fork == nullptr ? 0 : fork->levels(run);
+        const int spawn = fork == nullptr ? 0 : fork->levels(plan);
         if (fork != nullptr) {
           stamp_pool(report, *fork);
           if (report) report->spawn_levels = spawn;
         }
         const std::size_t peak = modgemm_morton(
-            mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, run,
+            mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
             fork == nullptr ? nullptr : fork->pool, spawn, report);
-        stamp_product(report, run, layout::ExecStrategy::kMorton,
-                      spawn == 0 ? run.schedule
-                                 : analysis::child_family(run.schedule),
-                      sizeof(T), peak, spawn);
+        stamp_product(report, plan, layout::ExecStrategy::kMorton,
+                      plan.schedule, sizeof(T), peak, spawn);
       }
       return;
     } catch (const std::bad_alloc&) {
@@ -907,6 +919,8 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
     plan.schedule = cfg.schedule;
   plan.strategy =
       detail::plan_exec_strategy(cfg.strategy, plan, m, k, n, opt.tiles);
+  if (!plan.direct)
+    plan.schedule = detail::runnable_family(plan, plan.schedule);
   detail::run_product(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C,
                       ldc, plan, cfg, opt.tiles, opt.max_workspace_bytes,
                       report);

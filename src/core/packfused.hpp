@@ -238,9 +238,8 @@ inline bool packfused_needs_c_scratch(const layout::GemmPlan& plan, int m,
   return beta_nonzero || m < plan.m.padded || n < plan.n.padded;
 }
 
-// Peak arena bytes one pack-fused product needs under `plan` (its family
-// mapped by analysis::child_family, as modgemm_packfused runs it): the
-// Morton strategy's recursion-temporary peak for the same tables, plus one
+// Peak arena bytes one pack-fused product needs under `plan`: the Morton
+// strategy's recursion-temporary peak for the same tables, plus one
 // leaf frame (live only inside a leaf's arena frame), plus -- when the
 // padding or beta requires it -- the padded C scratch the epilogue merges
 // into C.  Always at most
@@ -251,10 +250,10 @@ inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
                                              std::size_t elem_size,
                                              bool c_scratch) {
   if (plan.direct || !plan.feasible) return 0;
-  const analysis::ScheduleFamily fam = analysis::child_family(plan.schedule);
   auto r64 = [](std::size_t b) { return checked_add(b, 63) / 64 * 64; };
-  std::size_t total = winograd_workspace_bytes(
-      plan.m.tile, plan.k.tile, plan.n.tile, plan.depth, elem_size, fam);
+  std::size_t total =
+      winograd_workspace_bytes(plan.m.tile, plan.k.tile, plan.n.tile,
+                               plan.depth, elem_size, plan.schedule);
   const std::size_t tm = static_cast<std::size_t>(plan.m.tile);
   const std::size_t tk = static_cast<std::size_t>(plan.k.tile);
   const std::size_t tn = static_cast<std::size_t>(plan.n.tile);
@@ -298,10 +297,10 @@ std::size_t modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
                               const layout::GemmPlan& plan,
                               obs::GemmReport* report) {
   STRASSEN_ASSERT(plan.feasible && !plan.direct && plan.depth >= 1);
-  // The in-place table overwrites its A/B slots, which here would be the
-  // USER's matrices: run its top level as the low-memory table it recurses
-  // with (same products, closest verified schedule).
-  const analysis::ScheduleFamily family = analysis::child_family(plan.schedule);
+  // Kreczmar's table would destroy the CALLER's matrices here; the planner
+  // (detail::runnable_family) never gives a pack-fused plan kInPlace.
+  STRASSEN_REQUIRE(plan.schedule != analysis::ScheduleFamily::kInPlace,
+                   "pack-fused cannot run the in-place family");
   const bool c_scratch = packfused_needs_c_scratch(plan, m, n, beta != T{0});
   const std::size_t workspace_bytes =
       packfused_workspace_bytes(plan, sizeof(T), c_scratch);
@@ -324,7 +323,7 @@ std::size_t modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
   Storage st{{plan.m.tile, plan.k.tile, plan.n.tile}};
   core::detail::ScheduleInterpreter<Storage>::recurse(
       st, blas::PackSrc<T>{P, ldp, false, pm, pn}, av, bv, plan.depth, arena,
-      family);
+      plan.schedule);
   const double t_mul = t.seconds();
 
   // The alpha/beta merge -- the only work the Morton strategy's outbound

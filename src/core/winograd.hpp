@@ -16,9 +16,9 @@
 // The interpreter owns table selection (analysis::level_schedule), the
 // binding of quadrants and temporaries (core::push_temps), the step switch
 // and its read-only-slot checks, the concurrent-group callback and the
-// recursion into the child family.  What differs between execution
-// strategies is only the STORAGE of the operands, a policy class (deriving
-// LeafTiles for the tile extents) that supplies:
+// recursion, whose every level runs the same family.  What differs between
+// execution strategies is only the STORAGE of the operands, a policy class
+// (deriving LeafTiles for the tile extents) that supplies:
 //
 //   Elem                         the element type;
 //   Ref                          an operand handle;
@@ -138,7 +138,7 @@ class ScheduleInterpreter {
 
   // C = A . B for operands with `depth` levels below them: a leaf product
   // at depth 0, else one level running the family's table (see
-  // winograd_recurse) whose products recurse with child_family(family).
+  // winograd_recurse) whose products recurse with the same family.
   static void recurse(S& st, const Ref& C, const Ref& A, const Ref& B,
                       int depth, Arena& arena,
                       analysis::ScheduleFamily family) {
@@ -148,15 +148,16 @@ class ScheduleInterpreter {
     }
     Arena::Frame frame(arena);
     ScheduleInterpreter level(st, analysis::level_schedule(family), C, A, B,
-                              depth - 1, arena,
-                              analysis::child_family(family));
+                              depth - 1, arena, family);
     level.run();
   }
 
   // Binds the quadrants of C, A and B (operands of depth d1 + 1) and pushes
   // `sched`'s temporaries onto `arena` (the caller owns the frame).  A table
-  // that overwrites_inputs writes A's and B's quadrants: the caller must
-  // pass operand copies it owns.  Sub-products recurse with `family`.
+  // that overwrites_inputs writes A's and B's quadrants and moves values
+  // between quadrants of different matrices: it needs square tiles, and the
+  // caller must pass operand copies it owns.  Sub-products recurse with
+  // `family`.
   ScheduleInterpreter(S& st, const analysis::Schedule& sched, const Ref& C,
                       const Ref& A, const Ref& B, int d1, Arena& arena,
                       analysis::ScheduleFamily family)
@@ -167,6 +168,10 @@ class ScheduleInterpreter {
         family_(family) {
     using analysis::Operand;
     using analysis::Shape;
+    STRASSEN_REQUIRE(!sched.overwrites_inputs ||
+                         (st.tm == st.tk && st.tk == st.tn),
+                     "schedule " << sched.name << " needs square tiles, got "
+                                 << st.tm << "x" << st.tk << "x" << st.tn);
     // Quadrants in memory order NW, NE, SW, SE == 11, 12, 21, 22.
     for (int q = 0; q < 4; ++q) {
       bind(idx(Operand::kA11) + q, st.quadrant(A, Shape::kA, q, d1),
@@ -272,11 +277,11 @@ class ScheduleInterpreter {
 //   B: (tk<<depth) x (tn<<depth), leaf tiles tk x tn
 //   C: (tm<<depth) x (tn<<depth), leaf tiles tm x tn
 // `arena` must have winograd_workspace_bytes(tm, tk, tn, depth, ..., family)
-// available.  The top level runs analysis::level_schedule(family), deeper
-// levels level_schedule(child_family(family)).  kWinograd is the seed-exact
-// default (3 temporaries), kLowMem the 2-buffer BDPZ table.  kInPlace runs its in-place
-// table at the top, which overwrites A and B: they must be operand copies
-// the caller owns (the Morton staging buffers of core/modgemm.hpp).
+// available.  Every level runs analysis::level_schedule(family): kWinograd
+// is the seed-exact default (3 temporaries), kLowMem the 2-buffer BDPZ
+// table, and kInPlace Kreczmar's table (no temporaries, square tiles only),
+// which destroys A and B: they must be operand copies the caller owns (the
+// Morton staging buffers of core/modgemm.hpp).
 template <class MM, class T>
 void winograd_recurse(
     MM& mm, T* C, const T* A, const T* B, int tm, int tk, int tn, int depth,

@@ -27,12 +27,10 @@ std::size_t winograd_workspace_bytes(int tm, int tk, int tn, int depth,
                                                 << " tn=" << tn
                                                 << " depth=" << depth);
   std::size_t total = 0;
-  for (int d1 = depth - 1; d1 >= 0; --d1) {
+  for (int d1 = depth - 1; d1 >= 0; --d1)
     total = checked_add(total,
                         level_temp_bytes(analysis::level_schedule(family), tm,
                                          tk, tn, d1, elem_size));
-    family = analysis::child_family(family);
-  }
   return total;
 }
 

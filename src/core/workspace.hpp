@@ -13,7 +13,7 @@
 //
 //   kWinograd        qa + qb + qc                 (the paper's bound)
 //   kLowMem          max(qa, qc) + qb             (tS/tP share)
-//   kInPlace (top)   qc   (operand sums overwrite the Morton A/B copies)
+//   kInPlace         0    (Kreczmar: the Morton A/B/C quadrants hold all)
 //   spawn level      4 qa + 4 qb + 3 qc           (core/modgemm.hpp)
 #pragma once
 

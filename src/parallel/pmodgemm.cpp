@@ -54,14 +54,13 @@ std::size_t pmodgemm_workspace_bytes(int tm, int tk, int tn, int depth,
     return core::winograd_workspace_bytes(tm, tk, tn, depth, elem_size,
                                           family);
   // All 7 child arenas can be live at once.  A spawn level's own
-  // temporaries are family-independent; its subtrees run kInPlace as kLowMem
-  // (they own no operand copies to overwrite).
+  // temporaries are family-independent.
   return checked_add(
       core::level_temp_bytes(analysis::kWinogradSpawn, tm, tk, tn, depth - 1,
                              elem_size),
-      checked_mul(7, pmodgemm_workspace_bytes(
-                         tm, tk, tn, depth - 1, spawn_levels - 1, elem_size,
-                         analysis::child_family(family))));
+      checked_mul(7, pmodgemm_workspace_bytes(tm, tk, tn, depth - 1,
+                                              spawn_levels - 1, elem_size,
+                                              family)));
 }
 
 void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,

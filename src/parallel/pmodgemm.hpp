@@ -78,9 +78,9 @@ struct ParallelOptions {
   // (analysis/schedule.hpp): kAuto defers to STRASSEN_SCHEDULE, then the
   // default 3-temporary family.  Spawn levels always keep their 11 dedicated
   // temporaries (the space-for-parallelism trade is the point of forking);
-  // the low-memory families shrink each task's serial arena.  kInPlace runs
-  // in place when nothing forks (spawn depth 0 or no pool), and as kLowMem
-  // in forked subtrees -- they own no throwaway operand copies to overwrite.
+  // the low-memory families shrink each task's serial arena, down to none
+  // for kInPlace on square Morton plans (elsewhere it runs as kLowMem, as in
+  // core::modgemm).
   analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
   // <m,k,n> algorithm-family pin (analysis/algo_family.hpp), mirroring
   // ModgemmOptions::algo: kAuto defers to STRASSEN_ALGO and then the planner
@@ -111,17 +111,17 @@ int fork_levels(const ThreadPool* pool, int tm, int tk, int tn, int depth,
 // internal) -- the sum of every arena the call acquires, so the Morton
 // buffers plus this equal GemmReport::workspace_requested_bytes.  Takes an
 // explicit spawn_levels >= 0; for the auto policy, pass fork_levels() (also
-// reported in GemmReport::spawn_levels).  `family` sizes the serial arenas
-// as they run: in place at spawn_levels 0, child_family below a spawn level
-// (spawn levels are family-independent: kWinogradSpawn's 11 temporaries).
+// reported in GemmReport::spawn_levels).  `family` is the plan's executed
+// family (GemmReport::schedule) and sizes the serial arenas below the spawn
+// levels, which are family-independent (kWinogradSpawn's 11 temporaries).
 std::size_t pmodgemm_workspace_bytes(
     int tm, int tk, int tn, int depth, int spawn_levels, std::size_t elem_size,
     analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd);
 
 // C <- alpha * op(A).op(B) + beta * C, using `pool` for parallelism.
 // pool == nullptr is core::modgemm (same plan, strategy and report fields).
-// Bit-for-bit identical to core::modgemm for every input (except that a
-// forked in-place product runs its subtrees as low-memory).  Arguments are
+// Bit-for-bit identical to core::modgemm for every input and every schedule
+// family.  Arguments are
 // validated exactly like the serial entry point (same STRASSEN_REQUIRE
 // checks and messages); if an allocation fails mid-call -- a buffer or an
 // arena inside a task, whose exception surfaces at TaskGroup::wait() -- the

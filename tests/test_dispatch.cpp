@@ -133,9 +133,6 @@ TEST_P(DispatchAlike, EntryPointsAgree) {
   EXPECT_EQ(std::memcmp(Cs.data(), Cb.data(), bytes), 0);
 
   // The pooled leg.
-  if (core::resolve_config({schedule, layout::ExecStrategy::kAuto, algo})
-          .schedule == ScheduleFamily::kInPlace)
-    return;  // forked subtrees run the in-place family as low-memory
   parallel::ThreadPool pool(2);
   obs::GemmReport pooled;
   popt.report = &pooled;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -342,18 +343,14 @@ TEST(ObsEnvSink, AppendsOneJsonlLinePerCall) {
 // Parallel driver.
 // ---------------------------------------------------------------------------
 
-// The pooled result against the serial one for an n x n x n product:
-// bit-identical, except under the in-place family (STRASSEN_SCHEDULE),
-// whose table a forked top level replaces with kWinogradSpawn; that family
-// is held to the numerics suite's norm-wise bound (tests/test_numerics.cpp).
+// The pooled result against the serial one for an n x n x n product: bit
+// identical under every schedule family (STRASSEN_SCHEDULE).
 void expect_matches_serial(const Matrix<double>& serial,
-                           const Matrix<double>& pooled, int n) {
-  const double diff = max_abs_diff<double>(serial.view(), pooled.view());
-  if (core::resolve_config({}).schedule ==
-      analysis::ScheduleFamily::kInPlace)
-    EXPECT_LT(diff, 1e-16 * 3.0 * n * 64.0);
-  else
-    EXPECT_EQ(diff, 0.0);
+                           const Matrix<double>& pooled) {
+  ASSERT_EQ(serial.storage().size(), pooled.storage().size());
+  EXPECT_EQ(std::memcmp(serial.data(), pooled.data(),
+                        serial.storage().size() * sizeof(double)),
+            0);
 }
 
 TEST(ObsParallel, PmodgemmFillsParallelSection) {
@@ -380,7 +377,7 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
                      p.C.data(), p.C.ld(), popt);
 
   // Observability must not perturb the bit-exactness contract.
-  expect_matches_serial(Cserial, p.C, n);
+  expect_matches_serial(Cserial, p.C);
 
   EXPECT_STREQ(report.entry, "pmodgemm");
   EXPECT_STREQ(report.strategy, "morton");
@@ -430,7 +427,7 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
   parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
                      p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
                      p.C.data(), p.C.ld(), popt);
-  expect_matches_serial(Cserial, p.C, n);
+  expect_matches_serial(Cserial, p.C);
 
   // The report carries the full plan depth, and the task count covers the
   // whole spawn tree: sum_{l=1..d} 7^l product tasks.
@@ -453,7 +450,7 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
   parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
                      p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
                      p.C.data(), p.C.ld(), popt);
-  expect_matches_serial(Cserial, p.C, n);
+  expect_matches_serial(Cserial, p.C);
   const layout::GemmPlan& plan = auto_report.plan;
   EXPECT_EQ(auto_report.spawn_levels,
             parallel::fork_levels(&pool, plan.m.tile, plan.k.tile,

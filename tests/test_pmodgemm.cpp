@@ -3,13 +3,13 @@
 // The central property: pmodgemm performs the SAME floating-point operations
 // as the serial core::modgemm (the spawn-level combination is commutatively
 // identical and the sub-recursions are the serial code), so results must be
-// BIT-IDENTICAL for every thread count and spawn depth -- on real data, not
-// just integers.  The one exception is the in-place schedule family (see
-// expect_matches_serial).
+// BIT-IDENTICAL for every thread count, spawn depth and schedule family --
+// on real data, not just integers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -25,19 +25,14 @@
 namespace strassen::parallel {
 namespace {
 
-// Pooled result against the serial one for an n x n x n product.  The
-// in-place family runs its table only at an unforked top level: a forked
-// top level runs kWinogradSpawn instead, so under that family (pinned by
-// STRASSEN_SCHEDULE) the two are held to the numerics suite's norm-wise
-// bound (tests/test_numerics.cpp) rather than to bit identity.
+// Pooled result against the serial one for an n x n x n product: bit
+// identical under every schedule family (STRASSEN_SCHEDULE).
 void expect_matches_serial(const Matrix<double>& serial,
-                           const Matrix<double>& pooled, int n) {
-  const double diff = max_abs_diff<double>(serial.view(), pooled.view());
-  if (core::resolve_config({}).schedule ==
-      analysis::ScheduleFamily::kInPlace)
-    EXPECT_LT(diff, 1e-16 * 3.0 * n * 64.0);
-  else
-    EXPECT_EQ(diff, 0.0);
+                           const Matrix<double>& pooled) {
+  ASSERT_EQ(serial.storage().size(), pooled.storage().size());
+  EXPECT_EQ(std::memcmp(serial.data(), pooled.data(),
+                        serial.storage().size() * sizeof(double)),
+            0);
 }
 
 using Param = std::tuple<int, int, int>;  // n, threads, spawn_levels
@@ -57,7 +52,7 @@ TEST_P(Pmodgemm, BitIdenticalToSerial) {
   opt.spawn_levels = spawn;
   pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
            B.data(), n, 0.0, Cp.data(), n, opt);
-  expect_matches_serial(Cs, Cp, n);
+  expect_matches_serial(Cs, Cp);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,7 +78,7 @@ TEST(PmodgemmDeepSpawn, ForkingEveryLevelStaysBitIdentical) {
   ASSERT_GE(opt.spawn_levels, 2);
   pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
            B.data(), n, 0.0, Cp.data(), n, opt);
-  expect_matches_serial(Cs, Cp, n);
+  expect_matches_serial(Cs, Cp);
 }
 
 TEST(PmodgemmDeepSpawn, RejectsInvalidPolicyValues) {
@@ -379,10 +374,78 @@ TEST(PmodgemmWorkspace, SpawnLevelsGrowTheFootprint) {
   EXPECT_LT(one, two);
 }
 
+// Kreczmar's table declares no temporaries: under kInPlace a product's
+// arenas hold its spawn levels' temporaries alone.
+TEST(PmodgemmWorkspace, InPlaceFamilyNeedsOnlySpawnTemporaries) {
+  const auto inplace = [](int spawn) {
+    return pmodgemm_workspace_bytes(64, 64, 64, 4, spawn, 8,
+                                    analysis::ScheduleFamily::kInPlace);
+  };
+  const auto spawn_level = [](int d1) {
+    return core::level_temp_bytes(analysis::kWinogradSpawn, 64, 64, 64, d1,
+                                  8);
+  };
+  EXPECT_EQ(inplace(0), 0u);
+  EXPECT_EQ(inplace(1), spawn_level(3));
+  EXPECT_EQ(inplace(2), spawn_level(3) + 7 * spawn_level(2));
+}
+
+// A serial Morton product pinned to kInPlace on a square plan requests the
+// three Morton buffers and no arena byte beyond them, and matches the
+// default family bit for bit.
+TEST(PmodgemmWorkspace, SerialInPlaceRequestsOnlyTheMortonBuffers) {
+  for (const int n : {512, 1024}) {
+    SCOPED_TRACE(n);
+    Rng rng(static_cast<std::uint64_t>(n) + 5);
+    Matrix<double> A(n, n), B(n, n), C(n, n), Cdef(n, n);
+    rng.fill_uniform(A.storage());
+    rng.fill_uniform(B.storage());
+    core::ModgemmOptions opt;
+    opt.strategy = layout::ExecStrategy::kMorton;
+    opt.algo = analysis::AlgoFamily::k222;
+    opt.schedule = analysis::ScheduleFamily::kWinograd;
+    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                  B.data(), n, 0.0, Cdef.data(), n, opt);
+    opt.schedule = analysis::ScheduleFamily::kInPlace;
+    obs::GemmReport report;
+    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                  B.data(), n, 0.0, C.data(), n, opt, &report);
+    ASSERT_TRUE(report.plan.feasible && !report.plan.direct);
+    EXPECT_STREQ(report.schedule, "winograd-inplace");
+    EXPECT_EQ(report.workspace_requested_bytes,
+              core::modgemm_conversion_bytes(report.plan, sizeof(double)));
+    EXPECT_EQ(std::memcmp(C.data(), Cdef.data(),
+                          C.storage().size() * sizeof(double)),
+              0);
+  }
+}
+
+// Kreczmar's table needs square tiles; a non-square plan pinned to
+// kInPlace runs, and reports, the low-memory family.
+TEST(PmodgemmWorkspace, NonSquareInPlacePlanRunsLowMem) {
+  const int m = 512, k = 384, n = 512;
+  Rng rng(31);
+  Matrix<double> A(m, k), B(k, n), C(m, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  core::ModgemmOptions opt;
+  opt.strategy = layout::ExecStrategy::kMorton;
+  opt.algo = analysis::AlgoFamily::k222;
+  opt.schedule = analysis::ScheduleFamily::kInPlace;
+  obs::GemmReport report;
+  core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m,
+                B.data(), k, 0.0, C.data(), m, opt, &report);
+  ASSERT_TRUE(report.plan.feasible && !report.plan.direct);
+  ASSERT_NE(report.plan.m.tile, report.plan.k.tile);
+  EXPECT_STREQ(report.schedule, "winograd-lowmem");
+  EXPECT_EQ(report.workspace_requested_bytes,
+            core::modgemm_workspace_bytes(report.plan, sizeof(double)));
+}
+
 // The public sizing is the arithmetic of what runs: the three Morton
-// buffers plus pmodgemm_workspace_bytes at the reported spawn depth equal
-// every byte the call requested, for auto and explicit spawn depths and for
-// both serial families below the cutoff.
+// buffers plus pmodgemm_workspace_bytes at the reported spawn depth and
+// executed family equal every byte the call requested, for auto and
+// explicit spawn depths and for every serial family below the cutoff.
 using SizingParam = std::tuple<int, int, analysis::ScheduleFamily>;
 class PmodgemmSizing : public ::testing::TestWithParam<SizingParam> {};
 
@@ -407,6 +470,9 @@ TEST_P(PmodgemmSizing, WorkspaceBytesMatchExecution) {
   if (spawn != kSpawnAuto) {
     EXPECT_EQ(report.spawn_levels, spawn);
   }
+  if (family != analysis::ScheduleFamily::kInPlace) {
+    EXPECT_EQ(plan.schedule, family);
+  }
   std::size_t morton = 0;
   for (const layout::MortonLayout& l :
        {layout::MortonLayout{n, n, plan.m.tile, plan.k.tile, plan.depth},
@@ -415,7 +481,8 @@ TEST_P(PmodgemmSizing, WorkspaceBytesMatchExecution) {
     morton += layout::buffer_bytes(l, sizeof(double));
   EXPECT_EQ(morton + pmodgemm_workspace_bytes(plan.m.tile, plan.k.tile,
                                               plan.n.tile, plan.depth,
-                                              report.spawn_levels, 8, family),
+                                              report.spawn_levels, 8,
+                                              plan.schedule),
             report.workspace_requested_bytes)
       << "n=" << n << " spawn=" << spawn << " depth=" << plan.depth
       << " spawn_levels=" << report.spawn_levels;
@@ -426,7 +493,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(256, 260, 1025),
                        ::testing::Values(kSpawnAuto, 0, 1, 2),
                        ::testing::Values(analysis::ScheduleFamily::kWinograd,
-                                         analysis::ScheduleFamily::kLowMem)));
+                                         analysis::ScheduleFamily::kLowMem,
+                                         analysis::ScheduleFamily::kInPlace)));
 
 // The auto fork depth follows pool width: the fewest levels L with
 // 7^L >= 8 * (workers + 1), never past a level whose children fall below

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -232,32 +233,31 @@ TEST(ScheduleVerifyFamily, ShippedLowMemTableVerifies) {
 }
 
 TEST(ScheduleVerifyFamily, ShippedInPlaceTableVerifies) {
-  const VerifyResult r = verify_schedule(kWinogradInPlace);
+  // Kreczmar's table: no temporaries, every product consuming its operands.
+  const VerifyResult r = verify_schedule(kKreczmar);
   EXPECT_TRUE(r.ok) << joined(r.errors);
-  EXPECT_EQ(r.temp_peak, 1);
+  EXPECT_EQ(r.temp_peak, 0);
   EXPECT_EQ(r.products, 7);
   EXPECT_EQ(r.linear_ops, 15);
+  EXPECT_TRUE(products_consume(kKreczmar));
 }
 
 TEST(ScheduleVerifyFamily, ConstexprCoreProvesFamilyTables) {
   static_assert(verify_core(kWinogradLowMem).violation == Violation::kNone);
-  static_assert(verify_core(kWinogradInPlace).violation == Violation::kNone);
+  static_assert(verify_core(kKreczmar).violation == Violation::kNone);
 }
 
 TEST(ScheduleVerifyNegative, InPlaceReadAfterClobberRejected) {
-  // Move S3 (A11 <- A22 - S2, step 11) before P4 (step 8, which still needs
-  // A11 to hold S2): the in-place family's whole safety argument is step
-  // ordering around the quadrant clobbers, and the verifier must see the
-  // products that now read the wrong value.  C11 = P1 + P2 is formed before
-  // the clobbers and stays correct; C12 (via P4 and P6) is the first
-  // quadrant whose identity breaks.
-  TestSchedule t(kWinogradInPlace);
-  ASSERT_STREQ(t.steps[11].note, "S3");
-  ASSERT_STREQ(t.steps[8].note, "P4");
-  const Step s3 = t.steps[11];
-  t.steps.erase(t.steps.begin() + 11);
-  t.steps.insert(t.steps.begin() + 8, s3);
-  t.refresh();
+  // Move U1 (C11 += P2, step 16) before U2 (C12 = C11 + P4, step 15, which
+  // still needs C11 to hold P1): the in-place family's whole safety
+  // argument is step ordering around the quadrant clobbers, and the
+  // verifier must see the sums that now read the wrong value.  C11 = P1 +
+  // P2 stays correct; C12 (via U2) is the first quadrant whose identity
+  // breaks.
+  TestSchedule t(kKreczmar);
+  ASSERT_STREQ(t.steps[16].note, "U1");
+  ASSERT_STREQ(t.steps[15].note, "U2");
+  std::swap(t.steps[15], t.steps[16]);
   const VerifyResult r = verify_schedule(t.sched);
   EXPECT_FALSE(r.ok);
   EXPECT_TRUE(any_error_contains(r.errors, "C12")) << joined(r.errors);
@@ -268,16 +268,35 @@ TEST(ScheduleVerifyNegative, InPlaceReadAfterClobberRejected) {
 
 TEST(ScheduleVerifyNegative, InPlaceTableWithoutFlagRejected) {
   // The same steps without the overwrites_inputs declaration: the first
-  // quadrant clobber (S1 into A21, step 3) is a write-to-input violation.
-  TestSchedule t(kWinogradInPlace);
+  // quadrant clobber (S3 into B12, step 3) is a write-to-input violation.
+  TestSchedule t(kKreczmar);
   t.sched.overwrites_inputs = false;
   const VerifyResult r = verify_schedule(t.sched);
   EXPECT_FALSE(r.ok);
-  EXPECT_TRUE(any_error_contains(r.errors, "A21")) << joined(r.errors);
+  EXPECT_TRUE(any_error_contains(r.errors, "writes input quadrant B12"))
+      << joined(r.errors);
   const CoreResult c = verify_core(t.sched);
   EXPECT_EQ(c.violation, Violation::kWriteToInput);
   EXPECT_EQ(c.step, 3);
-  EXPECT_EQ(c.operand, A21);
+  EXPECT_EQ(c.operand, Op::kB12);
+}
+
+TEST(ScheduleVerifyNegative, InPlaceReadAfterConsumeRejected) {
+  // Move S2 (A21 <- C21 - A11, step 6) after P3 (step 7), whose recursive
+  // product consumes C21 (S1) and C11 (T1).  The sum is still algebraically
+  // right, but C21 no longer holds a value when S2 reads it.
+  TestSchedule t(kKreczmar);
+  ASSERT_STREQ(t.steps[6].note, "S2");
+  ASSERT_STREQ(t.steps[7].note, "P3");
+  std::swap(t.steps[6], t.steps[7]);
+  const VerifyResult r = verify_schedule(t.sched);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(any_error_contains(r.errors, "step 7 (S2): reads C21"))
+      << joined(r.errors);
+  const CoreResult c = verify_core(t.sched);
+  EXPECT_EQ(c.violation, Violation::kReadUndefined);
+  EXPECT_EQ(c.step, 7);
+  EXPECT_EQ(c.operand, Op::kC21);
 }
 
 TEST(ScheduleVerifyNegative, SharedBufferOverlapRejected) {
@@ -386,6 +405,22 @@ TEST(ScheduleVerifyNegative, SpawnMemberReadingSharedBufferRejected) {
   EXPECT_EQ(c.step, 10);
   EXPECT_EQ(c.operand, Op::kTS3);
   EXPECT_FALSE(verify_schedule(t.sched).ok);
+}
+
+TEST(ScheduleVerifyNegative, SpawnMembersSharingAnOperandRejected) {
+  // P3 reading S2, which its sibling P4 also reads: a member's product may
+  // consume its operands, so two members sharing one is a write conflict
+  // whatever the order the executor picks.
+  TestSchedule t(kWinogradSpawn);
+  ASSERT_STREQ(t.steps[12].note, "P3");
+  ASSERT_STREQ(t.steps[13].note, "P4");
+  t.steps[12].a0 = t.steps[13].a0;
+  const CoreResult c = verify_core(t.sched);
+  EXPECT_EQ(c.violation, Violation::kGroupWriteConflict);
+  EXPECT_EQ(c.step, 13);
+  EXPECT_EQ(c.operand, Op::kTS1);
+  EXPECT_TRUE(any_error_contains(verify_schedule(t.sched).errors,
+                                 "group-write-conflict on tS'"));
 }
 
 TEST(ScheduleVerifyNegative, ElementwiseStepInGroupRejected) {
@@ -544,12 +579,23 @@ void expect_family_exact(int tm, int tk, int tn, int depth,
       ASSERT_EQ(C[i], Cref[i]) << "lowmem differs at " << i;
   }
   {
-    // kInPlace: the top level destroys the operand copies it is given.
+    // kInPlace: Kreczmar's table at every level destroys the operand copies
+    // it is given, and needs square tiles.
     std::vector<double> C(Cref.size(), -1.0), Ac = Am, Bc = Bm;
     Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
                                          ScheduleFamily::kInPlace));
-    winograd_recurse(mm, C.data(), Ac.data(), Bc.data(), tm, tk, tn, depth,
-                     arena, ScheduleFamily::kInPlace);
+    auto run = [&] {
+      winograd_recurse(mm, C.data(), Ac.data(), Bc.data(), tm, tk, tn, depth,
+                       arena, ScheduleFamily::kInPlace);
+    };
+    if (tm != tk || tk != tn) {
+      EXPECT_THROW(run(), std::invalid_argument);
+      return;
+    }
+    EXPECT_EQ(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
+                                       ScheduleFamily::kInPlace),
+              0u);
+    run();
     for (std::size_t i = 0; i < C.size(); ++i)
       ASSERT_EQ(C[i], Cref[i]) << "inplace differs at " << i;
   }
@@ -559,6 +605,7 @@ TEST(ScheduleFamilies, FamilyEntryPointsExactOnIntegers) {
   expect_family_exact(4, 4, 4, 1, 41);
   expect_family_exact(3, 5, 7, 2, 42);
   expect_family_exact(8, 6, 4, 3, 43);
+  expect_family_exact(6, 6, 6, 3, 44);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@ int main() {
     if (temp_buffer_count(sched) < sched.temp_count)
       attrs += " shared-buffers=" + std::to_string(temp_buffer_count(sched));
     if (sched.overwrites_inputs) attrs += " overwrites-inputs";
+    if (products_consume(sched)) attrs += " consumes-operands";
     int grouped = 0;
     for (int k = 0; k < sched.step_count; ++k)
       grouped += sched.steps[k].concurrent ? 1 : 0;
