@@ -3,11 +3,14 @@
 // The Morton execution strategy stages op(A), op(B) into zero-padded Morton
 // buffers so every recursion operand is a contiguous tile.  The pack-fused
 // strategy (core/packfused.hpp) instead runs the Winograd schedule straight
-// from the caller's column-major storage; wherever a leaf product needs an
-// operand the kernels cannot consume in place -- a transposed source or a
-// boundary tile that must be zero-padded -- these routines gather it into a
-// dense 64-byte-aligned panel, folding the transpose, the zero padding and
-// an optional alpha scale into the single pass.
+// from the caller's column-major storage (a transposed operand is copied
+// once, untransposed, at entry); wherever a leaf product needs an operand
+// the kernels cannot consume in place -- a boundary tile that must be
+// zero-padded, or a wide-strided view -- pack_panel gathers it into a dense
+// 64-byte-aligned panel, folding the zero padding and an optional alpha
+// scale into the single pass.  The library never hands these routines a
+// transposed view; PackSrc::trans and pack_panel's transposed path stay for
+// the benchmark's packing probes, which build PackSrc with that field.
 //
 // A packed panel holds EXACTLY the values the Morton conversion would have
 // staged for the same tile (same single add/sub per element, zeros in the

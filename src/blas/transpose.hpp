@@ -1,8 +1,10 @@
 // transpose.hpp -- blocked out-of-place transpose.
 //
-// Used when a baseline needs op(X) = X^T materialized (MODGEMM instead folds
-// the transpose into its column-major -> Morton conversion, see
-// layout/convert.hpp) and by the conversion tests.
+// Used wherever op(X) = X^T is materialized: the pack-fused strategy's entry
+// copy (core/packfused.hpp), the blocked baseline gemm and the DGEFMM /
+// DGEMMW baselines, and the conversion tests.  (The Morton strategy folds
+// the transpose into its column-major -> Morton conversion instead, see
+// layout/convert.hpp.)
 #pragma once
 
 #include <cstddef>
@@ -13,9 +15,18 @@ namespace strassen::blas {
 
 // dst(j,i) = src(i,j); src is m x n with leading dimension lds, dst is n x m
 // with leading dimension ldd.  Blocked to keep both access streams in cache.
+//
+// The block is 16, not 32: one block keeps kBlock destination lines in
+// flight, ldd elements apart.  At a power-of-two stride such as ldd = 256
+// doubles (2 KB) they map to only two sets of a 32 KB, 64-set L1, so 32
+// lines put 16 in each 8-way set and the block evicts its own destination
+// lines before it fills them (the paper's S4.2 power-of-two conflict).
+// 16 lines put 8 in each set, which the L1 holds.  Copying a 256 x 256
+// block out of a 9216-wide matrix into a 256-wide one took 2.3 ns per
+// element with 32 x 32 blocks and 0.7 ns with 16 x 16 (4-vCPU AVX2 host).
 template <class MM, class T>
 void transpose(MM& mm, int m, int n, const T* src, int lds, T* dst, int ldd) {
-  constexpr int kBlock = 32;
+  constexpr int kBlock = 16;
   for (int j0 = 0; j0 < n; j0 += kBlock) {
     const int jn = j0 + kBlock < n ? j0 + kBlock : n;
     for (int i0 = 0; i0 < m; i0 += kBlock) {

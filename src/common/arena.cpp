@@ -13,9 +13,10 @@ std::size_t round_up(std::size_t n, std::size_t a) {
 }
 }  // namespace
 
+// Arena(0) stays empty, like AlignedBuffer(0): it allocates nothing and does
+// not consult the allocation gate.
 Arena::Arena(std::size_t bytes, std::size_t alignment)
-    : buffer_(round_up(std::max<std::size_t>(bytes, 1), kChunkAlignment),
-              alignment) {}
+    : buffer_(round_up(bytes, kChunkAlignment), alignment) {}
 
 void* Arena::push_bytes(std::size_t bytes) {
   const std::size_t need = round_up(bytes, kChunkAlignment);

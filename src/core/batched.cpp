@@ -175,8 +175,8 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
           // plan-cache hits replay what this planning pass records.
           obs::GemmReport plan_rep;
           cls.plan = detail::plan_product<double>(
-              ck.m, ck.k, ck.n, cfg, tiles, opt.max_workspace_bytes,
-              &plan_rep);
+              it.opa, it.opb, ck.m, ck.k, ck.n, cfg, tiles,
+              opt.max_workspace_bytes, &plan_rep);
           cls.planned_depth = plan_rep.planned_depth;
           cls.fallback = plan_rep.fallback_reason;
           ++cache_misses;
@@ -194,7 +194,7 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
             cls.plan.algo == analysis::AlgoFamily::k222
                 ? cls.plan
                 : detail::plan_product<double>(
-                      ck.m, ck.k, ck.n,
+                      it.opa, it.opb, ck.m, ck.k, ck.n,
                       {cfg.schedule, cfg.strategy, analysis::AlgoFamily::k222},
                       tiles, opt.max_workspace_bytes, nullptr);
         cls.deep = plain.strategy != layout::ExecStrategy::kPackFused &&

@@ -114,12 +114,14 @@ struct ModgemmOptions {
   analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
   // Execution-strategy pin for this call (layout/plan.hpp).  kAuto (the
   // default) defers to the STRASSEN_STRATEGY environment override and then
-  // to the planner heuristic (layout::choose_exec_strategy): pack-fused for
-  // one-shot / rectangular / shallow-recursion shapes, Morton for deep
-  // square recursions.  Pinning kMorton or kPackFused runs that strategy for
-  // every Strassen product of the call regardless of the environment.  Both
-  // strategies are bit-identical for all alpha/beta; non-Strassen (direct)
-  // products and traced/non-RawMem instantiations always execute kMorton.
+  // to the planner (detail::plan_exec_strategy): Morton when both operands
+  // are transposed, else the heuristic layout::choose_exec_strategy --
+  // pack-fused for one-shot / rectangular / shallow-recursion shapes, Morton
+  // for deep square recursions.  Pinning kMorton or kPackFused runs that
+  // strategy for every Strassen product of the call regardless of the
+  // environment.  Both strategies are bit-identical for all alpha/beta;
+  // non-Strassen (direct) products and traced/non-RawMem instantiations
+  // always execute kMorton.
   layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
   // <m,k,n> algorithm-family pin for this call (analysis/algo_family.hpp).
   // kAuto (the default) defers to the STRASSEN_ALGO environment override and
@@ -213,16 +215,34 @@ layout::ExecStrategy parse_exec_strategy(const char* value);
 analysis::AlgoFamily parse_algo_family(const char* value);
 
 // The strategy one PLANNED product executes: non-Strassen plans always run
-// kMorton (there is nothing to fuse), an explicit pin/env choice sticks, and
-// kAuto consults the planner heuristic.
+// kMorton (there is nothing to fuse), an explicit pin/env choice sticks, an
+// unpinned product with both operands transposed runs kMorton (pack-fused
+// would copy both at entry, which costs more memory and time than the Morton
+// conversion that folds the transposes in), and any other kAuto product
+// consults the planner heuristic.
 inline layout::ExecStrategy plan_exec_strategy(layout::ExecStrategy resolved,
                                                const layout::GemmPlan& plan,
-                                               int m, int k, int n,
+                                               Op opa, Op opb, int m, int k,
+                                               int n,
                                                const layout::TileOptions& tiles) {
   if (plan.direct || !plan.feasible || plan.depth < 1)
     return layout::ExecStrategy::kMorton;
   if (resolved != layout::ExecStrategy::kAuto) return resolved;
+  if (opa == Op::Trans && opb == Op::Trans)
+    return layout::ExecStrategy::kMorton;
   return layout::choose_exec_strategy(plan, m, k, n, tiles);
+}
+
+// The workspace the budget ladder charges a Strassen plan that runs as
+// plan.strategy: the Morton figure, or for pack-fused the larger of that and
+// the pack-fused figure (priced with its C scratch, since beta is not known
+// here).  Pack-fused needs less than Morton unless it copies both operands.
+inline std::size_t budget_bytes(const layout::GemmPlan& plan, Op opa, Op opb,
+                                std::size_t elem_size) {
+  const std::size_t morton = modgemm_workspace_bytes(plan, elem_size);
+  if (plan.strategy != layout::ExecStrategy::kPackFused) return morton;
+  return std::max(morton, packfused_workspace_bytes(plan, opa, opb, elem_size,
+                                                    /*c_scratch=*/true));
 }
 
 // Escalates the recorded fallback to the worse of the two (split calls run
@@ -268,46 +288,53 @@ inline analysis::ScheduleFamily runnable_family(
   return family;
 }
 
-// Degrades a feasible plan until its workspace fits `budget` bytes (0 =
-// unlimited).  The ladder, from least to most severe:
+// Settles a plan under cfg and degrades a feasible one until its workspace
+// fits `budget` bytes (0 = unlimited).  Every plan and candidate gets the
+// strategy it runs (plan_exec_strategy), the family that strategy can run
+// (runnable_family) and is priced with both (budget_bytes).  The ladder,
+// from least to most severe:
 //   1. schedule swap -- keep the planned depth but run a lower-footprint
 //      schedule family (kLowMem saves ~1/3 of each level's temporaries;
 //      kInPlace needs no arena at all where runnable_family lets it run).
-//      Recorded as kScheduleSwap.  Skipped when `resolved` pins a family
-//      (the pinned family was already priced in).
+//      Recorded as kScheduleSwap.  Skipped when cfg pins a family (the
+//      pinned family was already priced in).
 //   2. depth reduction -- re-plan at shallower recursion depths (each level
 //      removed drops that level's quadrant temporaries -- Boyer et al.'s
 //      space/depth trade), trying the family candidates at each depth.
 //      Recorded as kDepthReduced.
 //   3. direct -- no Strassen depth fits; the workspace-free conventional
 //      path.  Recorded as kBudgetDirect.
-// `resolved` != kAuto pins plan.schedule to that family throughout.  Every
-// candidate is priced with the family runnable_family gives it.
+// A cfg.schedule other than kAuto pins plan.schedule to that family
+// throughout.
 inline layout::GemmPlan apply_workspace_budget(
-    layout::GemmPlan plan, int m, int k, int n,
+    layout::GemmPlan plan, Op opa, Op opb, int m, int k, int n,
     const layout::TileOptions& tiles, std::size_t budget,
-    std::size_t elem_size, ModgemmReport* report,
-    analysis::ScheduleFamily resolved = analysis::ScheduleFamily::kAuto) {
+    std::size_t elem_size, ModgemmReport* report, const ExecConfig& cfg) {
   using analysis::ScheduleFamily;
-  if (resolved != ScheduleFamily::kAuto) plan.schedule = resolved;
+  const auto settle = [&](layout::GemmPlan& cand, ScheduleFamily family) {
+    cand.strategy =
+        plan_exec_strategy(cfg.strategy, cand, opa, opb, m, k, n, tiles);
+    if (!cand.direct) cand.schedule = runnable_family(cand, family);
+  };
+  settle(plan, cfg.schedule != ScheduleFamily::kAuto ? cfg.schedule
+                                                      : plan.schedule);
   if (budget == 0 || plan.direct || !plan.feasible) return plan;
-  plan.schedule = runnable_family(plan, plan.schedule);
-  if (modgemm_workspace_bytes(plan, elem_size) <= budget) return plan;
+  if (budget_bytes(plan, opa, opb, elem_size) <= budget) return plan;
   // Family candidates in decreasing footprint order.  Pinned calls get only
   // the pinned family (already checked above at full depth -> only the depth
   // loop below can save them).
   const ScheduleFamily ladder[] = {ScheduleFamily::kWinograd,
                                    ScheduleFamily::kLowMem,
                                    ScheduleFamily::kInPlace};
-  const ScheduleFamily* fams =
-      resolved == ScheduleFamily::kAuto ? ladder : &resolved;
-  const int nfams = resolved == ScheduleFamily::kAuto ? 3 : 1;
+  const bool pinned = cfg.schedule != ScheduleFamily::kAuto;
+  const ScheduleFamily* fams = pinned ? &cfg.schedule : ladder;
+  const int nfams = pinned ? 1 : 3;
   // Rung 1: full planned depth, lower-footprint family.
   for (int f = 0; f < nfams; ++f) {
     layout::GemmPlan cand = plan;
-    cand.schedule = runnable_family(cand, fams[f]);
+    settle(cand, fams[f]);
     if (cand.schedule == plan.schedule) continue;  // priced already
-    if (modgemm_workspace_bytes(cand, elem_size) <= budget) {
+    if (budget_bytes(cand, opa, opb, elem_size) <= budget) {
       record_fallback(report, FallbackReason::kScheduleSwap);
       return cand;
     }
@@ -326,8 +353,8 @@ inline layout::GemmPlan apply_workspace_budget(
       cand.k = dk;
       cand.n = dn;
       cand.feasible = true;
-      cand.schedule = runnable_family(cand, fams[f]);
-      if (modgemm_workspace_bytes(cand, elem_size) <= budget) {
+      settle(cand, fams[f]);
+      if (budget_bytes(cand, opa, opb, elem_size) <= budget) {
         record_fallback(report, FallbackReason::kDepthReduced);
         return cand;
       }
@@ -342,10 +369,11 @@ inline layout::GemmPlan apply_workspace_budget(
   return direct;
 }
 
-// Plans one product (m, k, n >= 1) under a resolved config: the <m,k,n>
-// family (cfg.algo, or the choose_algo heuristic for kAuto), then for
-// <2,2,2> the tile plan, the workspace budget, the execution strategy and
-// the schedule family that strategy can run (runnable_family).
+// Plans one product (m, k, n >= 1) of op(A) . op(B) under a resolved
+// config: the <m,k,n> family (cfg.algo, or the choose_algo heuristic for
+// kAuto), then for <2,2,2> the tile plan, the execution strategy, the
+// schedule family that strategy can run and the workspace budget
+// (apply_workspace_budget).
 // A family plan (plan.algo != k222) describes its partition grid and is
 // executed by run_family.  A family that cannot pay off degrades to <2,2,2>
 // up front, recorded as kAlgoFallback: its ceil-partitioned sub-products
@@ -355,7 +383,8 @@ inline layout::GemmPlan apply_workspace_budget(
 // budget.  An infeasible <2,2,2> plan means the product must be split.
 // Records the planned depth and any budget rung in *report.
 template <class T>
-layout::GemmPlan plan_product(int m, int k, int n, const ExecConfig& cfg,
+layout::GemmPlan plan_product(Op opa, Op opb, int m, int k, int n,
+                              const ExecConfig& cfg,
                               const layout::TileOptions& tiles,
                               std::size_t budget, ModgemmReport* report) {
   const analysis::AlgoFamily algo = cfg.algo == analysis::AlgoFamily::kAuto
@@ -376,11 +405,8 @@ layout::GemmPlan plan_product(int m, int k, int n, const ExecConfig& cfg,
   const layout::GemmPlan planned = layout::plan_gemm(m, k, n, tiles);
   if (report) report->planned_depth = planned.depth;
   if (!planned.direct && !planned.feasible) return planned;
-  layout::GemmPlan plan = apply_workspace_budget(
-      planned, m, k, n, tiles, budget, sizeof(T), report, cfg.schedule);
-  plan.strategy = plan_exec_strategy(cfg.strategy, plan, m, k, n, tiles);
-  if (!plan.direct) plan.schedule = runnable_family(plan, plan.schedule);
-  return plan;
+  return apply_workspace_budget(planned, opa, opb, m, k, n, tiles, budget,
+                                sizeof(T), report, cfg);
 }
 
 // The header of one call's report: its shape and the leaf kernel it runs
@@ -579,8 +605,10 @@ std::size_t modgemm_morton(MM& mm, Op opa, Op opb, int m, int n, int k,
     layout::from_morton(mm, lc, Cm, alpha, C, ldc, beta);
   } else {
     const std::int64_t ctiles = tiles(lc);
+    // One chunk per worker plus one for this thread, which runs chunks
+    // while it joins.
     const std::int64_t chunks = std::max<std::int64_t>(
-        1, std::min<std::int64_t>(pool->thread_count(), (ctiles + 7) / 8));
+        1, std::min<std::int64_t>(pool->thread_count() + 1, (ctiles + 7) / 8));
     const std::int64_t per = (ctiles + chunks - 1) / chunks;
     if (parallel::fan_out(
             pool, static_cast<std::size_t>((ctiles + per - 1) / per),
@@ -633,13 +661,14 @@ void modgemm_direct(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
 // allocation-free strided gemm (if even staging fails).  Every rung computes
 // the same correct product, so a valid call never leaves C partially
 // updated.  A failed pack-fused acquisition degrades straight to the
-// conventional path -- the Morton strategy needs strictly MORE memory, so
-// retrying it could only fail again.  A pool (`fork`) runs the Morton rung
-// whatever plan.strategy says, forking fork->levels(plan) top levels, and
-// adds one rung on top: if anything it allocates fails -- a buffer, or an
-// arena inside a task, whose exception surfaces at the join after every
-// sibling finished -- the fork is dropped and the same plan reruns on the
-// serial rungs (C is untouched, as above).
+// conventional path: the Morton strategy needs more memory for every
+// product pack-fused runs unpinned, so retrying it would fail again, and a
+// pinned strategy is not swapped behind the caller's back.  A pool (`fork`)
+// runs the Morton rung whatever plan.strategy says, forking
+// fork->levels(plan) top levels, and adds one rung on top: if anything it
+// allocates fails -- a buffer, or an arena inside a task, whose exception
+// surfaces at the join after every sibling finished -- the fork is dropped
+// and the same plan reruns on the serial rungs (C is untouched, as above).
 template <class MM, class T>
 void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                 const T* A, int lda, const T* B, int ldb, T beta, T* C,
@@ -706,8 +735,8 @@ void run_split_block(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
   for (const auto& ck : k_chunks) {
     // The budget bounds the workspace of each sub-product (they run
     // sequentially, so the per-product peak is the call's peak).
-    const layout::GemmPlan sub = plan_product<T>(cm.size, ck.size, cn.size,
-                                                 cfg, tiles, budget, report);
+    const layout::GemmPlan sub = plan_product<T>(
+        opa, opb, cm.size, ck.size, cn.size, cfg, tiles, budget, report);
     STRASSEN_ASSERT(sub.direct || sub.feasible);
     run_ladder(mm, opa, opb, cm.size, cn.size, ck.size, alpha,
                op_block(A, opa, lda, cm.offset, ck.offset), lda,
@@ -807,7 +836,8 @@ void run_product(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                        ModgemmReport* sub) {
                      run_product(mm, Op::NoTrans, Op::NoTrans, m2, n2, k2,
                                  T{1}, A2, lda2, B2, ldb2, T{0}, C2, ldc2,
-                                 plan_product<T>(m2, k2, n2, cfg, tiles,
+                                 plan_product<T>(Op::NoTrans, Op::NoTrans,
+                                                 m2, k2, n2, cfg, tiles,
                                                  sub_budget, sub),
                                  cfg, tiles, sub_budget, sub, fork);
                    },
@@ -816,8 +846,9 @@ void run_product(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
       return;
     }
     run_product(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-                plan_product<T>(m, k, n, cfg, tiles, budget, report), cfg,
-                tiles, budget, report, fork);
+                plan_product<T>(opa, opb, m, k, n, cfg, tiles, budget,
+                                report),
+                cfg, tiles, budget, report, fork);
     return;
   }
   if (plan.direct || plan.feasible) {
@@ -889,7 +920,7 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   if (opt.fixed_tile == 0) {
     detail::run_product(
         mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-        detail::plan_product<T>(m, k, n, cfg, opt.tiles,
+        detail::plan_product<T>(opa, opb, m, k, n, cfg, opt.tiles,
                                 opt.max_workspace_bytes, report),
         cfg, opt.tiles, opt.max_workspace_bytes, report);
     return;
@@ -917,8 +948,8 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   plan.direct = plan.depth == 0;
   if (cfg.schedule != analysis::ScheduleFamily::kAuto)
     plan.schedule = cfg.schedule;
-  plan.strategy =
-      detail::plan_exec_strategy(cfg.strategy, plan, m, k, n, opt.tiles);
+  plan.strategy = detail::plan_exec_strategy(cfg.strategy, plan, opa, opb,
+                                             m, k, n, opt.tiles);
   if (!plan.direct)
     plan.schedule = detail::runnable_family(plan, plan.schedule);
   detail::run_product(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C,

@@ -9,16 +9,20 @@
 // van de Geijn).  This file holds that storage (ViewStorage), the
 // workspace sizing and the modgemm_packfused rung:
 //
+//   * a transposed operand is copied once, at entry, into the product's
+//     arena (blas::transpose), so the recursion only ever sees untransposed
+//     views; the copy is booked as convert_in_seconds;
 //   * every recursion operand is a clipped VIEW (blas::PackSrc) of the user
-//     matrix, a recursion temporary, or a C-quadrant window; zero padding is
-//     a property of the view (reads outside the stored extent return 0,
-//     stores outside it are dropped), never a materialized buffer;
+//     matrix (or its entry copy), a recursion temporary, or a C-quadrant
+//     window; zero padding is a property of the view (reads outside the
+//     stored extent return 0, stores outside it are dropped), never a
+//     materialized buffer;
 //   * at the leaves (ViewStorage::leaf), operands the kernels cannot
-//     consume in place -- transposed sources, boundary tiles needing zero
-//     fill, wide-strided views -- are gathered by blas/pack.hpp into dense
-//     64-byte-aligned panels in this call's arena; interior untransposed
-//     views pass straight through (the kernels take a leading dimension),
-//     so packing traffic concentrates at the boundary;
+//     consume in place -- boundary tiles needing zero fill, wide-strided
+//     views -- are gathered by blas/pack.hpp into dense 64-byte-aligned
+//     panels in this call's arena; interior views pass straight through
+//     (the kernels take a leading dimension), so packing traffic
+//     concentrates at the boundary;
 //   * the schedule's output combinations (the U-chain add/sub-in-place
 //     steps) accumulate C +-= P exactly as they do over Morton storage, so
 //     the "unpack" is the table itself.
@@ -42,9 +46,10 @@
 // zeros.
 //
 // Workspace: the recursion temporaries are sized exactly as the Morton
-// strategy's (core/workspace.hpp), plus one leaf frame and -- for
-// beta != 0 -- one m x n product scratch.  No Morton buffers exist; the
-// bytes they would have cost are reported as
+// strategy's (core/workspace.hpp), plus one leaf frame, the entry copy of
+// each transposed operand and -- for beta != 0 or a padded shape -- one
+// padded product scratch.  No Morton buffers exist; the bytes they would
+// have cost, less the entry copies, are reported as
 // GemmReport::conversion_saved_bytes.  All arena memory comes from the
 // per-thread pool (parallel/arena_pool.hpp) in ONE up-front acquisition, so
 // a refusal throws std::bad_alloc into the degradation ladder before any
@@ -59,6 +64,7 @@
 #include "blas/gemm.hpp"
 #include "blas/kernels.hpp"
 #include "blas/pack.hpp"
+#include "blas/transpose.hpp"
 #include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/matrix.hpp"
@@ -94,20 +100,20 @@ namespace packfused {
 
 using blas::PackSrc;
 
-// Clipped quadrant of a read view at logical offset (r0, c0), extent at most
-// hr x hc.  The pointer is only advanced when the clipped extent is
-// non-empty (an all-pad quadrant must not form an out-of-bounds address).
+// Clipped quadrant of an untransposed view at logical offset (r0, c0),
+// extent at most hr x hc.  The pointer is only advanced when the clipped
+// extent is non-empty (an all-pad quadrant must not form an out-of-bounds
+// address).
 template <class T>
 inline PackSrc<T> quad(const PackSrc<T>& v, int r0, int c0, int hr, int hc) {
+  STRASSEN_ASSERT(!v.trans);
   PackSrc<T> q;
   q.ld = v.ld;
-  q.trans = v.trans;
   q.rows = std::clamp(v.rows - r0, 0, hr);
   q.cols = std::clamp(v.cols - c0, 0, hc);
   q.ptr = v.ptr;
   if (q.rows > 0 && q.cols > 0)
-    q.ptr = v.trans ? v.ptr + static_cast<std::size_t>(r0) * v.ld + c0
-                    : v.ptr + static_cast<std::size_t>(c0) * v.ld + r0;
+    q.ptr = v.ptr + static_cast<std::size_t>(c0) * v.ld + r0;
   return q;
 }
 
@@ -117,20 +123,13 @@ namespace detail {
 // values to_morton would have staged there -- and the clipped contribution
 // is still COMPUTED (e.g. dj + 0), not skipped, so zero signs match the
 // Morton strategy bit-for-bit.  Columns split into a dense in-bounds run
-// (tight, vectorizable) and a clipped tail; transposed user operands take
-// the generic gather.
+// (tight, vectorizable) and a clipped tail.
 template <class T, class Op>
 void combine(const PackSrc<T>& d, const PackSrc<T>& x, const PackSrc<T>& y,
              Op op) {
+  STRASSEN_ASSERT(!x.trans && !y.trans);
   T* dst = const_cast<T*>(d.ptr);
   const int rows = d.rows;
-  if (x.trans || y.trans) {
-    for (int j = 0; j < d.cols; ++j) {
-      T* dj = dst + static_cast<std::size_t>(j) * d.ld;
-      for (int i = 0; i < rows; ++i) dj[i] = op(x.at(i, j), y.at(i, j));
-    }
-    return;
-  }
   for (int j = 0; j < d.cols; ++j) {
     T* dj = dst + static_cast<std::size_t>(j) * d.ld;
     const T* xj =
@@ -169,9 +168,9 @@ PackSrc<T> stage(const PackSrc<T>& s, int pr, int pc, Arena& arena) {
 // View storage for core::detail::ScheduleInterpreter: an operand of depth d
 // is a clipped column-major view of a zero-padded (rows << d) x (cols << d)
 // operand -- the user matrix, a C-quadrant window or an arena temporary
-// (the padding is implicit, see the file comment).  Writable
-// slots are never transposed, and their view ld doubles as the store
-// leading dimension.  Leaves stage their panels in the recursion arena
+// (the padding is implicit, see the file comment).  No view is transposed
+// (modgemm_packfused copies transposed operands at entry), and a writable
+// slot's view ld doubles as the store leading dimension.  Leaves stage their panels in the recursion arena
 // (sized by packfused_workspace_bytes).
 template <class T>
 struct ViewStorage : core::detail::LeafTiles {
@@ -238,15 +237,33 @@ inline bool packfused_needs_c_scratch(const layout::GemmPlan& plan, int m,
   return beta_nonzero || m < plan.m.padded || n < plan.n.padded;
 }
 
+// Arena bytes of the entry copies of a pack-fused product's transposed
+// operands: op(A) is copied as a dense m x k matrix when opa == Trans, op(B)
+// as a dense k x n one when opb == Trans.
+inline std::size_t packfused_copy_bytes(const layout::GemmPlan& plan, Op opa,
+                                        Op opb, std::size_t elem_size) {
+  auto copy = [&](Op op, int rows, int cols) -> std::size_t {
+    if (op == Op::NoTrans) return 0;
+    const std::size_t elems = checked_mul(static_cast<std::size_t>(rows),
+                                          static_cast<std::size_t>(cols));
+    return checked_add(checked_mul(elems, elem_size), 63) / 64 * 64;
+  };
+  return checked_add(copy(opa, plan.m.n, plan.k.n),
+                     copy(opb, plan.k.n, plan.n.n));
+}
+
 // Peak arena bytes one pack-fused product needs under `plan`: the Morton
 // strategy's recursion-temporary peak for the same tables, plus one
-// leaf frame (live only inside a leaf's arena frame), plus -- when the
-// padding or beta requires it -- the padded C scratch the epilogue merges
-// into C.  Always at most
-// modgemm_workspace_bytes for the same plan (the A and B Morton buffers
-// dwarf the leaf frame), which is why the workspace-budget ladder prices
-// plans with the Morton figure for both strategies.
+// leaf frame (live only inside a leaf's arena frame), plus the entry copy
+// of each transposed operand, plus -- when the padding or beta requires
+// it -- the padded C scratch the epilogue merges into C.  With at most one
+// operand transposed this stays within modgemm_workspace_bytes for the same
+// plan (the A and B Morton buffers hold the copy and dwarf the leaf frame);
+// with both transposed it can exceed it, which is why the budget ladder
+// prices a pack-fused candidate with the larger of the two figures
+// (detail::budget_bytes in core/modgemm.hpp).
 inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
+                                             Op opa, Op opb,
                                              std::size_t elem_size,
                                              bool c_scratch) {
   if (plan.direct || !plan.feasible) return 0;
@@ -262,6 +279,7 @@ inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
   total = checked_add(total, r64(checked_mul(tm, tk) * elem_size));
   total = checked_add(total, r64(checked_mul(tk, tn) * elem_size));
   total = checked_add(total, r64(checked_mul(tm, tn) * elem_size));
+  total = checked_add(total, packfused_copy_bytes(plan, opa, opb, elem_size));
   if (c_scratch) {
     const std::size_t pmn = checked_mul(static_cast<std::size_t>(plan.m.padded),
                                         static_cast<std::size_t>(plan.n.padded));
@@ -297,28 +315,42 @@ std::size_t modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
                               const layout::GemmPlan& plan,
                               obs::GemmReport* report) {
   STRASSEN_ASSERT(plan.feasible && !plan.direct && plan.depth >= 1);
+  STRASSEN_ASSERT(plan.m.n == m && plan.k.n == k && plan.n.n == n);
   // Kreczmar's table would destroy the CALLER's matrices here; the planner
   // (detail::runnable_family) never gives a pack-fused plan kInPlace.
   STRASSEN_REQUIRE(plan.schedule != analysis::ScheduleFamily::kInPlace,
                    "pack-fused cannot run the in-place family");
   const bool c_scratch = packfused_needs_c_scratch(plan, m, n, beta != T{0});
   const std::size_t workspace_bytes =
-      packfused_workspace_bytes(plan, sizeof(T), c_scratch);
+      packfused_workspace_bytes(plan, opa, opb, sizeof(T), c_scratch);
   parallel::ScratchArena scratch(workspace_bytes);
   Arena& arena = scratch.arena();
-
-  const blas::PackSrc<T> av{A, lda, opa == Op::Trans, m, k};
-  const blas::PackSrc<T> bv{B, ldb, opb == Op::Trans, k, n};
   const int pm = plan.m.padded;
   const int pn = plan.n.padded;
-
-  WallTimer t;
   T* P = C;
   int ldp = ldc;
   if (c_scratch) {
     P = arena.push<T>(static_cast<std::size_t>(pm) * pn);
     ldp = pm;
   }
+
+  // The one inbound pass: a transposed operand is copied into the arena, so
+  // the recursion reads untransposed views only.
+  WallTimer t;
+  RawMem raw;
+  const auto untransposed = [&](Op op, const T* X, int ld, int rows,
+                                int cols) -> blas::PackSrc<T> {
+    if (op == Op::NoTrans) return {X, ld, false, rows, cols};
+    T* copy = arena.push<T>(static_cast<std::size_t>(rows) * cols);
+    blas::transpose(raw, cols, rows, X, ld, copy, rows);
+    return {copy, rows, false, rows, cols};
+  };
+  const blas::PackSrc<T> av = untransposed(opa, A, lda, m, k);
+  const blas::PackSrc<T> bv = untransposed(opb, B, ldb, k, n);
+  const double t_in =
+      opa == Op::Trans || opb == Op::Trans ? t.seconds() : 0.0;
+
+  t.restart();
   using Storage = packfused::ViewStorage<T>;
   Storage st{{plan.m.tile, plan.k.tile, plan.n.tile}};
   core::detail::ScheduleInterpreter<Storage>::recurse(
@@ -330,7 +362,6 @@ std::size_t modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
   // conversion still has to do here (per-element expression identical to
   // layout::from_morton).
   t.restart();
-  RawMem raw;
   if (c_scratch) {
     if (alpha == T{1} && beta == T{0}) {
       for (int j = 0; j < n; ++j) {
@@ -348,9 +379,12 @@ std::size_t modgemm_packfused(Op opa, Op opb, int m, int n, int k, T alpha,
   const double t_out = t.seconds();
 
   if (report) {
+    report->convert_in_seconds += t_in;
     report->compute_seconds += t_mul;
     report->convert_out_seconds += t_out;
-    report->conversion_saved_bytes += modgemm_conversion_bytes(plan, sizeof(T));
+    report->conversion_saved_bytes +=
+        modgemm_conversion_bytes(plan, sizeof(T)) -
+        packfused_copy_bytes(plan, opa, opb, sizeof(T));
   }
   // ScratchArena already noted the acquisition (bytes + count) into the
   // call's collector; only the high-water mark comes from the arena.

@@ -36,10 +36,11 @@ namespace strassen::layout {
 //               (the paper's design; conversion costs 5-15% of the call,
 //               Fig. 7).
 //   kPackFused  run the same schedule tables directly from the caller's
-//               column-major storage: operand sums, transposes and boundary
-//               zero padding fold into leaf packing (blas/pack.hpp), and the
-//               schedule's output combinations accumulate C +-= P in place --
-//               no Morton buffers exist at all (Huang et al., BLIS-style).
+//               column-major storage: boundary zero padding folds into leaf
+//               packing (blas/pack.hpp), a transposed operand is copied once
+//               at entry, and the schedule's output combinations accumulate
+//               C +-= P in place -- no Morton buffers exist at all (Huang et
+//               al., BLIS-style).
 //   kAuto       (options/env only) defer: per-call pin, then the
 //               STRASSEN_STRATEGY env override, then the planner heuristic
 //               (layout::choose_exec_strategy).

@@ -386,7 +386,9 @@ void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,
   STRASSEN_REQUIRE(min_grain >= 1, "grain must be positive: " << min_grain);
   const std::int64_t count = end - begin;
   if (count <= 0) return;
-  const int width = pool ? pool->thread_count() : 1;
+  // The caller helps run the chunks while it waits, so a pool of w workers
+  // runs w + 1 chunks at once.
+  const int width = pool ? pool->thread_count() + 1 : 1;
   if (width <= 1 || count <= min_grain) {
     fn(begin, end);
     return;

@@ -180,10 +180,11 @@ class TaskGroup {
   std::exception_ptr error_;  // first exception from any task in this group
 };
 
-// Splits [begin, end) into roughly pool-width chunks and applies
+// Splits [begin, end) into at most thread_count() + 1 chunks -- the pool's
+// workers plus the caller, which runs chunks while it waits -- and applies
 // fn(chunk_begin, chunk_end) in parallel.  Runs inline when pool is null or
-// single-threaded or when the range is smaller than min_grain.  Rethrows the
-// first exception a chunk raised, after all chunks finished.
+// when the range is no larger than min_grain.  Rethrows the first exception
+// a chunk raised, after all chunks finished.
 void parallel_for(ThreadPool* pool, std::int64_t begin, std::int64_t end,
                   std::int64_t min_grain,
                   const std::function<void(std::int64_t, std::int64_t)>& fn);

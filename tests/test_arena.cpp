@@ -7,7 +7,12 @@
 #include <stdexcept>
 #include <utility>
 
+#include "blas/gemm.hpp"
 #include "common/arena.hpp"
+#include "common/matrix.hpp"
+#include "common/rng.hpp"
+#include "core/morton_matrix.hpp"
+#include "testing/fault_injection.hpp"
 
 namespace strassen {
 namespace {
@@ -88,6 +93,42 @@ TEST(Arena, NestedFramesUnwindInOrder) {
 TEST(Arena, CapacityReflectsConstruction) {
   Arena a(1000);
   EXPECT_GE(a.capacity(), 1000u);
+}
+
+// Arena(0) stays empty, like AlignedBuffer(0) and ScratchArena(0): it
+// neither allocates nor consults the allocation gate, so a gate that refuses
+// everything cannot fail it.
+TEST(Arena, ZeroBytesAllocatesNothing) {
+  namespace ft = ::strassen::testing;
+  ft::FaultInjector refuse_all(ft::FaultMode::kFailFrom, 1);
+  Arena a(0);
+  EXPECT_EQ(a.capacity(), 0u);
+  EXPECT_EQ(refuse_all.allocations(), 0u);
+  EXPECT_THROW(a.push<double>(1), std::bad_alloc);
+}
+
+// A depth-0 product needs no recursion temporaries, so its Arena(0) makes
+// no gated allocation and the product completes under a refusing gate.
+TEST(Arena, DepthZeroMultiplyMakesNoGatedAllocation) {
+  namespace ft = ::strassen::testing;
+  const int n = 8;
+  const layout::MortonLayout l{n, n, n, n, 0};
+  Rng rng(5);
+  Matrix<double> A(n, n), B(n, n), C(n, n), Ref(n, n);
+  rng.fill_int(A.storage(), -3, 3);
+  rng.fill_int(B.storage(), -3, 3);
+  blas::naive_gemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                   B.data(), n, 0.0, Ref.data(), n);
+  const core::MortonMatrix Am = core::MortonMatrix::from_colmajor(l, A.view());
+  const core::MortonMatrix Bm = core::MortonMatrix::from_colmajor(l, B.view());
+  core::MortonMatrix Cm(l);
+  {
+    ft::FaultInjector refuse_all(ft::FaultMode::kFailFrom, 1);
+    core::multiply(Am, Bm, Cm);
+    EXPECT_EQ(refuse_all.allocations(), 0u);
+  }
+  Cm.to_colmajor(C.view());
+  EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
 }
 
 TEST(Arena, MoveConstructionLeavesSourceEmptyAndSafe) {

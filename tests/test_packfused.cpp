@@ -27,11 +27,13 @@
 //     contract intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -177,6 +179,12 @@ TEST(PackSrcView, CoversMatchesInPlaceContract) {
 // Bit identity: pack-fused vs Morton on the public API.
 // ---------------------------------------------------------------------------
 
+// Every (op(A), op(B)) pair.
+constexpr std::pair<Op, Op> kOpPairs[] = {{Op::NoTrans, Op::NoTrans},
+                                          {Op::Trans, Op::NoTrans},
+                                          {Op::NoTrans, Op::Trans},
+                                          {Op::Trans, Op::Trans}};
+
 // Runs the SAME problem under both strategies and compares the full C
 // storage with memcmp.  Uniform (non-integer) data makes this a real
 // bit-identity check: any reassociation or different rounding between the
@@ -275,6 +283,25 @@ TEST(PackFusedBitIdentity, FixedTileDeepRecursion) {
   opt.fixed_tile = 16;  // 513 -> padded 1024, depth 6
   expect_bit_identical(Op::NoTrans, Op::NoTrans, 513, 513, 513, 1.0, 0.0,
                        opt);
+}
+
+// The entry copy of a transposed operand only moves values, so pack-fused
+// stays bit-identical to Morton for every op pair and beta, on the
+// Winograd-layer shape (256 x 200 x 256, also with padded leading
+// dimensions), on padded and unpadded squares and on rectangles.
+TEST(PackFusedEntryCopy, BitIdenticalToMortonForEveryOpPair) {
+  struct Shape {
+    int m, n, k, extra_ld;
+  };
+  for (const Shape& sh : {Shape{256, 200, 256, 0}, Shape{256, 200, 256, 9},
+                          Shape{200, 200, 200, 0}, Shape{150, 130, 170, 0},
+                          Shape{129, 142, 155, 3}, Shape{300, 160, 140, 0}})
+    for (const auto& [opa, opb] : kOpPairs)
+      for (const double beta : {0.0, -1.0}) {
+        SCOPED_TRACE(::testing::Message() << "extra_ld " << sh.extra_ld);
+        expect_bit_identical(opa, opb, sh.m, sh.n, sh.k, 1.0, beta, {},
+                             sh.extra_ld);
+      }
 }
 
 // Exactness against the naive oracle on integer data: independent of the
@@ -389,10 +416,11 @@ struct StrategyProblem {
     rng.fill_uniform(A.storage());
     rng.fill_uniform(B.storage());
   }
-  ModgemmReport run(const ModgemmOptions& opt) {
+  ModgemmReport run(const ModgemmOptions& opt, Op opa = Op::NoTrans,
+                    Op opb = Op::NoTrans) {
     ModgemmReport report;
-    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
-                  B.data(), n, 0.0, C.data(), n, opt, &report);
+    core::modgemm(opa, opb, n, n, n, 1.0, A.data(), n, B.data(), n, 0.0,
+                  C.data(), n, opt, &report);
     return report;
   }
 };
@@ -417,6 +445,17 @@ TEST(PackFusedReport, StampsStrategyAndConversionSavings) {
   EXPECT_EQ(r.convert_in_seconds, 0.0);
   EXPECT_GT(r.compute_seconds, 0.0);
   EXPECT_EQ(r.products, 1);
+
+  // op(A) = A^T: the entry copy of A (256 x 256 doubles) is the one inbound
+  // pass, booked as conversion and subtracted from the savings.
+  const ModgemmReport t = p.run(opt, Op::Trans, Op::NoTrans);
+  ASSERT_FALSE(t.plan.direct);
+  EXPECT_STREQ(t.strategy, "packfused");
+  EXPECT_EQ(t.conversion_saved_bytes,
+            core::modgemm_conversion_bytes(t.plan, sizeof(double)) -
+                std::size_t{256} * 256 * sizeof(double));
+  EXPECT_GT(t.convert_in_seconds, 0.0);
+  EXPECT_EQ(t.products, 1);
 }
 
 TEST(PackFusedReport, MortonPinReportsMortonAndNoSavings) {
@@ -439,25 +478,94 @@ TEST(PackFusedReport, WorkspaceAccountingMatchesPublicSizing) {
   // accounting holds for the pack-fused path, not a family level.
   opt.algo = analysis::AlgoFamily::k222;
   opt.tiles.direct_threshold = 32;
-  ModgemmReport r;
-  ft::FaultInjector counter;  // count gated allocations
-  core::modgemm(Op::NoTrans, Op::NoTrans, p.n, p.n, p.n, 1.0, p.A.data(),
-                p.n, p.B.data(), p.n, 0.0, p.C.data(), p.n, opt, &r);
-  ASSERT_FALSE(r.plan.direct);
-  // One gated allocation: the single up-front arena (the sole fault site).
-  EXPECT_EQ(counter.allocations(), 1u);
-  EXPECT_EQ(r.workspace_allocations, 1);
-  const bool c_scratch =
-      core::packfused_needs_c_scratch(r.plan, p.n, p.n, /*beta_nonzero=*/false);
-  EXPECT_EQ(r.workspace_requested_bytes,
-            core::packfused_workspace_bytes(r.plan, sizeof(double), c_scratch));
-  EXPECT_GT(r.workspace_peak_bytes, 0u);
-  EXPECT_LE(r.workspace_peak_bytes, r.workspace_requested_bytes);
-  // The pack-fused request stays within the Morton request for the same
-  // plan: the strategy exists to need LESS memory, and the budget ladder
-  // prices both strategies with the Morton figure.
-  EXPECT_LE(r.workspace_requested_bytes,
-            core::modgemm_workspace_bytes(r.plan, sizeof(double)));
+  for (const auto& [opa, opb] : kOpPairs) {
+    SCOPED_TRACE(::testing::Message() << op_char(opa) << op_char(opb));
+    ModgemmReport r;
+    {
+      ft::FaultInjector counter;  // count gated allocations
+      core::modgemm(opa, opb, p.n, p.n, p.n, 1.0, p.A.data(), p.n,
+                    p.B.data(), p.n, 0.0, p.C.data(), p.n, opt, &r);
+      // One gated allocation: the single up-front arena (the sole fault
+      // site), which also holds the entry copy of a transposed operand.
+      EXPECT_EQ(counter.allocations(), 1u);
+    }
+    ASSERT_FALSE(r.plan.direct);
+    EXPECT_STREQ(r.strategy, "packfused");
+    EXPECT_EQ(r.workspace_allocations, 1);
+    const bool c_scratch = core::packfused_needs_c_scratch(
+        r.plan, p.n, p.n, /*beta_nonzero=*/false);
+    EXPECT_EQ(r.workspace_requested_bytes,
+              core::packfused_workspace_bytes(r.plan, opa, opb,
+                                              sizeof(double), c_scratch));
+    const std::size_t copies =
+        (opa == Op::Trans ? 1u : 0u) + (opb == Op::Trans ? 1u : 0u);
+    EXPECT_EQ(r.workspace_requested_bytes,
+              core::packfused_workspace_bytes(r.plan, Op::NoTrans,
+                                              Op::NoTrans, sizeof(double),
+                                              c_scratch) +
+                  copies * std::size_t{200} * 200 * sizeof(double));
+    EXPECT_GT(r.workspace_peak_bytes, 0u);
+    EXPECT_LE(r.workspace_peak_bytes, r.workspace_requested_bytes);
+    // With at most one operand copied, the pack-fused request stays within
+    // the Morton request for the same plan (the Morton buffer of the
+    // copied operand holds its copy).
+    if (copies < 2) {
+      EXPECT_LE(r.workspace_requested_bytes,
+                core::modgemm_workspace_bytes(r.plan, sizeof(double)));
+    }
+  }
+}
+
+// A budget equal to the Morton figure of the unbudgeted plan bounds every
+// request, for every op pair, unpinned and under either strategy pin.  A
+// pinned pack-fused product with both operands transposed copies both at
+// entry and would exceed that figure, so the ladder prices it with its own
+// and degrades it.
+TEST(PackFusedBudget, TransposedCallsStayWithinTheMortonFigure) {
+  const int m = 150, k = 130, n = 170;
+  Rng rng(41);
+  Matrix<double> A(std::max(m, k), std::max(m, k));
+  Matrix<double> B(std::max(k, n), std::max(k, n));
+  Matrix<double> C0(m, n), C(m, n);
+  rng.fill_int(A.storage(), -3, 3);
+  rng.fill_int(B.storage(), -3, 3);
+  rng.fill_int(C0.storage(), -3, 3);
+  const layout::GemmPlan planned = layout::plan_gemm(m, k, n);
+  ASSERT_TRUE(planned.feasible && !planned.direct);
+  const std::size_t budget =
+      core::modgemm_workspace_bytes(planned, sizeof(double));
+  ASSERT_GT(core::packfused_workspace_bytes(planned, Op::Trans, Op::Trans,
+                                            sizeof(double),
+                                            /*c_scratch=*/true),
+            budget);
+
+  for (const auto& [opa, opb] : kOpPairs)
+    for (const ExecStrategy pin :
+         {ExecStrategy::kAuto, ExecStrategy::kPackFused, ExecStrategy::kMorton})
+      for (const double beta : {0.0, -1.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << op_char(opa) << op_char(opb) << " pin "
+                     << layout::strategy_name(pin) << " beta " << beta);
+        Matrix<double> Ref(m, n);
+        copy_matrix<double>(C0.view(), Ref.view());
+        copy_matrix<double>(C0.view(), C.view());
+        blas::naive_gemm(opa, opb, m, n, k, 1.0, A.data(), A.ld(), B.data(),
+                         B.ld(), beta, Ref.data(), Ref.ld());
+        ModgemmOptions opt;
+        opt.strategy = pin;
+        opt.algo = analysis::AlgoFamily::k222;
+        opt.max_workspace_bytes = budget;
+        ModgemmReport r;
+        core::modgemm(opa, opb, m, n, k, 1.0, A.data(), A.ld(), B.data(),
+                      B.ld(), beta, C.data(), C.ld(), opt, &r);
+        EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
+        EXPECT_LE(r.workspace_requested_bytes, budget);
+        EXPECT_LE(r.workspace_peak_bytes, budget);
+        if (pin == ExecStrategy::kPackFused && opa == Op::Trans &&
+            opb == Op::Trans) {
+          EXPECT_NE(r.fallback_reason, FallbackReason::kNone);
+        }
+      }
 }
 
 TEST(PackFusedReport, DirectPlansReportNoStrategy) {
@@ -513,6 +621,31 @@ TEST(PackFusedHeuristic, RectangularOneShotPrefersPackFused) {
   EXPECT_STREQ(r.strategy, "packfused");
 }
 
+TEST(PackFusedHeuristic, BothOperandsTransposedPrefersMorton) {
+  // RectangularOneShotPrefersPackFused's shape runs pack-fused untransposed
+  // and with one operand transposed (one entry copy, within the Morton
+  // buffers); with both, the Morton conversion folds both transposes into
+  // its one pass for less memory and time than two entry copies.
+  UnsetStrategyEnv unset;
+  const int m = 512, k = 128, n = 128;
+  Matrix<double> A(m, m), B(m, m), C(m, n);
+  Rng rng(43);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  ModgemmOptions opt;
+  opt.algo = analysis::AlgoFamily::k222;
+  for (const auto& [opa, opb] : kOpPairs) {
+    SCOPED_TRACE(::testing::Message() << op_char(opa) << op_char(opb));
+    ModgemmReport r;
+    core::modgemm(opa, opb, m, n, k, 1.0, A.data(), A.ld(), B.data(), B.ld(),
+                  0.0, C.data(), C.ld(), opt, &r);
+    if (r.plan.direct) GTEST_SKIP() << "planner went direct on this host";
+    EXPECT_STREQ(r.strategy, opa == Op::Trans && opb == Op::Trans
+                                 ? "morton"
+                                 : "packfused");
+  }
+}
+
 TEST(PackFusedHeuristic, DeepSquareRecursionPrefersMorton) {
   // Depth 6 on a square problem: the Morton buffers are reused across 7^d
   // leaf products, so auto keeps the Morton strategy.
@@ -531,49 +664,62 @@ TEST(PackFusedHeuristic, DeepSquareRecursionPrefersMorton) {
 // ---------------------------------------------------------------------------
 
 // Mirrors test_ladder_invariants.cpp's sweep: count the gated allocation
-// sites of an un-faulted pack-fused run, then fail each in turn.
+// sites of an un-faulted pack-fused run, then fail each in turn.  The
+// op(A) = A^T leg makes as many gated allocations as the untransposed one:
+// the entry copy of A lives inside the one up-front arena, so refusing it is
+// refusing that arena, before any write to C.
 TEST(PackFusedFaults, SweepEverySiteKeepsTheContract) {
   const int n = 256;
   Rng rng(37);
-  Matrix<double> A(n, n), B(n, n), C0(n, n), Ref(n, n), C(n, n);
+  Matrix<double> A(n, n), B(n, n), C0(n, n), C(n, n);
   rng.fill_int(A.storage(), -3, 3);
   rng.fill_int(B.storage(), -3, 3);
   rng.fill_int(C0.storage(), -3, 3);
-  copy_matrix<double>(C0.view(), Ref.view());
-  blas::naive_gemm(Op::NoTrans, Op::NoTrans, n, n, n, 2.0, A.data(), n,
-                   B.data(), n, -1.0, Ref.data(), n);
 
   ModgemmOptions opt;
   opt.strategy = ExecStrategy::kPackFused;
 
-  std::uint64_t sites = 0;
-  {
-    ft::FaultInjector counter;
-    copy_matrix<double>(C0.view(), C.view());
-    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 2.0, A.data(), n,
-                  B.data(), n, -1.0, C.data(), n, opt);
-    sites = counter.allocations();
-    ASSERT_EQ(counter.failures(), 0u);
-    ASSERT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
-  }
-  ASSERT_GE(sites, 1u);
+  std::uint64_t untransposed_sites = 0;
+  for (const Op opa : {Op::NoTrans, Op::Trans}) {
+    SCOPED_TRACE(::testing::Message() << "op(A)=" << op_char(opa));
+    Matrix<double> Ref(n, n);
+    copy_matrix<double>(C0.view(), Ref.view());
+    blas::naive_gemm(opa, Op::NoTrans, n, n, n, 2.0, A.data(), n, B.data(),
+                     n, -1.0, Ref.data(), n);
 
-  for (std::uint64_t at = 1; at <= sites; ++at) {
-    SCOPED_TRACE(::testing::Message() << "fail_at=" << at << "/" << sites);
-    ft::FaultInjector inj(ft::FaultMode::kFailOnce, at);
-    copy_matrix<double>(C0.view(), C.view());
-    ModgemmReport report;
-    try {
-      core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 2.0, A.data(), n,
-                    B.data(), n, -1.0, C.data(), n, opt, &report);
-      EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
-      if (inj.failures() > 0) {
-        EXPECT_NE(report.fallback_reason, FallbackReason::kNone);
-      }
-    } catch (const std::bad_alloc&) {
-      EXPECT_EQ(max_abs_diff<double>(C.view(), C0.view()), 0.0);
+    std::uint64_t sites = 0;
+    {
+      ft::FaultInjector counter;
+      copy_matrix<double>(C0.view(), C.view());
+      core::modgemm(opa, Op::NoTrans, n, n, n, 2.0, A.data(), n, B.data(), n,
+                    -1.0, C.data(), n, opt);
+      sites = counter.allocations();
+      ASSERT_EQ(counter.failures(), 0u);
+      ASSERT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
     }
-    EXPECT_GE(inj.failures(), 1u);
+    ASSERT_GE(sites, 1u);
+    if (opa == Op::NoTrans)
+      untransposed_sites = sites;
+    else
+      EXPECT_EQ(sites, untransposed_sites);
+
+    for (std::uint64_t at = 1; at <= sites; ++at) {
+      SCOPED_TRACE(::testing::Message() << "fail_at=" << at << "/" << sites);
+      ft::FaultInjector inj(ft::FaultMode::kFailOnce, at);
+      copy_matrix<double>(C0.view(), C.view());
+      ModgemmReport report;
+      try {
+        core::modgemm(opa, Op::NoTrans, n, n, n, 2.0, A.data(), n, B.data(),
+                      n, -1.0, C.data(), n, opt, &report);
+        EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
+        if (inj.failures() > 0) {
+          EXPECT_NE(report.fallback_reason, FallbackReason::kNone);
+        }
+      } catch (const std::bad_alloc&) {
+        EXPECT_EQ(max_abs_diff<double>(C.view(), C0.view()), 0.0);
+      }
+      EXPECT_GE(inj.failures(), 1u);
+    }
   }
 }
 

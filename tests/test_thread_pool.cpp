@@ -119,6 +119,20 @@ TEST(ParallelFor, EmptyAndTinyRanges) {
   EXPECT_EQ(sum.load(), 4);
 }
 
+TEST(ParallelFor, OneWorkerPoolSplitsWithTheCaller) {
+  // The caller runs chunks while it waits, so a 1-worker pool is two-wide:
+  // a range of at least twice the grain runs as at least two chunks.
+  ThreadPool pool(1);
+  std::vector<std::atomic<int>> hits(64);
+  std::atomic<int> chunks{0};
+  parallel_for(&pool, 0, 64, 16, [&](std::int64_t lo, std::int64_t hi) {
+    ++chunks;
+    for (std::int64_t i = lo; i < hi; ++i) ++hits[static_cast<size_t>(i)];
+  });
+  EXPECT_GE(chunks.load(), 2);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(ParallelFor, NullPoolIsSerial) {
   std::vector<int> hits(64, 0);
   parallel_for(nullptr, 0, 64, 4, [&](std::int64_t lo, std::int64_t hi) {
