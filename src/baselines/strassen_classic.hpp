@@ -30,7 +30,9 @@ namespace detail {
 
 // C = A * B on Morton blocks; same contract as core::winograd_recurse.
 // Temporaries per level: tA (A-quadrant shaped), tB (B-quadrant), tP
-// (C-quadrant) -- the same arena footprint as the Winograd schedule.
+// (C-quadrant) -- the paper's 3-temporary footprint
+// (classic_workspace_bytes), one buffer more than the library's Winograd
+// table needs.
 template <class MM, class T>
 void classic_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
                      int tn, int depth, Arena& arena) {
@@ -98,6 +100,24 @@ void classic_recurse(MM& mm, T* C, const T* A, const T* B, int tm, int tk,
   blas::vadd_inplace(mm, qc, C11, tP);
 }
 
+// Arena bytes classic_recurse pushes: tA, tB and tP at every level, each
+// rounded to the arena's 64-byte granularity.
+inline std::size_t classic_workspace_bytes(int tm, int tk, int tn, int depth,
+                                           std::size_t elem_size) {
+  std::size_t total = 0;
+  for (int d1 = depth - 1; d1 >= 0; --d1) {
+    const std::size_t scale = std::size_t{1} << (2 * d1);
+    for (const int e : {tm * tk, tk * tn, tm * tn})
+      total = checked_add(
+          total,
+          checked_add(checked_mul(static_cast<std::size_t>(e) * scale,
+                                  elem_size),
+                      63) /
+              64 * 64);
+  }
+  return total;
+}
+
 }  // namespace detail
 
 // Full dgemm semantics via the MODGEMM pipeline (plan, convert, recurse,
@@ -131,8 +151,8 @@ void strassen_classic_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
       static_cast<std::size_t>(la.elems() + lb.elems() + lc.elems()) *
           sizeof(T) +
       3 * 64 +
-      core::winograd_workspace_bytes(plan.m.tile, plan.k.tile, plan.n.tile,
-                                     plan.depth, sizeof(T)));
+      detail::classic_workspace_bytes(plan.m.tile, plan.k.tile, plan.n.tile,
+                                      plan.depth, sizeof(T)));
   T* Am = arena.push<T>(static_cast<std::size_t>(la.elems()));
   T* Bm = arena.push<T>(static_cast<std::size_t>(lb.elems()));
   T* Cm = arena.push<T>(static_cast<std::size_t>(lc.elems()));

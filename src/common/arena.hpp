@@ -1,6 +1,6 @@
 // arena.hpp -- stack (LIFO) allocator for recursion temporaries.
 //
-// The Winograd recursion needs three quadrant-sized temporaries per level.
+// The Winograd recursion needs two quadrant-sized temporary buffers per level.
 // Because children are invoked strictly sequentially, the live temporaries at
 // any instant form a stack; the workspace module computes the exact peak size
 // up front and the recursion draws from this arena with push/pop semantics.

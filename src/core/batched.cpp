@@ -55,7 +55,6 @@ tune::PlanKey make_plan_key(const ClassKey& c, const BatchedOptions& opt,
   key.n = c.n;
   key.opa = c.opa;
   key.opb = c.opb;
-  key.schedule = static_cast<std::uint8_t>(cfg.schedule);
   key.strategy = static_cast<std::uint8_t>(cfg.strategy);
   key.algo = static_cast<std::uint8_t>(cfg.algo);
   key.elem_size = sizeof(double);
@@ -137,7 +136,7 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
   // loop costs this entry point exists to remove.  Malformed env values
   // throw here, before any write to C.
   const ExecConfig cfg =
-      resolve_config({opt.schedule, opt.strategy, opt.algo});
+      resolve_config({opt.strategy, opt.algo});
 
   // ---- plan once per equivalence class -------------------------------------
   std::vector<PlanClass> classes;
@@ -195,7 +194,7 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
                 ? cls.plan
                 : detail::plan_product<double>(
                       it.opa, it.opb, ck.m, ck.k, ck.n,
-                      {cfg.schedule, cfg.strategy, analysis::AlgoFamily::k222},
+                      {cfg.strategy, analysis::AlgoFamily::k222},
                       tiles, opt.max_workspace_bytes, nullptr);
         cls.deep = plain.strategy != layout::ExecStrategy::kPackFused &&
                    plain.feasible && !plain.direct &&

@@ -7,7 +7,7 @@
 // resolution, a planning pass, a workspace allocation, and a report.  This
 // entry point amortizes all four across the batch:
 //
-//   * plan once per (shape, op, strategy, schedule) equivalence class --
+//   * plan once per (shape, op, strategy, budget) equivalence class --
 //     products with equal planning inputs share one GemmPlan, looked up in /
 //     published to the process-wide plan cache (tune/plan_cache.hpp), so a
 //     steady-state service plans a given class exactly once per process;
@@ -67,10 +67,8 @@ struct BatchedOptions {
   // Leaf-kernel pin installed ONCE for the whole batch (process-global, like
   // ModgemmOptions::kernel).
   blas::kernels::Kind kernel = blas::kernels::Kind::kAuto;
-  // Schedule-family / execution-strategy pins, resolved once per batch
-  // against STRASSEN_SCHEDULE / STRASSEN_STRATEGY (semantics identical to
-  // ModgemmOptions).
-  analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
+  // Execution-strategy pin, resolved once per batch against
+  // STRASSEN_STRATEGY (semantics identical to ModgemmOptions).
   layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
   // <m,k,n> algorithm-family pin, resolved once per batch against
   // STRASSEN_ALGO and then per class by the planner heuristic

@@ -9,22 +9,6 @@ namespace strassen::core {
 
 namespace detail {
 
-analysis::ScheduleFamily parse_schedule_family(const char* value) {
-  using analysis::ScheduleFamily;
-  STRASSEN_REQUIRE(value != nullptr, "STRASSEN_SCHEDULE: null value");
-  if (std::strcmp(value, "auto") == 0) return ScheduleFamily::kAuto;
-  if (std::strcmp(value, "winograd") == 0) return ScheduleFamily::kWinograd;
-  if (std::strcmp(value, "winograd-lowmem") == 0)
-    return ScheduleFamily::kLowMem;
-  if (std::strcmp(value, "winograd-inplace") == 0)
-    return ScheduleFamily::kInPlace;
-  STRASSEN_REQUIRE(false, "STRASSEN_SCHEDULE: unknown schedule family \""
-                              << value
-                              << "\" (expected auto, winograd, "
-                                 "winograd-lowmem or winograd-inplace)");
-  return ScheduleFamily::kAuto;  // unreachable
-}
-
 layout::ExecStrategy parse_exec_strategy(const char* value) {
   using layout::ExecStrategy;
   STRASSEN_REQUIRE(value != nullptr, "STRASSEN_STRATEGY: null value");
@@ -61,9 +45,6 @@ ExecConfig resolve_config(ExecConfig pins) {
     const char* v = std::getenv(name);
     return v != nullptr && *v != '\0' ? v : nullptr;
   };
-  if (pins.schedule == analysis::ScheduleFamily::kAuto)
-    if (const char* v = env("STRASSEN_SCHEDULE"))
-      pins.schedule = detail::parse_schedule_family(v);
   if (pins.strategy == layout::ExecStrategy::kAuto)
     if (const char* v = env("STRASSEN_STRATEGY"))
       pins.strategy = detail::parse_exec_strategy(v);

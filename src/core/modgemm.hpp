@@ -25,7 +25,8 @@
 // The three entry points (modgemm_mm, parallel::pmodgemm, modgemm_batched)
 // dispatch through one pipeline:
 //   resolve -- resolve_config turns the call's pins and the STRASSEN_*
-//              environment into one ExecConfig, once per top-level call.
+//              environment into one ExecConfig (strategy and <m,k,n>
+//              family), once per top-level call.
 //              Every nested product (family sub-products, split chunks,
 //              a forked product's serial rerun, batched items) gets that
 //              config.
@@ -102,16 +103,6 @@ struct ModgemmOptions {
   // (RawMem, double) instantiation consults the engine; traced executions
   // always run the scalar path.
   blas::kernels::Kind kernel = blas::kernels::Kind::kAuto;
-  // Schedule-family pin for this call (analysis/schedule.hpp).  kAuto (the
-  // default) defers to the STRASSEN_SCHEDULE environment override and then
-  // to the planner, which runs the seed-exact 3-temporary family and swaps
-  // to the low-memory families only when max_workspace_bytes forces it
-  // (recorded as FallbackReason::kScheduleSwap).  Pinning kLowMem/kInPlace
-  // runs that family unconditionally (kInPlace as kLowMem where Kreczmar's
-  // table cannot run, see detail::runnable_family); pinning kWinograd
-  // disables the schedule-swap rung (the ladder then degrades by depth as
-  // before).
-  analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
   // Execution-strategy pin for this call (layout/plan.hpp).  kAuto (the
   // default) defers to the STRASSEN_STRATEGY environment override and then
   // to the planner (detail::plan_exec_strategy): Morton when both operands
@@ -147,16 +138,18 @@ struct ModgemmOptions {
 };
 
 // The execution choices of one call after pins and environment: each field
-// kAuto leaves that choice to plan_product's per-product heuristics.
+// kAuto leaves that choice to plan_product's per-product heuristics.  The
+// schedule family is not a choice: every product runs the 2-buffer table
+// unless the workspace budget moves it to Kreczmar's
+// (apply_workspace_budget).
 struct ExecConfig {
-  analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
   layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
   analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
 };
 
 // Resolves one top-level call's config: a pinned (non-kAuto) field wins,
-// an unpinned one takes STRASSEN_SCHEDULE / STRASSEN_STRATEGY /
-// STRASSEN_ALGO, else stays kAuto.  The only place the library reads these
+// an unpinned one takes STRASSEN_STRATEGY / STRASSEN_ALGO, else stays
+// kAuto.  The only place the library reads these
 // variables; nested products receive the caller's resolved config.  A
 // malformed value throws before any write to C.  Implemented in modgemm.cpp.
 ExecConfig resolve_config(ExecConfig pins);
@@ -207,10 +200,9 @@ inline std::size_t modgemm_workspace_bytes(const layout::GemmPlan& plan,
 
 namespace detail {
 
-// Parse STRASSEN_SCHEDULE / STRASSEN_STRATEGY / STRASSEN_ALGO values
-// ("auto" -> kAuto); anything else throws via STRASSEN_REQUIRE naming the
-// variable and the offending value.  Implemented in modgemm.cpp.
-analysis::ScheduleFamily parse_schedule_family(const char* value);
+// Parse STRASSEN_STRATEGY / STRASSEN_ALGO values ("auto" -> kAuto);
+// anything else throws via STRASSEN_REQUIRE naming the variable and the
+// offending value.  Implemented in modgemm.cpp.
 layout::ExecStrategy parse_exec_strategy(const char* value);
 analysis::AlgoFamily parse_algo_family(const char* value);
 
@@ -276,8 +268,8 @@ inline void stamp_pool(ModgemmReport* report, const Fork& fork) {
 // of the in-place family.  Kreczmar's table destroys its operands and moves
 // values between the quadrants of A, B and C, so it runs only on the Morton
 // copies the library owns (pack-fused recurses on the caller's matrices)
-// and only with square tiles (tm == tk == tn).  Any other kInPlace plan
-// runs kLowMem.
+// and only with square tiles (tm == tk == tn).  Any other plan runs
+// kLowMem.
 inline analysis::ScheduleFamily runnable_family(
     const layout::GemmPlan& plan, analysis::ScheduleFamily family) {
   const bool square =
@@ -291,70 +283,55 @@ inline analysis::ScheduleFamily runnable_family(
 // Settles a plan under cfg and degrades a feasible one until its workspace
 // fits `budget` bytes (0 = unlimited).  Every plan and candidate gets the
 // strategy it runs (plan_exec_strategy), the family that strategy can run
-// (runnable_family) and is priced with both (budget_bytes).  The ladder,
-// from least to most severe:
-//   1. schedule swap -- keep the planned depth but run a lower-footprint
-//      schedule family (kLowMem saves ~1/3 of each level's temporaries;
-//      kInPlace needs no arena at all where runnable_family lets it run).
-//      Recorded as kScheduleSwap.  Skipped when cfg pins a family (the
-//      pinned family was already priced in).
+// (runnable_family) and is priced with both (budget_bytes).  A plan runs
+// kLowMem unless the budget cannot hold it; the ladder, from least to most
+// severe:
+//   1. schedule swap -- keep the planned depth but run Kreczmar's table
+//      (kInPlace), which needs no arena at all, where runnable_family lets
+//      it run.  Recorded as kScheduleSwap.
 //   2. depth reduction -- re-plan at shallower recursion depths (each level
 //      removed drops that level's quadrant temporaries -- Boyer et al.'s
-//      space/depth trade), trying the family candidates at each depth.
+//      space/depth trade), trying kLowMem and then kInPlace at each depth.
 //      Recorded as kDepthReduced.
 //   3. direct -- no Strassen depth fits; the workspace-free conventional
 //      path.  Recorded as kBudgetDirect.
-// A cfg.schedule other than kAuto pins plan.schedule to that family
-// throughout.
 inline layout::GemmPlan apply_workspace_budget(
     layout::GemmPlan plan, Op opa, Op opb, int m, int k, int n,
     const layout::TileOptions& tiles, std::size_t budget,
     std::size_t elem_size, ModgemmReport* report, const ExecConfig& cfg) {
   using analysis::ScheduleFamily;
-  const auto settle = [&](layout::GemmPlan& cand, ScheduleFamily family) {
+  // Settles cand to run `family` and reports whether it fits the budget.
+  const auto fits = [&](layout::GemmPlan& cand, ScheduleFamily family) {
     cand.strategy =
         plan_exec_strategy(cfg.strategy, cand, opa, opb, m, k, n, tiles);
     if (!cand.direct) cand.schedule = runnable_family(cand, family);
+    return budget == 0 || budget_bytes(cand, opa, opb, elem_size) <= budget;
   };
-  settle(plan, cfg.schedule != ScheduleFamily::kAuto ? cfg.schedule
-                                                      : plan.schedule);
-  if (budget == 0 || plan.direct || !plan.feasible) return plan;
-  if (budget_bytes(plan, opa, opb, elem_size) <= budget) return plan;
-  // Family candidates in decreasing footprint order.  Pinned calls get only
-  // the pinned family (already checked above at full depth -> only the depth
-  // loop below can save them).
-  const ScheduleFamily ladder[] = {ScheduleFamily::kWinograd,
-                                   ScheduleFamily::kLowMem,
-                                   ScheduleFamily::kInPlace};
-  const bool pinned = cfg.schedule != ScheduleFamily::kAuto;
-  const ScheduleFamily* fams = pinned ? &cfg.schedule : ladder;
-  const int nfams = pinned ? 1 : 3;
-  // Rung 1: full planned depth, lower-footprint family.
-  for (int f = 0; f < nfams; ++f) {
-    layout::GemmPlan cand = plan;
-    settle(cand, fams[f]);
-    if (cand.schedule == plan.schedule) continue;  // priced already
-    if (budget_bytes(cand, opa, opb, elem_size) <= budget) {
-      record_fallback(report, FallbackReason::kScheduleSwap);
-      return cand;
-    }
+  // Direct and infeasible (split) plans need no workspace, so they fit.
+  if (fits(plan, ScheduleFamily::kLowMem)) return plan;
+  // Rung 1: full planned depth, Kreczmar's table.  A plan it cannot run
+  // stays kLowMem, priced as above, so it does not fit here either.
+  layout::GemmPlan swap = plan;
+  if (fits(swap, ScheduleFamily::kInPlace)) {
+    record_fallback(report, FallbackReason::kScheduleSwap);
+    return swap;
   }
-  // Rung 2: shallower depths, cheapest-first over the family candidates so
-  // each depth is exhausted before giving up another recursion level.
+  // Rung 2: shallower depths, cheapest-first over both families so each
+  // depth is exhausted before giving up another recursion level.
   for (int d = plan.depth - 1; d >= 1; --d) {
     const layout::DimPlan dm = layout::choose_dim_at_depth(m, d, tiles);
     const layout::DimPlan dk = layout::choose_dim_at_depth(k, d, tiles);
     const layout::DimPlan dn = layout::choose_dim_at_depth(n, d, tiles);
     if (dm.tile == 0 || dk.tile == 0 || dn.tile == 0) continue;
-    for (int f = 0; f < nfams; ++f) {
+    for (const ScheduleFamily f :
+         {ScheduleFamily::kLowMem, ScheduleFamily::kInPlace}) {
       layout::GemmPlan cand;
       cand.depth = d;
       cand.m = dm;
       cand.k = dk;
       cand.n = dn;
       cand.feasible = true;
-      settle(cand, fams[f]);
-      if (budget_bytes(cand, opa, opb, elem_size) <= budget) {
+      if (fits(cand, f)) {
         record_fallback(report, FallbackReason::kDepthReduced);
         return cand;
       }
@@ -431,26 +408,23 @@ void stamp_call(ModgemmReport* report, int m, int n, int k) {
 
 // The fields of one executed Strassen product: the plan as it ran (its
 // strategy and the schedule family it executed), the bytes that family saved
-// against the 3-temporary default, the product count and the arena
-// high-water mark.  `forked` top levels ran as parallel spawn levels, whose
-// temporaries are family-independent: the saving is that of the 7^forked
-// serial subtrees below them.
+// against the default 2-buffer table (non-zero only on the Kreczmar rung),
+// the product count and the arena high-water mark.  `forked` top levels ran
+// as parallel spawn levels, whose temporaries are family-independent: the
+// saving is that of the 7^forked serial subtrees below them.
 inline void stamp_product(ModgemmReport* report, layout::GemmPlan plan,
-                          layout::ExecStrategy strategy,
-                          analysis::ScheduleFamily executed,
-                          std::size_t elem_size, std::size_t peak,
-                          int forked = 0) {
+                          layout::ExecStrategy strategy, std::size_t elem_size,
+                          std::size_t peak, int forked = 0) {
   if (report == nullptr) return;
   plan.strategy = strategy;
-  plan.schedule = executed;
   report->plan = plan;
   report->strategy = layout::strategy_name(strategy);
-  report->schedule = analysis::family_name(executed);
+  report->schedule = analysis::family_name(plan.schedule);
   const int d = plan.depth - forked;
   const std::size_t def = winograd_workspace_bytes(
       plan.m.tile, plan.k.tile, plan.n.tile, d, elem_size);
   const std::size_t got = winograd_workspace_bytes(
-      plan.m.tile, plan.k.tile, plan.n.tile, d, elem_size, executed);
+      plan.m.tile, plan.k.tile, plan.n.tile, d, elem_size, plan.schedule);
   if (def > got) {
     std::size_t saved = def - got;
     for (int i = 0; i < forked; ++i) saved = checked_mul(saved, 7);
@@ -685,7 +659,7 @@ void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
             opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
             report);
         stamp_product(report, plan, layout::ExecStrategy::kPackFused,
-                      plan.schedule, sizeof(T), peak);
+                      sizeof(T), peak);
       } else {
         const int spawn = fork == nullptr ? 0 : fork->levels(plan);
         if (fork != nullptr) {
@@ -696,7 +670,7 @@ void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
             mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, plan,
             fork == nullptr ? nullptr : fork->pool, spawn, report);
         stamp_product(report, plan, layout::ExecStrategy::kMorton,
-                      plan.schedule, sizeof(T), peak, spawn);
+                      sizeof(T), peak, spawn);
       }
       return;
     } catch (const std::bad_alloc&) {
@@ -911,7 +885,7 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   // kMorton.  The fixed-tile ablation studies <2,2,2> static padding and
   // never runs a family.  Pinning both keeps resolve_config from reading
   // their environment variables.
-  ExecConfig pins{opt.schedule, opt.strategy, opt.algo};
+  ExecConfig pins{opt.strategy, opt.algo};
   if constexpr (!std::is_same_v<MM, RawMem>)
     pins.strategy = layout::ExecStrategy::kMorton;
   if (opt.fixed_tile > 0) pins.algo = analysis::AlgoFamily::k222;
@@ -946,12 +920,8 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   lift(plan.n);
   plan.feasible = true;
   plan.direct = plan.depth == 0;
-  if (cfg.schedule != analysis::ScheduleFamily::kAuto)
-    plan.schedule = cfg.schedule;
   plan.strategy = detail::plan_exec_strategy(cfg.strategy, plan, opa, opb,
                                              m, k, n, opt.tiles);
-  if (!plan.direct)
-    plan.schedule = detail::runnable_family(plan, plan.schedule);
   detail::run_product(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C,
                       ldc, plan, cfg, opt.tiles, opt.max_workspace_bytes,
                       report);

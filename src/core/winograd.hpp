@@ -4,9 +4,9 @@
 // recursive product runs when, and which temporaries (tS over A-quadrants,
 // tT over B-quadrants, tP over C-quadrants) hold what -- is data, not code:
 // analysis/schedule.hpp declares it as constexpr step tables
-// (analysis::kWinograd, 7 recursive products + 15 additions -- the minimum
-// for quadrant-based recursion, as the paper notes -- with C's quadrants
-// doubling as scratch so only three temporaries are live per level), and
+// (analysis::kWinogradLowMem, 7 recursive products + 15 additions -- the
+// minimum for quadrant-based recursion, as the paper notes -- with C's
+// quadrants doubling as scratch so two arena buffers serve a level), and
 // detail::ScheduleInterpreter below is the only code that walks them.  The
 // verifier (analysis/schedule_verify.hpp) symbolically proves every shipped
 // table correct at compile time: product identity, no use of clobbered
@@ -46,8 +46,8 @@
 // Table selection never looks at the kernel: each operand sum is one
 // contiguous element-wise pass (paper S3.3), and a leaf only multiplies
 // tiles.  The kernel choice therefore changes which instructions
-// run, never the schedule, and every traced MemModel keeps the seed's exact
-// rounding and address stream.
+// run, never the schedule, and a traced MemModel sees one rounding and one
+// address stream whatever the kernel.
 #pragma once
 
 #include <cstddef>
@@ -277,16 +277,16 @@ class ScheduleInterpreter {
 //   B: (tk<<depth) x (tn<<depth), leaf tiles tk x tn
 //   C: (tm<<depth) x (tn<<depth), leaf tiles tm x tn
 // `arena` must have winograd_workspace_bytes(tm, tk, tn, depth, ..., family)
-// available.  Every level runs analysis::level_schedule(family): kWinograd
-// is the seed-exact default (3 temporaries), kLowMem the 2-buffer BDPZ
-// table, and kInPlace Kreczmar's table (no temporaries, square tiles only),
-// which destroys A and B: they must be operand copies the caller owns (the
-// Morton staging buffers of core/modgemm.hpp).
+// available.  Every level runs analysis::level_schedule(family): kLowMem
+// is the seed-exact default (the 2-buffer BDPZ table), and kInPlace
+// Kreczmar's table (no temporaries, square tiles only), which destroys A and
+// B: they must be operand copies the caller owns (the Morton staging buffers
+// of core/modgemm.hpp).
 template <class MM, class T>
 void winograd_recurse(
     MM& mm, T* C, const T* A, const T* B, int tm, int tk, int tn, int depth,
     Arena& arena,
-    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd) {
+    analysis::ScheduleFamily family = analysis::ScheduleFamily::kLowMem) {
   using Storage = detail::MortonStorage<MM, T>;
   using analysis::Shape;
   Storage st{{tm, tk, tn}, mm};

@@ -11,8 +11,9 @@
 // every sizing function sums level_temp_bytes, so sizing cannot drift from
 // execution.  Per level, with qa/qb/qc the A-/B-/C-shaped quadrant sizes:
 //
-//   kWinograd        qa + qb + qc                 (the paper's bound)
-//   kLowMem          max(qa, qc) + qb             (tS/tP share)
+//   kLowMem          max(qa, qc) + qb             (tS/tP share; the paper's
+//                                                  3-temporary sequence
+//                                                  needs qa + qb + qc)
 //   kInPlace         0    (Kreczmar: the Morton A/B/C quadrants hold all)
 //   spawn level      4 qa + 4 qb + 3 qc           (core/modgemm.hpp)
 #pragma once
@@ -75,9 +76,9 @@ std::size_t level_temp_bytes(const analysis::Schedule& sched, int tm, int tk,
 // Peak bytes of recursion temporaries for a product of Morton blocks with
 // leaf tiles (tm x tk) * (tk x tn) and `depth` recursion levels, exactly as
 // core::winograd_recurse(..., family) pushes them: every level runs the
-// table analysis::level_schedule selects.  kAuto sizes as kWinograd.
+// table analysis::level_schedule selects.
 std::size_t winograd_workspace_bytes(
     int tm, int tk, int tn, int depth, std::size_t elem_size,
-    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd);
+    analysis::ScheduleFamily family = analysis::ScheduleFamily::kLowMem);
 
 }  // namespace strassen::core

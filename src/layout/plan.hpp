@@ -170,12 +170,11 @@ struct GemmPlan {
   bool direct = false;  // true: skip Strassen, use conventional gemm
   bool feasible = true; // false: dimensions too disparate; caller must split
   int depth = 0;
-  // Schedule family the recursion executes (analysis/schedule.hpp).  The
-  // planner default is the 3-temporary paper schedule; the degradation
-  // ladder (core/modgemm.hpp) swaps to the low-memory families before
-  // reducing depth when max_workspace_bytes bites, and
-  // ModgemmOptions::schedule / STRASSEN_SCHEDULE pin one explicitly.
-  analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kWinograd;
+  // Schedule family the recursion executes (analysis/schedule.hpp): the
+  // 2-buffer table, or Kreczmar's where the degradation ladder
+  // (core/modgemm.hpp) swaps to it before reducing depth because
+  // max_workspace_bytes cannot hold the arena.
+  analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kLowMem;
   // Execution strategy the product runs (never kAuto in an executed plan:
   // core/modgemm.hpp resolves pin -> STRASSEN_STRATEGY -> the
   // choose_exec_strategy heuristic before dispatch).  Traced/counted memory

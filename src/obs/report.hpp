@@ -50,9 +50,9 @@ enum class FallbackReason {
                     // (its sub-products would sit at/below the direct
                     // threshold, staging exceeded the budget, or its
                     // up-front allocation failed); <2,2,2> ran instead
-  kScheduleSwap,    // workspace budget: planned depth kept, but a
-                    // lower-footprint schedule family ran instead of the
-                    // default 3-temporary table
+  kScheduleSwap,    // workspace budget: planned depth kept, but
+                    // Kreczmar's zero-workspace table ran instead of the
+                    // default 2-buffer table
   kDepthReduced,    // workspace budget: shallower recursion chosen
   kBudgetDirect,    // workspace budget: no depth fit; conventional gemm
   kAllocDirect,     // an allocation failed mid-call; conventional retry
@@ -101,9 +101,9 @@ struct GemmReport {
   std::size_t workspace_requested_bytes = 0;  // arenas + Morton buffers sized
   std::size_t workspace_peak_bytes = 0;       // high-water mark reached
   int workspace_allocations = 0;              // arenas/buffers created
-  // Recursion-arena bytes a low-memory schedule family avoided relative to
-  // the default 3-temporary family (summed across products; 0 when the
-  // default family ran).
+  // Recursion-arena bytes Kreczmar's table avoided relative to the default
+  // 2-buffer table (summed across products; non-zero only on the
+  // kScheduleSwap rung or a depth-reduced Kreczmar plan).
   std::size_t workspace_saved_bytes = 0;
   // Morton staging-buffer bytes the pack-fused strategy did NOT allocate
   // (summed across pack-fused products; 0 when every product ran kMorton).
@@ -170,11 +170,13 @@ struct GemmReport {
     const double t = total_seconds();
     return t > 0 ? (convert_in_seconds + convert_out_seconds) / t : 0.0;
   }
-  // Fraction of the pool's capacity the call kept busy:
-  // task_busy_seconds / (threads * wall_seconds).  0 when serial.
+  // Fraction of the pool's capacity the call kept busy, in [0, 1]:
+  // task_busy_seconds / ((threads + 1) * wall_seconds), since the calling
+  // thread runs tasks too while it joins.  0 when serial.
   double pool_utilization() const {
     if (threads <= 0 || wall_seconds <= 0.0) return 0.0;
-    return task_busy_seconds / (static_cast<double>(threads) * wall_seconds);
+    return task_busy_seconds /
+           (static_cast<double>(threads + 1) * wall_seconds);
   }
   // Total pad elements of the (last) executed plan across A, B and C.
   long long pad_elems() const;

@@ -74,14 +74,6 @@ struct ParallelOptions {
   // product, a few hundred microseconds of leaf work) keeps task overhead
   // well under 1%.  Ignored when spawn_levels >= 0.
   std::int64_t min_task_flops = std::int64_t{1} << 21;
-  // Schedule family for the serial subtrees below the fork levels
-  // (analysis/schedule.hpp): kAuto defers to STRASSEN_SCHEDULE, then the
-  // default 3-temporary family.  Spawn levels always keep their 11 dedicated
-  // temporaries (the space-for-parallelism trade is the point of forking);
-  // the low-memory families shrink each task's serial arena, down to none
-  // for kInPlace on square Morton plans (elsewhere it runs as kLowMem, as in
-  // core::modgemm).
-  analysis::ScheduleFamily schedule = analysis::ScheduleFamily::kAuto;
   // <m,k,n> algorithm-family pin (analysis/algo_family.hpp), mirroring
   // ModgemmOptions::algo: kAuto defers to STRASSEN_ALGO and then the planner
   // heuristic (layout::choose_algo).  A non-<2,2,2> family stages its
@@ -116,12 +108,11 @@ int fork_levels(const ThreadPool* pool, int tm, int tk, int tn, int depth,
 // levels, which are family-independent (kWinogradSpawn's 11 temporaries).
 std::size_t pmodgemm_workspace_bytes(
     int tm, int tk, int tn, int depth, int spawn_levels, std::size_t elem_size,
-    analysis::ScheduleFamily family = analysis::ScheduleFamily::kWinograd);
+    analysis::ScheduleFamily family = analysis::ScheduleFamily::kLowMem);
 
 // C <- alpha * op(A).op(B) + beta * C, using `pool` for parallelism.
 // pool == nullptr is core::modgemm (same plan, strategy and report fields).
-// Bit-for-bit identical to core::modgemm for every input and every schedule
-// family.  Arguments are
+// Bit-for-bit identical to core::modgemm for every input.  Arguments are
 // validated exactly like the serial entry point (same STRASSEN_REQUIRE
 // checks and messages); if an allocation fails mid-call -- a buffer or an
 // arena inside a task, whose exception surfaces at TaskGroup::wait() -- the

@@ -90,14 +90,20 @@ TraceResult trace_tile_kernel(int tile, int base_ld, bool contiguous,
   Rng rng(seed);
   TracingMem mm(hierarchy);
   if (contiguous) {
-    // Dedicated tiles: leading dimension == tile (the Morton leaf situation).
-    Matrix<double> A(tile, tile), B(tile, tile), C(tile, tile);
-    rng.fill_uniform(A.storage());
-    rng.fill_uniform(B.storage());
+    // Dedicated tiles: leading dimension == tile (the Morton leaf situation),
+    // back to back in one buffer as in a Morton block, so whether they
+    // collide in the simulated cache does not depend on where the heap put
+    // three separate allocations.
+    Matrix<double> M(tile, 3 * tile);
+    rng.fill_uniform(M.storage());
+    const std::size_t elems = static_cast<std::size_t>(tile) * tile;
+    const double* A = M.data();
+    const double* B = M.data() + elems;
+    double* C = M.data() + 2 * elems;
     hierarchy.flush();
     for (int r = 0; r < repetitions; ++r)
-      blas::gemm_leaf(mm, tile, tile, tile, A.data(), A.ld(), B.data(), B.ld(),
-                      C.data(), C.ld(), blas::LeafMode::Overwrite);
+      blas::gemm_leaf(mm, tile, tile, tile, A, tile, B, tile, C, tile,
+                      blas::LeafMode::Overwrite);
   } else {
     // Submatrices of a base matrix M: A = M[0,0], B = M[T,T], C = M[2T,2T],
     // all with the base leading dimension (paper S3.3).

@@ -46,7 +46,8 @@ TraceResult trace_multiply(Impl impl, int m, int n, int k,
 // The Fig. 3 kernel experiment under simulation: multiply T x T submatrices
 // carved from a base matrix of leading dimension `base_ld` (non-contiguous,
 // A at (0,0), B at (T,T), C at (2T,2T) as in the paper) or from dedicated
-// contiguous tiles (`contiguous` = true, leading dimension T).
+// contiguous tiles (`contiguous` = true, leading dimension T, back to back
+// in one buffer).
 TraceResult trace_tile_kernel(int tile, int base_ld, bool contiguous,
                               CacheHierarchy hierarchy, int repetitions = 4,
                               std::uint64_t seed = 0x5C98u);

@@ -2,7 +2,7 @@
 //
 // The batched service loop (core/batched.hpp) multiplies torrents of
 // small/medium products whose planning inputs repeat endlessly: the same
-// (shape, op, strategy, schedule, budget, planner knobs) class shows up for
+// (shape, op, strategy, budget, planner knobs) class shows up for
 // every convolution of every inference.  Planning one product is cheap;
 // planning it a million times per second is not -- and the autotune survey
 // (tune/autotune.hpp), which prices tiles and kernels EMPIRICALLY, costs a
@@ -54,7 +54,9 @@ struct PlanKey {
   int m = 0, k = 0, n = 0;
   std::uint8_t opa = 0, opb = 0;      // Op, as ordinal
   // The call's core::ExecConfig, as ordinals (kAuto = decided per product).
-  std::uint8_t schedule = 0;          // analysis::ScheduleFamily
+  // Always 0 in library keys (a call's config has no schedule family); kept
+  // because the benchmark's plan-cache probe sets it.
+  std::uint8_t schedule = 0;
   std::uint8_t strategy = 0;          // layout::ExecStrategy
   std::uint8_t algo = 0;              // analysis::AlgoFamily
   std::uint32_t elem_size = 0;

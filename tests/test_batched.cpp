@@ -280,7 +280,6 @@ TEST(Batched, PinnedStrategyAndScheduleStayExact) {
     parallel::ThreadPool pool(2);
     BatchedOptions opt;
     opt.strategy = strategy;
-    opt.schedule = analysis::ScheduleFamily::kLowMem;
     modgemm_batched(&pool, items.data(), static_cast<int>(items.size()), opt);
     for (std::size_t i = 0; i < products.size(); ++i)
       EXPECT_EQ(products[i].diff(), 0.0)

@@ -7,10 +7,10 @@
 // fallback and produce bit-identical C.  Without a pool pmodgemm IS the
 // serial pipeline, so it must also run the same execution strategy.  On a
 // pool it runs the Morton rung with forked top levels, bit-identical to the
-// serial strategies except under the in-place family (forked subtrees run
-// it as low-memory).
+// serial strategies whatever the pool's width.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -25,7 +25,11 @@ namespace strassen {
 namespace {
 
 using analysis::AlgoFamily;
-using analysis::ScheduleFamily;
+
+// Width of the pooled leg's pool, as the ThreadPool constructor argument
+// (0 = default_thread_count()).  An enum (printed as its byte) keeps the
+// registered names of the instances.
+enum class PoolWidth : std::uint8_t { kDefault = 0, kTwo = 2 };
 
 struct Shape {
   const char* name;
@@ -65,10 +69,10 @@ void expect_same_dispatch(const obs::GemmReport& a, const obs::GemmReport& b) {
 
 class DispatchAlike
     : public ::testing::TestWithParam<
-          std::tuple<int, AlgoFamily, ScheduleFamily>> {};
+          std::tuple<int, AlgoFamily, PoolWidth>> {};
 
 TEST_P(DispatchAlike, EntryPointsAgree) {
-  const auto [index, algo, schedule] = GetParam();
+  const auto [index, algo, width] = GetParam();
   const Shape& s = kShapes[index];
   Matrix<double> A(s.m, s.k), B(s.k, s.n), C0(s.m, s.n);
   Rng rng(17);
@@ -83,7 +87,6 @@ TEST_P(DispatchAlike, EntryPointsAgree) {
   core::ModgemmOptions sopt;
   sopt.tiles = s.tiles;
   sopt.algo = algo;
-  sopt.schedule = schedule;
   obs::GemmReport serial;
   core::modgemm(Op::NoTrans, Op::NoTrans, s.m, s.n, s.k, alpha, A.data(),
                 A.ld(), B.data(), B.ld(), beta, Cs.data(), Cs.ld(), sopt,
@@ -92,7 +95,6 @@ TEST_P(DispatchAlike, EntryPointsAgree) {
   parallel::ParallelOptions popt;
   popt.tiles = s.tiles;
   popt.algo = algo;
-  popt.schedule = schedule;
   obs::GemmReport par;
   popt.report = &par;
   parallel::pmodgemm(nullptr, Op::NoTrans, Op::NoTrans, s.m, s.n, s.k, alpha,
@@ -114,7 +116,6 @@ TEST_P(DispatchAlike, EntryPointsAgree) {
   core::BatchedOptions bopt;
   bopt.tiles = s.tiles;
   bopt.algo = algo;
-  bopt.schedule = schedule;
   obs::GemmReport batched;
   core::modgemm_batched(nullptr, &item, 1, bopt, &batched);
 
@@ -133,7 +134,7 @@ TEST_P(DispatchAlike, EntryPointsAgree) {
   EXPECT_EQ(std::memcmp(Cs.data(), Cb.data(), bytes), 0);
 
   // The pooled leg.
-  parallel::ThreadPool pool(2);
+  parallel::ThreadPool pool(static_cast<int>(width));
   obs::GemmReport pooled;
   popt.report = &pooled;
   parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, s.m, s.n, s.k, alpha,
@@ -155,15 +156,18 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, static_cast<int>(
                                                std::size(kShapes))),
                        ::testing::Values(AlgoFamily::kAuto, AlgoFamily::k222),
-                       ::testing::Values(ScheduleFamily::kAuto,
-                                         ScheduleFamily::kLowMem)),
+                       ::testing::Values(PoolWidth::kDefault,
+                                         PoolWidth::kTwo)),
+    // The last suffix is the pool width: "ScheduleAuto" the default width,
+    // "LowMem" two workers.  The names stay as registered when the axis
+    // chose a schedule family.
     [](const auto& case_info) {
       const auto& p = case_info.param;
       return std::string(kShapes[std::get<0>(p)].name) + "_" +
              (std::get<1>(p) == AlgoFamily::kAuto ? "AlgoAuto" : "Algo222") +
              "_" +
-             (std::get<2>(p) == ScheduleFamily::kAuto ? "ScheduleAuto"
-                                                      : "LowMem");
+             (std::get<2>(p) == PoolWidth::kDefault ? "ScheduleAuto"
+                                                    : "LowMem");
     });
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Environment-variable parsing hardening (STRASSEN_THREADS, STRASSEN_KERNEL,
-// STRASSEN_SCHEDULE): well-formed values are honoured, malformed values are
+// STRASSEN_STRATEGY): well-formed values are honoured, malformed values are
 // rejected loudly with a message naming the offending value -- never
 // silently degraded at a throwing entry point.
 #include <gtest/gtest.h>
@@ -156,59 +156,6 @@ TEST(EnvParsing, ModgemmFailsLoudlyUnderBogusKernelEnvAndLeavesCUntouched) {
       },
       {"STRASSEN_KERNEL", "avx2-typo"});
   EXPECT_EQ(max_abs_diff<double>(C.view(), C0.view()), 0.0);
-}
-
-// ---- STRASSEN_SCHEDULE ----------------------------------------------------
-
-TEST(EnvParsing, ScheduleFamilyAcceptsKnownNames) {
-  using analysis::ScheduleFamily;
-  using core::detail::parse_schedule_family;
-  EXPECT_EQ(parse_schedule_family("auto"), ScheduleFamily::kAuto);
-  EXPECT_EQ(parse_schedule_family("winograd"), ScheduleFamily::kWinograd);
-  EXPECT_EQ(parse_schedule_family("winograd-lowmem"), ScheduleFamily::kLowMem);
-  EXPECT_EQ(parse_schedule_family("winograd-inplace"),
-            ScheduleFamily::kInPlace);
-}
-
-TEST(EnvParsing, ScheduleFamilyRejectsUnknownNames) {
-  using core::detail::parse_schedule_family;
-  expect_rejects([] { parse_schedule_family("lowmem"); },
-                 {"STRASSEN_SCHEDULE", "lowmem"});
-  expect_rejects([] { parse_schedule_family("winograd-bogus"); },
-                 {"STRASSEN_SCHEDULE", "winograd-bogus"});
-  expect_rejects([] { parse_schedule_family(nullptr); },
-                 {"STRASSEN_SCHEDULE"});
-}
-
-TEST(EnvParsing, ScheduleEnvOverrideSelectsFamilyAndRejectsGarbage) {
-  const int n = 200;
-  Matrix<double> A(n, n), B(n, n), C(n, n), Ref(n, n);
-  Rng rng(11);
-  rng.fill_int(A.storage(), -3, 3);
-  rng.fill_int(B.storage(), -3, 3);
-  blas::naive_gemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
-                   B.data(), n, 0.0, Ref.data(), n);
-  {
-    ScopedEnv env("STRASSEN_SCHEDULE", "winograd-lowmem");
-    core::ModgemmReport report;
-    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
-                  B.data(), n, 0.0, C.data(), n, {}, &report);
-    EXPECT_STREQ(report.schedule, "winograd-lowmem");
-    EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
-  }
-  {
-    ScopedEnv env("STRASSEN_SCHEDULE", "2-temp");
-    Matrix<double> C2(n, n), C0(n, n);
-    rng.fill_int(C2.storage());
-    copy_matrix<double>(C2.view(), C0.view());
-    expect_rejects(
-        [&] {
-          core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
-                        B.data(), n, 0.0, C2.data(), n);
-        },
-        {"STRASSEN_SCHEDULE", "2-temp"});
-    EXPECT_EQ(max_abs_diff<double>(C2.view(), C0.view()), 0.0);
-  }
 }
 
 // ---- STRASSEN_STRATEGY ----------------------------------------------------

@@ -243,10 +243,10 @@ TEST(WorkspaceBudget, DepthReductionStaysUnderBudgetAndExact) {
 
   ModgemmOptions opt;
   opt.max_workspace_bytes = budget;
-  // Pin the default family: with the schedule ladder enabled (kAuto), this
-  // budget is instead satisfied at FULL depth by a low-memory schedule --
-  // that path is covered in test_ladder_invariants.cpp.
-  opt.schedule = analysis::ScheduleFamily::kWinograd;
+  // Pin pack-fused: on the Morton rung this budget is instead satisfied at
+  // FULL depth by Kreczmar's table (the swap rung, covered in
+  // test_ladder_invariants.cpp), which pack-fused cannot run.
+  opt.strategy = layout::ExecStrategy::kPackFused;
   // Pin <2,2,2>: the budget arithmetic above prices the <2,2,2> plan, which
   // a forced STRASSEN_ALGO run would replace with a family level (pin > env).
   opt.algo = analysis::AlgoFamily::k222;

@@ -5,24 +5,24 @@
 //   kNone -> kScheduleSwap -> kDepthReduced -> kBudgetDirect
 // with the allocation-failure rungs (kAllocDirect, kAllocStrided) beyond
 // those.  Invariants pinned here:
-//   * a budget that once forced depth reduction is now satisfied at FULL
-//     planned depth by a lower-footprint schedule family (the swap rung),
+//   * a budget that holds the Morton buffers but not the default 2-buffer
+//     arena is satisfied at FULL planned depth by Kreczmar's zero-workspace
+//     table (the swap rung) on a square Morton plan,
+//   * a plan Kreczmar's table cannot run (non-square tiles) gives depth back
+//     instead, still on the default table,
 //   * whatever rung is taken, the executed arena peak stays within the
 //     budget,
 //   * record_fallback only ever escalates (split products report the worst
 //     rung any sub-product took),
-//   * pinning a family disables the swap rung but keeps depth reduction
-//     within that family,
-//   * every allocation-failure point on the new schedule paths still leaves
-//     either the exact product or an untouched C.
+//   * every allocation-failure point on the default table, the Kreczmar
+//     rung and the swap ladder still leaves either the exact product or an
+//     untouched C.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <new>
-#include <string>
 #include <vector>
 
 #include "analysis/schedule.hpp"
@@ -43,40 +43,23 @@ using core::FallbackReason;
 using core::ModgemmOptions;
 using core::ModgemmReport;
 
-// The swap-rung tests need the planner unpinned: a surrounding
-// STRASSEN_SCHEDULE (the chaos CI job exports one) would disable the very
-// rung under test.  Clears it for the test's scope, restoring on exit.
-class UnpinnedScheduleEnv {
- public:
-  UnpinnedScheduleEnv() {
-    const char* old = std::getenv("STRASSEN_SCHEDULE");
-    had_ = old != nullptr;
-    if (had_) {
-      saved_ = old;
-      ::unsetenv("STRASSEN_SCHEDULE");
-    }
-  }
-  ~UnpinnedScheduleEnv() {
-    if (had_) ::setenv("STRASSEN_SCHEDULE", saved_.c_str(), 1);
-  }
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
-
-// The workspace a given (depth, family) candidate would need for an n^3
-// product, or 0 when no tiling exists at that depth.
-std::size_t candidate_workspace(int n, int depth, ScheduleFamily family) {
+// The workspace a given (depth, family) Morton candidate would need for an
+// m x k x n product, or 0 when no tiling exists at that depth.
+std::size_t candidate_workspace(int m, int k, int n, int depth,
+                                ScheduleFamily family) {
   layout::GemmPlan cand;
   cand.depth = depth;
-  cand.m = layout::choose_dim_at_depth(n, depth, {});
-  cand.k = cand.m;
-  cand.n = cand.m;
+  cand.m = layout::choose_dim_at_depth(m, depth, {});
+  cand.k = layout::choose_dim_at_depth(k, depth, {});
+  cand.n = layout::choose_dim_at_depth(n, depth, {});
   cand.feasible = true;
   cand.schedule = family;
-  if (cand.m.tile == 0) return 0;
+  if (cand.m.tile == 0 || cand.k.tile == 0 || cand.n.tile == 0) return 0;
   return core::modgemm_workspace_bytes(cand, sizeof(double));
+}
+
+std::size_t candidate_workspace(int n, int depth, ScheduleFamily family) {
+  return candidate_workspace(n, n, n, depth, family);
 }
 
 // ---------------------------------------------------------------------------
@@ -84,22 +67,20 @@ std::size_t candidate_workspace(int n, int depth, ScheduleFamily family) {
 // ---------------------------------------------------------------------------
 
 TEST(LadderInvariants, BudgetForcesScheduleSwapNotDepthReduction) {
-  UnpinnedScheduleEnv unpinned;
   const int n = 512;
   const layout::GemmPlan planned = layout::plan_gemm(n, n, n, {});
   ASSERT_TRUE(planned.feasible);
   ASSERT_GE(planned.depth, 2);
 
-  // The budget that test_fault_injection.cpp uses to force depth reduction
-  // under a pinned default family: the workspace of the next-shallower
-  // default plan.  The full-depth low-memory schedule fits under it, so the
-  // un-pinned planner must keep the planned depth and swap families instead.
+  // A budget that holds the three Morton buffers and nothing more: the
+  // full-depth Kreczmar plan needs exactly that, every plan on the default
+  // table needs an arena on top, so the planner must keep the planned depth
+  // and swap tables.
   const std::size_t budget =
-      candidate_workspace(n, planned.depth - 1, ScheduleFamily::kWinograd);
+      candidate_workspace(n, planned.depth, ScheduleFamily::kInPlace);
   ASSERT_NE(budget, 0u);
+  ASSERT_EQ(budget, core::modgemm_conversion_bytes(planned, sizeof(double)));
   ASSERT_LT(budget, core::modgemm_workspace_bytes(planned, sizeof(double)));
-  ASSERT_LE(candidate_workspace(n, planned.depth, ScheduleFamily::kLowMem),
-            budget);
 
   Rng rng(21);
   Matrix<double> A(n, n), B(n, n), C(n, n), Ref(n, n);
@@ -112,7 +93,9 @@ TEST(LadderInvariants, BudgetForcesScheduleSwapNotDepthReduction) {
   opt.max_workspace_bytes = budget;
   // Pin <2,2,2>: the budget arithmetic above prices <2,2,2> plans, and a
   // forced STRASSEN_ALGO family would intercept the ladder (pin > env).
+  // Pin Morton: Kreczmar's table runs only on the Morton copies.
   opt.algo = analysis::AlgoFamily::k222;
+  opt.strategy = layout::ExecStrategy::kMorton;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
                 n, 0.0, C.data(), n, opt, &report);
@@ -122,7 +105,7 @@ TEST(LadderInvariants, BudgetForcesScheduleSwapNotDepthReduction) {
   // Full planned depth was kept -- only the schedule changed.
   EXPECT_EQ(report.plan.depth, planned.depth);
   EXPECT_EQ(report.planned_depth, planned.depth);
-  EXPECT_STREQ(report.schedule, "winograd-lowmem");
+  EXPECT_STREQ(report.schedule, "winograd-inplace");
   // The swap is a real saving and a real bound.
   EXPECT_GT(report.workspace_saved_bytes, 0u);
   EXPECT_GT(report.workspace_peak_bytes, 0u);
@@ -130,7 +113,6 @@ TEST(LadderInvariants, BudgetForcesScheduleSwapNotDepthReduction) {
 }
 
 TEST(LadderInvariants, EveryRungRespectsItsBudget) {
-  UnpinnedScheduleEnv unpinned;
   const int n = 512;
   const layout::GemmPlan planned = layout::plan_gemm(n, n, n, {});
   ASSERT_TRUE(planned.feasible);
@@ -141,8 +123,8 @@ TEST(LadderInvariants, EveryRungRespectsItsBudget) {
   // stay within the budget at every rung.
   std::vector<std::size_t> budgets;
   for (int d = planned.depth; d >= 1; --d)
-    for (ScheduleFamily f : {ScheduleFamily::kWinograd, ScheduleFamily::kLowMem,
-                             ScheduleFamily::kInPlace}) {
+    for (ScheduleFamily f :
+         {ScheduleFamily::kLowMem, ScheduleFamily::kInPlace}) {
       const std::size_t w = candidate_workspace(n, d, f);
       if (w != 0) budgets.push_back(w);
     }
@@ -177,7 +159,7 @@ TEST(LadderInvariants, EveryRungRespectsItsBudget) {
         break;
       case FallbackReason::kScheduleSwap:
         EXPECT_EQ(report.plan.depth, planned.depth);
-        EXPECT_STRNE(report.schedule, "winograd");
+        EXPECT_STREQ(report.schedule, "winograd-inplace");
         EXPECT_GT(report.workspace_saved_bytes, 0u);
         break;
       case FallbackReason::kDepthReduced:
@@ -232,39 +214,42 @@ TEST(LadderInvariants, RecordFallbackIsMonotone) {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned families and the ladder.
+// Plans Kreczmar's table cannot run.
 // ---------------------------------------------------------------------------
 
-TEST(LadderInvariants, PinnedFamilyDepthReducesWithinThatFamily) {
-  const int n = 512;
-  const layout::GemmPlan planned = layout::plan_gemm(n, n, n, {});
+TEST(LadderInvariants, NonSquareDepthReducesWithinTheDefaultFamily) {
+  const int m = 512, k = 384, n = 512;
+  const layout::GemmPlan planned = layout::plan_gemm(m, k, n, {});
   ASSERT_TRUE(planned.feasible);
   ASSERT_GE(planned.depth, 2);
+  ASSERT_NE(planned.m.tile, planned.k.tile);
 
-  // Budget below the pinned family's full-depth need: the swap rung is
-  // unavailable (the pin already priced the family in), so the ladder must
-  // give depth back WITHOUT abandoning the pinned schedule.
-  const std::size_t budget =
-      candidate_workspace(n, planned.depth - 1, ScheduleFamily::kLowMem);
+  // Budget below the default table's full-depth need but above the Morton
+  // buffers: on these non-square tiles the swap rung is unavailable, so the
+  // ladder must give depth back and stay on the 2-buffer table.
+  const std::size_t budget = candidate_workspace(
+      m, k, n, planned.depth - 1, ScheduleFamily::kLowMem);
   ASSERT_NE(budget, 0u);
-  ASSERT_LT(budget,
-            candidate_workspace(n, planned.depth, ScheduleFamily::kLowMem));
+  ASSERT_LT(budget, candidate_workspace(m, k, n, planned.depth,
+                                        ScheduleFamily::kLowMem));
+  ASSERT_GE(budget, candidate_workspace(m, k, n, planned.depth,
+                                        ScheduleFamily::kInPlace));
 
   Rng rng(23);
-  Matrix<double> A(n, n), B(n, n), C(n, n), Ref(n, n);
+  Matrix<double> A(m, k), B(k, n), C(m, n), Ref(m, n);
   rng.fill_int(A.storage(), -2, 2);
   rng.fill_int(B.storage(), -2, 2);
-  blas::naive_gemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
-                   B.data(), n, 0.0, Ref.data(), n);
+  blas::naive_gemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m,
+                   B.data(), k, 0.0, Ref.data(), m);
 
   ModgemmOptions opt;
   opt.max_workspace_bytes = budget;
-  opt.schedule = ScheduleFamily::kLowMem;
   // Pin <2,2,2>: same reason as above -- the budget prices <2,2,2> plans.
   opt.algo = analysis::AlgoFamily::k222;
+  opt.strategy = layout::ExecStrategy::kMorton;
   ModgemmReport report;
-  core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
-                n, 0.0, C.data(), n, opt, &report);
+  core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m, B.data(),
+                k, 0.0, C.data(), m, opt, &report);
 
   EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
   EXPECT_EQ(report.fallback_reason, FallbackReason::kDepthReduced);
@@ -280,8 +265,8 @@ TEST(LadderInvariants, PinnedFamilyDepthReducesWithinThatFamily) {
 // Counts the allocation sites of an un-faulted run under `opt`, then fails
 // each site in turn (transient spike) and checks the contract against the
 // naive oracle.  Mirrors test_fault_injection.cpp's sweep, parameterised by
-// options so the low-memory schedules and the swap rung get the same
-// exhaustive treatment as the default path.
+// options so the Morton rung of the default table, the Kreczmar rung and
+// the budget ladder get the same exhaustive treatment as the default path.
 void sweep_with_options(int n, const ModgemmOptions& opt,
                         std::uint64_t seed) {
   Rng rng(seed);
@@ -325,29 +310,44 @@ void sweep_with_options(int n, const ModgemmOptions& opt,
 }
 
 TEST(LadderInvariants, FaultSweepLowMemSchedule) {
+  // The default 2-buffer table on the Morton rung, whatever the planner
+  // would pick for this shape.
   ModgemmOptions opt;
-  opt.schedule = ScheduleFamily::kLowMem;
+  opt.strategy = layout::ExecStrategy::kMorton;
   sweep_with_options(256, opt, 31);
 }
 
 TEST(LadderInvariants, FaultSweepInPlaceSchedule) {
+  // A budget of exactly the Morton buffers: every run in the sweep starts on
+  // Kreczmar's table at full depth, over padded tiles (300 = 75 << 2).
+  const int n = 300;
+  const layout::GemmPlan planned = layout::plan_gemm(n, n, n, {});
+  ASSERT_TRUE(planned.feasible);
   ModgemmOptions opt;
-  opt.schedule = ScheduleFamily::kInPlace;
-  sweep_with_options(256, opt, 32);
+  opt.algo = analysis::AlgoFamily::k222;
+  opt.strategy = layout::ExecStrategy::kMorton;
+  opt.max_workspace_bytes =
+      candidate_workspace(n, planned.depth, ScheduleFamily::kInPlace);
+  ModgemmReport report;
+  Matrix<double> A(n, n), B(n, n), C(n, n);
+  core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                B.data(), n, 0.0, C.data(), n, opt, &report);
+  ASSERT_EQ(report.fallback_reason, FallbackReason::kScheduleSwap);
+  sweep_with_options(n, opt, 32);
 }
 
 TEST(LadderInvariants, FaultSweepScheduleSwapRung) {
-  // A budget that admits full depth only on a low-memory family: every run
-  // in the sweep starts from the swap rung, and any injected failure must
-  // still end in the exact product or an untouched C.
-  UnpinnedScheduleEnv unpinned;
+  // A budget one byte short of the default plan, under the planner's own
+  // strategy: the swap rung where Kreczmar's table can run, depth reduction
+  // where it cannot.  Any injected failure must still end in the exact
+  // product or an untouched C.
   const int n = 256;
   const layout::GemmPlan planned = layout::plan_gemm(n, n, n, {});
   ASSERT_TRUE(planned.feasible);
   const std::size_t budget =
-      candidate_workspace(n, planned.depth, ScheduleFamily::kLowMem);
-  ASSERT_NE(budget, 0u);
-  ASSERT_LT(budget, core::modgemm_workspace_bytes(planned, sizeof(double)));
+      candidate_workspace(n, planned.depth, ScheduleFamily::kLowMem) - 1;
+  ASSERT_GT(budget,
+            candidate_workspace(n, planned.depth, ScheduleFamily::kInPlace));
   ModgemmOptions opt;
   opt.max_workspace_bytes = budget;
   sweep_with_options(n, opt, 33);

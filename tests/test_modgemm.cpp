@@ -189,11 +189,10 @@ TEST(ModgemmSplit, SplitWithAlphaBetaAccumulatesOnce) {
 
 TEST(ModgemmSplit, LowMemSplitPeaksAtItsLargestChunkProduct) {
   // A split C block runs its k-chunk products one after another, so a call
-  // pinned to the low-memory family needs no more workspace than its
-  // largest chunk product run on its own.
+  // on the 2-buffer table needs no more workspace than its largest chunk
+  // product run on its own.
   const int m = 100, k = 4000, n = 150;
   ModgemmOptions opt;
-  opt.schedule = analysis::ScheduleFamily::kLowMem;
   opt.algo = analysis::AlgoFamily::k222;
   Rng rng(5);
   Matrix<double> A(m, k), B(k, n), C(m, n), Cc(m, n);

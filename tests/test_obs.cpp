@@ -344,7 +344,7 @@ TEST(ObsEnvSink, AppendsOneJsonlLinePerCall) {
 // ---------------------------------------------------------------------------
 
 // The pooled result against the serial one for an n x n x n product: bit
-// identical under every schedule family (STRASSEN_SCHEDULE).
+// identical.
 void expect_matches_serial(const Matrix<double>& serial,
                            const Matrix<double>& pooled) {
   ASSERT_EQ(serial.storage().size(), pooled.storage().size());
@@ -402,6 +402,27 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
   // Steals are scheduling-dependent (0 is legal on a loaded host), but they
   // can never exceed the number of tasks that ran.
   EXPECT_LE(report.steals, report.tasks_executed);
+}
+
+// pool_utilization() is a fraction of what the pool can do: its workers
+// plus the caller, which runs tasks while it joins.  On a 1-worker pool the
+// two threads' busy time once read as 1.6-1.9 against the worker alone.
+TEST(ObsParallel, PoolUtilizationIsAFraction) {
+  const int n = 256;
+  Problem p(n);
+  parallel::ThreadPool pool(1);
+  parallel::ParallelOptions popt;
+  popt.algo = analysis::AlgoFamily::k222;
+  popt.spawn_levels = 2;
+  ModgemmReport report;
+  popt.report = &report;
+  parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
+                     p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
+                     p.C.data(), p.C.ld(), popt);
+  ASSERT_TRUE(report.parallel);
+  ASSERT_EQ(report.threads, 1);
+  EXPECT_GT(report.pool_utilization(), 0.0);
+  EXPECT_LE(report.pool_utilization(), 1.0);
 }
 
 TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
@@ -614,7 +635,7 @@ TEST(ObsMerge, EveryFieldFolds) {
   sub.split_used = true;
   sub.fallback_reason = FallbackReason::kScheduleSwap;
   sub.plan.depth = 3;
-  sub.schedule = "winograd";
+  sub.schedule = "winograd-inplace";
   sub.strategy = "packfused";
   sub.algo = "333";
   obs::merge_sub_report(into, sub);
@@ -632,7 +653,7 @@ TEST(ObsMerge, EveryFieldFolds) {
   EXPECT_TRUE(into.split_used);
   EXPECT_EQ(into.fallback_reason, FallbackReason::kDepthReduced);
   EXPECT_EQ(into.plan.depth, 3);
-  EXPECT_STREQ(into.schedule, "winograd");
+  EXPECT_STREQ(into.schedule, "winograd-inplace");
   EXPECT_STREQ(into.strategy, "packfused");
   EXPECT_STREQ(into.algo, "333");
 
@@ -644,7 +665,7 @@ TEST(ObsMerge, EveryFieldFolds) {
 }
 
 // Rectangular product on the serial driver and on pmodgemm's split path,
-// both pinned to <2,2,2> and the default schedule family.
+// both pinned to <2,2,2>.
 struct SplitShape {
   int m = 100, k = 4000, n = 150;
   Matrix<double> A{100, 4000}, B{4000, 150}, C{100, 150};
@@ -656,7 +677,6 @@ struct SplitShape {
   ModgemmReport serial() {
     ModgemmOptions opt;
     opt.algo = analysis::AlgoFamily::k222;
-    opt.schedule = analysis::ScheduleFamily::kWinograd;
     ModgemmReport r;
     core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), A.ld(),
                   B.data(), B.ld(), 0.0, C.data(), C.ld(), opt, &r);
@@ -666,7 +686,6 @@ struct SplitShape {
     parallel::ThreadPool pool(2);
     parallel::ParallelOptions popt;
     popt.algo = analysis::AlgoFamily::k222;
-    popt.schedule = analysis::ScheduleFamily::kWinograd;
     ModgemmReport r;
     popt.report = &r;
     parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, m, n, k, 1.0,

@@ -20,9 +20,9 @@
 //     memcmp, not a tolerance check;
 //
 //   * strategy plumbing -- the per-call pin outranks the environment, plans
-//     that cannot run Strassen never report a strategy, the in-place family
-//     maps to the low-memory family under pack-fused (the in-place table
-//     would overwrite the CALLER's operands), and a mid-call allocation
+//     that cannot run Strassen never report a strategy, a tight budget never
+//     moves a pack-fused product to Kreczmar's in-place table (it would
+//     overwrite the CALLER's operands), and a mid-call allocation
 //     failure degrades along the ladder with the exact-product-or-untouched-C
 //     contract intact.
 #include <gtest/gtest.h>
@@ -48,7 +48,6 @@ namespace strassen {
 namespace {
 
 namespace ft = ::strassen::testing;
-using analysis::ScheduleFamily;
 using analysis::Sign;
 using blas::PackSrc;
 using core::FallbackReason;
@@ -258,16 +257,44 @@ TEST(PackFusedBitIdentity, TransposesRectangularsAndStrides) {
                        /*extra_ld=*/7);
 }
 
+// A Morton product on the Kreczmar rung (a budget of exactly its Morton
+// buffers) against pack-fused on the default 2-buffer table: same plan,
+// same bits.
 TEST(PackFusedBitIdentity, LowMemAndInPlaceFamilies) {
-  for (const ScheduleFamily f :
-       {ScheduleFamily::kLowMem, ScheduleFamily::kInPlace}) {
-    SCOPED_TRACE(analysis::family_name(f));
+  struct Case {
+    int n;
+    double alpha, beta;
+  };
+  for (const Case c : {Case{256, 1.0, 0.0}, Case{200, 2.0, -1.0}}) {
+    SCOPED_TRACE(c.n);
+    const int n = c.n;
+    Rng rng(static_cast<std::uint64_t>(n) + 17);
+    Matrix<double> A(n, n), B(n, n), C0(n, n), Cm(n, n), Cp(n, n);
+    rng.fill_uniform(A.storage());
+    rng.fill_uniform(B.storage());
+    rng.fill_uniform(C0.storage());
+    copy_matrix<double>(C0.view(), Cm.view());
+    copy_matrix<double>(C0.view(), Cp.view());
     ModgemmOptions opt;
-    opt.schedule = f;
-    expect_bit_identical(Op::NoTrans, Op::NoTrans, 256, 256, 256, 1.0, 0.0,
-                         opt);
-    expect_bit_identical(Op::NoTrans, Op::NoTrans, 200, 200, 200, 2.0, -1.0,
-                         opt);
+    opt.algo = analysis::AlgoFamily::k222;
+    opt.strategy = ExecStrategy::kMorton;
+    opt.max_workspace_bytes = core::modgemm_conversion_bytes(
+        layout::plan_gemm(n, n, n, opt.tiles), sizeof(double));
+    ModgemmReport rm, rp;
+    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, c.alpha, A.data(), n,
+                  B.data(), n, c.beta, Cm.data(), n, opt, &rm);
+    opt.strategy = ExecStrategy::kPackFused;
+    opt.max_workspace_bytes = 0;
+    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, c.alpha, A.data(), n,
+                  B.data(), n, c.beta, Cp.data(), n, opt, &rp);
+    ASSERT_EQ(rm.fallback_reason, FallbackReason::kScheduleSwap);
+    EXPECT_STREQ(rm.schedule, "winograd-inplace");
+    EXPECT_STREQ(rp.schedule, "winograd-lowmem");
+    EXPECT_EQ(rm.plan.depth, rp.plan.depth);
+    EXPECT_EQ(rm.plan.m.tile, rp.plan.m.tile);
+    EXPECT_EQ(std::memcmp(Cm.data(), Cp.data(),
+                          Cm.storage().size() * sizeof(double)),
+              0);
   }
 }
 
@@ -371,7 +398,6 @@ TEST(PackFusedFloat, SinglePrecisionBitIdentity) {
   rng.fill_uniform(A.storage());
   rng.fill_uniform(B.storage());
   ModgemmOptions opt;
-  opt.schedule = ScheduleFamily::kWinograd;  // as in expect_bit_identical
   opt.strategy = ExecStrategy::kMorton;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0f, A.data(), n,
                 B.data(), n, 0.0f, Cm.data(), n, opt);
@@ -580,8 +606,9 @@ TEST(PackFusedReport, DirectPlansReportNoStrategy) {
 
 TEST(PackFusedReport, InPlaceFamilyMapsToLowMem) {
   // The in-place schedule table overwrites its A/B operands, which under
-  // pack-fused are the CALLER's matrices: the driver substitutes the
-  // low-memory family (same temp count) and reports what actually ran.
+  // pack-fused are the CALLER's matrices: a budget that cannot hold the
+  // full-depth plan gives depth back on the 2-buffer table instead of
+  // swapping to Kreczmar's, and the report says what actually ran.
   const int n = 256;
   Matrix<double> A(n, n), B(n, n), C(n, n), Ref(n, n);
   Rng rng(23);
@@ -590,14 +617,19 @@ TEST(PackFusedReport, InPlaceFamilyMapsToLowMem) {
   blas::naive_gemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                    B.data(), n, 0.0, Ref.data(), n);
   ModgemmOptions opt;
-  opt.schedule = ScheduleFamily::kInPlace;
+  opt.algo = analysis::AlgoFamily::k222;
   opt.strategy = ExecStrategy::kPackFused;
+  opt.max_workspace_bytes = core::modgemm_workspace_bytes(
+                                layout::plan_gemm(n, n, n, opt.tiles),
+                                sizeof(double)) -
+                            1;
   ModgemmReport r;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
                 n, 0.0, C.data(), n, opt, &r);
   EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
   EXPECT_STREQ(r.strategy, "packfused");
   EXPECT_STREQ(r.schedule, "winograd-lowmem");
+  EXPECT_EQ(r.fallback_reason, FallbackReason::kDepthReduced);
 }
 
 TEST(PackFusedHeuristic, RectangularOneShotPrefersPackFused) {

@@ -3,8 +3,8 @@
 // The central property: pmodgemm performs the SAME floating-point operations
 // as the serial core::modgemm (the spawn-level combination is commutatively
 // identical and the sub-recursions are the serial code), so results must be
-// BIT-IDENTICAL for every thread count, spawn depth and schedule family --
-// on real data, not just integers.
+// BIT-IDENTICAL for every thread count and spawn depth -- on real data, not
+// just integers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +26,7 @@ namespace strassen::parallel {
 namespace {
 
 // Pooled result against the serial one for an n x n x n product: bit
-// identical under every schedule family (STRASSEN_SCHEDULE).
+// identical.
 void expect_matches_serial(const Matrix<double>& serial,
                            const Matrix<double>& pooled) {
   ASSERT_EQ(serial.storage().size(), pooled.storage().size());
@@ -390,9 +390,9 @@ TEST(PmodgemmWorkspace, InPlaceFamilyNeedsOnlySpawnTemporaries) {
   EXPECT_EQ(inplace(2), spawn_level(3) + 7 * spawn_level(2));
 }
 
-// A serial Morton product pinned to kInPlace on a square plan requests the
-// three Morton buffers and no arena byte beyond them, and matches the
-// default family bit for bit.
+// A serial square Morton product whose budget holds only the three Morton
+// buffers runs Kreczmar's table: it requests those buffers and no arena byte
+// beyond them, and matches the default table bit for bit.
 TEST(PmodgemmWorkspace, SerialInPlaceRequestsOnlyTheMortonBuffers) {
   for (const int n : {512, 1024}) {
     SCOPED_TRACE(n);
@@ -403,14 +403,15 @@ TEST(PmodgemmWorkspace, SerialInPlaceRequestsOnlyTheMortonBuffers) {
     core::ModgemmOptions opt;
     opt.strategy = layout::ExecStrategy::kMorton;
     opt.algo = analysis::AlgoFamily::k222;
-    opt.schedule = analysis::ScheduleFamily::kWinograd;
     core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                   B.data(), n, 0.0, Cdef.data(), n, opt);
-    opt.schedule = analysis::ScheduleFamily::kInPlace;
+    opt.max_workspace_bytes = core::modgemm_conversion_bytes(
+        layout::plan_gemm(n, n, n, opt.tiles), sizeof(double));
     obs::GemmReport report;
     core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                   B.data(), n, 0.0, C.data(), n, opt, &report);
     ASSERT_TRUE(report.plan.feasible && !report.plan.direct);
+    EXPECT_EQ(report.fallback_reason, obs::FallbackReason::kScheduleSwap);
     EXPECT_STREQ(report.schedule, "winograd-inplace");
     EXPECT_EQ(report.workspace_requested_bytes,
               core::modgemm_conversion_bytes(report.plan, sizeof(double)));
@@ -420,8 +421,9 @@ TEST(PmodgemmWorkspace, SerialInPlaceRequestsOnlyTheMortonBuffers) {
   }
 }
 
-// Kreczmar's table needs square tiles; a non-square plan pinned to
-// kInPlace runs, and reports, the low-memory family.
+// Kreczmar's table needs square tiles: a non-square plan whose budget cannot
+// hold the default arena gives depth back instead, and runs and reports the
+// 2-buffer table, sized exactly as modgemm_workspace_bytes says.
 TEST(PmodgemmWorkspace, NonSquareInPlacePlanRunsLowMem) {
   const int m = 512, k = 384, n = 512;
   Rng rng(31);
@@ -431,34 +433,42 @@ TEST(PmodgemmWorkspace, NonSquareInPlacePlanRunsLowMem) {
   core::ModgemmOptions opt;
   opt.strategy = layout::ExecStrategy::kMorton;
   opt.algo = analysis::AlgoFamily::k222;
-  opt.schedule = analysis::ScheduleFamily::kInPlace;
+  opt.max_workspace_bytes =
+      core::modgemm_workspace_bytes(layout::plan_gemm(m, k, n, opt.tiles),
+                                    sizeof(double)) -
+      1;
   obs::GemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m,
                 B.data(), k, 0.0, C.data(), m, opt, &report);
   ASSERT_TRUE(report.plan.feasible && !report.plan.direct);
   ASSERT_NE(report.plan.m.tile, report.plan.k.tile);
+  EXPECT_EQ(report.fallback_reason, obs::FallbackReason::kDepthReduced);
   EXPECT_STREQ(report.schedule, "winograd-lowmem");
   EXPECT_EQ(report.workspace_requested_bytes,
             core::modgemm_workspace_bytes(report.plan, sizeof(double)));
 }
 
+// Pool width of a sizing case, as the ThreadPool worker count.  An enum
+// (printed as its byte) keeps the registered names of the instances.
+enum class Workers : std::uint8_t { kOne = 1, kTwo = 2, kThree = 3 };
+
 // The public sizing is the arithmetic of what runs: the three Morton
 // buffers plus pmodgemm_workspace_bytes at the reported spawn depth and
 // executed family equal every byte the call requested, for auto and
-// explicit spawn depths and for every serial family below the cutoff.
-using SizingParam = std::tuple<int, int, analysis::ScheduleFamily>;
+// explicit spawn depths on pools of 1-3 workers (the auto depth follows the
+// width).
+using SizingParam = std::tuple<int, int, Workers>;
 class PmodgemmSizing : public ::testing::TestWithParam<SizingParam> {};
 
 TEST_P(PmodgemmSizing, WorkspaceBytesMatchExecution) {
-  const auto [n, spawn, family] = GetParam();
+  const auto [n, spawn, workers] = GetParam();
   Rng rng(static_cast<std::uint64_t>(n) + 3);
   Matrix<double> A(n, n), B(n, n), C(n, n);
   rng.fill_uniform(A.storage());
   rng.fill_uniform(B.storage());
-  ThreadPool pool(2);
+  ThreadPool pool(static_cast<int>(workers));
   ParallelOptions opt;
   opt.spawn_levels = spawn;
-  opt.schedule = family;
   opt.algo = analysis::AlgoFamily::k222;
   obs::GemmReport report;
   opt.report = &report;
@@ -470,9 +480,7 @@ TEST_P(PmodgemmSizing, WorkspaceBytesMatchExecution) {
   if (spawn != kSpawnAuto) {
     EXPECT_EQ(report.spawn_levels, spawn);
   }
-  if (family != analysis::ScheduleFamily::kInPlace) {
-    EXPECT_EQ(plan.schedule, family);
-  }
+  EXPECT_EQ(plan.schedule, analysis::ScheduleFamily::kLowMem);
   std::size_t morton = 0;
   for (const layout::MortonLayout& l :
        {layout::MortonLayout{n, n, plan.m.tile, plan.k.tile, plan.depth},
@@ -492,9 +500,8 @@ INSTANTIATE_TEST_SUITE_P(
     SpawnAndFamily, PmodgemmSizing,
     ::testing::Combine(::testing::Values(256, 260, 1025),
                        ::testing::Values(kSpawnAuto, 0, 1, 2),
-                       ::testing::Values(analysis::ScheduleFamily::kWinograd,
-                                         analysis::ScheduleFamily::kLowMem,
-                                         analysis::ScheduleFamily::kInPlace)));
+                       ::testing::Values(Workers::kOne, Workers::kTwo,
+                                         Workers::kThree)));
 
 // The auto fork depth follows pool width: the fewest levels L with
 // 7^L >= 8 * (workers + 1), never past a level whose children fall below
@@ -518,7 +525,6 @@ TEST(PmodgemmForkDepth, FollowsPoolWidth) {
     ParallelOptions opt;
     opt.tiles = layout::kPaperTileWindow;
     opt.algo = analysis::AlgoFamily::k222;
-    opt.schedule = analysis::ScheduleFamily::kWinograd;
     obs::GemmReport report;
     opt.report = &report;
     pmodgemm(pool.get(), Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
@@ -535,7 +541,6 @@ TEST(PmodgemmForkDepth, FollowsPoolWidth) {
       core::ModgemmOptions sopt;
       sopt.tiles = opt.tiles;
       sopt.algo = opt.algo;
-      sopt.schedule = opt.schedule;
       obs::GemmReport serial;
       core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                     B.data(), n, 0.0, C.data(), n, sopt, &serial);

@@ -17,6 +17,7 @@
 
 #include "analysis/schedule.hpp"
 #include "analysis/schedule_verify.hpp"
+#include "baselines/strassen_classic.hpp"
 #include "blas/kernels.hpp"
 #include "blas/kernels/registry.hpp"
 #include "blas/level1.hpp"
@@ -75,19 +76,25 @@ bool any_error_contains(const std::vector<std::string>& errors,
 // ---- positive verification ------------------------------------------------
 
 TEST(ScheduleVerify, ShippedMaterializedTableVerifies) {
-  const VerifyResult r = verify_schedule(kWinograd);
-  EXPECT_TRUE(r.ok) << joined(r.errors);
-  EXPECT_EQ(r.temp_peak, 3);
-  EXPECT_EQ(r.products, 7);
-  EXPECT_EQ(r.linear_ops, 15);
+  // Every shipped table is the paper's 7 products and 15 additions, with the
+  // live-temporary peak it declares.
+  for (int i = 0; i < kShippedScheduleCount; ++i) {
+    const Schedule& sched = *kShippedSchedules[i];
+    SCOPED_TRACE(sched.name);
+    const VerifyResult r = verify_schedule(sched);
+    EXPECT_TRUE(r.ok) << joined(r.errors);
+    EXPECT_EQ(r.temp_peak, sched.declared_temp_peak);
+    EXPECT_EQ(r.products, 7);
+    EXPECT_EQ(r.linear_ops, 15);
+  }
 }
 
 TEST(ScheduleVerify, ConstexprCoreAgreesWithRuntimeLayer) {
   // The library TU static_asserts these; re-check here so a test run alone
   // (without rebuilding the library) still exercises the constexpr core.
-  static_assert(verify_core(kWinograd).violation == Violation::kNone);
-  constexpr CoreResult c = verify_core(kWinograd);
-  const VerifyResult r = verify_schedule(kWinograd);
+  static_assert(verify_core(kWinogradLowMem).violation == Violation::kNone);
+  constexpr CoreResult c = verify_core(kWinogradLowMem);
+  const VerifyResult r = verify_schedule(kWinogradLowMem);
   EXPECT_EQ(c.temp_peak, r.temp_peak);
   EXPECT_EQ(c.products, r.products);
   EXPECT_EQ(c.linear_ops, r.linear_ops);
@@ -98,7 +105,7 @@ TEST(ScheduleVerify, ConstexprCoreAgreesWithRuntimeLayer) {
 TEST(ScheduleVerifyNegative, WrongSignRejected) {
   // Flip T3 (step 1) from B22 - B12 to B22 + B12: P5 picks up the wrong
   // bilinear form, so C21 and C22 miss their targets.
-  TestSchedule t(kWinograd);
+  TestSchedule t(kWinogradLowMem);
   ASSERT_STREQ(t.steps[1].note, "T3");
   t.steps[1] = add(tT, B22, Op::kB12, "T3");
   const VerifyResult r = verify_schedule(t.sched);
@@ -110,7 +117,7 @@ TEST(ScheduleVerifyNegative, WrongSignRejected) {
 
 TEST(ScheduleVerifyNegative, SwappedOperandsRejected) {
   // Swap S3 (step 0) to A21 - A11: P5 flips sign and the U-chain breaks.
-  TestSchedule t(kWinograd);
+  TestSchedule t(kWinogradLowMem);
   ASSERT_STREQ(t.steps[0].note, "S3");
   t.steps[0] = sub(tS, A21, A11, "S3");
   const VerifyResult r = verify_schedule(t.sched);
@@ -123,7 +130,7 @@ TEST(ScheduleVerifyNegative, SwappedOperandsRejected) {
 TEST(ScheduleVerifyNegative, UseBeforeDefinitionRejected) {
   // Swap P1 (step 11) with U2 (step 12): U2 now reads tP before any step
   // defined it -- the classic use-after-reorder defect.
-  TestSchedule t(kWinograd);
+  TestSchedule t(kWinogradLowMem);
   ASSERT_STREQ(t.steps[11].note, "P1");
   ASSERT_STREQ(t.steps[12].note, "U2");
   std::swap(t.steps[11], t.steps[12]);
@@ -140,7 +147,7 @@ TEST(ScheduleVerifyNegative, UseBeforeDefinitionRejected) {
 TEST(ScheduleVerifyNegative, ClobberedLiveValueRejectedAsDeadStore) {
   // Insert a second write to tP right after P1 (step 11): the first P1 value
   // is clobbered before U2 can read it, so the store at step 11 is dead.
-  TestSchedule t(kWinograd);
+  TestSchedule t(kWinogradLowMem);
   ASSERT_STREQ(t.steps[11].note, "P1");
   t.steps.insert(t.steps.begin() + 12, mul(tP, A11, B11, "P1-clobber"));
   t.refresh();
@@ -154,19 +161,23 @@ TEST(ScheduleVerifyNegative, ClobberedLiveValueRejectedAsDeadStore) {
   EXPECT_EQ(c.operand, tP);
 }
 
-// A 4-temporary variant: compute P2 up front into a second C-shaped
-// temporary and form C11 = P1 + P2 at the end, instead of reusing C11 as
-// scratch.  Algebraically correct -- but four temporaries are live at once.
+// A 4-temporary variant: compute P1 and P2 up front, each into its own
+// C-shaped temporary, and form C11 = P1 + P2 at the end, instead of reusing
+// C11 as scratch.  Algebraically correct -- but four temporaries (each in
+// its own buffer) are live at once.
 TestSchedule four_temp_variant() {
-  TestSchedule t(kWinograd);
+  TestSchedule t(kWinogradLowMem);
   EXPECT_EQ(t.steps.size(), 22u);
-  t.steps.insert(t.steps.begin(), mul(tP1, A12, B21, "P2"));
-  // Drop the tail that recomputed P2 into C11 (old steps 20/21); the new
-  // final step combines the two product temporaries.
-  t.steps.resize(21);  // new indices 0..20 == P2 + old steps 0..19
+  EXPECT_STREQ(t.steps[11].note, "P1");
+  t.steps.erase(t.steps.begin() + 11);
+  // Drop the tail that computed P2 into C11 and added P1 (old steps 20/21).
+  t.steps.resize(19);
+  t.steps.insert(t.steps.begin(), {mul(tP, A11, B11, "P1"),
+                                   mul(tP1, A12, B21, "P2")});
   t.steps.push_back(add(C11, tP, tP1, "U1"));
   t.temps = {tS, tT, tP, tP1};
   t.refresh();
+  t.sched.temp_buffer = kOwnTempBuffers;
   return t;
 }
 
@@ -192,7 +203,7 @@ TEST(ScheduleVerifyNegative, FourTempScheduleVerifiesWithHonestBound) {
 }
 
 TEST(ScheduleVerifyNegative, WriteToInputRejected) {
-  TestSchedule t(kWinograd);
+  TestSchedule t(kWinogradLowMem);
   t.steps[0] = sub(A11, A11, A21, "S3");
   const VerifyResult r = verify_schedule(t.sched);
   EXPECT_FALSE(r.ok);
@@ -203,7 +214,7 @@ TEST(ScheduleVerifyNegative, WriteToInputRejected) {
 }
 
 TEST(ScheduleVerifyNegative, UndeclaredTemporaryRejected) {
-  TestSchedule t(kWinograd);
+  TestSchedule t(kWinogradLowMem);
   t.temps = {tS, tT};  // tP used by P1/U1 but no longer declared
   t.refresh();
   const VerifyResult r = verify_schedule(t.sched);
@@ -213,7 +224,7 @@ TEST(ScheduleVerifyNegative, UndeclaredTemporaryRejected) {
 }
 
 TEST(ScheduleVerifyNegative, EmptyScheduleRejected) {
-  Schedule empty = kWinograd;
+  Schedule empty = kWinogradLowMem;
   empty.steps = nullptr;
   empty.step_count = 0;
   const VerifyResult r = verify_schedule(empty);
@@ -437,12 +448,13 @@ TEST(ScheduleVerifyNegative, ElementwiseStepInGroupRejected) {
 namespace strassen::core {
 namespace {
 
-// The seed library's hard-coded recursion, embedded verbatim (modulo the
-// function name) except for its fused level-1 branch: the fused kernels are
-// bit-identical to a materialized sum followed by a plain leaf
-// (KernelBitExactness), so this materialized sequence fixes the same bits.
-// The table interpreter must reproduce it -- and therefore every output
-// bit -- exactly, on every kernel table.
+// The seed library's hard-coded recursion -- the paper's 3-temporary
+// sequence -- embedded verbatim (modulo the function name) except for its
+// fused level-1 branch: the fused kernels are bit-identical to a
+// materialized sum followed by a plain leaf (KernelBitExactness), so this
+// materialized sequence fixes the same bits.  The table interpreter, which
+// runs the same expressions in the 2-buffer order, must reproduce it -- and
+// therefore every output bit -- exactly, on every kernel table.
 template <class MM, class T>
 void seed_winograd_recurse(MM& mm, T* C, const T* A, const T* B, int tm,
                            int tk, int tn, int depth, Arena& arena) {
@@ -503,6 +515,13 @@ void seed_winograd_recurse(MM& mm, T* C, const T* A, const T* B, int tm,
   blas::vadd_inplace(mm, qc, C11, tP);  // final C11 = P1 + P2
 }
 
+// Arena bytes seed_winograd_recurse pushes: an A-, a B- and a C-quadrant
+// temporary at every level, exactly as the classic-Strassen baseline.
+std::size_t seed_workspace_bytes(int tm, int tk, int tn, int depth) {
+  return baselines::detail::classic_workspace_bytes(tm, tk, tn, depth,
+                                                    sizeof(double));
+}
+
 // Real-valued (non-integer) operands so any reordering or re-association in
 // the interpreter would change rounding and break the == comparison.
 void expect_bit_identical(int tm, int tk, int tn, int depth,
@@ -518,7 +537,7 @@ void expect_bit_identical(int tm, int tk, int tn, int depth,
 
   RawMem mm;
   {
-    Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double)));
+    Arena arena(seed_workspace_bytes(tm, tk, tn, depth));
     seed_winograd_recurse(mm, Cseed.data(), Am.data(), Bm.data(), tm, tk, tn,
                           depth, arena);
   }
@@ -547,65 +566,61 @@ TEST(ScheduleBitIdentity, TableMatchesSeedSequenceScalarPin) {
   expect_bit_identical(8, 6, 4, 3, 23);
 }
 
-// ---- the family entry points against the seed recursion -------------------
+// ---- Kreczmar's table against the seed recursion ---------------------------
 
-// The low-memory families reorder the products, so they are NOT bit-pinned
-// against the seed in general -- but on small-integer data every
-// intermediate is exactly representable, so all orders must agree exactly.
-void expect_family_exact(int tm, int tk, int tn, int depth,
-                         std::uint64_t seed) {
+// Kreczmar's in-place table (ScheduleBitIdentity covers the default 2-buffer
+// one) computes the seed's expressions in the seed's order of additions, so
+// it matches the seed bit for bit on real-valued data, and exactly on small
+// integers.  It destroys the operand copies it is given and needs square
+// tiles.
+void expect_inplace_bit_identical(int tm, int tk, int tn, int depth,
+                                  std::uint64_t seed, bool integers) {
   using analysis::ScheduleFamily;
   const int m = tm << depth, k = tk << depth, n = tn << depth;
   Rng rng(seed);
   std::vector<double> Am(static_cast<std::size_t>(m) * k);
   std::vector<double> Bm(static_cast<std::size_t>(k) * n);
-  rng.fill_int(Am, -3, 3);
-  rng.fill_int(Bm, -3, 3);
+  if (integers) {
+    rng.fill_int(Am, -3, 3);
+    rng.fill_int(Bm, -3, 3);
+  } else {
+    rng.fill_uniform(Am);
+    rng.fill_uniform(Bm);
+  }
   std::vector<double> Cref(static_cast<std::size_t>(m) * n, 0.0);
   RawMem mm;
   {
-    Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double)));
+    Arena arena(seed_workspace_bytes(tm, tk, tn, depth));
     seed_winograd_recurse(mm, Cref.data(), Am.data(), Bm.data(), tm, tk, tn,
                           depth, arena);
   }
-  {
-    // kLowMem: the 2-buffer table at every level.
-    std::vector<double> C(Cref.size(), -1.0);
-    Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
-                                         ScheduleFamily::kLowMem));
-    winograd_recurse(mm, C.data(), Am.data(), Bm.data(), tm, tk, tn, depth,
-                     arena, ScheduleFamily::kLowMem);
-    for (std::size_t i = 0; i < C.size(); ++i)
-      ASSERT_EQ(C[i], Cref[i]) << "lowmem differs at " << i;
+  std::vector<double> C(Cref.size(), -1.0), Ac = Am, Bc = Bm;
+  Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
+                                       ScheduleFamily::kInPlace));
+  auto run = [&] {
+    winograd_recurse(mm, C.data(), Ac.data(), Bc.data(), tm, tk, tn, depth,
+                     arena, ScheduleFamily::kInPlace);
+  };
+  if (tm != tk || tk != tn) {
+    EXPECT_THROW(run(), std::invalid_argument);
+    return;
   }
-  {
-    // kInPlace: Kreczmar's table at every level destroys the operand copies
-    // it is given, and needs square tiles.
-    std::vector<double> C(Cref.size(), -1.0), Ac = Am, Bc = Bm;
-    Arena arena(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
-                                         ScheduleFamily::kInPlace));
-    auto run = [&] {
-      winograd_recurse(mm, C.data(), Ac.data(), Bc.data(), tm, tk, tn, depth,
-                       arena, ScheduleFamily::kInPlace);
-    };
-    if (tm != tk || tk != tn) {
-      EXPECT_THROW(run(), std::invalid_argument);
-      return;
-    }
-    EXPECT_EQ(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
-                                       ScheduleFamily::kInPlace),
-              0u);
-    run();
-    for (std::size_t i = 0; i < C.size(); ++i)
-      ASSERT_EQ(C[i], Cref[i]) << "inplace differs at " << i;
-  }
+  EXPECT_EQ(winograd_workspace_bytes(tm, tk, tn, depth, sizeof(double),
+                                     ScheduleFamily::kInPlace),
+            0u);
+  run();
+  EXPECT_EQ(std::memcmp(C.data(), Cref.data(), C.size() * sizeof(double)), 0)
+      << "tm=" << tm << " tk=" << tk << " tn=" << tn << " depth=" << depth
+      << (integers ? " (integers)" : " (real-valued)");
 }
 
 TEST(ScheduleFamilies, FamilyEntryPointsExactOnIntegers) {
-  expect_family_exact(4, 4, 4, 1, 41);
-  expect_family_exact(3, 5, 7, 2, 42);
-  expect_family_exact(8, 6, 4, 3, 43);
-  expect_family_exact(6, 6, 6, 3, 44);
+  for (const bool integers : {true, false}) {
+    expect_inplace_bit_identical(4, 4, 4, 1, 41, integers);
+    expect_inplace_bit_identical(3, 5, 7, 2, 42, integers);
+    expect_inplace_bit_identical(8, 6, 4, 3, 43, integers);
+    expect_inplace_bit_identical(6, 6, 6, 3, 44, integers);
+  }
 }
 
 }  // namespace

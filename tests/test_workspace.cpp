@@ -12,12 +12,12 @@ TEST(WinogradWorkspace, DepthZeroNeedsNothing) {
   EXPECT_EQ(core::winograd_workspace_bytes(32, 32, 32, 0, sizeof(double)), 0u);
 }
 
-TEST(WinogradWorkspace, OneLevelIsThreeQuadrants) {
-  // Quadrants of a (4t x 4t) problem at depth 1... here depth 1 on t=8:
-  // temps are (8x8) each, rounded to 64-byte chunks.
+TEST(WinogradWorkspace, OneLevelIsTwoQuadrants) {
+  // Depth 1 on t=8: the level's temporaries are (8x8) quadrants, rounded to
+  // 64-byte chunks; tS and tP share one buffer, tT has the other.
   const std::size_t bytes =
       core::winograd_workspace_bytes(8, 8, 8, 1, sizeof(double));
-  EXPECT_EQ(bytes, 3 * 512u);
+  EXPECT_EQ(bytes, 2 * 512u);
 }
 
 TEST(WinogradWorkspace, GeometricDecayAcrossLevels) {

@@ -54,7 +54,7 @@ class GetenvRuleTest(unittest.TestCase):
         errors = self.check({
             "src/core/config.cpp": 'std::getenv("STRASSEN_ALGO");\n',
             "src/parallel/pmodgemm.cpp":
-                'int f() {\n  return std::getenv("STRASSEN_SCHEDULE") != 0;\n}\n',
+                'int f() {\n  return std::getenv("STRASSEN_STRATEGY") != 0;\n}\n',
         })
         self.assertEqual(len(errors), 1)
         self.assertIn("src/parallel/pmodgemm.cpp:2", errors[0])

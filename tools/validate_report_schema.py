@@ -32,7 +32,7 @@ STR = str
 # section -> {key: expected type}; the full v6 key set, nothing optional.
 # v2 added parallel.steals (work-steal migrations) to the v1 layout; v3 added
 # plan.schedule (the executed schedule family), workspace.saved_bytes (bytes
-# a schedule swap saved vs the default family) and the "schedule-swap"
+# a schedule swap saved vs the default table) and the "schedule-swap"
 # fallback rung; v4 added plan.strategy (the execution strategy that ran) and
 # workspace.conversion_saved_bytes (layout-conversion traffic the pack-fused
 # strategy avoided); v5 added the batch section (batched entry point,
@@ -108,6 +108,9 @@ FALLBACKS = {"none", "schedule-swap", "depth-reduced", "budget-direct",
 # budget or allocation failure) and the call degraded to the <2,2,2> ladder.
 FALLBACKS_V6 = FALLBACKS | {"algo-fallback"}
 # "none" = direct (no Strassen plan ran, so no schedule family applies).
+# "winograd" names the 3-temporary table that ran by default until the
+# 2-buffer table replaced it; reports from before then, the checked-in
+# baselines among them, carry it.
 SCHEDULES = {"none", "winograd", "winograd-lowmem", "winograd-inplace"}
 # "none" = direct (no recursive execution, so no strategy applies).
 STRATEGIES = {"none", "morton", "packfused"}
