@@ -56,7 +56,6 @@ tune::PlanKey make_plan_key(const ClassKey& c, const BatchedOptions& opt,
   key.opa = c.opa;
   key.opb = c.opb;
   key.strategy = static_cast<std::uint8_t>(cfg.strategy);
-  key.algo = static_cast<std::uint8_t>(cfg.algo);
   key.elem_size = sizeof(double);
   key.max_workspace_bytes = opt.max_workspace_bytes;
   key.min_tile = tiles.min_tile;
@@ -135,8 +134,7 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
   // Resolved ONCE for the batch -- the per-product env reads are one of the
   // loop costs this entry point exists to remove.  Malformed env values
   // throw here, before any write to C.
-  const ExecConfig cfg =
-      resolve_config({opt.strategy, opt.algo});
+  const ExecConfig cfg = resolve_config({opt.strategy});
 
   // ---- plan once per equivalence class -------------------------------------
   std::vector<PlanClass> classes;
@@ -153,9 +151,6 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
           index.emplace(ck, static_cast<int>(classes.size()));
       if (fresh) {
         PlanClass cls;
-        // The key carries the resolved config, kAuto algo included: the
-        // per-class family choice is a function of the keyed shape and
-        // tiles, so a <3,3,3> plan never serves a <2,2,2> lookup.
         const tune::PlanKey pkey = make_plan_key(ck, opt, cfg, tiles);
         const tune::CachedPlan* cached =
             opt.use_plan_cache ? tune::global_plan_cache().lookup(pkey)
@@ -184,23 +179,16 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
                 pkey, tune::CachedPlan{cls.plan, cls.planned_depth,
                                        cls.fallback});
         }
-        // A product whose <2,2,2> plan's top level would fork on the pool
+        // A product whose plan's top level would fork on the pool
         // (parallel::fork_levels, the one definition of "deep") runs as a
         // forked product of its own instead of one task.  Pack-fused plans
         // stay single-task: a forked product runs the Morton rung, and
         // honoring the strategy outweighs intra-product parallelism.
-        const layout::GemmPlan plain =
-            cls.plan.algo == analysis::AlgoFamily::k222
-                ? cls.plan
-                : detail::plan_product<double>(
-                      it.opa, it.opb, ck.m, ck.k, ck.n,
-                      {cfg.strategy, analysis::AlgoFamily::k222},
-                      tiles, opt.max_workspace_bytes, nullptr);
-        cls.deep = plain.strategy != layout::ExecStrategy::kPackFused &&
-                   plain.feasible && !plain.direct &&
-                   parallel::fork_levels(pool, plain.m.tile, plain.k.tile,
-                                         plain.n.tile, plain.depth,
-                                         opt.min_task_flops) >= 1;
+        const layout::GemmPlan& p = cls.plan;
+        cls.deep = p.strategy != layout::ExecStrategy::kPackFused &&
+                   p.feasible && !p.direct &&
+                   parallel::fork_levels(pool, p.m.tile, p.k.tile, p.n.tile,
+                                         p.depth, opt.min_task_flops) >= 1;
         detail::record_fallback(rep, cls.fallback);
         classes.push_back(cls);
       }
@@ -233,8 +221,8 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     if (!class_of(i).deep) shallow.push_back(i);
 
   RawMem mm;
-  // Every product runs the pipeline on its class's plan: the ladder for a
-  // <2,2,2> plan, a family level or the split decomposition otherwise.
+  // Every product runs the pipeline on its class's plan: the ladder, or the
+  // split decomposition for an infeasible plan.
   // `fork` (deep products only) forks it across the pool.  Its Morton and
   // pack-fused rungs draw their arenas from this thread's cache, so every
   // product of a class after the first reuses warm memory; the acquisition

@@ -17,7 +17,7 @@
 //     so a batch of B identical products costs at most (threads + 1) cold
 //     allocations, not B;
 //   * schedule the whole batch on the work-stealing pool: one task per
-//     product, except DEEP products -- those whose <2,2,2> plan
+//     product, except DEEP products -- those whose plan
 //     parallel::pmodgemm would fork at the top on this pool
 //     (parallel::fork_levels >= 1: sub-products of at least min_task_flops
 //     padded volume) -- which run as parallel products of their own on the
@@ -70,15 +70,11 @@ struct BatchedOptions {
   // Execution-strategy pin, resolved once per batch against
   // STRASSEN_STRATEGY (semantics identical to ModgemmOptions).
   layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
-  // <m,k,n> algorithm-family pin, resolved once per batch against
-  // STRASSEN_ALGO and then per class by the planner heuristic
-  // (layout::choose_algo) -- same precedence as ModgemmOptions::algo.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
   // Granularity floor shared with ParallelOptions::min_task_flops (same
   // default): a product runs as a parallel product of its own instead of a
-  // single task exactly when pmodgemm would fork the top level of its
-  // <2,2,2> plan, i.e. when its sub-products' padded volume
-  // (m_pad * k_pad * n_pad / 8) is at least this (parallel::fork_levels >= 1).
+  // single task exactly when pmodgemm would fork the top level of its plan,
+  // i.e. when its sub-products' padded volume (m_pad * k_pad * n_pad / 8)
+  // is at least this (parallel::fork_levels >= 1).
   std::int64_t min_task_flops = std::int64_t{1} << 21;
   // Consult/populate the process-wide plan cache (tune/plan_cache.hpp).
   // Off, every batch plans its classes from scratch (still once per class).

@@ -21,36 +21,15 @@ layout::ExecStrategy parse_exec_strategy(const char* value) {
   return ExecStrategy::kAuto;  // unreachable
 }
 
-analysis::AlgoFamily parse_algo_family(const char* value) {
-  using analysis::AlgoFamily;
-  STRASSEN_REQUIRE(value != nullptr, "STRASSEN_ALGO: null value");
-  if (std::strcmp(value, "auto") == 0) return AlgoFamily::kAuto;
-  if (std::strcmp(value, "222") == 0) return AlgoFamily::k222;
-  if (std::strcmp(value, "323") == 0) return AlgoFamily::k323;
-  if (std::strcmp(value, "234") == 0) return AlgoFamily::k234;
-  if (std::strcmp(value, "333") == 0) return AlgoFamily::k333;
-  STRASSEN_REQUIRE(false, "STRASSEN_ALGO: unknown algorithm family \""
-                              << value
-                              << "\" (expected auto, 222, 323, 234 or 333)");
-  return AlgoFamily::kAuto;  // unreachable
-}
-
 }  // namespace detail
 
 ExecConfig resolve_config(ExecConfig pins) {
   // Read once per top-level call: getenv is cheap against the O(n^3) work
-  // that follows, and tests flip the variables mid-process.  Unset or empty
-  // leaves the field kAuto.
-  const auto env = [](const char* name) -> const char* {
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? v : nullptr;
-  };
+  // that follows, and tests flip the variable mid-process.  Unset or empty
+  // leaves the strategy kAuto.
   if (pins.strategy == layout::ExecStrategy::kAuto)
-    if (const char* v = env("STRASSEN_STRATEGY"))
+    if (const char* v = std::getenv("STRASSEN_STRATEGY"); v && *v != '\0')
       pins.strategy = detail::parse_exec_strategy(v);
-  if (pins.algo == analysis::AlgoFamily::kAuto)
-    if (const char* v = env("STRASSEN_ALGO"))
-      pins.algo = detail::parse_algo_family(v);
   return pins;
 }
 

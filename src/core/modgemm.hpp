@@ -23,24 +23,22 @@
 // Strassen and run the conventional blocked algorithm.
 //
 // The three entry points (modgemm_mm, parallel::pmodgemm, modgemm_batched)
-// dispatch through one pipeline:
-//   resolve -- resolve_config turns the call's pins and the STRASSEN_*
-//              environment into one ExecConfig (strategy and <m,k,n>
-//              family), once per top-level call.
-//              Every nested product (family sub-products, split chunks,
-//              a forked product's serial rerun, batched items) gets that
-//              config.
-//   plan    -- detail::plan_product picks the <m,k,n> family, plans the
-//              tiles, applies the workspace budget and picks the strategy.
-//   run     -- detail::run_product, the only router: detail::run_family
-//              runs one family level whose sub-products re-enter it, the
-//              split loop runs each C block (detail::run_split_block) as
-//              one task, and detail::run_ladder runs one planned product:
-//              pack-fused or Morton, then the conventional path if
-//              allocation fails.  Its optional detail::Fork (null = serial)
-//              runs the products on a pool: split blocks become pool tasks,
-//              and the ladder runs the Morton rung with its conversions
-//              fanned out and its top levels forked.
+// dispatch through one pipeline, and every product it runs is the <2,2,2>
+// Strassen-Winograd recursion:
+//   resolve -- resolve_config turns the call's strategy pin and
+//              STRASSEN_STRATEGY into one ExecConfig, once per top-level
+//              call.  Every nested product (split chunks, a forked
+//              product's serial rerun, batched items) gets that config.
+//   plan    -- detail::plan_product plans the tiles, picks the strategy and
+//              applies the workspace budget.
+//   run     -- detail::run_product, the only router: the split loop runs
+//              each C block (detail::run_split_block) as one task, and
+//              detail::run_ladder runs one planned product: pack-fused or
+//              Morton, then the conventional path if allocation fails.
+//              Its optional detail::Fork (null = serial) runs the products
+//              on a pool: split blocks become pool tasks, and the ladder
+//              runs the Morton rung with its conversions fanned out and
+//              its top levels forked.
 //   report  -- detail::stamp_call fills a call's header, and
 //              detail::stamp_product the fields of each executed product.
 #pragma once
@@ -60,7 +58,6 @@
 #include "common/memmodel.hpp"
 #include "common/status.hpp"
 #include "common/timer.hpp"
-#include "core/family.hpp"
 #include "core/packfused.hpp"
 #include "core/winograd.hpp"
 #include "core/workspace.hpp"
@@ -114,20 +111,6 @@ struct ModgemmOptions {
   // non-Strassen (direct) products and traced/non-RawMem instantiations
   // always execute kMorton.
   layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
-  // <m,k,n> algorithm-family pin for this call (analysis/algo_family.hpp).
-  // kAuto (the default) defers to the STRASSEN_ALGO environment override and
-  // then to the planner heuristic (layout::choose_algo), which keeps every
-  // square / deep problem on the seed-exact <2,2,2> path and switches to a
-  // shape-matched table (<3,2,3>, <2,3,4>, <3,3,3>) only on a clear modeled
-  // win.  Pinning k222 disables the families outright; pinning any other
-  // value runs one level of that coefficient table unconditionally, with
-  // every sub-product recursing through the plain <2,2,2> driver.  A pinned
-  // family that cannot run (its ceil-partitioned sub-products would sit at
-  // or below the direct threshold, its staging exceeds max_workspace_bytes,
-  // or its up-front allocation fails) degrades to <2,2,2>, recorded as
-  // FallbackReason::kAlgoFallback.  The fixed_tile ablation studies <2,2,2>
-  // padding and never runs a family.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
   // Per-call observability: when non-null, the call fills *report with phase
   // timers, plan/padding data, workspace accounting, kernel telemetry and
   // (for pmodgemm) parallel stats -- see obs/report.hpp.  Null (the default)
@@ -137,21 +120,19 @@ struct ModgemmOptions {
   obs::GemmReport* report = nullptr;
 };
 
-// The execution choices of one call after pins and environment: each field
-// kAuto leaves that choice to plan_product's per-product heuristics.  The
-// schedule family is not a choice: every product runs the 2-buffer table
-// unless the workspace budget moves it to Kreczmar's
-// (apply_workspace_budget).
+// The execution choice of one call after pin and environment: kAuto leaves
+// the strategy to plan_product's per-product heuristic.  The schedule
+// family is not a choice: every product runs the 2-buffer table unless the
+// workspace budget moves it to Kreczmar's (apply_workspace_budget).
 struct ExecConfig {
   layout::ExecStrategy strategy = layout::ExecStrategy::kAuto;
-  analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
 };
 
-// Resolves one top-level call's config: a pinned (non-kAuto) field wins,
-// an unpinned one takes STRASSEN_STRATEGY / STRASSEN_ALGO, else stays
-// kAuto.  The only place the library reads these
-// variables; nested products receive the caller's resolved config.  A
-// malformed value throws before any write to C.  Implemented in modgemm.cpp.
+// Resolves one top-level call's config: a pinned (non-kAuto) strategy wins,
+// an unpinned one takes STRASSEN_STRATEGY, else stays kAuto.  The only
+// place the library reads that variable; nested products receive the
+// caller's resolved config.  A malformed value throws before any write to
+// C.  Implemented in modgemm.cpp.
 ExecConfig resolve_config(ExecConfig pins);
 
 // dgemm-convention argument validation shared by every entry point (serial,
@@ -200,11 +181,10 @@ inline std::size_t modgemm_workspace_bytes(const layout::GemmPlan& plan,
 
 namespace detail {
 
-// Parse STRASSEN_STRATEGY / STRASSEN_ALGO values ("auto" -> kAuto);
-// anything else throws via STRASSEN_REQUIRE naming the variable and the
-// offending value.  Implemented in modgemm.cpp.
+// Parse a STRASSEN_STRATEGY value ("auto" -> kAuto); anything else throws
+// via STRASSEN_REQUIRE naming the variable and the offending value.
+// Implemented in modgemm.cpp.
 layout::ExecStrategy parse_exec_strategy(const char* value);
-analysis::AlgoFamily parse_algo_family(const char* value);
 
 // The strategy one PLANNED product executes: non-Strassen plans always run
 // kMorton (there is nothing to fuse), an explicit pin/env choice sticks, an
@@ -226,15 +206,17 @@ inline layout::ExecStrategy plan_exec_strategy(layout::ExecStrategy resolved,
 }
 
 // The workspace the budget ladder charges a Strassen plan that runs as
-// plan.strategy: the Morton figure, or for pack-fused the larger of that and
-// the pack-fused figure (priced with its C scratch, since beta is not known
-// here).  Pack-fused needs less than Morton unless it copies both operands.
+// plan.strategy: the bytes that strategy allocates, pack-fused priced with
+// its C scratch since beta is not known here.  A budgeted pack-fused plan
+// always runs pack-fused: the pooled Morton rung is reached only by
+// unbudgeted pmodgemm calls and by the batched driver's Morton-strategy
+// deep classes.
 inline std::size_t budget_bytes(const layout::GemmPlan& plan, Op opa, Op opb,
                                 std::size_t elem_size) {
-  const std::size_t morton = modgemm_workspace_bytes(plan, elem_size);
-  if (plan.strategy != layout::ExecStrategy::kPackFused) return morton;
-  return std::max(morton, packfused_workspace_bytes(plan, opa, opb, elem_size,
-                                                    /*c_scratch=*/true));
+  if (plan.strategy != layout::ExecStrategy::kPackFused)
+    return modgemm_workspace_bytes(plan, elem_size);
+  return packfused_workspace_bytes(plan, opa, opb, elem_size,
+                                   /*c_scratch=*/true);
 }
 
 // Escalates the recorded fallback to the worse of the two (split calls run
@@ -283,9 +265,11 @@ inline analysis::ScheduleFamily runnable_family(
 // Settles a plan under cfg and degrades a feasible one until its workspace
 // fits `budget` bytes (0 = unlimited).  Every plan and candidate gets the
 // strategy it runs (plan_exec_strategy), the family that strategy can run
-// (runnable_family) and is priced with both (budget_bytes).  A plan runs
-// kLowMem unless the budget cannot hold it; the ladder, from least to most
-// severe:
+// (runnable_family) and is priced with both (budget_bytes).  An unpinned
+// (kAuto) candidate the heuristic sent to Morton that does not fit runs
+// pack-fused instead when that fits: the same product in fewer bytes, so no
+// rung is recorded.  A plan runs kLowMem unless the budget cannot hold it;
+// the ladder, from least to most severe:
 //   1. schedule swap -- keep the planned depth but run Kreczmar's table
 //      (kInPlace), which needs no arena at all, where runnable_family lets
 //      it run.  Recorded as kScheduleSwap.
@@ -302,10 +286,17 @@ inline layout::GemmPlan apply_workspace_budget(
   using analysis::ScheduleFamily;
   // Settles cand to run `family` and reports whether it fits the budget.
   const auto fits = [&](layout::GemmPlan& cand, ScheduleFamily family) {
-    cand.strategy =
+    const auto settle = [&](layout::ExecStrategy strategy) {
+      cand.strategy = strategy;
+      if (!cand.direct) cand.schedule = runnable_family(cand, family);
+      return budget == 0 || budget_bytes(cand, opa, opb, elem_size) <= budget;
+    };
+    const layout::ExecStrategy planned =
         plan_exec_strategy(cfg.strategy, cand, opa, opb, m, k, n, tiles);
-    if (!cand.direct) cand.schedule = runnable_family(cand, family);
-    return budget == 0 || budget_bytes(cand, opa, opb, elem_size) <= budget;
+    if (settle(planned)) return true;
+    return cfg.strategy == layout::ExecStrategy::kAuto &&
+           planned == layout::ExecStrategy::kMorton &&
+           settle(layout::ExecStrategy::kPackFused);
   };
   // Direct and infeasible (split) plans need no workspace, so they fit.
   if (fits(plan, ScheduleFamily::kLowMem)) return plan;
@@ -347,38 +338,15 @@ inline layout::GemmPlan apply_workspace_budget(
 }
 
 // Plans one product (m, k, n >= 1) of op(A) . op(B) under a resolved
-// config: the <m,k,n> family (cfg.algo, or the choose_algo heuristic for
-// kAuto), then for <2,2,2> the tile plan, the execution strategy, the
-// schedule family that strategy can run and the workspace budget
-// (apply_workspace_budget).
-// A family plan (plan.algo != k222) describes its partition grid and is
-// executed by run_family.  A family that cannot pay off degrades to <2,2,2>
-// up front, recorded as kAlgoFallback: its ceil-partitioned sub-products
-// would sit at or below the direct threshold (they would all run
-// conventional, so the level only multiplies staging traffic by its rank --
-// the rule choose_algo prices in), or its staging alone would reach the
-// budget.  An infeasible <2,2,2> plan means the product must be split.
-// Records the planned depth and any budget rung in *report.
+// config: the tile plan, the execution strategy, the schedule family that
+// strategy can run and the workspace budget (apply_workspace_budget).  An
+// infeasible plan means the product must be split.  Records the planned
+// depth and any budget rung in *report.
 template <class T>
 layout::GemmPlan plan_product(Op opa, Op opb, int m, int k, int n,
                               const ExecConfig& cfg,
                               const layout::TileOptions& tiles,
                               std::size_t budget, ModgemmReport* report) {
-  const analysis::AlgoFamily algo = cfg.algo == analysis::AlgoFamily::kAuto
-                                        ? layout::choose_algo(m, k, n, tiles)
-                                        : cfg.algo;
-  if (algo != analysis::AlgoFamily::k222) {
-    const analysis::FamilyTable& t = analysis::family_table(algo);
-    const layout::GemmPlan fam = family_plan(t, algo, m, k, n);
-    if (std::min({fam.m.tile, fam.k.tile, fam.n.tile}) >
-            tiles.direct_threshold &&
-        (budget == 0 ||
-         family_workspace_bytes(t, m, k, n, sizeof(T)) < budget)) {
-      if (report) report->planned_depth = 1;
-      return fam;
-    }
-    record_fallback(report, FallbackReason::kAlgoFallback);
-  }
   const layout::GemmPlan planned = layout::plan_gemm(m, k, n, tiles);
   if (report) report->planned_depth = planned.depth;
   if (!planned.direct && !planned.feasible) return planned;
@@ -696,7 +664,7 @@ void run_ladder(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
 // ladder in chunk order, the first with beta and the rest accumulating, so
 // the block's peak workspace is that of its largest chunk product.
 // run_product runs each block as one task (inline without a pool), so the
-// result does not depend on the pool.  cfg.algo must be k222.
+// result does not depend on the pool.
 template <class MM, class T>
 void run_split_block(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
                      const layout::Chunk& cn,
@@ -722,109 +690,18 @@ void run_split_block(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
   }
 }
 
-// One level of a non-<2,2,2> coefficient table (plan.algo, core/family.hpp)
-// with every block product handed to `sub(m2, n2, k2, A2, lda2, B2, ldb2,
-// C2, ldc2, subreport)`, which must compute C2 <- A2 . B2 under the caller's
-// config pinned to <2,2,2> (run_product passes itself, with its pool).  The
-// sub-products' reports are merged into
-// *report once, so their strategy, schedule and fallbacks surface in the
-// caller's report.  Returns false -- with C untouched and kAlgoFallback
-// recorded -- when the staging allocation fails; the caller then continues
-// on the plain <2,2,2> path.
-template <class MM, class T, class SubGemm>
-bool run_family(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
-                const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                int ldc, const layout::GemmPlan& plan, SubGemm&& sub,
-                ModgemmReport* report) {
-  const analysis::FamilyTable& t = analysis::family_table(plan.algo);
-  const std::size_t staging = family_workspace_bytes(t, m, k, n, sizeof(T));
-  // Sub-products report into a scratch struct so their results surface in
-  // the caller's report without double-counting this call's wall clock
-  // (WallStamp accumulates).
-  obs::GemmReport subrep;
-  obs::GemmReport* subrep_ptr = report ? &subrep : nullptr;
-  try {
-    Arena arena(staging);
-    modgemm_family_arena(
-        mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc, t, arena,
-        [&](int m2, int n2, int k2, const T* A2, int lda2, const T* B2,
-            int ldb2, T* C2, int ldc2) {
-          sub(m2, n2, k2, A2, lda2, B2, ldb2, C2, ldc2, subrep_ptr);
-        },
-        report);
-    if (report) {
-      // modgemm_family_arena already booked the sub-products' time and count.
-      obs::merge_sub_report(*report, subrep, /*timed_by_parent=*/true);
-      report->workspace_requested_bytes += staging;
-      ++report->workspace_allocations;
-      // True peak: the staging buffers stay live across every sub-product,
-      // so the call's high-water mark is theirs plus the largest sub-peak.
-      report->workspace_peak_bytes =
-          std::max(report->workspace_peak_bytes,
-                   arena.peak() + subrep.workspace_peak_bytes);
-      report->plan = plan;
-      report->plan.schedule = subrep.plan.schedule;
-      report->plan.strategy = subrep.plan.strategy;
-      report->planned_depth = 1;
-      report->algo = analysis::algo_name(plan.algo);
-    }
-    return true;
-  } catch (const std::bad_alloc&) {
-    // The staging arena is fully pushed before any arithmetic and C is
-    // written only by the final merge (core/family.hpp), so C is untouched;
-    // sub-products own their ladders and leave C2 (a temporary) aside.
-    record_fallback(report, FallbackReason::kAlgoFallback);
-    return false;
-  }
-}
-
-// The pipeline for one planned call (plan from plan_product under cfg): a
-// family level whose sub-products re-enter this pipeline pinned to <2,2,2>,
-// one ladder product, or the split decomposition.  Every entry point ends
-// here: modgemm and pmodgemm on their one call, the batched driver on each
-// item.  `fork` (null = serial) reaches the ladder and the family's
-// sub-products; split blocks run as one task each and fork no further.
+// The pipeline for one planned call (plan from plan_product under cfg): one
+// ladder product, or the split decomposition.  Every entry point ends here:
+// modgemm and pmodgemm on their one call, the batched driver on each item.
+// `fork` (null = serial) reaches the ladder; split blocks run as one task
+// each and fork no further.
 template <class MM, class T>
 void run_product(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
                  const T* A, int lda, const T* B, int ldb, T beta, T* C,
-                 int ldc, const layout::GemmPlan& plan, ExecConfig cfg,
+                 int ldc, const layout::GemmPlan& plan, const ExecConfig& cfg,
                  const layout::TileOptions& tiles, std::size_t budget,
                  ModgemmReport* report, const Fork* fork = nullptr) {
-  if (report) report->algo = analysis::algo_name(plan.algo);
-  // Everything below this call is <2,2,2>: a family runs one level only, and
-  // split chunks are plain products.
-  cfg.algo = analysis::AlgoFamily::k222;
-  if (plan.algo != analysis::AlgoFamily::k222) {
-    // The sub-products run inside whatever budget the staging left.  Under
-    // a pool the level stages serially on the caller and each block product
-    // forks across the whole pool in turn.
-    const std::size_t sub_budget =
-        budget == 0 ? 0
-                    : budget - family_workspace_bytes(
-                                   analysis::family_table(plan.algo), m, k, n,
-                                   sizeof(T));
-    if (run_family(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-                   plan,
-                   [&](int m2, int n2, int k2, const T* A2, int lda2,
-                       const T* B2, int ldb2, T* C2, int ldc2,
-                       ModgemmReport* sub) {
-                     run_product(mm, Op::NoTrans, Op::NoTrans, m2, n2, k2,
-                                 T{1}, A2, lda2, B2, ldb2, T{0}, C2, ldc2,
-                                 plan_product<T>(Op::NoTrans, Op::NoTrans,
-                                                 m2, k2, n2, cfg, tiles,
-                                                 sub_budget, sub),
-                                 cfg, tiles, sub_budget, sub, fork);
-                   },
-                   report)) {
-      if (fork != nullptr) stamp_pool(report, *fork);
-      return;
-    }
-    run_product(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-                plan_product<T>(opa, opb, m, k, n, cfg, tiles, budget,
-                                report),
-                cfg, tiles, budget, report, fork);
-    return;
-  }
+  if (report) report->algo = "222";
   if (plan.direct || plan.feasible) {
     run_ladder(mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
                plan, report, fork);
@@ -882,13 +759,10 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
 
   // Traced / non-RawMem executions dereference operands through the memory
   // model, which the pack-fused leaf path bypasses, so they always run
-  // kMorton.  The fixed-tile ablation studies <2,2,2> static padding and
-  // never runs a family.  Pinning both keeps resolve_config from reading
-  // their environment variables.
-  ExecConfig pins{opt.strategy, opt.algo};
+  // kMorton.  Pinning it keeps resolve_config from reading the environment.
+  ExecConfig pins{opt.strategy};
   if constexpr (!std::is_same_v<MM, RawMem>)
     pins.strategy = layout::ExecStrategy::kMorton;
-  if (opt.fixed_tile > 0) pins.algo = analysis::AlgoFamily::k222;
   const ExecConfig cfg = resolve_config(pins);
 
   if (opt.fixed_tile == 0) {

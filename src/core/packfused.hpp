@@ -259,9 +259,9 @@ inline std::size_t packfused_copy_bytes(const layout::GemmPlan& plan, Op opa,
 // it -- the padded C scratch the epilogue merges into C.  With at most one
 // operand transposed this stays within modgemm_workspace_bytes for the same
 // plan (the A and B Morton buffers hold the copy and dwarf the leaf frame);
-// with both transposed it can exceed it, which is why the budget ladder
-// prices a pack-fused candidate with the larger of the two figures
-// (detail::budget_bytes in core/modgemm.hpp).
+// with both transposed it can exceed it.  The budget ladder prices a
+// pack-fused candidate at this figure (detail::budget_bytes in
+// core/modgemm.hpp).
 inline std::size_t packfused_workspace_bytes(const layout::GemmPlan& plan,
                                              Op opa, Op opb,
                                              std::size_t elem_size,

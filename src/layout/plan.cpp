@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/check.hpp"
-#include "layout/split.hpp"
 
 namespace strassen::layout {
 
@@ -240,82 +239,6 @@ ExecStrategy choose_exec_strategy(const GemmPlan& plan, int m, int k, int n,
   if (mn > 0 && mx >= 2 * mn) return ExecStrategy::kPackFused;
   if (plan.depth <= opt.packfused_max_depth) return ExecStrategy::kPackFused;
   return ExecStrategy::kMorton;
-}
-
-namespace {
-
-// A direct or feasible plan's modeled cost (see modeled_flops).
-double plan_flops(const GemmPlan& plan) {
-  const double conventional = 2.0 * plan.m.n * plan.k.n * plan.n.n;
-  if (plan.direct) return conventional;
-  double cost = 2.0 * plan.m.padded * plan.k.padded * plan.n.padded;
-  for (int d = 0; d < plan.depth; ++d) cost *= 7.0 / 8.0;
-  // Padding can price a "Strassen" plan above the conventional loop it
-  // replaces; the executed ladder would still run it, but as a COST MODEL
-  // for comparing families the conventional floor keeps one bad <2,2,2>
-  // plan from flattering every alternative.
-  return std::min(cost, conventional);
-}
-
-}  // namespace
-
-double modeled_flops(int m, int k, int n, const TileOptions& opt) {
-  const GemmPlan plan = plan_gemm(m, k, n, opt);
-  if (plan.direct || plan.feasible) return plan_flops(plan);
-  // The split path runs plan_split's chunk products one by one
-  // (run_split_block), so the split costs the sum of theirs.  Each distinct
-  // chunk shape -- at most 2 x 2 x 2 -- is planned once.
-  const int cap = opt.max_tile << split_depth(plan);
-  const auto mc = balanced_chunk_classes(m, cap);
-  const auto kc = balanced_chunk_classes(k, cap);
-  const auto nc = balanced_chunk_classes(n, cap);
-  double cost = 0;
-  for (const ChunkClass& cm : mc)
-    for (const ChunkClass& ck : kc)
-      for (const ChunkClass& cn : nc)
-        if (cm.count > 0 && ck.count > 0 && cn.count > 0)
-          cost += static_cast<double>(cm.count) * ck.count * cn.count *
-                  plan_flops(plan_gemm(cm.size, ck.size, cn.size, opt));
-  return cost;
-}
-
-analysis::AlgoFamily choose_algo(int m, int k, int n,
-                                 const TileOptions& opt) {
-  using analysis::AlgoFamily;
-  // Thin problems run direct (or nearly so); one family level on top would
-  // only add staging traffic.
-  if (std::min({m, k, n}) <= 2 * opt.direct_threshold) return AlgoFamily::k222;
-  const double base = modeled_flops(m, k, n, opt);
-  // Staging traffic is memory-bound; weigh each element touched as a few
-  // flop-equivalents so near-ties resolve toward the no-staging baseline.
-  constexpr double kStagingWeight = 4.0;
-  constexpr double kClearWin = 0.95;
-  AlgoFamily best = AlgoFamily::k222;
-  double best_cost = base;
-  const AlgoFamily candidates[] = {AlgoFamily::k323, AlgoFamily::k234,
-                                   AlgoFamily::k333};
-  for (AlgoFamily f : candidates) {
-    const analysis::FamilyTable& t = analysis::family_table(f);
-    const int pm = (m + t.bm - 1) / t.bm;
-    const int pk = (k + t.bk - 1) / t.bk;
-    const int pn = (n + t.bn - 1) / t.bn;
-    // Sub-products below the direct threshold would all run conventional;
-    // the family then multiplies staging overhead by `rank` for nothing.
-    if (std::min({pm, pk, pn}) <= opt.direct_threshold) continue;
-    const double sub = modeled_flops(pm, pk, pn, opt);
-    const double staging =
-        kStagingWeight * t.rank *
-        (static_cast<double>(pm) * pk + static_cast<double>(pk) * pn +
-         2.0 * static_cast<double>(pm) * pn);
-    const double cost = t.rank * sub + staging;
-    // A family must clear the margin against the <2,2,2> baseline AND beat
-    // any family already selected.
-    if (cost < base * kClearWin && cost < best_cost) {
-      best = f;
-      best_cost = cost;
-    }
-  }
-  return best;
 }
 
 }  // namespace strassen::layout

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/algo_family.hpp"
 #include "analysis/schedule.hpp"
 
 namespace strassen::layout {
@@ -180,13 +179,6 @@ struct GemmPlan {
   // choose_exec_strategy heuristic before dispatch).  Traced/counted memory
   // models and non-Strassen plans always execute kMorton.
   ExecStrategy strategy = ExecStrategy::kMorton;
-  // <m,k,n> family the call's TOP level runs (analysis/algo_family.hpp).
-  // k222 (the default) is the plain Winograd quadrant recursion this plan
-  // describes; any other value means one level of that coefficient table
-  // runs first (core/family.hpp) and this plan's tile/depth fields describe
-  // nothing -- the sub-products plan themselves.  Never kAuto in an executed
-  // plan: core/modgemm.hpp resolves pin -> STRASSEN_ALGO -> choose_algo.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::k222;
   DimPlan m, k, n;
   // Total padded elements across the three operands (planner's objective).
   long long padded_elems() const;
@@ -216,25 +208,21 @@ std::vector<int> feasible_depths(int n, const TileOptions& opt = {});
 ExecStrategy choose_exec_strategy(const GemmPlan& plan, int m, int k, int n,
                                   const TileOptions& opt = {});
 
-// Modeled cost of one product under the <2,2,2> planner, in flops: a direct
-// plan costs the conventional 2mkn, a feasible plan 2 * 7^d * padded-volume
-// / 8^d (floored at 2mkn), and an infeasible shape the sum of its plan_split
-// chunk products' costs -- what the split path executes.
-double modeled_flops(int m, int k, int n, const TileOptions& opt = {});
+}  // namespace strassen::layout
 
-// The planner's algorithm-family heuristic, consulted when neither the
-// per-call pin nor STRASSEN_ALGO decides (AlgoFamily::kAuto).  For each
-// shipped table it prices one level of the family -- rank sub-products of
-// the ceil-partitioned shape, each modeled by the <2,2,2> planner -- plus a
-// staging-bandwidth term, and switches away from k222 only on a clear
-// modeled win (>= 5%) with all partitions above the direct threshold.  Deep
-// square problems always price best under k222 (the <3,3,3> per-level ratio
-// 23/27 never clears the margin against 7/8 without a padding advantage),
-// which is what keeps the default path bit-identical to the seed; the
-// families win on shapes <2,2,2> handles badly -- odd sizes that pad
-// heavily at every feasible depth, and rectangles whose aspect matches a
-// table's block grid (384x256x384 partitions exactly under <3,2,3>).
-analysis::AlgoFamily choose_algo(int m, int k, int n,
-                                 const TileOptions& opt = {});
+namespace strassen::analysis {
+
+// Every product runs the <2,2,2> Strassen-Winograd recursion.  The enum and
+// choose_algo below stay only for the benchmark's planner probes
+// (perfbench/); no library code reads them.
+enum class AlgoFamily : std::uint8_t { kAuto = 0, k222 };
+
+}  // namespace strassen::analysis
+
+namespace strassen::layout {
+
+inline analysis::AlgoFamily choose_algo(int, int, int) {
+  return analysis::AlgoFamily::k222;
+}
 
 }  // namespace strassen::layout

@@ -13,7 +13,6 @@
 // (paper Fig. 4 shows the wide / lean cases of this reconstruction).
 #pragma once
 
-#include <array>
 #include <utility>
 #include <vector>
 
@@ -36,14 +35,6 @@ struct Chunk {
 // Near-equal chunks covering [0, dim), each of size <= max_chunk.
 std::vector<Chunk> balanced_chunks(int dim, int max_chunk);
 
-// The same chunking as (size, count) classes: at most two sizes, one apart,
-// the larger first.  An unused class has count 0.
-struct ChunkClass {
-  int size = 0;
-  int count = 0;
-};
-std::array<ChunkClass, 2> balanced_chunk_classes(int dim, int max_chunk);
-
 // Decomposition of C(m x n) = A(m x k) B(k x n) into sub-products that each
 // admit a common recursion depth.
 struct SplitPlan {
@@ -63,10 +54,5 @@ struct SplitPlan {
 // direct_threshold < n < 2*min_tile), which the property tests verify
 // exhaustively.
 SplitPlan plan_split(int m, int k, int n, const TileOptions& opt = {});
-
-// The depth plan_split unifies an infeasible `whole` = plan_gemm(m, k, n)
-// on: the smallest dimension's own choose_dim depth.  Every dimension is
-// then chunked to at most max_tile << split_depth(whole).
-int split_depth(const GemmPlan& whole);
 
 }  // namespace strassen::layout

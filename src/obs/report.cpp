@@ -11,8 +11,6 @@ const char* fallback_reason_name(FallbackReason r) {
   switch (r) {
     case FallbackReason::kNone:
       return "none";
-    case FallbackReason::kAlgoFallback:
-      return "algo-fallback";
     case FallbackReason::kScheduleSwap:
       return "schedule-swap";
     case FallbackReason::kDepthReduced:
@@ -27,14 +25,11 @@ const char* fallback_reason_name(FallbackReason r) {
   return "unknown";
 }
 
-void merge_sub_report(GemmReport& into, const GemmReport& sub,
-                      bool timed_by_parent) {
-  if (!timed_by_parent) {
-    into.convert_in_seconds += sub.convert_in_seconds;
-    into.compute_seconds += sub.compute_seconds;
-    into.convert_out_seconds += sub.convert_out_seconds;
-    into.products += sub.products;
-  }
+void merge_sub_report(GemmReport& into, const GemmReport& sub) {
+  into.convert_in_seconds += sub.convert_in_seconds;
+  into.compute_seconds += sub.compute_seconds;
+  into.convert_out_seconds += sub.convert_out_seconds;
+  into.products += sub.products;
   into.workspace_requested_bytes += sub.workspace_requested_bytes;
   into.workspace_allocations += sub.workspace_allocations;
   into.workspace_peak_bytes =
@@ -91,8 +86,9 @@ void put_string(std::ostream& os, const char* s) {
 // family; v4 added plan.strategy and workspace.conversion_saved_bytes with
 // the pack-fused execution strategy; v5 added the batch section with the
 // batched service core (core/batched.hpp); v6 added plan.algo (and the
-// "algo-fallback" workspace.fallback value) with the <m,k,n> algorithm
-// family engine (analysis/algo_family.hpp).
+// "algo-fallback" workspace.fallback value) with an <m,k,n> algorithm
+// family engine since removed: plan.algo now always reads "222" and no call
+// reports "algo-fallback".
 void write_json(std::ostream& os, const GemmReport& r) {
   os << "{\"schema\": \"strassen.gemm_report.v6\", ";
 

@@ -46,10 +46,6 @@ namespace strassen::obs {
 // rung taken.  (Moved here from core/modgemm.hpp; core aliases it.)
 enum class FallbackReason {
   kNone = 0,        // planned path ran unmodified
-  kAlgoFallback,    // a non-<2,2,2> family was requested but could not run
-                    // (its sub-products would sit at/below the direct
-                    // threshold, staging exceeded the budget, or its
-                    // up-front allocation failed); <2,2,2> ran instead
   kScheduleSwap,    // workspace budget: planned depth kept, but
                     // Kreczmar's zero-workspace table ran instead of the
                     // default 2-buffer table
@@ -91,9 +87,9 @@ struct GemmReport {
   // (layout::strategy_name: "morton" or "packfused"); "" until a Strassen
   // path runs, serialized as "none" like schedule.
   const char* strategy = "";
-  // <m,k,n> algorithm family the call's top level executed
-  // (analysis::algo_name: "222", "323", "234", "333"); "" until resolution
-  // runs (zero-dim early returns), serialized as "none" like schedule.
+  // <m,k,n> algorithm of the call: always "222" (the Strassen-Winograd
+  // recursion) once a product is dispatched; "" on zero-dim early returns,
+  // serialized as "none" like schedule.  Kept so the v6 schema is unchanged.
   const char* algo = "";
 
   // --- resilience / workspace ----------------------------------------------
@@ -205,15 +201,13 @@ class WallStamp {
   std::chrono::steady_clock::time_point t0_;
 };
 
-// Folds the report of a sub-call (a split block, a batch item, a family
-// sub-product) into its parent's report `into`: phase timers and products
-// are summed -- unless the parent already timed the sub-call itself
-// (`timed_by_parent`) -- workspace and batch counters are summed, the peak
-// and the fallback rung take the worse of the two, split_used is or-ed, and
-// the last executed plan, schedule, strategy and algo (when set) win.  The
-// one merge every multi-product path shares, so no field is dropped.
-void merge_sub_report(GemmReport& into, const GemmReport& sub,
-                      bool timed_by_parent = false);
+// Folds the report of a sub-call (a split block or a batch item) into its
+// parent's report `into`: phase timers, products, workspace and batch
+// counters are summed, the peak and the fallback rung take the worse of the
+// two, split_used is or-ed, and the last executed plan, schedule, strategy
+// and algo (when set) win.  The one merge every multi-product path shares,
+// so no field is dropped.
+void merge_sub_report(GemmReport& into, const GemmReport& sub);
 
 // Serializes `r` as one line of schema-stable JSON (schema id
 // "strassen.gemm_report.v6"; see docs/OBSERVABILITY.md for the contract).

@@ -79,8 +79,7 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
   core::detail::stamp_call<RawMem, double>(rep, m, n, k);
   RawMem mm;
   if (core::detail::trivial_product(mm, m, n, k, alpha, beta, C, ldc)) return;
-  const core::ExecConfig cfg =
-      core::resolve_config({layout::ExecStrategy::kAuto, opt.algo});
+  const core::ExecConfig cfg = core::resolve_config({});
   const core::detail::Fork fork{pool, opt.spawn_levels, opt.min_task_flops};
   core::detail::run_product(
       mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,

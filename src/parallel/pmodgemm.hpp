@@ -25,11 +25,14 @@
 //     Fig. 4) run each C-block's chain of sub-products as its own pool task:
 //     the k-chain within a block stays sequential in chunk order and the
 //     blocks write disjoint parts of C, so the result is bit-identical to
-//     the serial splitter;
-//   * a family level stages serially and runs each block product forked
-//     across the whole pool in turn.
+//     the serial splitter.
 //
 // Without a pool, pmodgemm is core::modgemm.
+//
+// A pooled call is unbudgeted: ParallelOptions has no max_workspace_bytes,
+// so the workspace budget rungs (Kreczmar's schedule swap, depth reduction,
+// budget-direct) are reached only from core::modgemm and
+// core::modgemm_batched.
 //
 // Memory: a spawn level keeps 11 temporaries live at once (4 A-quadrants +
 // 4 B-quadrants + 3 C-quadrants, ~2.75x the quadrant set of the serial
@@ -74,13 +77,6 @@ struct ParallelOptions {
   // product, a few hundred microseconds of leaf work) keeps task overhead
   // well under 1%.  Ignored when spawn_levels >= 0.
   std::int64_t min_task_flops = std::int64_t{1} << 21;
-  // <m,k,n> algorithm-family pin (analysis/algo_family.hpp), mirroring
-  // ModgemmOptions::algo: kAuto defers to STRASSEN_ALGO and then the planner
-  // heuristic (layout::choose_algo).  A non-<2,2,2> family stages its
-  // combinations serially on the caller and runs each of the rank block
-  // products as a full parallel product over the pool; sub-products pin
-  // <2,2,2>, so the recursion below is the unchanged parallel engine.
-  analysis::AlgoFamily algo = analysis::AlgoFamily::kAuto;
   // Per-call observability (obs/report.hpp): phase timers, workspace
   // accounting, kernel telemetry plus the parallel section (tasks executed,
   // per-thread distribution, steal count, pool utilization).  Null =

@@ -54,11 +54,9 @@ TraceResult trace_multiply(Impl impl, int m, int n, int k,
   switch (impl) {
     case Impl::Modgemm: {
       core::ModgemmOptions opt;
-      // The trace experiments reproduce the paper's <2,2,2> cache stories:
-      // plan under its tile window, and pin the family so a forced
-      // STRASSEN_ALGO run cannot reroute them.
+      // The trace experiments reproduce the paper's cache stories: plan
+      // under its tile window.
       opt.tiles = layout::kPaperTileWindow;
-      opt.algo = analysis::AlgoFamily::k222;
       core::modgemm_mm(mm, Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(),
                        A.ld(), B.data(), B.ld(), 0.0, C.data(), C.ld(), opt);
       break;

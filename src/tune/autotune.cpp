@@ -196,35 +196,6 @@ AutotuneResult autotune(const AutotuneOptions& opt) {
     result.tiles.packfused_max_depth = max_winning_depth;
   }
 
-  // --- algorithm-family probe -------------------------------------------
-  // One forced pin per shipped <m,k,n> table on the rectangular probe shape.
-  // Diagnostic only: the numbers explain choose_algo's decision on shapes
-  // like this one, they do not feed back into the tuned knobs.
-  if (opt.survey_algo) {
-    const int pm = opt.algo_probe_m, pk = opt.algo_probe_k,
-              pn = opt.algo_probe_n;
-    Rng rng(static_cast<std::uint64_t>(pm) * 7 +
-            static_cast<std::uint64_t>(pk) * 11 + 5);
-    Matrix<double> A(pm, pk), B(pk, pn), C(pm, pn);
-    rng.fill_uniform(A.storage());
-    rng.fill_uniform(B.storage());
-    MeasureOptions mopt;
-    mopt.outer_reps = opt.repetitions;
-    mopt.inner_reps = 2;
-    for (const analysis::AlgoFamily f : analysis::kShippedAlgoFamilies) {
-      core::ModgemmOptions probe;
-      probe.tiles = result.tiles;
-      probe.algo = f;
-      const double secs = measure(
-          [&] {
-            core::modgemm(Op::NoTrans, Op::NoTrans, pm, pn, pk, 1.0, A.data(),
-                          A.ld(), B.data(), B.ld(), 0.0, C.data(), C.ld(),
-                          probe);
-          },
-          mopt);
-      result.algo_probe.push_back({f, secs});
-    }
-  }
   return result;
 }
 

@@ -49,16 +49,6 @@ struct AutotuneOptions {
   // problems at these sizes.  Disable to keep the planner default.
   bool survey_strategy = true;
   std::vector<int> strategy_sizes{160, 288, 544};
-  // Probe every shipped <m,k,n> algorithm family (analysis/algo_family.hpp)
-  // against the <2,2,2> default on one rectangular problem, one forced pin
-  // per family.  Purely diagnostic -- selection stays with the per-call pin,
-  // STRASSEN_ALGO and layout::choose_algo -- and off by default so the
-  // standard survey's cost and outcome are unchanged.
-  bool survey_algo = false;
-  // Shape of that probe.  The default is the Sayuri convolution-im2col shape
-  // the family tables target (256 x 361 x 256: k = 19^2 partitions poorly
-  // under powers of two).
-  int algo_probe_m = 256, algo_probe_k = 361, algo_probe_n = 256;
   int repetitions = 3;  // timing repetitions per probe
   // Survey every available leaf-kernel implementation across the candidate
   // tiles before the tile survey, so the tile range is chosen for the
@@ -111,14 +101,6 @@ struct AutotuneResult {
     double packfused_seconds;
   };
   std::vector<StrategyPoint> strategy_probe;
-  // Diagnostics from the algorithm-family probe: one-shot timing of the
-  // probe shape pinned to each shipped family (k222 first, so every later
-  // entry reads against [0]).  Empty unless AutotuneOptions::survey_algo.
-  struct AlgoPoint {
-    analysis::AlgoFamily family;
-    double seconds;
-  };
-  std::vector<AlgoPoint> algo_probe;
 };
 
 // Runs the survey.  Costs a fraction of a second of measurement.

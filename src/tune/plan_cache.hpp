@@ -54,10 +54,11 @@ struct PlanKey {
   int m = 0, k = 0, n = 0;
   std::uint8_t opa = 0, opb = 0;      // Op, as ordinal
   // The call's core::ExecConfig, as ordinals (kAuto = decided per product).
-  // Always 0 in library keys (a call's config has no schedule family); kept
-  // because the benchmark's plan-cache probe sets it.
-  std::uint8_t schedule = 0;
   std::uint8_t strategy = 0;          // layout::ExecStrategy
+  // Always 0 in library keys (a call's config has neither a schedule family
+  // nor an <m,k,n> algorithm); kept because the benchmark's plan-cache probe
+  // sets them.
+  std::uint8_t schedule = 0;
   std::uint8_t algo = 0;              // analysis::AlgoFamily
   std::uint32_t elem_size = 0;
   std::uint64_t max_workspace_bytes = 0;

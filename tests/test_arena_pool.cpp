@@ -117,7 +117,6 @@ TEST(ArenaPool, SerialMortonReusesTheThreadArena) {
   core::ModgemmOptions opt;
   opt.tiles.direct_threshold = 32;  // force a Strassen execution
   opt.strategy = layout::ExecStrategy::kMorton;
-  opt.algo = analysis::AlgoFamily::k222;
   const auto run = [&] {
     core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                   B.data(), n, 0.0, C.data(), n, opt);

@@ -218,12 +218,7 @@ TEST(Batched, IdenticalProductsPlanOnceAndAmortizeWorkspace) {
   const std::vector<BatchItem> items = items_of(products);
 
   parallel::ThreadPool pool(threads);
-  // Pinned to <2,2,2>: the acceptance counters below describe the pooled
-  // task-per-product path, but a forced STRASSEN_ALGO run would route every
-  // product through the serial family driver, which never touches the pool
-  // arena cache (acquisitions would read 0).  Pin > env.
   BatchedOptions bopt;
-  bopt.algo = analysis::AlgoFamily::k222;
   obs::GemmReport first;
   modgemm_batched(&pool, items.data(), batch, bopt, &first);
   for (std::size_t i = 0; i < products.size(); ++i)

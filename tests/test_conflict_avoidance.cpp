@@ -127,9 +127,6 @@ TEST(ConflictAvoidance, EliminatesTheFig9ConflictZone) {
     core::ModgemmOptions opt;
     opt.tiles = kPaperTileWindow;
     opt.tiles.avoid_conflict_cache_bytes = avoid_bytes;
-    // The conflict zone is a <2,2,2> Morton-layout story; pin the family so
-    // a forced STRASSEN_ALGO run cannot reroute it (pin > env).
-    opt.algo = analysis::AlgoFamily::k222;
     core::modgemm_mm(mm, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                      B.data(), n, 0.0, C.data(), n, opt);
     return h.l1_miss_ratio();

@@ -216,43 +216,45 @@ TEST(FaultInjectionSerial, LadderRungsAreReported) {
 // ---------------------------------------------------------------------------
 
 TEST(WorkspaceBudget, DepthReductionStaysUnderBudgetAndExact) {
-  const int n = 512;
-  const layout::GemmPlan planned = layout::plan_gemm(n, n, n, {});
+  // Non-square tiles: Kreczmar's table cannot run, so the ladder's first
+  // rung that can hold a tighter budget is depth reduction.
+  const int m = 512, k = 448, n = 512;
+  const layout::GemmPlan planned = layout::plan_gemm(m, k, n, {});
   ASSERT_TRUE(planned.feasible);
   ASSERT_GE(planned.depth, 2);
+  ASSERT_NE(planned.m.tile, planned.k.tile);
 
-  // Budget exactly the workspace of the next-shallower feasible plan: the
-  // driver must give up one recursion level, no more.
+  // Budget exactly the Morton workspace of the next-shallower feasible plan
+  // (the strategy pinned below): the driver must give up one recursion
+  // level, no more.
   layout::GemmPlan shallower;
   shallower.depth = planned.depth - 1;
-  shallower.m = layout::choose_dim_at_depth(n, shallower.depth, {});
-  shallower.k = shallower.m;
-  shallower.n = shallower.m;
+  shallower.m = layout::choose_dim_at_depth(m, shallower.depth, {});
+  shallower.k = layout::choose_dim_at_depth(k, shallower.depth, {});
+  shallower.n = layout::choose_dim_at_depth(n, shallower.depth, {});
   shallower.feasible = true;
   ASSERT_NE(shallower.m.tile, 0);
+  ASSERT_NE(shallower.k.tile, 0);
+  ASSERT_NE(shallower.n.tile, 0);
   const std::size_t budget =
       core::modgemm_workspace_bytes(shallower, sizeof(double));
   ASSERT_LT(budget, core::modgemm_workspace_bytes(planned, sizeof(double)));
 
   Rng rng(10);
-  Matrix<double> A(n, n), B(n, n), C(n, n), Ref(n, n);
+  Matrix<double> A(m, k), B(k, n), C(m, n), Ref(m, n);
   rng.fill_int(A.storage(), -2, 2);
   rng.fill_int(B.storage(), -2, 2);
-  blas::naive_gemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
-                   B.data(), n, 0.0, Ref.data(), n);
+  blas::naive_gemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m,
+                   B.data(), k, 0.0, Ref.data(), m);
 
   ModgemmOptions opt;
   opt.max_workspace_bytes = budget;
-  // Pin pack-fused: on the Morton rung this budget is instead satisfied at
-  // FULL depth by Kreczmar's table (the swap rung, covered in
-  // test_ladder_invariants.cpp), which pack-fused cannot run.
-  opt.strategy = layout::ExecStrategy::kPackFused;
-  // Pin <2,2,2>: the budget arithmetic above prices the <2,2,2> plan, which
-  // a forced STRASSEN_ALGO run would replace with a family level (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
+  // Pin Morton: an unpinned call would instead run pack-fused at full
+  // depth, which this budget also holds.
+  opt.strategy = layout::ExecStrategy::kMorton;
   ModgemmReport report;
-  core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
-                n, 0.0, C.data(), n, opt, &report);
+  core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m, B.data(),
+                k, 0.0, C.data(), m, opt, &report);
 
   EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
   EXPECT_EQ(report.fallback_reason, FallbackReason::kDepthReduced);
@@ -301,9 +303,6 @@ TEST(WorkspaceBudget, GenerousBudgetChangesNothing) {
   ModgemmOptions opt;
   opt.max_workspace_bytes =
       core::modgemm_workspace_bytes(planned, sizeof(double));
-  // Pin <2,2,2>: the budget equals the <2,2,2> plan's exact footprint, and a
-  // forced STRASSEN_ALGO family would need staging on top (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
                 n, 0.0, C.data(), n, opt, &report);

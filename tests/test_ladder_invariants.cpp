@@ -91,10 +91,7 @@ TEST(LadderInvariants, BudgetForcesScheduleSwapNotDepthReduction) {
 
   ModgemmOptions opt;
   opt.max_workspace_bytes = budget;
-  // Pin <2,2,2>: the budget arithmetic above prices <2,2,2> plans, and a
-  // forced STRASSEN_ALGO family would intercept the ladder (pin > env).
   // Pin Morton: Kreczmar's table runs only on the Morton copies.
-  opt.algo = analysis::AlgoFamily::k222;
   opt.strategy = layout::ExecStrategy::kMorton;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
@@ -143,9 +140,6 @@ TEST(LadderInvariants, EveryRungRespectsItsBudget) {
     SCOPED_TRACE(::testing::Message() << "budget=" << budget);
     ModgemmOptions opt;
     opt.max_workspace_bytes = budget;
-    // Pin <2,2,2>: the rung shapes below describe the <2,2,2> ladder
-    // (pin > a forced STRASSEN_ALGO environment).
-    opt.algo = analysis::AlgoFamily::k222;
     ModgemmReport report;
     core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                   B.data(), n, 0.0, C.data(), n, opt, &report);
@@ -244,8 +238,6 @@ TEST(LadderInvariants, NonSquareDepthReducesWithinTheDefaultFamily) {
 
   ModgemmOptions opt;
   opt.max_workspace_bytes = budget;
-  // Pin <2,2,2>: same reason as above -- the budget prices <2,2,2> plans.
-  opt.algo = analysis::AlgoFamily::k222;
   opt.strategy = layout::ExecStrategy::kMorton;
   ModgemmReport report;
   core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m, B.data(),
@@ -324,7 +316,6 @@ TEST(LadderInvariants, FaultSweepInPlaceSchedule) {
   const layout::GemmPlan planned = layout::plan_gemm(n, n, n, {});
   ASSERT_TRUE(planned.feasible);
   ModgemmOptions opt;
-  opt.algo = analysis::AlgoFamily::k222;
   opt.strategy = layout::ExecStrategy::kMorton;
   opt.max_workspace_bytes =
       candidate_workspace(n, planned.depth, ScheduleFamily::kInPlace);

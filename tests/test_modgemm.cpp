@@ -193,7 +193,6 @@ TEST(ModgemmSplit, LowMemSplitPeaksAtItsLargestChunkProduct) {
   // product run on its own.
   const int m = 100, k = 4000, n = 150;
   ModgemmOptions opt;
-  opt.algo = analysis::AlgoFamily::k222;
   Rng rng(5);
   Matrix<double> A(m, k), B(k, n), C(m, n), Cc(m, n);
   rng.fill_uniform(A.storage());
@@ -341,11 +340,10 @@ TEST(ModgemmReportTest, TimingBreakdownIsPopulated) {
   rng.fill_uniform(A.storage());
   rng.fill_uniform(B.storage());
   ModgemmReport report;
-  // Asserts Morton-only conversion timers; the per-call pins keep the test
-  // meaningful under forced STRASSEN_STRATEGY / STRASSEN_ALGO environments.
+  // Asserts Morton-only conversion timers; the per-call pin keeps the test
+  // meaningful under a forced STRASSEN_STRATEGY environment.
   ModgemmOptions opt;
   opt.strategy = layout::ExecStrategy::kMorton;
-  opt.algo = analysis::AlgoFamily::k222;
   modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(), n,
           0.0, C.data(), n, opt, &report);
   EXPECT_EQ(report.products, 1);

@@ -108,10 +108,9 @@ TEST(ObsPhases, PopulatedAndConsistent) {
   ModgemmOptions opt;
   opt.tiles.direct_threshold = 32;  // force a Strassen execution
   // This test asserts Morton-only observables (conversion phases); pin the
-  // strategy and the <2,2,2> family so it holds under forced
-  // STRASSEN_STRATEGY / STRASSEN_ALGO environments (pin > env).
+  // strategy so it holds under a forced STRASSEN_STRATEGY environment
+  // (pin > env).
   opt.strategy = layout::ExecStrategy::kMorton;
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   p.run(opt, &report);
 
@@ -220,11 +219,9 @@ TEST(ObsWorkspace, RequestedMatchesPublicSizing) {
   Problem p(200);
   ModgemmOptions opt;
   opt.tiles.direct_threshold = 32;
-  // modgemm_workspace_bytes sizes the Morton <2,2,2> execution; pin the
-  // strategy and family so the equality holds under forced
-  // STRASSEN_STRATEGY / STRASSEN_ALGO legs.
+  // modgemm_workspace_bytes sizes the Morton execution; pin the strategy
+  // so the equality holds under a forced STRASSEN_STRATEGY environment.
   opt.strategy = layout::ExecStrategy::kMorton;
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   p.run(opt, &report);
   ASSERT_FALSE(report.plan.direct);
@@ -243,10 +240,6 @@ TEST(ObsWorkspace, FallbackLadderIsRecorded) {
   Problem p(200);
   ModgemmOptions opt;
   opt.tiles.direct_threshold = 32;
-  // Pin <2,2,2>: under a forced STRASSEN_ALGO the first gated allocation is
-  // the family staging, and the fault would degrade via kAlgoFallback
-  // instead of the <2,2,2> ladder's kAllocDirect (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   {
     // Refuse the (single) arena allocation: the ladder degrades to the
@@ -357,18 +350,11 @@ TEST(ObsParallel, PmodgemmFillsParallelSection) {
   const int n = 256;
   Problem p(n);
   Matrix<double> Cserial(n, n);
-  // Pinned to <2,2,2> on both sides: these tests assert the Morton spawn
-  // mechanics, which a forced STRASSEN_ALGO run would reroute through the
-  // family level (pin > env).
-  ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
-                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(),
-                sopt);
+                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld());
 
   parallel::ThreadPool pool(4);
   parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k222;
   popt.spawn_levels = 1;
   ModgemmReport report;
   popt.report = &report;
@@ -412,7 +398,6 @@ TEST(ObsParallel, PoolUtilizationIsAFraction) {
   Problem p(n);
   parallel::ThreadPool pool(1);
   parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k222;
   popt.spawn_levels = 2;
   ModgemmReport report;
   popt.report = &report;
@@ -429,18 +414,11 @@ TEST(ObsParallel, DeepSpawnReportsEffectiveLevelsAndTaskFanout) {
   const int n = 256;
   Problem p(n);
   Matrix<double> Cserial(n, n);
-  // Pinned to <2,2,2> on both sides: these tests assert the Morton spawn
-  // mechanics, which a forced STRASSEN_ALGO run would reroute through the
-  // family level (pin > env).
-  ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
-                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(),
-                sopt);
+                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld());
 
   parallel::ThreadPool pool(4);
   parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k222;
   // Fork at EVERY level: the pin is the plan depth.
   popt.spawn_levels = layout::plan_gemm(n, n, n, popt.tiles).depth;
   ModgemmReport report;
@@ -483,18 +461,11 @@ TEST(ObsParallel, AllocFailureDegradesIntoOneCoherentReport) {
   const int n = 256;
   Problem p(n);
   Matrix<double> Cserial(n, n);
-  // Pinned to <2,2,2> on both sides: these tests assert the Morton spawn
-  // mechanics, which a forced STRASSEN_ALGO run would reroute through the
-  // family level (pin > env).
-  ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
-                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(),
-                sopt);
+                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld());
 
   parallel::ThreadPool pool(2);
   parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   popt.report = &report;
   {
@@ -523,7 +494,6 @@ TEST(ObsParallel, MortonPathStampsStrategy) {
   rng.fill_uniform(B.storage());
   parallel::ThreadPool pool(2);
   parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k222;
   ModgemmReport report;
   popt.report = &report;
   parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(),
@@ -532,53 +502,6 @@ TEST(ObsParallel, MortonPathStampsStrategy) {
   ASSERT_FALSE(report.plan.direct);
   EXPECT_STREQ(report.strategy, "morton");
   EXPECT_EQ(report.plan.strategy, layout::ExecStrategy::kMorton);
-}
-
-// pmodgemm's family path merges its sub-products' reports: the strategy
-// they executed reaches the caller (it used to stay empty).
-TEST(ObsParallel, FamilyPathReportsSubProductStrategy) {
-  const int n = 384;
-  Problem p(n);
-  parallel::ThreadPool pool(1);
-  parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k234;
-  ModgemmReport report;
-  popt.report = &report;
-  parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
-                     p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
-                     p.C.data(), p.C.ld(), popt);
-  ASSERT_STREQ(report.algo, "234");
-  EXPECT_STRNE(report.strategy, "");
-  EXPECT_STREQ(report.strategy, layout::strategy_name(report.plan.strategy));
-}
-
-// ...and a sub-product's degradation surfaces as the caller's fallback.
-TEST(ObsParallel, FamilyPathSurfacesSubProductFallback) {
-  const int n = 384;
-  Problem p(n);
-  ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k234;
-  Matrix<double> Cserial(n, n);
-  core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, p.A.data(), p.A.ld(),
-                p.B.data(), p.B.ld(), 0.0, Cserial.data(), Cserial.ld(),
-                sopt);
-
-  parallel::ThreadPool pool(1);
-  parallel::ParallelOptions popt;
-  popt.algo = analysis::AlgoFamily::k234;
-  ModgemmReport report;
-  popt.report = &report;
-  {
-    // Allocation 1 is the family staging; 2 is the first sub-product's
-    // first Morton buffer, so that sub-product reruns on the serial ladder.
-    ft::FaultInjector inj(ft::FaultMode::kFailOnce, 2);
-    parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0,
-                       p.A.data(), p.A.ld(), p.B.data(), p.B.ld(), 0.0,
-                       p.C.data(), p.C.ld(), popt);
-  }
-  EXPECT_EQ(max_abs_diff<double>(p.C.view(), Cserial.view()), 0.0);
-  EXPECT_STREQ(report.algo, "234");
-  EXPECT_EQ(report.fallback_reason, FallbackReason::kAllocDirect);
 }
 
 TEST(ObsParallel, NullPoolReportsTheSerialCall) {
@@ -610,8 +533,8 @@ TEST(ObsParallel, NullPoolReportsTheSerialCall) {
 }
 
 // ---------------------------------------------------------------------------
-// Sub-report merging: split blocks, batch items and family sub-products all
-// fold into the call report through obs::merge_sub_report.
+// Sub-report merging: split blocks and batch items fold into the call report
+// through obs::merge_sub_report.
 // ---------------------------------------------------------------------------
 
 TEST(ObsMerge, EveryFieldFolds) {
@@ -637,7 +560,7 @@ TEST(ObsMerge, EveryFieldFolds) {
   sub.plan.depth = 3;
   sub.schedule = "winograd-inplace";
   sub.strategy = "packfused";
-  sub.algo = "333";
+  sub.algo = "222";
   obs::merge_sub_report(into, sub);
   EXPECT_EQ(into.convert_in_seconds, 0.5);
   EXPECT_EQ(into.compute_seconds, 3.0);
@@ -655,17 +578,10 @@ TEST(ObsMerge, EveryFieldFolds) {
   EXPECT_EQ(into.plan.depth, 3);
   EXPECT_STREQ(into.schedule, "winograd-inplace");
   EXPECT_STREQ(into.strategy, "packfused");
-  EXPECT_STREQ(into.algo, "333");
-
-  // A parent that timed the sub-call itself keeps its own phases and count.
-  obs::merge_sub_report(into, sub, /*timed_by_parent=*/true);
-  EXPECT_EQ(into.compute_seconds, 3.0);
-  EXPECT_EQ(into.products, 3);
-  EXPECT_EQ(into.workspace_requested_bytes, 128u);
+  EXPECT_STREQ(into.algo, "222");
 }
 
-// Rectangular product on the serial driver and on pmodgemm's split path,
-// both pinned to <2,2,2>.
+// Rectangular product on the serial driver and on pmodgemm's split path.
 struct SplitShape {
   int m = 100, k = 4000, n = 150;
   Matrix<double> A{100, 4000}, B{4000, 150}, C{100, 150};
@@ -675,18 +591,16 @@ struct SplitShape {
     rng.fill_uniform(B.storage());
   }
   ModgemmReport serial() {
-    ModgemmOptions opt;
-    opt.algo = analysis::AlgoFamily::k222;
     ModgemmReport r;
     core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), A.ld(),
-                  B.data(), B.ld(), 0.0, C.data(), C.ld(), opt, &r);
+                  B.data(), B.ld(), 0.0, C.data(), C.ld(), ModgemmOptions{},
+                  &r);
     return r;
   }
   ModgemmReport parallel() {
     parallel::ThreadPool pool(2);
     parallel::ParallelOptions popt;
-    popt.algo = analysis::AlgoFamily::k222;
-    ModgemmReport r;
+      ModgemmReport r;
     popt.report = &r;
     parallel::pmodgemm(&pool, Op::NoTrans, Op::NoTrans, m, n, k, 1.0,
                        A.data(), A.ld(), B.data(), B.ld(), 0.0, C.data(),
@@ -721,7 +635,7 @@ TEST(ObsMerge, BatchedReportCarriesAlgo) {
   core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), A.ld(),
                 B.data(), B.ld(), 0.0, Cs.data(), Cs.ld(), ModgemmOptions{},
                 &serial);
-  ASSERT_STRNE(serial.algo, "");
+  EXPECT_STREQ(serial.algo, "222");
 
   core::BatchItem items[2];
   Matrix<double>* outs[2] = {&C0, &C1};

@@ -276,7 +276,6 @@ TEST(PackFusedBitIdentity, LowMemAndInPlaceFamilies) {
     copy_matrix<double>(C0.view(), Cm.view());
     copy_matrix<double>(C0.view(), Cp.view());
     ModgemmOptions opt;
-    opt.algo = analysis::AlgoFamily::k222;
     opt.strategy = ExecStrategy::kMorton;
     opt.max_workspace_bytes = core::modgemm_conversion_bytes(
         layout::plan_gemm(n, n, n, opt.tiles), sizeof(double));
@@ -455,10 +454,6 @@ TEST(PackFusedReport, StampsStrategyAndConversionSavings) {
   StrategyProblem p(256);
   ModgemmOptions opt;
   opt.strategy = ExecStrategy::kPackFused;
-  // Pinned to <2,2,2>: the savings arithmetic below describes the pack-fused
-  // <2,2,2> product, which a forced STRASSEN_ALGO run would route through a
-  // family level instead (pin > env).
-  opt.algo = analysis::AlgoFamily::k222;
   const ModgemmReport r = p.run(opt);
   ASSERT_FALSE(r.plan.direct);
   EXPECT_STREQ(r.strategy, "packfused");
@@ -500,9 +495,6 @@ TEST(PackFusedReport, WorkspaceAccountingMatchesPublicSizing) {
   StrategyProblem p(200);
   ModgemmOptions opt;
   opt.strategy = ExecStrategy::kPackFused;
-  // Pinned to <2,2,2>: same reason as above -- the single-allocation
-  // accounting holds for the pack-fused path, not a family level.
-  opt.algo = analysis::AlgoFamily::k222;
   opt.tiles.direct_threshold = 32;
   for (const auto& [opa, opb] : kOpPairs) {
     SCOPED_TRACE(::testing::Message() << op_char(opa) << op_char(opb));
@@ -579,7 +571,6 @@ TEST(PackFusedBudget, TransposedCallsStayWithinTheMortonFigure) {
                          B.ld(), beta, Ref.data(), Ref.ld());
         ModgemmOptions opt;
         opt.strategy = pin;
-        opt.algo = analysis::AlgoFamily::k222;
         opt.max_workspace_bytes = budget;
         ModgemmReport r;
         core::modgemm(opa, opb, m, n, k, 1.0, A.data(), A.ld(), B.data(),
@@ -594,6 +585,48 @@ TEST(PackFusedBudget, TransposedCallsStayWithinTheMortonFigure) {
       }
 }
 
+// The budget ladder prices pack-fused at the bytes it allocates.  An
+// unpinned product the heuristic sends to Morton, under a budget that holds
+// its pack-fused figure but not its Morton one, runs pack-fused at full
+// depth -- no rung taken -- and computes the same bits as the unbudgeted
+// Morton run.
+TEST(PackFusedBudget, UnpinnedMortonPlanSettlesOnPackFused) {
+  UnsetStrategyEnv unset;
+  const int m = 700, k = 600, n = 650;
+  Rng rng(47);
+  Matrix<double> A(m, k), B(k, n), C0(m, n), Cm(m, n), Cb(m, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  rng.fill_uniform(C0.storage());
+  copy_matrix<double>(C0.view(), Cm.view());
+  copy_matrix<double>(C0.view(), Cb.view());
+
+  ModgemmReport unbudgeted;
+  core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.5, A.data(), A.ld(),
+                B.data(), B.ld(), 0.5, Cm.data(), Cm.ld(), ModgemmOptions{},
+                &unbudgeted);
+  ASSERT_STREQ(unbudgeted.strategy, "morton");
+  layout::GemmPlan plan = unbudgeted.plan;
+  plan.strategy = ExecStrategy::kPackFused;
+  const std::size_t budget = core::packfused_workspace_bytes(
+      plan, Op::NoTrans, Op::NoTrans, sizeof(double), /*c_scratch=*/true);
+  ASSERT_LT(budget, core::modgemm_workspace_bytes(plan, sizeof(double)));
+
+  ModgemmOptions opt;
+  opt.max_workspace_bytes = budget;
+  ModgemmReport r;
+  core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.5, A.data(), A.ld(),
+                B.data(), B.ld(), 0.5, Cb.data(), Cb.ld(), opt, &r);
+  EXPECT_STREQ(r.strategy, "packfused");
+  EXPECT_EQ(r.fallback_reason, FallbackReason::kNone);
+  EXPECT_EQ(r.plan.depth, unbudgeted.plan.depth);
+  EXPECT_GT(r.workspace_peak_bytes, 0u);
+  EXPECT_LE(r.workspace_peak_bytes, budget);
+  EXPECT_EQ(std::memcmp(Cm.data(), Cb.data(),
+                        sizeof(double) * Cm.storage().size()),
+            0);
+}
+
 TEST(PackFusedReport, DirectPlansReportNoStrategy) {
   StrategyProblem p(40);  // below the direct threshold
   ModgemmOptions opt;
@@ -606,9 +639,11 @@ TEST(PackFusedReport, DirectPlansReportNoStrategy) {
 
 TEST(PackFusedReport, InPlaceFamilyMapsToLowMem) {
   // The in-place schedule table overwrites its A/B operands, which under
-  // pack-fused are the CALLER's matrices: a budget that cannot hold the
-  // full-depth plan gives depth back on the 2-buffer table instead of
-  // swapping to Kreczmar's, and the report says what actually ran.
+  // pack-fused are the CALLER's matrices: a pack-fused plan asked for
+  // Kreczmar's table runs the 2-buffer table instead.  A budget of exactly
+  // the Morton buffers puts a Morton-pinned call on Kreczmar's table at full
+  // depth; a pack-fused-pinned call under the same budget runs the 2-buffer
+  // table, and the report says what actually ran.
   const int n = 256;
   Matrix<double> A(n, n), B(n, n), C(n, n), Ref(n, n);
   Rng rng(23);
@@ -616,20 +651,32 @@ TEST(PackFusedReport, InPlaceFamilyMapsToLowMem) {
   rng.fill_int(B.storage(), -3, 3);
   blas::naive_gemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                    B.data(), n, 0.0, Ref.data(), n);
+  layout::GemmPlan planned = layout::plan_gemm(n, n, n, {});
+  planned.strategy = ExecStrategy::kPackFused;
+  EXPECT_EQ(core::detail::runnable_family(planned,
+                                          analysis::ScheduleFamily::kInPlace),
+            analysis::ScheduleFamily::kLowMem);
+
   ModgemmOptions opt;
-  opt.algo = analysis::AlgoFamily::k222;
+  opt.max_workspace_bytes =
+      core::modgemm_conversion_bytes(planned, sizeof(double));
+  opt.strategy = ExecStrategy::kMorton;
+  ModgemmReport morton;
+  core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
+                n, 0.0, C.data(), n, opt, &morton);
+  EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
+  EXPECT_STREQ(morton.schedule, "winograd-inplace");
+  EXPECT_EQ(morton.fallback_reason, FallbackReason::kScheduleSwap);
+
   opt.strategy = ExecStrategy::kPackFused;
-  opt.max_workspace_bytes = core::modgemm_workspace_bytes(
-                                layout::plan_gemm(n, n, n, opt.tiles),
-                                sizeof(double)) -
-                            1;
   ModgemmReport r;
   core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n, B.data(),
                 n, 0.0, C.data(), n, opt, &r);
   EXPECT_EQ(max_abs_diff<double>(C.view(), Ref.view()), 0.0);
   EXPECT_STREQ(r.strategy, "packfused");
   EXPECT_STREQ(r.schedule, "winograd-lowmem");
-  EXPECT_EQ(r.fallback_reason, FallbackReason::kDepthReduced);
+  EXPECT_EQ(r.plan.depth, planned.depth);
+  EXPECT_EQ(r.fallback_reason, FallbackReason::kNone);
 }
 
 TEST(PackFusedHeuristic, RectangularOneShotPrefersPackFused) {
@@ -642,11 +689,7 @@ TEST(PackFusedHeuristic, RectangularOneShotPrefersPackFused) {
   rng.fill_uniform(A.storage());
   rng.fill_uniform(B.storage());
   ModgemmReport r;
-  // Pinned to <2,2,2>: this test is about the Morton-vs-packfused strategy
-  // heuristic, and a forced-STRASSEN_ALGO run would route the shape through
-  // the family level instead (pin > env > heuristic).
   ModgemmOptions opt;
-  opt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::NoTrans, Op::NoTrans, m, n, k, 1.0, A.data(), m,
                 B.data(), k, 0.0, C.data(), m, opt, &r);
   if (r.plan.direct) GTEST_SKIP() << "planner went direct on this host";
@@ -665,7 +708,6 @@ TEST(PackFusedHeuristic, BothOperandsTransposedPrefersMorton) {
   rng.fill_uniform(A.storage());
   rng.fill_uniform(B.storage());
   ModgemmOptions opt;
-  opt.algo = analysis::AlgoFamily::k222;
   for (const auto& [opa, opb] : kOpPairs) {
     SCOPED_TRACE(::testing::Message() << op_char(opa) << op_char(opb));
     ModgemmReport r;
@@ -759,11 +801,6 @@ TEST(PackFusedFaults, ArenaRefusalDegradesToDirect) {
   StrategyProblem p(200);
   ModgemmOptions opt;
   opt.strategy = ExecStrategy::kPackFused;
-  // Pinned to <2,2,2>: the test injects a fault into the pack-fused path's
-  // single gated allocation, but a forced STRASSEN_ALGO run would put the
-  // family staging allocation first and the fault would land there instead
-  // (degrading via kAlgoFallback, not kAllocDirect).  Pin > env.
-  opt.algo = analysis::AlgoFamily::k222;
   opt.tiles.direct_threshold = 32;
   ModgemmReport report;
   {

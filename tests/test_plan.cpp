@@ -8,10 +8,7 @@
 //   fixed T = 32 at n = 513: padded 1024.
 #include <gtest/gtest.h>
 
-#include <tuple>
-
 #include "layout/plan.hpp"
-#include "layout/split.hpp"
 
 namespace strassen::layout {
 namespace {
@@ -258,26 +255,6 @@ TEST(PlanGemm, PaddedElemsCountsAllThreeOperands) {
   p.k = DimPlan{200, 50, 2, 200};
   p.n = DimPlan{300, 75, 2, 300};
   EXPECT_EQ(p.padded_elems(), 100ll * 200 + 200ll * 300 + 100ll * 300);
-}
-
-// A split shape is priced as the chunk products the split path runs, so it
-// is credited with their Strassen savings instead of the conventional 2mkn.
-TEST(ModeledFlops, SplitShapeCostsTheSumOfItsChunks) {
-  using Shape3 = std::tuple<int, int, int>;
-  for (const auto& [m, k, n] :
-       {Shape3{256, 2304, 361}, Shape3{4096, 256, 4096},
-        Shape3{8192, 100, 100}, Shape3{3000, 150, 70}}) {
-    SCOPED_TRACE(::testing::Message() << m << "x" << k << "x" << n);
-    const SplitPlan split = plan_split(m, k, n);
-    ASSERT_TRUE(split.needed);
-    double sum = 0;
-    for (const Chunk& cm : split.m_chunks)
-      for (const Chunk& ck : split.k_chunks)
-        for (const Chunk& cn : split.n_chunks)
-          sum += modeled_flops(cm.size, ck.size, cn.size);
-    EXPECT_NEAR(modeled_flops(m, k, n), sum, 1e-12 * sum);
-    EXPECT_LT(sum, 2.0 * m * k * n);
-  }
 }
 
 }  // namespace

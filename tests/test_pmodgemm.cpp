@@ -166,17 +166,11 @@ TEST_P(PmodgemmSplitPath, BitIdenticalToSerialSplitter) {
   copy_matrix<double>(C0.view(), Cs.view());
   copy_matrix<double>(C0.view(), Cp.view());
 
-  // Pinned to <2,2,2> on both sides: this test is about the split path, and
-  // a forced-STRASSEN_ALGO run would otherwise route these long shapes
-  // through one family level instead (pin > env > heuristic).
-  core::ModgemmOptions sopt;
-  sopt.algo = analysis::AlgoFamily::k222;
   core::modgemm(Op::Trans, Op::Trans, m, n, k, 1.5, A.data(), A.ld(),
-                B.data(), B.ld(), -0.5, Cs.data(), Cs.ld(), sopt);
+                B.data(), B.ld(), -0.5, Cs.data(), Cs.ld());
   ThreadPool pool(threads);
   obs::GemmReport report;
   ParallelOptions opt;
-  opt.algo = analysis::AlgoFamily::k222;
   opt.report = &report;
   pmodgemm(&pool, Op::Trans, Op::Trans, m, n, k, 1.5, A.data(), A.ld(),
            B.data(), B.ld(), -0.5, Cp.data(), Cp.ld(), opt);
@@ -402,7 +396,6 @@ TEST(PmodgemmWorkspace, SerialInPlaceRequestsOnlyTheMortonBuffers) {
     rng.fill_uniform(B.storage());
     core::ModgemmOptions opt;
     opt.strategy = layout::ExecStrategy::kMorton;
-    opt.algo = analysis::AlgoFamily::k222;
     core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                   B.data(), n, 0.0, Cdef.data(), n, opt);
     opt.max_workspace_bytes = core::modgemm_conversion_bytes(
@@ -432,7 +425,6 @@ TEST(PmodgemmWorkspace, NonSquareInPlacePlanRunsLowMem) {
   rng.fill_uniform(B.storage());
   core::ModgemmOptions opt;
   opt.strategy = layout::ExecStrategy::kMorton;
-  opt.algo = analysis::AlgoFamily::k222;
   opt.max_workspace_bytes =
       core::modgemm_workspace_bytes(layout::plan_gemm(m, k, n, opt.tiles),
                                     sizeof(double)) -
@@ -469,7 +461,6 @@ TEST_P(PmodgemmSizing, WorkspaceBytesMatchExecution) {
   ThreadPool pool(static_cast<int>(workers));
   ParallelOptions opt;
   opt.spawn_levels = spawn;
-  opt.algo = analysis::AlgoFamily::k222;
   obs::GemmReport report;
   opt.report = &report;
   pmodgemm(&pool, Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
@@ -524,7 +515,6 @@ TEST(PmodgemmForkDepth, FollowsPoolWidth) {
     if (w.workers > 0) pool = std::make_unique<ThreadPool>(w.workers);
     ParallelOptions opt;
     opt.tiles = layout::kPaperTileWindow;
-    opt.algo = analysis::AlgoFamily::k222;
     obs::GemmReport report;
     opt.report = &report;
     pmodgemm(pool.get(), Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
@@ -540,7 +530,6 @@ TEST(PmodgemmForkDepth, FollowsPoolWidth) {
       // No pool: pmodgemm is modgemm, planned strategy included.
       core::ModgemmOptions sopt;
       sopt.tiles = opt.tiles;
-      sopt.algo = opt.algo;
       obs::GemmReport serial;
       core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
                     B.data(), n, 0.0, C.data(), n, sopt, &serial);

@@ -22,11 +22,6 @@ the batch's per-product n): "batched-serial" and "batched-pool" are
 normalized by the same-run "batched-loop" per-item baseline, gating the
 amortization and scaling wins of modgemm_batched rather than raw throughput.
 
-The "algo-*" rows (bench/fig_algo_family.cpp, where "tile" is the problem's
-n) normalize each forced <m,k,n> family by the same-run "algo-222" Winograd
-row at the same size, gating the family engine's relative standing on both
-the deep squares (<2,2,2> must stay ahead) and the Sayuri rectangle.
-
 Points present in the baseline but missing from the current run (e.g. an
 AVX2 kernel on a runner without AVX2) are reported and skipped, never
 silently ignored.  Stdlib only.
@@ -53,7 +48,7 @@ def load_points(path):
 
 # Rows that act as the in-run denominator for a family of points; they are
 # never gated themselves.
-BASE_KERNELS = ("scalar", "modgemm-morton", "batched-loop", "algo-222")
+BASE_KERNELS = ("scalar", "modgemm-morton", "batched-loop")
 
 
 def base_kernel_for(kernel):
@@ -62,8 +57,6 @@ def base_kernel_for(kernel):
         return "modgemm-morton"
     if kernel.startswith("batched-"):
         return "batched-loop"
-    if kernel.startswith("algo-"):
-        return "algo-222"
     return "scalar"
 
 

@@ -106,6 +106,8 @@ FALLBACKS = {"none", "schedule-swap", "depth-reduced", "budget-direct",
              "alloc-direct", "alloc-strided"}
 # The v6 rung: a forced/chosen <m,k,n> family could not run (workspace
 # budget or allocation failure) and the call degraded to the <2,2,2> ladder.
+# The family engine is gone and no call reports it any more; reports from
+# before then stay valid.
 FALLBACKS_V6 = FALLBACKS | {"algo-fallback"}
 # "none" = direct (no Strassen plan ran, so no schedule family applies).
 # "winograd" names the 3-temporary table that ran by default until the
@@ -115,7 +117,8 @@ SCHEDULES = {"none", "winograd", "winograd-lowmem", "winograd-inplace"}
 # "none" = direct (no recursive execution, so no strategy applies).
 STRATEGIES = {"none", "morton", "packfused"}
 # "none" = the report predates resolution or the call never dispatched;
-# numeric names are the shipped <m,k,n> coefficient tables.
+# numeric names are <m,k,n> coefficient tables.  Every call now reports
+# "222"; the other names stay valid for reports from the family engine.
 ALGOS = {"none", "222", "323", "234", "333"}
 ENTRIES = {"modgemm", "pmodgemm", "modgemm_batched"}
 # "off" = not a tuned batched call; "cold"/"warm"/"rejected" = the

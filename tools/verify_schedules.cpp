@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/algo_family.hpp"
-#include "analysis/algo_verify.hpp"
 #include "analysis/schedule.hpp"
 #include "analysis/schedule_verify.hpp"
 
@@ -42,31 +40,11 @@ int main() {
     if (!r.ok) all_ok = false;
   }
 
-  // The <m,k,n> family tables: the same discipline as the schedules -- the
-  // constexpr core already static_asserted at build, this re-runs the
-  // monomial-level proof with human-readable diagnostics.
-  int family_count = 0;
-  for (const AlgoFamily f : kShippedAlgoFamilies) {
-    const FamilyTable& t = family_table(f);
-    const std::vector<std::string> errors = verify_family(t);
-    const FamilyCoreResult r = verify_family_core(t);
-    std::printf("family   %-20s <%d,%d,%d> rank=%2d (trivial %2d) "
-                "additions=%2d temp-peak=%d (declared %d)  %s\n",
-                t.name, t.bm, t.bk, t.bn, t.rank, t.trivial_rank(),
-                r.linear_ops, r.temp_peak, t.declared_temp_peak,
-                errors.empty() ? "OK" : "FAIL");
-    for (const std::string& e : errors)
-      std::printf("  error: %s\n", e.c_str());
-    if (!errors.empty()) all_ok = false;
-    ++family_count;
-  }
-
   if (!all_ok) {
     std::printf("verify_schedules: FAILED\n");
     return 1;
   }
-  std::printf("verify_schedules: all %d schedule(s) and %d family table(s) "
-              "verified\n",
-              kShippedScheduleCount, family_count);
+  std::printf("verify_schedules: all %d schedule(s) verified\n",
+              kShippedScheduleCount);
   return 0;
 }
