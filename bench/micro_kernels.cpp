@@ -169,16 +169,24 @@ namespace ker = strassen::blas::kernels;
 
 struct KernelConfig {
   ker::Kind kind;
-  std::string name;  // "scalar", "avx2-8x6", "neon"
+  std::string name;  // "scalar", "avx2-8x6", "avx512-24x8", "neon"
 };
 
-// The AVX2 row keeps the label "avx2-8x6" (its register block), so sweeps
-// stay comparable with the checked-in baseline.
+// The x86 rows are labelled with their register block ("avx2-8x6", as in
+// the checked-in baseline, and "avx512-24x8").
 std::vector<KernelConfig> kernel_configs() {
   std::vector<KernelConfig> out;
-  for (ker::Kind kind : ker::available_kernels())
-    out.push_back({kind, kind == ker::Kind::kAvx2 ? "avx2-8x6"
-                                                  : ker::kind_name(kind)});
+  for (ker::Kind kind : ker::available_kernels()) {
+    std::string name = ker::kind_name(kind);
+    if (kind == ker::Kind::kAvx2 || kind == ker::Kind::kAvx512) {
+      const ker::LeafKernels* t = ker::kernel_table(kind);
+      name += '-';
+      name += std::to_string(t->mr);
+      name += 'x';
+      name += std::to_string(t->nr);
+    }
+    out.push_back({kind, name});
+  }
   return out;
 }
 

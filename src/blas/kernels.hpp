@@ -16,8 +16,8 @@
 //   * gemm_leaf -- the dispatching wrapper.  For the production (RawMem,
 //     double) instantiation it routes to the kernel engine
 //     (blas/kernels/registry.hpp) when a SIMD kernel is active: explicit
-//     micro-kernels (AVX2+FMA 8x6, NEON 4x4) selected by a runtime CPU
-//     probe.  With the scalar kernel active it compiles the local
+//     micro-kernels (AVX-512F 24x8, AVX2+FMA 8x6, NEON 4x4) selected by a
+//     runtime CPU probe.  With the scalar kernel active it compiles the local
 //     gemm_leaf_generic instantiation instead -- the identical per-TU code
 //     the pre-engine library ran -- so STRASSEN_KERNEL=scalar reproduces the
 //     seed bit for bit.

@@ -5,7 +5,7 @@
 //      Unavailable or unknown values degrade to the scalar table -- the
 //      portable guarantee -- never to an illegal-instruction crash.
 //   2. CPU probe: the best compiled-in kind the host can execute
-//      (avx2 > neon > scalar).
+//      (avx512 > avx2 > neon > scalar).
 //
 // The active kind is an atomic, so the per-leaf-call read is a few
 // nanoseconds against the O(T^3) work it dispatches; setters are for
@@ -33,23 +33,30 @@ struct State {
   State() { active.store(detect_default(), std::memory_order_relaxed); }
 };
 
+// Every table kind, in the order the listings report them.
+constexpr Kind kAllKinds[] = {Kind::kScalar, Kind::kAvx2, Kind::kAvx512,
+                              Kind::kNeon};
+
 bool table_compiled(Kind kind) { return kernel_table(kind) != nullptr; }
 
-// Parses STRASSEN_KERNEL for the NOEXCEPT dispatch chain.  Returns kAuto for
-// unset/empty, kScalar for any value that names nothing runnable (unknown
-// strings included: an operator typo must not silently re-enable SIMD).  The
-// loud rejection of unknown values lives in require_valid_kernel_env(),
-// which the gemm entry points call from a throwing context.
+// Parses STRASSEN_KERNEL for the NOEXCEPT dispatch chain: parse_kernel_name's
+// mapping (unset, "" and "auto" give kAuto), except that an unknown value
+// gives kScalar instead of throwing -- an operator typo must not silently
+// re-enable SIMD.  The loud rejection of unknown values lives in
+// require_valid_kernel_env(), which the gemm entry points call from a
+// throwing context.
 Kind parse_env() {
   const char* e = std::getenv("STRASSEN_KERNEL");
-  if (e == nullptr || *e == '\0') return Kind::kAuto;
-  if (std::strcmp(e, "scalar") == 0) return Kind::kScalar;
-  if (std::strcmp(e, "avx2") == 0) return Kind::kAvx2;
-  if (std::strcmp(e, "neon") == 0) return Kind::kNeon;
-  return Kind::kScalar;
+  if (e == nullptr) return Kind::kAuto;
+  try {
+    return parse_kernel_name(e);
+  } catch (...) {
+    return Kind::kScalar;
+  }
 }
 
 Kind best_available() {
+  if (is_available(Kind::kAvx512)) return Kind::kAvx512;
   if (is_available(Kind::kAvx2)) return Kind::kAvx2;
   if (is_available(Kind::kNeon)) return Kind::kNeon;
   return Kind::kScalar;
@@ -80,6 +87,13 @@ bool cpu_supports(Kind kind) noexcept {
 #else
       return false;
 #endif
+    case Kind::kAvx512:
+      // The avx512 table shares the AVX2 element-wise entries.
+#if defined(__x86_64__) || defined(__i386__)
+      return __builtin_cpu_supports("avx512f") && cpu_supports(Kind::kAvx2);
+#else
+      return false;
+#endif
     case Kind::kNeon:
 #if defined(__aarch64__)
       return true;  // Advanced SIMD is architecturally mandatory on AArch64
@@ -98,6 +112,8 @@ const LeafKernels* kernel_table(Kind kind) noexcept {
       return &detail::scalar_table();
     case Kind::kAvx2:
       return detail::avx2_table();
+    case Kind::kAvx512:
+      return detail::avx512_table();
     case Kind::kNeon:
       return detail::neon_table();
     case Kind::kAuto:
@@ -112,14 +128,14 @@ bool is_available(Kind kind) noexcept {
 
 std::vector<Kind> compiled_kernels() {
   std::vector<Kind> out;
-  for (Kind k : {Kind::kScalar, Kind::kAvx2, Kind::kNeon})
+  for (Kind k : kAllKinds)
     if (table_compiled(k)) out.push_back(k);
   return out;
 }
 
 std::vector<Kind> available_kernels() {
   std::vector<Kind> out;
-  for (Kind k : {Kind::kScalar, Kind::kAvx2, Kind::kNeon})
+  for (Kind k : kAllKinds)
     if (is_available(k)) out.push_back(k);
   return out;
 }
@@ -146,10 +162,11 @@ Kind parse_kernel_name(const char* value) {
   if (*value == '\0' || std::strcmp(value, "auto") == 0) return Kind::kAuto;
   if (std::strcmp(value, "scalar") == 0) return Kind::kScalar;
   if (std::strcmp(value, "avx2") == 0) return Kind::kAvx2;
+  if (std::strcmp(value, "avx512") == 0) return Kind::kAvx512;
   if (std::strcmp(value, "neon") == 0) return Kind::kNeon;
   STRASSEN_REQUIRE(false, "STRASSEN_KERNEL: unknown kernel \""
                               << value
-                              << "\" (expected scalar, avx2 or neon)");
+                              << "\" (expected scalar, avx2, avx512 or neon)");
   return Kind::kAuto;  // unreachable
 }
 
@@ -169,6 +186,8 @@ const char* kind_name(Kind kind) noexcept {
       return "scalar";
     case Kind::kAvx2:
       return "avx2";
+    case Kind::kAvx512:
+      return "avx512";
     case Kind::kNeon:
       return "neon";
   }

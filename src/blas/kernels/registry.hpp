@@ -9,12 +9,16 @@
 //   scalar    4x4  -- the portable fallback; byte-for-byte the code the
 //                     generic MemModel template produces (seed behaviour)
 //   avx2      8x6  (double, AVX2+FMA)
+//   avx512   24x8  (double, AVX-512F; the avx2 block at twice the width,
+//                   bit-identical to it)
 //   neon      4x4  (double, Advanced SIMD; AArch64 and ARMv7-NEON)
 //
 // selected once at startup by a CPU probe (cpuid on x86, HWCAP/mandatory
-// NEON on ARM), overridable by the STRASSEN_KERNEL environment variable
-// ("scalar" | "avx2" | "neon") and per call via ModgemmOptions::kernel.
-// Each ISA ships one register block, as BLIS-style engines do.
+// NEON on ARM; avx512 > avx2 > neon > scalar), overridable by the
+// STRASSEN_KERNEL environment variable ("scalar" | "avx2" | "avx512" |
+// "neon") and per call via ModgemmOptions::kernel.  Each ISA ships one
+// register block, as BLIS-style engines do; the two x86 tables instantiate
+// one block template (simd_block.hpp) with their own vector traits.
 //
 // The engine serves ONLY the production RawMem/double instantiation: the
 // templated kernels in blas/kernels.hpp and blas/level1.hpp route to the
@@ -26,8 +30,8 @@
 //
 // Each ISA lives in its own translation unit compiled with per-file ISA
 // flags (see src/CMakeLists.txt), so a portable -march baseline binary still
-// carries the AVX2 kernels and enables them only on hosts whose cpuid says
-// they can run.
+// carries the AVX2 and AVX-512 kernels and enables them only on hosts whose
+// cpuid says they can run.
 #pragma once
 
 #include <cstddef>
@@ -39,10 +43,10 @@ namespace strassen::blas::kernels {
 
 // Which implementation family a table belongs to.  kAuto is not a table: it
 // names "re-run the probe + environment override" in setter contexts.
-enum class Kind { kAuto = -1, kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Kind { kAuto = -1, kScalar = 0, kAvx2 = 1, kNeon = 2, kAvx512 = 3 };
 
 // Register block of the AVX2 kernel.  There is one, 8x6; the enum and its
-// accessors below only name it in reports.
+// accessors below only name it in reports (not the avx512 block).
 enum class Avx2Variant { k8x6 };
 
 // Operand combination applied on the fly by gemm_fused_ab.
@@ -54,7 +58,7 @@ enum class FusedOp { kAdd, kSub };
 // on contiguous quadrants.
 struct LeafKernels {
   Kind kind;
-  const char* name;  // "scalar", "avx2", "neon"
+  const char* name;  // "scalar", "avx2", "avx512", "neon"
   int mr, nr;        // register block of the main path
 
   // C(m x n) {=, +=} alpha * A(m x k) . B(k x n).
@@ -112,10 +116,10 @@ void set_active_kernel(Kind kind) noexcept;
 // The active table (never null).
 const LeafKernels& active() noexcept;
 
-// Parses a STRASSEN_KERNEL-style value: "scalar", "avx2" or "neon" ("" and
-// "auto" mean kAuto).  Any other string throws std::invalid_argument naming
-// the offending value -- this is the loud counterpart of the noexcept
-// dispatch chain's degrade-to-scalar guarantee.
+// Parses a STRASSEN_KERNEL-style value: "scalar", "avx2", "avx512" or "neon"
+// ("" and "auto" mean kAuto).  Any other string throws
+// std::invalid_argument naming the offending value -- this is the loud
+// counterpart of the noexcept dispatch chain's degrade-to-scalar guarantee.
 Kind parse_kernel_name(const char* value);
 
 // Validates the STRASSEN_KERNEL environment variable, throwing (once per
@@ -151,10 +155,23 @@ class ScopedKernel {
 
 namespace detail {
 // Per-ISA table accessors, one per kernel TU.  A TU whose ISA was not
-// enabled at compile time returns nullptr (see avx2.cpp / neon.cpp stubs).
+// enabled at compile time returns nullptr (see the avx2.cpp / avx512.cpp /
+// neon.cpp stubs).
 const LeafKernels& scalar_table() noexcept;
 const LeafKernels* avx2_table() noexcept;
+const LeafKernels* avx512_table() noexcept;
 const LeafKernels* neon_table() noexcept;
+
+// The AVX2 entries the avx512 table shares (defined in avx2.cpp, which is
+// compiled in whenever avx512.cpp is).
+void avx2_gemm_fused_ab(int m, int n, int k, const double* A1,
+                        const double* A2, FusedOp opa, int lda,
+                        const double* B1, const double* B2, FusedOp opb,
+                        int ldb, double* C, int ldc);
+void avx2_vadd(std::size_t n, double* dst, const double* a, const double* b);
+void avx2_vsub(std::size_t n, double* dst, const double* a, const double* b);
+void avx2_vadd_inplace(std::size_t n, double* dst, const double* a);
+void avx2_vsub_inplace(std::size_t n, double* dst, const double* a);
 }  // namespace detail
 
 }  // namespace strassen::blas::kernels

@@ -27,6 +27,7 @@ struct PlanClass {
 struct ClassKey {
   int m, n, k;
   std::uint8_t opa, opb;
+  bool beta_zero;  // prices pack-fused's C scratch (detail::budget_bytes)
   bool operator==(const ClassKey&) const = default;
 };
 
@@ -42,6 +43,7 @@ struct ClassKeyHash {
     mix(static_cast<std::uint32_t>(c.k));
     mix(c.opa);
     mix(c.opb);
+    mix(c.beta_zero);
     return static_cast<std::size_t>(h);
   }
 };
@@ -55,6 +57,7 @@ tune::PlanKey make_plan_key(const ClassKey& c, const BatchedOptions& opt,
   key.n = c.n;
   key.opa = c.opa;
   key.opb = c.opb;
+  key.beta_zero = c.beta_zero;
   key.strategy = static_cast<std::uint8_t>(cfg.strategy);
   key.elem_size = sizeof(double);
   key.max_workspace_bytes = opt.max_workspace_bytes;
@@ -146,7 +149,7 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
     for (int i = 0; i < count; ++i) {
       const BatchItem& it = items[i];
       const ClassKey ck{it.m, it.n, it.k, static_cast<std::uint8_t>(it.opa),
-                        static_cast<std::uint8_t>(it.opb)};
+                        static_cast<std::uint8_t>(it.opb), it.beta == 0.0};
       auto [pos, fresh] =
           index.emplace(ck, static_cast<int>(classes.size()));
       if (fresh) {
@@ -169,7 +172,7 @@ void modgemm_batched(parallel::ThreadPool* pool, const BatchItem* items,
           // plan-cache hits replay what this planning pass records.
           obs::GemmReport plan_rep;
           cls.plan = detail::plan_product<double>(
-              it.opa, it.opb, ck.m, ck.k, ck.n, cfg, tiles,
+              it.opa, it.opb, ck.m, ck.k, ck.n, !ck.beta_zero, cfg, tiles,
               opt.max_workspace_bytes, &plan_rep);
           cls.planned_depth = plan_rep.planned_depth;
           cls.fallback = plan_rep.fallback_reason;

@@ -7,10 +7,11 @@
 // resolution, a planning pass, a workspace allocation, and a report.  This
 // entry point amortizes all four across the batch:
 //
-//   * plan once per (shape, op, strategy, budget) equivalence class --
-//     products with equal planning inputs share one GemmPlan, looked up in /
-//     published to the process-wide plan cache (tune/plan_cache.hpp), so a
-//     steady-state service plans a given class exactly once per process;
+//   * plan once per (shape, op, beta == 0, strategy, budget) equivalence
+//     class -- products with equal planning inputs share one GemmPlan,
+//     looked up in / published to the process-wide plan cache
+//     (tune/plan_cache.hpp), so a steady-state service plans a given class
+//     exactly once per process;
 //   * scratch through the per-thread ScratchArena cache
 //     (parallel/arena_pool.hpp) -- a worker that has run one product of a
 //     class reuses the same arena for every subsequent product it picks up,

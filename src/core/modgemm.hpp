@@ -206,17 +206,20 @@ inline layout::ExecStrategy plan_exec_strategy(layout::ExecStrategy resolved,
 }
 
 // The workspace the budget ladder charges a Strassen plan that runs as
-// plan.strategy: the bytes that strategy allocates, pack-fused priced with
-// its C scratch since beta is not known here.  A budgeted pack-fused plan
+// plan.strategy: the bytes that strategy allocates for an m x n C, pack-fused
+// priced with its padded C scratch only when it needs one
+// (packfused_needs_c_scratch).  A budgeted pack-fused plan
 // always runs pack-fused: the pooled Morton rung is reached only by
 // unbudgeted pmodgemm calls and by the batched driver's Morton-strategy
 // deep classes.
 inline std::size_t budget_bytes(const layout::GemmPlan& plan, Op opa, Op opb,
+                                int m, int n, bool beta_nonzero,
                                 std::size_t elem_size) {
   if (plan.strategy != layout::ExecStrategy::kPackFused)
     return modgemm_workspace_bytes(plan, elem_size);
-  return packfused_workspace_bytes(plan, opa, opb, elem_size,
-                                   /*c_scratch=*/true);
+  return packfused_workspace_bytes(
+      plan, opa, opb, elem_size,
+      packfused_needs_c_scratch(plan, m, n, beta_nonzero));
 }
 
 // Escalates the recorded fallback to the worse of the two (split calls run
@@ -281,7 +284,7 @@ inline analysis::ScheduleFamily runnable_family(
 //      path.  Recorded as kBudgetDirect.
 inline layout::GemmPlan apply_workspace_budget(
     layout::GemmPlan plan, Op opa, Op opb, int m, int k, int n,
-    const layout::TileOptions& tiles, std::size_t budget,
+    bool beta_nonzero, const layout::TileOptions& tiles, std::size_t budget,
     std::size_t elem_size, ModgemmReport* report, const ExecConfig& cfg) {
   using analysis::ScheduleFamily;
   // Settles cand to run `family` and reports whether it fits the budget.
@@ -289,7 +292,9 @@ inline layout::GemmPlan apply_workspace_budget(
     const auto settle = [&](layout::ExecStrategy strategy) {
       cand.strategy = strategy;
       if (!cand.direct) cand.schedule = runnable_family(cand, family);
-      return budget == 0 || budget_bytes(cand, opa, opb, elem_size) <= budget;
+      return budget == 0 ||
+             budget_bytes(cand, opa, opb, m, n, beta_nonzero, elem_size) <=
+                 budget;
     };
     const layout::ExecStrategy planned =
         plan_exec_strategy(cfg.strategy, cand, opa, opb, m, k, n, tiles);
@@ -339,19 +344,20 @@ inline layout::GemmPlan apply_workspace_budget(
 
 // Plans one product (m, k, n >= 1) of op(A) . op(B) under a resolved
 // config: the tile plan, the execution strategy, the schedule family that
-// strategy can run and the workspace budget (apply_workspace_budget).  An
-// infeasible plan means the product must be split.  Records the planned
-// depth and any budget rung in *report.
+// strategy can run and the workspace budget (apply_workspace_budget, which
+// needs to know whether the product's beta is nonzero to price pack-fused's
+// C scratch).  An infeasible plan means the product must be split.  Records
+// the planned depth and any budget rung in *report.
 template <class T>
 layout::GemmPlan plan_product(Op opa, Op opb, int m, int k, int n,
-                              const ExecConfig& cfg,
+                              bool beta_nonzero, const ExecConfig& cfg,
                               const layout::TileOptions& tiles,
                               std::size_t budget, ModgemmReport* report) {
   const layout::GemmPlan planned = layout::plan_gemm(m, k, n, tiles);
   if (report) report->planned_depth = planned.depth;
   if (!planned.direct && !planned.feasible) return planned;
-  return apply_workspace_budget(planned, opa, opb, m, k, n, tiles, budget,
-                                sizeof(T), report, cfg);
+  return apply_workspace_budget(planned, opa, opb, m, k, n, beta_nonzero,
+                                tiles, budget, sizeof(T), report, cfg);
 }
 
 // The header of one call's report: its shape and the leaf kernel it runs
@@ -676,9 +682,11 @@ void run_split_block(MM& mm, Op opa, Op opb, const layout::Chunk& cm,
   bool first = true;
   for (const auto& ck : k_chunks) {
     // The budget bounds the workspace of each sub-product (they run
-    // sequentially, so the per-product peak is the call's peak).
+    // sequentially, so the per-product peak is the call's peak).  Chunks
+    // after the first accumulate: they run with beta = 1.
     const layout::GemmPlan sub = plan_product<T>(
-        opa, opb, cm.size, ck.size, cn.size, cfg, tiles, budget, report);
+        opa, opb, cm.size, ck.size, cn.size, !first || beta != T{0}, cfg,
+        tiles, budget, report);
     STRASSEN_ASSERT(sub.direct || sub.feasible);
     run_ladder(mm, opa, opb, cm.size, cn.size, ck.size, alpha,
                op_block(A, opa, lda, cm.offset, ck.offset), lda,
@@ -768,8 +776,8 @@ void modgemm_mm(MM& mm, Op opa, Op opb, int m, int n, int k, T alpha,
   if (opt.fixed_tile == 0) {
     detail::run_product(
         mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-        detail::plan_product<T>(opa, opb, m, k, n, cfg, opt.tiles,
-                                opt.max_workspace_bytes, report),
+        detail::plan_product<T>(opa, opb, m, k, n, beta != T{0}, cfg,
+                                opt.tiles, opt.max_workspace_bytes, report),
         cfg, opt.tiles, opt.max_workspace_bytes, report);
     return;
   }

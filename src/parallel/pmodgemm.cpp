@@ -83,8 +83,8 @@ void pmodgemm(ThreadPool* pool, Op opa, Op opb, int m, int n, int k,
   const core::detail::Fork fork{pool, opt.spawn_levels, opt.min_task_flops};
   core::detail::run_product(
       mm, opa, opb, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc,
-      core::detail::plan_product<double>(opa, opb, m, k, n, cfg, opt.tiles, 0,
-                                         rep),
+      core::detail::plan_product<double>(opa, opb, m, k, n, beta != 0.0, cfg,
+                                         opt.tiles, 0, rep),
       cfg, opt.tiles, 0, rep, pool == nullptr ? nullptr : &fork);
 }
 

@@ -24,6 +24,7 @@ std::uint64_t hash_plan_key(const PlanKey& key) noexcept {
   mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.n)));
   mix(key.opa);
   mix(key.opb);
+  mix(key.beta_zero);
   mix(key.schedule);
   mix(key.strategy);
   mix(key.algo);

@@ -53,6 +53,7 @@ namespace strassen::tune {
 struct PlanKey {
   int m = 0, k = 0, n = 0;
   std::uint8_t opa = 0, opb = 0;      // Op, as ordinal
+  bool beta_zero = false;             // prices pack-fused's C scratch
   // The call's core::ExecConfig, as ordinals (kAuto = decided per product).
   std::uint8_t strategy = 0;          // layout::ExecStrategy
   // Always 0 in library keys (a call's config has neither a schedule family

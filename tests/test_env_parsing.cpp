@@ -102,6 +102,7 @@ TEST(EnvParsing, KernelNameAcceptsKnownNames) {
   EXPECT_EQ(parse_kernel_name("auto"), Kind::kAuto);
   EXPECT_EQ(parse_kernel_name("scalar"), Kind::kScalar);
   EXPECT_EQ(parse_kernel_name("avx2"), Kind::kAvx2);
+  EXPECT_EQ(parse_kernel_name("avx512"), Kind::kAvx512);
   EXPECT_EQ(parse_kernel_name("neon"), Kind::kNeon);
 }
 
@@ -109,10 +110,10 @@ TEST(EnvParsing, KernelNameRejectsUnknownNames) {
   using blas::kernels::parse_kernel_name;
   expect_rejects([] { parse_kernel_name("bogus"); },
                  {"STRASSEN_KERNEL", "bogus"});
-  expect_rejects([] { parse_kernel_name("avx512"); },
-                 {"STRASSEN_KERNEL", "avx512"});
-  // The AVX2 kernel has one register block; the old block suffixes are
-  // gone, not aliases.
+  // Each x86 kernel has one register block; block suffixes are not
+  // names, and the old AVX2 ones are gone, not aliases.
+  expect_rejects([] { parse_kernel_name("avx512-24x8"); },
+                 {"STRASSEN_KERNEL", "avx512-24x8"});
   expect_rejects([] { parse_kernel_name("avx2-8x6"); },
                  {"STRASSEN_KERNEL", "avx2-8x6"});
   expect_rejects([] { parse_kernel_name("avx2-4x8"); },

@@ -86,7 +86,7 @@ TEST(KernelRegistry, ActiveTableIsNeverNullAndMatchesKind) {
 }
 
 TEST(KernelRegistry, UnavailableKindDegradesToScalar) {
-  for (Kind kind : {Kind::kAvx2, Kind::kNeon}) {
+  for (Kind kind : {Kind::kAvx2, Kind::kAvx512, Kind::kNeon}) {
     if (is_available(kind)) continue;
     ScopedKernel pin(kind);
     EXPECT_EQ(active_kernel(), Kind::kScalar)
@@ -105,6 +105,14 @@ TEST(KernelRegistry, ScopedKernelRestores) {
 
 TEST(KernelRegistry, EnvOverrideParsesAndDegrades) {
   const Kind before = active_kernel();
+  // The probe prefers avx512 > avx2.
+  const Kind probed = is_available(Kind::kAvx512) ? Kind::kAvx512
+                      : is_available(Kind::kAvx2) ? Kind::kAvx2
+                                                  : before;
+  // "auto" leaves the probe's choice.
+  ::setenv("STRASSEN_KERNEL", "auto", 1);
+  set_active_kernel(Kind::kAuto);
+  EXPECT_EQ(active_kernel(), probed);
   // Unknown value: never silently enables SIMD.
   ::setenv("STRASSEN_KERNEL", "bogus", 1);
   set_active_kernel(Kind::kAuto);
@@ -112,23 +120,22 @@ TEST(KernelRegistry, EnvOverrideParsesAndDegrades) {
   ::setenv("STRASSEN_KERNEL", "scalar", 1);
   set_active_kernel(Kind::kAuto);
   EXPECT_EQ(active_kernel(), Kind::kScalar);
-  if (is_available(Kind::kAvx2)) {
-    ::setenv("STRASSEN_KERNEL", "avx2", 1);
+  for (Kind kind : {Kind::kAvx2, Kind::kAvx512}) {
+    if (!is_available(kind)) continue;
+    ::setenv("STRASSEN_KERNEL", kind_name(kind), 1);
     set_active_kernel(Kind::kAuto);
-    EXPECT_EQ(active_kernel(), Kind::kAvx2);
+    EXPECT_EQ(active_kernel(), kind);
   }
   ::unsetenv("STRASSEN_KERNEL");
   set_active_kernel(Kind::kAuto);  // back to the probe default
-  EXPECT_EQ(active_kernel(), cpu_supports(Kind::kAvx2) &&
-                                     kernel_table(Kind::kAvx2) != nullptr
-                                 ? Kind::kAvx2
-                                 : before);
+  EXPECT_EQ(active_kernel(), probed);
   set_active_kernel(before);
 }
 
 TEST(KernelRegistry, Names) {
   EXPECT_STREQ(kind_name(Kind::kScalar), "scalar");
   EXPECT_STREQ(kind_name(Kind::kAvx2), "avx2");
+  EXPECT_STREQ(kind_name(Kind::kAvx512), "avx512");
   EXPECT_STREQ(kind_name(Kind::kNeon), "neon");
   EXPECT_STREQ(kind_name(Kind::kAuto), "auto");
   EXPECT_STREQ(variant_name(avx2_variant()), "8x6");

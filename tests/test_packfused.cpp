@@ -537,8 +537,9 @@ TEST(PackFusedReport, WorkspaceAccountingMatchesPublicSizing) {
 // A budget equal to the Morton figure of the unbudgeted plan bounds every
 // request, for every op pair, unpinned and under either strategy pin.  A
 // pinned pack-fused product with both operands transposed copies both at
-// entry and would exceed that figure, so the ladder prices it with its own
-// and degrades it.
+// entry; with beta != 0 it also needs the C scratch and then exceeds that
+// figure, so the ladder prices it with its own and degrades it.  With
+// beta = 0 and no padding it needs no scratch and fits.
 TEST(PackFusedBudget, TransposedCallsStayWithinTheMortonFigure) {
   const int m = 150, k = 130, n = 170;
   Rng rng(41);
@@ -556,6 +557,7 @@ TEST(PackFusedBudget, TransposedCallsStayWithinTheMortonFigure) {
                                             sizeof(double),
                                             /*c_scratch=*/true),
             budget);
+  ASSERT_FALSE(core::packfused_needs_c_scratch(planned, m, n, false));
 
   for (const auto& [opa, opb] : kOpPairs)
     for (const ExecStrategy pin :
@@ -580,7 +582,7 @@ TEST(PackFusedBudget, TransposedCallsStayWithinTheMortonFigure) {
         EXPECT_LE(r.workspace_peak_bytes, budget);
         if (pin == ExecStrategy::kPackFused && opa == Op::Trans &&
             opb == Op::Trans) {
-          EXPECT_NE(r.fallback_reason, FallbackReason::kNone);
+          EXPECT_EQ(r.fallback_reason != FallbackReason::kNone, beta != 0.0);
         }
       }
 }
@@ -625,6 +627,56 @@ TEST(PackFusedBudget, UnpinnedMortonPlanSettlesOnPackFused) {
   EXPECT_EQ(std::memcmp(Cm.data(), Cb.data(),
                         sizeof(double) * Cm.storage().size()),
             0);
+}
+
+// A beta = 0 product whose C needs no padding runs pack-fused without a C
+// scratch, and the ladder prices it so: 512^3 pinned pack-fused, under a
+// budget between its figure without the scratch and its figure with it,
+// runs at full depth with no rung taken and peaks within the budget.  The
+// same call with beta != 0 needs the scratch, so it takes a rung.
+TEST(PackFusedBudget, BetaZeroIsPricedWithoutTheCScratch) {
+  const int n = 512;
+  Rng rng(53);
+  Matrix<double> A(n, n), B(n, n), C0(n, n), Ref(n, n), C(n, n);
+  rng.fill_uniform(A.storage());
+  rng.fill_uniform(B.storage());
+  rng.fill_uniform(C0.storage());
+  layout::GemmPlan plan = layout::plan_gemm(n, n, n);
+  plan.strategy = ExecStrategy::kPackFused;
+  ASSERT_TRUE(plan.feasible && !plan.direct);
+  ASSERT_FALSE(core::packfused_needs_c_scratch(plan, n, n, false));
+  const std::size_t need = core::packfused_workspace_bytes(
+      plan, Op::NoTrans, Op::NoTrans, sizeof(double), /*c_scratch=*/false);
+  const std::size_t charged = core::packfused_workspace_bytes(
+      plan, Op::NoTrans, Op::NoTrans, sizeof(double), /*c_scratch=*/true);
+  const std::size_t budget = need + (charged - need) / 2;
+
+  ModgemmOptions opt;
+  opt.strategy = ExecStrategy::kPackFused;
+  for (const double beta : {0.0, 0.5}) {
+    SCOPED_TRACE(::testing::Message() << "beta " << beta);
+    copy_matrix<double>(C0.view(), Ref.view());
+    copy_matrix<double>(C0.view(), C.view());
+    opt.max_workspace_bytes = 0;
+    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                  B.data(), n, beta, Ref.data(), n, opt);
+    opt.max_workspace_bytes = budget;
+    ModgemmReport r;
+    core::modgemm(Op::NoTrans, Op::NoTrans, n, n, n, 1.0, A.data(), n,
+                  B.data(), n, beta, C.data(), n, opt, &r);
+    EXPECT_LE(r.workspace_peak_bytes, budget);
+    if (beta == 0.0) {
+      EXPECT_EQ(r.fallback_reason, FallbackReason::kNone);
+      EXPECT_STREQ(r.strategy, "packfused");
+      EXPECT_EQ(r.plan.depth, plan.depth);
+      EXPECT_EQ(std::memcmp(C.data(), Ref.data(),
+                            sizeof(double) * C.storage().size()),
+                0);
+    } else {
+      EXPECT_NE(r.fallback_reason, FallbackReason::kNone);
+      EXPECT_LT(max_abs_diff<double>(C.view(), Ref.view()), 1e-9);
+    }
+  }
 }
 
 TEST(PackFusedReport, DirectPlansReportNoStrategy) {

@@ -70,7 +70,7 @@ TEST(PlanCache, DiscriminatesEveryKeyField) {
 
   // Mutating any single field must miss: the cached plan is exact for its
   // planning inputs, never a heuristic for nearby ones.
-  std::vector<PlanKey> variants(12, base);
+  std::vector<PlanKey> variants(13, base);
   variants[0].m = 257;
   variants[1].k = 257;
   variants[2].n = 257;
@@ -83,6 +83,7 @@ TEST(PlanCache, DiscriminatesEveryKeyField) {
   variants[9].preferred_tile = base.preferred_tile / 2;
   variants[10].direct_threshold = 128;
   variants[11].packfused_max_depth = 0;
+  variants[12].beta_zero = !base.beta_zero;
   for (std::size_t i = 0; i < variants.size(); ++i)
     EXPECT_EQ(cache.lookup(variants[i]), nullptr) << "variant " << i;
 }

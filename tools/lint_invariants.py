@@ -74,7 +74,7 @@ NOEXCEPT_ENTRY_POINTS = {
     "src/blas/kernels/registry.hpp": [
         "cpu_supports", "is_available", "active_kernel", "set_active_kernel",
         "avx2_variant", "active", "kernel_table", "kind_name", "variant_name",
-        "scalar_table", "avx2_table", "neon_table",
+        "scalar_table", "avx2_table", "avx512_table", "neon_table",
     ],
     "src/blas/kernels.hpp": ["dispatch_gemm_leaf", "simd_gemm_active"],
     "src/blas/level1.hpp": ["dispatch_vadd", "dispatch_vsub",
@@ -88,6 +88,8 @@ NOEXCEPT_ENTRY_POINTS = {
 HOT_PATH_FILES = [
     "src/blas/kernels/scalar.cpp",
     "src/blas/kernels/avx2.cpp",
+    "src/blas/kernels/avx512.cpp",
+    "src/blas/kernels/simd_block.hpp",
     "src/blas/kernels/neon.cpp",
     "src/blas/kernels.hpp",
     "src/blas/level1.hpp",
